@@ -291,23 +291,35 @@ class BuildReport:
         return "\n".join(lines)
 
 
-def _render(template: str, **slots) -> str:
-    out = template
-    for key, value in slots.items():
-        out = out.replace("{" + key + "}", value)
-    return out
+def _render(template: str, **slots: str | list[str]) -> list[str]:
+    """Split a command template into argv, then fill the slots per token.
+
+    Splitting first keeps a path with spaces one argument.  A token that is
+    exactly a slot expands to one argument per value, so {flags} and
+    {inputs} may give several arguments and an empty {flags} gives none.
+    """
+    lists = {"{" + key + "}": [value] if isinstance(value, str) else value for key, value in slots.items()}
+    argv: list[str] = []
+    for token in shlex.split(template):
+        if token in lists:
+            argv.extend(lists[token])
+            continue
+        for slot, values in lists.items():
+            token = token.replace(slot, " ".join(values))
+        argv.append(token)
+    return argv
 
 
-def _run_tool(name: str, command: str) -> StepResult:
+def _run_tool(name: str, argv: list[str]) -> StepResult:
     start = time.monotonic()
     try:
-        proc = subprocess.run(shlex.split(command), capture_output=True, text=True)
+        proc = subprocess.run(argv, capture_output=True, text=True)
     except OSError as exc:
         raise ToolFailure(name, 127, str(exc)) from exc
     duration = time.monotonic() - start
     if proc.returncode != 0:
         raise ToolFailure(name, proc.returncode, proc.stderr.strip())
-    return StepResult(name, command, "ok", duration, proc.stderr.strip())
+    return StepResult(name, shlex.join(argv), "ok", duration, proc.stderr.strip())
 
 
 def execute_plan(
@@ -330,30 +342,28 @@ def execute_plan(
     steps: list[StepResult] = []
 
     link_needed = plan.link_step is not None
+    flag_args = shlex.split(flags)
 
-    def command_for(task: Task) -> str | None:
+    def command_for(task: Task) -> list[str] | None:
         if task.kind == "qasm":
             if not link_needed:
                 return None  # emit-only: the pipeline runs in-process
             wrapper = (task.object_path[:-2] if task.object_path.endswith(".o") else task.object_path) + "_wrapper.cpp"
-            return _render(config.cxx_cmd, input=wrapper, output=task.object_path, flags=flags).strip()
+            return _render(config.cxx_cmd, input=wrapper, output=task.object_path, flags=flag_args)
         template = config.template_for(task.kind)
         return _render(
-            template, input=task.path, output=task.object_path, flags=flags, arch=config.cuda_arch
-        ).strip()
+            template, input=task.path, output=task.object_path, flags=flag_args, arch=config.cuda_arch
+        )
+
+    def link_command() -> list[str]:
+        return _render(config.linker_cmd, inputs=list(plan.link_step.inputs), output=plan.link_step.output)
 
     if dry_run:
         for task in plan.tasks:
             command = command_for(task)
-            emit(command if command else f"# {task.path}: in-process quantum pipeline, no external command")
+            emit(shlex.join(command) if command else f"# {task.path}: in-process quantum pipeline, no external command")
         if plan.link_step:
-            emit(
-                _render(
-                    config.linker_cmd,
-                    inputs=" ".join(plan.link_step.inputs),
-                    output=plan.link_step.output,
-                ).strip()
-            )
+            emit(shlex.join(link_command()))
         return BuildReport([], None, True)
 
     # object paths live under build_dir; external tools will not create it
@@ -378,12 +388,7 @@ def execute_plan(
 
     artifact = None
     if plan.link_step:
-        command = _render(
-            config.linker_cmd,
-            inputs=" ".join(plan.link_step.inputs),
-            output=plan.link_step.output,
-        ).strip()
-        steps.append(_run_tool("link", command))
+        steps.append(_run_tool("link", link_command()))
         emit(f"link -> {plan.link_step.output}")
         artifact = plan.link_step.output
     return BuildReport(steps, artifact, True)

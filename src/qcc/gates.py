@@ -16,6 +16,7 @@ places qubit 0 in the least significant bit.
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -54,97 +55,65 @@ def u1(lam: float) -> np.ndarray:
     return u3(0.0, 0.0, lam)
 
 
-_FIXED_1Q: dict[str, np.ndarray] = {
-    "id": _I2,
-    "x": _X,
-    "y": _Y,
-    "z": _Z,
-    "h": _H,
-    "s": np.diag([1, 1j]).astype(complex),
-    "sdg": np.diag([1, -1j]).astype(complex),
-    "t": np.diag([1, cmath.exp(1j * math.pi / 4)]),
-    "tdg": np.diag([1, cmath.exp(-1j * math.pi / 4)]),
-}
-
-_PARAM_1Q = {
-    "rx": (rx, 1),
-    "ry": (ry, 1),
-    "rz": (rz, 1),
-    "u1": (u1, 1),
-    "u2": (u2, 2),
-    "u3": (u3, 3),
-}
-
-
-def gate_matrix(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
-    """2x2 matrix of a single-qubit gate from the known table."""
-    if name in _FIXED_1Q:
-        if params:
-            raise UnknownGateError(f"gate '{name}' takes no parameters")
-        return _FIXED_1Q[name].copy()
-    if name in _PARAM_1Q:
-        fn, arity = _PARAM_1Q[name]
-        if len(params) != arity:
-            raise UnknownGateError(f"gate '{name}' takes {arity} parameter(s), got {len(params)}")
-        return fn(*params)
-    raise UnknownGateError(f"unknown single-qubit gate '{name}'")
-
-
 def _controlled(target: np.ndarray) -> np.ndarray:
     m = np.eye(4, dtype=complex)
     m[2:, 2:] = target
     return m
 
 
+def _fixed(matrix: np.ndarray):
+    return lambda: matrix.copy()
+
+
+# Every qelib1 gate: name -> function from its parameters to its matrix.  The
+# parameter count is the function's signature, the qubit count the matrix
+# shape; qelib1.gate_table() derives the same arity from the gate bodies.
+_MATRICES = {
+    "id": _fixed(_I2),
+    "x": _fixed(_X),
+    "y": _fixed(_Y),
+    "z": _fixed(_Z),
+    "h": _fixed(_H),
+    "s": _fixed(np.diag([1, 1j]).astype(complex)),
+    "sdg": _fixed(np.diag([1, -1j]).astype(complex)),
+    "t": _fixed(np.diag([1, cmath.exp(1j * math.pi / 4)])),
+    "tdg": _fixed(np.diag([1, cmath.exp(-1j * math.pi / 4)])),
+    "rx": rx,
+    "ry": ry,
+    "rz": rz,
+    "u1": u1,
+    "u2": u2,
+    "u3": u3,
+    "cx": _fixed(_controlled(_X)),
+    "cz": _fixed(_controlled(_Z)),
+    "cy": _fixed(_controlled(_Y)),
+    "ch": _fixed(_controlled(_H)),
+    "crz": lambda lam: _controlled(rz(lam)),
+    "cu1": lambda lam: _controlled(u1(lam)),
+    "cu3": lambda theta, phi, lam: _controlled(u3(theta, phi, lam)),
+    "swap": _fixed(np.eye(4, dtype=complex)[[0, 2, 1, 3]]),
+    "ccx": _fixed(np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]),
+}
+
+
 def unitary(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
     """Matrix of any gate in the vocabulary, including multi-qubit ones."""
-    if name in _FIXED_1Q or name in _PARAM_1Q:
-        return gate_matrix(name, params)
-    if name == "cx":
-        return _controlled(_X)
-    if name == "cz":
-        return _controlled(_Z)
-    if name == "cy":
-        return _controlled(_Y)
-    if name == "ch":
-        return _controlled(_H)
-    if name == "crz":
-        return _controlled(rz(*params))
-    if name == "cu1":
-        return _controlled(u1(*params))
-    if name == "cu3":
-        return _controlled(u3(*params))
-    if name == "swap":
-        m = np.eye(4, dtype=complex)
-        m[[1, 2]] = m[[2, 1]]
-        return m
-    if name == "ccx":
-        m = np.eye(8, dtype=complex)
-        m[[6, 7]] = m[[7, 6]]
-        return m
-    raise UnknownGateError(f"no matrix known for gate '{name}'")
+    fn = _MATRICES.get(name)
+    if fn is None:
+        raise UnknownGateError(f"no matrix known for gate '{name}'")
+    try:
+        return fn(*params)
+    except TypeError:
+        arity = len(inspect.signature(fn).parameters)
+        raise UnknownGateError(f"gate '{name}' takes {arity} parameter(s), got {len(params)}") from None
 
 
-def gate_arity(name: str) -> tuple[int, int]:
-    """(n_params, n_qubits) for every gate with a known matrix."""
-    if name in _FIXED_1Q:
-        return 0, 1
-    if name in _PARAM_1Q:
-        return _PARAM_1Q[name][1], 1
-    table = {
-        "cx": (0, 2),
-        "cz": (0, 2),
-        "cy": (0, 2),
-        "ch": (0, 2),
-        "swap": (0, 2),
-        "crz": (1, 2),
-        "cu1": (1, 2),
-        "cu3": (3, 2),
-        "ccx": (0, 3),
-    }
-    if name in table:
-        return table[name]
-    raise UnknownGateError(f"unknown gate '{name}'")
+def gate_matrix(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
+    """2x2 matrix of a single-qubit gate from the known table."""
+    matrix = unitary(name, params)
+    if matrix.shape != (2, 2):
+        raise UnknownGateError(f"gate '{name}' is not a single-qubit gate")
+    return matrix
 
 
 def is_unitary(matrix: np.ndarray, tol: float = 1e-10) -> bool:

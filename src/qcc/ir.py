@@ -72,19 +72,6 @@ class Dealloc:
 
 
 @dataclass(frozen=True)
-class QubitExtract:
-    """Element access into an allocated register.
-
-    Programs built by the frontend resolve qubits statically, so this op only
-    appears when modelling emitted code; the emitter materializes extracts on
-    its own.
-    """
-
-    register: QRegister
-    index: int
-
-
-@dataclass(frozen=True)
 class Inst:
     """A gate application, measurement (result set) or reset."""
 
@@ -127,12 +114,23 @@ IrOp = (
     | QRTFinalize
     | Qalloc
     | Dealloc
-    | QubitExtract
     | Inst
     | FusedUnitary
     | Barrier
     | ConditionalRegion
 )
+
+
+def op_qubits(op: IrOp) -> tuple[int, ...]:
+    """Logical ids of the qubits an op touches; () for runtime and allocation ops."""
+    # tuple([...]) rather than a generator: this runs once per op in several passes.
+    if isinstance(op, (Inst, Barrier)):
+        return tuple([q.logical_id for q in op.qubits])
+    if isinstance(op, ConditionalRegion):
+        return tuple([q.logical_id for q in op.body.qubits])
+    if isinstance(op, FusedUnitary):
+        return (op.qubit.logical_id,)
+    return ()
 
 
 @dataclass
@@ -213,24 +211,19 @@ class GateDag:
             self.successors[src].append(dst)
             self.predecessors[dst].append(src)
 
-    def in_degree(self, node_id: int) -> int:
-        return len(self.predecessors[node_id])
-
     def front_layer(self) -> list[int]:
         """Node ids with no unexecuted predecessors, in node order."""
         return [n.node_id for n in self.nodes if not self.predecessors[n.node_id]]
 
     def topological_order(self) -> list[int]:
         indeg = {n.node_id: len(self.predecessors[n.node_id]) for n in self.nodes}
-        ready = [nid for nid, d in sorted(indeg.items()) if d == 0]
-        order: list[int] = []
-        while ready:
-            nid = ready.pop(0)
-            order.append(nid)
+        # Iterating while appending visits nodes in FIFO order, like a queue.
+        order = [nid for nid, d in sorted(indeg.items()) if d == 0]
+        for nid in order:
             for succ in self.successors[nid]:
                 indeg[succ] -= 1
                 if indeg[succ] == 0:
-                    ready.append(succ)
+                    order.append(succ)
         return order
 
     def reversed(self) -> "GateDag":
@@ -241,20 +234,11 @@ class GateDag:
         """
         rev = GateDag()
         for node in reversed(self.nodes):
-            rev.nodes.append(node)
-            rev.successors[node.node_id] = []
-            rev.predecessors[node.node_id] = []
+            rev.add_node(node)
         for src, dsts in self.successors.items():
             for dst in dsts:
                 rev.add_edge(dst, src)
         return rev
-
-
-class _Fence:
-    """Barrier bookkeeping: the nodes any later gate on a fenced qubit must follow."""
-
-    def __init__(self, preds: list[int]):
-        self.preds = preds
 
 
 def build_dag(program: QuantumProgram) -> GateDag:
@@ -266,7 +250,9 @@ def build_dag(program: QuantumProgram) -> GateDag:
     the conditional.  Measurements into distinct bits are otherwise independent.
     """
     dag = GateDag()
-    last: dict[int, int | _Fence] = {}
+    # Per qubit: its last node, or after a barrier the list of nodes any later
+    # gate on that qubit must follow.
+    last: dict[int, int | list[int]] = {}
     last_bit_writer: dict[tuple[int, int], int] = {}
     creg_writers: dict[int, list[int]] = {}
     creg_barrier: dict[int, int] = {}
@@ -274,8 +260,8 @@ def build_dag(program: QuantumProgram) -> GateDag:
     def link(node_id: int, qubits: tuple[int, ...]) -> None:
         for q in qubits:
             prev = last.get(q)
-            if isinstance(prev, _Fence):
-                for p in prev.preds:
+            if isinstance(prev, list):
+                for p in prev:
                     dag.add_edge(p, node_id)
             elif prev is not None:
                 dag.add_edge(prev, node_id)
@@ -318,15 +304,14 @@ def build_dag(program: QuantumProgram) -> GateDag:
             creg_barrier[op.creg_id] = nid
             creg_writers[op.creg_id] = []
         elif isinstance(op, Barrier):
-            qubits = [q.logical_id for q in op.qubits]
-            preds: list[int] = []
+            qubits = op_qubits(op)
+            fence: list[int] = []
             for q in qubits:
                 prev = last.get(q)
-                if isinstance(prev, _Fence):
-                    preds.extend(p for p in prev.preds if p not in preds)
-                elif prev is not None and prev not in preds:
-                    preds.append(prev)
-            fence = _Fence(preds)
+                if isinstance(prev, list):
+                    fence.extend(p for p in prev if p not in fence)
+                elif prev is not None and prev not in fence:
+                    fence.append(prev)
             for q in qubits:
                 last[q] = fence
         elif isinstance(op, FusedUnitary):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +25,13 @@ from .errors import (
     UnsupportedGateError,
 )
 from .ir import (
-    Barrier,
     ConditionalRegion,
     FusedUnitary,
     Inst,
     IrOp,
     QuantumProgram,
     QubitRef,
+    op_qubits,
 )
 from .qasm import ast, qelib1
 
@@ -43,7 +43,6 @@ MAX_PASSES = 10
 _BASES = {"zyz": ("z", "y"), "zxz": ("z", "x"), "xyx": ("x", "y")}
 _BASIS_ORDER = ("zyz", "zxz", "xyx")
 _AXIS_GATE = {"x": "rx", "y": "ry", "z": "rz"}
-_ROTATIONS = {"rx": "x", "ry": "y", "rz": "z"}
 
 
 @dataclass(frozen=True)
@@ -84,12 +83,6 @@ class EulerDecomposition:
     gamma: float
     delta: float
     global_phase: float
-
-    def reconstruct(self) -> np.ndarray:
-        outer, inner = _BASES[self.basis]
-        rot = {"x": gates.rx, "y": gates.ry, "z": gates.rz}
-        matrix = rot[outer](self.beta) @ rot[inner](self.gamma) @ rot[outer](self.delta)
-        return cmath.exp(1j * self.global_phase) * matrix
 
 
 def _require_unitary(matrix: np.ndarray) -> np.ndarray:
@@ -264,15 +257,7 @@ def fuse_single_qubit_runs(program: QuantumProgram) -> QuantumProgram:
             new_ops.append(op)
             runs.setdefault(qubit.logical_id, []).append((len(new_ops) - 1, op, matrix))
             continue
-        if isinstance(op, Inst):
-            fenced = [q.logical_id for q in op.qubits]
-        elif isinstance(op, Barrier):
-            fenced = [q.logical_id for q in op.qubits]
-        elif isinstance(op, ConditionalRegion):
-            fenced = [q.logical_id for q in op.body.qubits]
-        else:
-            fenced = []
-        for logical in fenced:
+        for logical in op_qubits(op):
             close_run(logical)
         new_ops.append(op)
     for logical in list(runs):
@@ -373,19 +358,8 @@ def _cancel_cx_pairs(program: QuantumProgram) -> QuantumProgram:
     last_on_qubit: dict[int, int] = {}
     removed: set[int] = set()
 
-    def touched(op: IrOp) -> list[int]:
-        if isinstance(op, Inst):
-            return [q.logical_id for q in op.qubits]
-        if isinstance(op, FusedUnitary):
-            return [op.qubit.logical_id]
-        if isinstance(op, Barrier):
-            return [q.logical_id for q in op.qubits]
-        if isinstance(op, ConditionalRegion):
-            return [q.logical_id for q in op.body.qubits]
-        return []
-
     for i, op in enumerate(ops):
-        qubits = touched(op)
+        qubits = op_qubits(op)
         if isinstance(op, Inst) and op.name == "cx" and op.result is None:
             a, b = qubits
             prev_a = last_on_qubit.get(a)

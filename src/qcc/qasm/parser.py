@@ -40,6 +40,10 @@ _NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*$")
 
 BUILTIN_GATES: dict[str, tuple[int, int]] = {"U": (3, 1), "CX": (0, 2)}
 
+# Bounds the recursion of parsing and of walking the parsed expression tree,
+# so deeply nested input is a diagnostic rather than a RecursionError.
+MAX_EXPR_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class Token:
@@ -88,6 +92,7 @@ class _Parser:
         self.declarations: list[ast.RegDecl] = []
         self.gate_defs: list[ast.GateDef] = []
         self.statements: list[ast.Statement] = []
+        self.expr_depth = 0
 
     # --- token plumbing ---
 
@@ -387,6 +392,13 @@ class _Parser:
         self.expect("==", "'=='")
         value_tok = self.expect("int", "comparison value")
         self.expect(")", "')'")
+        # The value must fit the register and the i64 that QIR compares it as.
+        width = min(self.cregs[creg_tok.text], 63)
+        if int(value_tok.text).bit_length() > width:
+            raise self.semantic_error(
+                f"comparison value {value_tok.text} does not fit in {width} bits of creg '{creg_tok.text}'",
+                value_tok.span,
+            )
 
         body_tok = self.peek()
         if body_tok.type != "id":
@@ -407,24 +419,38 @@ class _Parser:
         """params is the set of formal names inside a gate body, None at top level."""
         return self.parse_additive(params)
 
+    def enter_expr(self) -> None:
+        """Count one more level of expression nesting, at the next token."""
+        self.expr_depth += 1
+        if self.expr_depth > MAX_EXPR_DEPTH:
+            raise self.syntax_error(f"expression nested more than {MAX_EXPR_DEPTH} levels deep")
+
     def parse_additive(self, params: frozenset[str] | None) -> ast.Expr:
         node = self.parse_multiplicative(params)
+        depth = self.expr_depth
         while self.peek().type in ("+", "-"):
             op = self.advance().text
+            self.enter_expr()  # each operator nests the tree built so far one level deeper
             node = ast.BinOp(op, node, self.parse_multiplicative(params))
+        self.expr_depth = depth
         return node
 
     def parse_multiplicative(self, params: frozenset[str] | None) -> ast.Expr:
         node = self.parse_unary(params)
+        depth = self.expr_depth
         while self.peek().type in ("*", "/"):
             op = self.advance().text
+            self.enter_expr()
             node = ast.BinOp(op, node, self.parse_unary(params))
+        self.expr_depth = depth
         return node
 
     def parse_unary(self, params: frozenset[str] | None) -> ast.Expr:
-        if self.accept("-"):
-            return ast.Neg(self.parse_unary(params))
-        return self.parse_power(params)
+        # Parentheses, function calls, '-' and '^' all recurse through here.
+        self.enter_expr()
+        node = ast.Neg(self.parse_unary(params)) if self.accept("-") else self.parse_power(params)
+        self.expr_depth -= 1
+        return node
 
     def parse_power(self, params: frozenset[str] | None) -> ast.Expr:
         node = self.parse_atom(params)

@@ -34,11 +34,12 @@ from ..ir import (
     QRTFinalize,
     QRTInit,
     QuantumProgram,
-    QubitExtract,
+    op_qubits,
 )
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
+# Declarations are emitted in this order, so emission is byte-stable.
 _RT_SIGNATURES = {
     "__quantum__rt__initialize": "declare void @__quantum__rt__initialize(i8*)",
     "__quantum__rt__finalize": "declare void @__quantum__rt__finalize()",
@@ -48,15 +49,11 @@ _RT_SIGNATURES = {
     "__quantum__rt__creg_equal": "declare i1 @__quantum__rt__creg_equal(i64, i64)",
 }
 
-# Declaration order for runtime symbols is fixed so emission is byte-stable.
-_RT_ORDER = list(_RT_SIGNATURES)
-
 
 @dataclass(frozen=True)
 class QirModule:
     text: str
     kernel_name: str
-    declared_externals: frozenset[str]
 
 
 def format_double(value: float) -> str:
@@ -104,12 +101,7 @@ class _Emitter:
     def emit_extracts(self) -> None:
         used: set[int] = set()
         for op in self.program.ops:
-            if isinstance(op, Inst):
-                used.update(q.logical_id for q in op.qubits)
-            elif isinstance(op, Barrier):
-                used.update(q.logical_id for q in op.qubits)
-            elif isinstance(op, ConditionalRegion):
-                used.update(q.logical_id for q in op.body.qubits)
+            used.update(op_qubits(op))
         for logical in sorted(used):
             self.extract_qubit(logical)
 
@@ -169,13 +161,6 @@ class _Emitter:
             if array is None:
                 raise EmitError(f"register {op.register.name!r} released before allocation")
             self.body.append(f"  call void {release}(%Array* {array})")
-        elif isinstance(op, QubitExtract):
-            base = 0
-            for reg in self.program.registers:
-                if reg.register_id == op.register.register_id:
-                    break
-                base += reg.size
-            self.extract_qubit(base + op.index)
         elif isinstance(op, Inst):
             self.emit_inst(op)
         elif isinstance(op, Barrier):
@@ -218,14 +203,14 @@ class _Emitter:
         header += self.result_lines
         header.append("")
         header += ["%Array = type opaque", "%Qubit = type opaque", "%Result = type opaque", ""]
-        declares = [_RT_SIGNATURES[n] for n in _RT_ORDER if n in self.rt_used]
+        declares = [sig for name, sig in _RT_SIGNATURES.items() if name in self.rt_used]
         declares += self.qis_used
         lines = header + declares + [""]
         lines.append(f"define void @{self.kernel_name}() #0 {{")
         lines.append("entry:")
         lines += self.body
         lines += ["  ret void", "}", "", 'attributes #0 = { "quantum" }', ""]
-        return QirModule("\n".join(lines), self.kernel_name, frozenset(declares))
+        return QirModule("\n".join(lines), self.kernel_name)
 
 
 def emit_qir(program: QuantumProgram, kernel_name: str = "main") -> QirModule:

@@ -17,7 +17,9 @@ import struct
 from dataclasses import dataclass
 
 from ..errors import ExtractionError, QirParseError
-from ..ir import Barrier, CRegister, GateDag, Inst, QRegister, QuantumProgram, QubitRef, ResultRef, build_dag
+from ..ir import (
+    Barrier, CRegister, GateDag, Inst, QRegister, QuantumProgram, QubitRef, ResultRef, build_dag, instruction_kind
+)
 
 _DEFINE_RE = re.compile(r"^define\b[^@]*@([\w.]+)\s*\([^)]*\)[^{]*\{")
 _ALLOC_RE = re.compile(
@@ -177,9 +179,9 @@ def extract_circuit(kernel_body: str) -> tuple[list[ExtractedGate], GateDag]:
                 record = ResultRef(creg_id=0, index=measure_count)
                 measure_count += 1
             else:
-                kind = {1: "single-qubit", 2: "two-qubit", 3: "three-qubit"}.get(len(operands))
-                if kind is None:
+                if not 1 <= len(operands) <= 3:
                     raise ExtractionError(f"line {number}: gate {name} has {len(operands)} qubit operands")
+                kind = instruction_kind(name, len(operands))
                 if len(set(operands)) != len(operands):
                     raise ExtractionError(f"line {number}: gate {name} repeats a qubit operand")
                 record = None

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import stat
 
 import pytest
@@ -42,6 +43,17 @@ exit 1
 
 SENTINEL_CC = """#!/bin/sh
 touch {sentinel}
+out=""
+while [ $# -gt 0 ]; do
+  if [ "$1" = "-o" ]; then out="$2"; shift; fi
+  shift
+done
+echo built > "$out"
+"""
+
+ARGV_CC = """#!/bin/sh
+for arg in "$@"; do echo "$arg" >> "{log}"; done
+echo "--" >> "{log}"
 out=""
 while [ $# -gt 0 ]; do
   if [ "$1" = "-o" ]; then out="$2"; shift; fi
@@ -342,6 +354,32 @@ def test_flags_are_substituted(workspace, tmp_path):
     lines = []
     execute_plan(plan, config, QuantumOptions(), dry_run=True, flags="-O2 -Wall", log=lines.append)
     assert any("-O2 -Wall" in line for line in lines)
+
+
+def test_path_with_space_is_one_argument(workspace, tmp_path):
+    _, script, _, _ = workspace
+    log = tmp_path / "argv.log"
+    recorder = script("argvcc.sh", ARGV_CC.format(log=log))
+    config = ToolchainConfig(
+        cxx_cmd=f"{recorder} -c {{flags}} {{input}} -o {{output}}",
+        linker_cmd=f"{recorder} {{inputs}} -o {{output}}",
+    )
+    spaced = tmp_path / "my dir"
+    spaced.mkdir()
+    (spaced / "a.cpp").write_text("")
+    source, obj, app = str(spaced / "a.cpp"), str(spaced / "build" / "a.o"), str(spaced / "app")
+    plan = classify_inputs([source], output=app, build_dir=str(spaced / "build"))
+
+    lines = []
+    execute_plan(plan, config, QuantumOptions(), dry_run=True, flags="-O2 -Wall", log=lines.append)
+    assert [shlex.split(line) for line in lines] == [
+        [recorder, "-c", "-O2", "-Wall", source, "-o", obj],
+        [recorder, obj, "-o", app],
+    ]
+
+    execute_plan(plan, config, QuantumOptions(), log=lambda s: None)
+    calls = [call.splitlines() for call in log.read_text().split("--\n")[:-1]]
+    assert calls == [["-c", source, "-o", obj], [obj, "-o", app]]
 
 
 # ------------------------------------------------------------- CLI

@@ -6,15 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from qcc.gates import UnknownGateError, gate_arity, gate_matrix, is_unitary, rx, ry, rz, u3, unitary
+from qcc.gates import UnknownGateError, gate_matrix, is_unitary, rx, ry, rz, u3, unitary
+from qcc.qasm import ast, qelib1
+from qcc.simulator import apply_gate
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-ALL_GATES = [
-    "id", "x", "y", "z", "h", "s", "sdg", "t", "tdg",
-    "u1", "u2", "u3", "rx", "ry", "rz",
-    "cx", "cz", "cy", "ch", "crz", "cu1", "cu3", "swap", "ccx",
-]
+ALL_GATES = sorted(qelib1.gate_table())
 
 
 def test_h_matrix():
@@ -111,7 +109,7 @@ def test_cu1_is_symmetric_phase():
 
 @pytest.mark.parametrize("name", ALL_GATES)
 def test_every_gate_is_unitary(name):
-    n_params, n_qubits = gate_arity(name)
+    n_params, n_qubits = qelib1.gate_table()[name]
     params = tuple(0.37 * (k + 1) for k in range(n_params))
     m = unitary(name, params)
     assert m.shape == (2**n_qubits, 2**n_qubits)
@@ -135,12 +133,67 @@ def test_wrong_parameter_count_rejected():
         unitary("rz", ())
     with pytest.raises(UnknownGateError):
         unitary("h", (0.1,))
+    with pytest.raises(UnknownGateError):
+        unitary("crz", ())
 
 
 def test_gate_arity_table():
-    assert gate_arity("u3") == (3, 1)
-    assert gate_arity("cx") == (0, 2)
-    assert gate_arity("ccx") == (0, 3)
-    assert gate_arity("cu3") == (3, 2)
-    with pytest.raises(UnknownGateError):
-        gate_arity("nope")
+    table = qelib1.gate_table()
+    assert len(table) == 24
+    assert table["u3"] == (3, 1)
+    assert table["cx"] == (0, 2)
+    assert table["ccx"] == (0, 3)
+    assert table["cu3"] == (3, 2)
+    assert "nope" not in table
+
+
+def _qasm_u(theta, phi, lam):
+    # U(theta, phi, lambda) as the OpenQASM 2.0 specification writes it.
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array(
+        [[c, -cmath.exp(1j * lam) * s], [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c]]
+    )
+
+
+_QASM_CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+
+def _expand_to_primitives(name, params, operands):
+    """(matrix, operands) pairs of a qelib1 gate's body, expanded down to U and CX."""
+    if name == "U":
+        return [(_qasm_u(*params), operands)]
+    if name == "CX":
+        return [(_QASM_CX, operands)]
+    gdef = qelib1.gate_defs()[name]
+    env = dict(zip(gdef.params, params))
+    qmap = dict(zip(gdef.qubits, operands))
+    out = []
+    for stmt in gdef.body:
+        values = tuple(ast.evaluate(p, env) for p in stmt.params)
+        out += _expand_to_primitives(stmt.name, values, tuple(qmap[a.reg] for a in stmt.qargs))
+    return out
+
+
+@pytest.mark.parametrize("name", ALL_GATES)
+def test_matrix_table_matches_qelib1_body(name):
+    # The matrix table and the qelib1 bodies are two encodings of each gate;
+    # compare the full 2^n x 2^n unitaries, not states reached from |0...0>.
+    n_params, n_qubits = qelib1.gate_table()[name]
+    params = tuple(0.37 * (k + 1) for k in range(n_params))
+    # Gate operand i sits on qubit n-1-i so operand 0 is the most significant
+    # bit of the statevector index, as in the matrix table.
+    steps = _expand_to_primitives(name, params, tuple(range(n_qubits - 1, -1, -1)))
+    dim = 2**n_qubits
+    columns = []
+    for col in range(dim):
+        state = np.zeros(dim, dtype=complex)
+        state[col] = 1.0
+        for matrix, qubits in steps:
+            state = apply_gate(state, matrix, qubits, n_qubits)
+        columns.append(state)
+    from_body = np.array(columns).T
+    expected = unitary(name, params)
+    assert expected.shape == (dim, dim)
+    overlap = np.trace(expected.conj().T @ from_body) / dim
+    assert abs(abs(overlap) - 1.0) < 1e-12
+    assert np.allclose(from_body, overlap * expected, atol=1e-12)

@@ -1,13 +1,16 @@
 """Parser unit tests: AST shape, diagnostics, expression grammar, round-trip."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from qcc.cli import main
 from qcc.errors import QasmSemanticError, QasmSyntaxError
 from qcc.qasm import parse_qasm, to_qasm
 from qcc.qasm.ast import Argument, GateCall, Measure, RegDecl
+from qcc.qasm.parser import MAX_EXPR_DEPTH
 
 GHZ = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -197,6 +200,26 @@ def test_if_on_undeclared_creg_rejected():
         parse_qasm(src)
 
 
+@pytest.mark.parametrize(
+    "size, value, ok",
+    [
+        (2, 3, True),
+        (2, 4, False),  # needs 3 bits
+        (64, 2**63 - 1, True),
+        (64, 2**63, False),  # overflows the i64 that QIR compares as
+        (2, 99999999999999999999, False),
+    ],
+)
+def test_if_value_must_fit_creg_and_i64(size, value, ok):
+    src = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\ncreg c[{size}];\nif (c == {value}) x q[0];\n'
+    if ok:
+        assert parse_qasm(src).statements[0].value == value
+    else:
+        with pytest.raises(QasmSemanticError, match="does not fit") as exc:
+            parse_qasm(src)
+        assert (exc.value.span.line, exc.value.span.column) == (5, 10)
+
+
 def test_measure_size_mismatch_rejected():
     src = "OPENQASM 2.0;\nqreg q[3];\ncreg c[2];\nmeasure q -> c;\n"
     with pytest.raises(QasmSemanticError, match="size"):
@@ -226,3 +249,30 @@ def test_roundtrip_random_corpus_sample(corpus_sources):
     for src, _ in corpus_sources[:50]:
         tree = parse_qasm(src)
         assert parse_qasm(to_qasm(tree)) == tree
+
+
+DEEP = 3000
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "(" * DEEP + "1" + ")" * DEEP,
+        "-" * (DEEP // 2) + "1",
+        "^".join(["2"] * (DEEP // 2)),
+        "+".join(["1"] * DEEP),
+    ],
+    ids=["parentheses", "unary-minus", "power-chain", "sum-chain"],
+)
+def test_deep_expression_is_a_diagnostic(tmp_path, capsys, expr):
+    path = tmp_path / "deep.qasm"
+    path.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz({expr}) q[0];\n')
+    assert main(["metrics", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"deep\.qasm:4:\d+: error: expression nested more than \d+ levels deep", err)
+
+
+def test_nesting_below_the_limit_parses():
+    depth = MAX_EXPR_DEPTH - 1
+    src = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz({"(" * depth}0.5{")" * depth}) q[0];\n'
+    assert parse_qasm(src).statements[0].params == (0.5,)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcc.errors import DimensionMismatchError, InvalidPermutationError, OracleError
-from qcc.gates import gate_arity, unitary
+from qcc.gates import unitary
 from qcc.ir import Inst
 from qcc.simulator import apply_gate, equiv_up_to_global_phase, permute_qubits, simulate
 
