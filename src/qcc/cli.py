@@ -19,19 +19,17 @@ from .driver import (
     classify_inputs,
     execute_plan,
     load_toolchain_config,
+    read_program,
 )
 from .errors import QccError, ToolFailure
 from .ir import gate_counts
 from .optimizer import NativeGateSet, optimize
-from .qasm import lower_ast_to_ir, parse_qasm
 from .qir import extract_circuit, find_quantum_kernels
 from .simulator import MAX_QUBITS, simulate
 
 
 def _load_program(path: str, opt_level: int = 0, native: NativeGateSet | None = None):
-    with open(path) as handle:
-        source = handle.read()
-    program = lower_ast_to_ir(parse_qasm(source, filename=path))
+    program = read_program(path)
     if opt_level > 0:
         program = optimize(program, level=opt_level, native=native or NativeGateSet.default())
     return program
@@ -47,17 +45,13 @@ def cmd_build(args) -> int:
     config = load_toolchain_config(args.toolchain_config)
     if args.cuda_arch:
         config = dataclasses.replace(config, cuda_arch=args.cuda_arch)
-    mpi = True if args.mpi else False
     plan = classify_inputs(
         args.inputs,
         output=args.output,
         build_dir=args.build_dir,
-        mpi=mpi,
+        mpi=args.mpi,
         standalone=args.standalone,
     )
-    emit = args.emit
-    if plan.link_step is not None:
-        emit = "all"  # linking needs the wrapper next to the QIR
     opts = QuantumOptions(
         opt_level=args.opt_level,
         native=_native_from_arg(args.native_gates),
@@ -65,9 +59,7 @@ def cmd_build(args) -> int:
         layout_mode=args.layout,
         seed=args.seed,
         sabre_iterations=args.sabre_iterations,
-        emit=emit,
-        standalone=args.standalone,
-        write_wrapper=plan.link_step is not None,
+        emit=args.emit,
     )
     report = execute_plan(plan, config, opts, dry_run=args.dry_run, log=print)
     if not args.dry_run and report.steps:
@@ -127,6 +119,7 @@ def cmd_metrics(args) -> int:
 
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcc", description="quantum-classical co-compiler")
+    defaults = QuantumOptions()
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="compile mixed classical/quantum sources")
@@ -136,14 +129,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     b.add_argument("--cuda-arch", default=None, help="override the configured CUDA arch")
     b.add_argument("--mpi", action="store_true", help="compile C/C++ inputs with the MPI toolchain")
     b.add_argument("--coupling", default=None, help="coupling graph JSON; enables routing")
-    b.add_argument("--layout", choices=["identity", "sabre"], default="sabre")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--sabre-iterations", type=int, default=3)
-    b.add_argument("--opt-level", type=int, choices=[0, 1, 2, 3], default=1)
+    b.add_argument("--layout", choices=["identity", "sabre"], default=defaults.layout_mode)
+    b.add_argument("--seed", type=int, default=defaults.seed)
+    b.add_argument("--sabre-iterations", type=int, default=defaults.sabre_iterations)
+    b.add_argument("--opt-level", type=int, choices=[0, 1, 2, 3], default=defaults.opt_level)
     b.add_argument("--native-gates", default=None, help="comma-separated native gate names")
-    b.add_argument("--emit", choices=["qir", "metrics", "all"], default="all")
+    b.add_argument("--emit", choices=["qir", "metrics", "all"], default=defaults.emit)
     b.add_argument("--dry-run", action="store_true")
-    b.add_argument("--standalone", action="store_true", help="wrapper gets a main() and is linked")
+    b.add_argument("--standalone", action="store_true", help="link a .qasm-only build")
     b.add_argument("--toolchain-config", default=None)
     b.set_defaults(func=cmd_build)
 

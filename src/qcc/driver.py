@@ -2,10 +2,11 @@
 
 One driver invocation accepts a mixed list of C++, CUDA, MPI and OpenQASM
 sources.  Quantum sources run through the in-process pipeline (parse, lower,
-optimize, optionally route, emit QIR) and get a generated C++ wrapper that
-exposes ``run_<stem>()`` to the host program; classical sources are handed
-to external compilers.  All external commands come from a ToolchainConfig,
-so tests substitute mock scripts and nothing here requires nvcc or mpicxx.
+optimize, optionally route, emit QIR) and, when the build links, get a
+generated C++ wrapper that exposes ``run_<stem>()`` to the host program;
+classical sources are handed to external compilers.  All external commands
+come from a ToolchainConfig, so tests substitute mock scripts and nothing
+here requires nvcc or mpicxx.
 """
 
 import json
@@ -14,7 +15,7 @@ import re
 import shlex
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .errors import (
     MissingFileError,
@@ -22,20 +23,13 @@ from .errors import (
     ToolFailure,
     UnknownFileTypeError,
 )
-from .ir import gate_counts
+from .ir import QuantumProgram, gate_counts
 from .optimizer import NativeGateSet, optimize
 from .qasm import lower_ast_to_ir, parse_qasm
 from .qir import emit_qir, verify_qir_text
-from .routing import Layout, load_coupling_graph, route_program
+from .routing import SABRE_ITERATIONS, SABRE_SEED, Layout, load_coupling_graph, route_program
 
 _EXTENSION_KINDS = {".c": "cxx", ".cc": "cxx", ".cpp": "cxx", ".cu": "cuda", ".qasm": "qasm"}
-
-_DEFAULT_TEMPLATES = {
-    "cxx_cmd": "g++ -c {flags} {input} -o {output}",
-    "cuda_cmd": "nvcc -c -arch={arch} {flags} {input} -o {output}",
-    "mpi_cmd": "mpicxx -c {flags} {input} -o {output}",
-    "linker_cmd": "g++ {inputs} -o {output}",
-}
 
 _REQUIRED_SLOTS = {
     "cxx_cmd": ("{input}", "{output}"),
@@ -47,15 +41,22 @@ _REQUIRED_SLOTS = {
 
 @dataclass(frozen=True)
 class ToolchainConfig:
-    cxx_cmd: str = _DEFAULT_TEMPLATES["cxx_cmd"]
-    cuda_cmd: str = _DEFAULT_TEMPLATES["cuda_cmd"]
-    mpi_cmd: str = _DEFAULT_TEMPLATES["mpi_cmd"]
-    linker_cmd: str = _DEFAULT_TEMPLATES["linker_cmd"]
+    cxx_cmd: str = "g++ -c {flags} {input} -o {output}"
+    cuda_cmd: str = "nvcc -c -arch={arch} {flags} {input} -o {output}"
+    mpi_cmd: str = "mpicxx -c {flags} {input} -o {output}"
+    linker_cmd: str = "g++ {inputs} -o {output}"
     cuda_arch: str = "sm_70"
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not isinstance(value, str):
+                raise QccError(f"toolchain config {name} must be a string, not {value!r}")
         for name, slots in _REQUIRED_SLOTS.items():
             template = getattr(self, name)
+            try:
+                shlex.split(template)
+            except ValueError as exc:
+                raise QccError(f"toolchain template {name} does not split into arguments: {exc}") from exc
             for slot in slots:
                 if slot not in template:
                     raise QccError(f"toolchain template {name} is missing the {slot} slot")
@@ -66,7 +67,7 @@ class ToolchainConfig:
 
 def load_toolchain_config(path: str | None = None) -> ToolchainConfig:
     """Resolve the toolchain: defaults <- QCC_TOOLCHAIN env file <- explicit path."""
-    merged = dict(_DEFAULT_TEMPLATES, cuda_arch="sm_70")
+    merged = asdict(ToolchainConfig())
     env_path = os.environ.get("QCC_TOOLCHAIN")
     for source in (env_path, path):
         if not source:
@@ -109,6 +110,16 @@ def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
+def _artifact_path(task: Task, suffix: str) -> str:
+    """The task's object path with `.o` replaced by `suffix`."""
+    stem = task.object_path[: -len(".o")] if task.object_path.endswith(".o") else task.object_path
+    return stem + suffix
+
+
+def _wrapper_path(task: Task) -> str:
+    return _artifact_path(task, "_wrapper.cpp")
+
+
 def kernel_symbol(path: str) -> str:
     """A C-identifier-safe symbol derived from the source file stem."""
     symbol = re.sub(r"[^0-9A-Za-z_]", "_", _stem(path))
@@ -128,8 +139,7 @@ def classify_inputs(
 
     `mpi` promotes C/C++ inputs to the MPI toolchain: pass True for all of
     them or a set of paths for per-file selection.  A qasm-only invocation
-    is emit-only (no link step) unless `standalone` asks for a runnable
-    host wrapper.
+    is emit-only (no link step) unless `standalone` asks to link it.
     """
     if not paths:
         raise QccError("no input files")
@@ -161,18 +171,14 @@ class QuantumOptions:
     native: NativeGateSet = field(default_factory=NativeGateSet.default)
     coupling_path: str | None = None
     layout_mode: str = "sabre"  # sabre | identity
-    seed: int = 0
-    sabre_iterations: int = 3
+    seed: int = SABRE_SEED
+    sabre_iterations: int = SABRE_ITERATIONS
     emit: str = "all"  # qir | metrics | all
-    standalone: bool = False
-    write_wrapper: bool = True
-    runner_cmd: str = "qcc simulate"
 
 
 @dataclass(frozen=True)
 class QuantumArtifacts:
     qir_path: str
-    wrapper_path: str | None
     metrics_path: str | None
     metrics: dict
 
@@ -186,7 +192,7 @@ _WRAPPER_TEMPLATE = """\
 
 extern "C" int run_{symbol}(void) {{
     const char *runner = std::getenv("QCC_RUNNER");
-    std::string command = std::string(runner ? runner : "{runner}") + " \\"{qir}\\"";
+    std::string command = std::string(runner ? runner : "qcc simulate") + "{qir_arg}";
     int status = std::system(command.c_str());
     if (status != 0) {{
         std::fprintf(stderr, "run_{symbol}: runner failed with status %d\\n", status);
@@ -202,17 +208,48 @@ int main(void) {{
 """
 
 
+def _cpp_string_body(text: str) -> str:
+    """Escape text, byte for byte, for the inside of a C++ string literal."""
+    out = []
+    for byte in os.fsencode(text):
+        char = chr(byte)
+        if char in '\\"?':
+            out.append("\\" + char)
+        elif 0x20 <= byte < 0x7F:
+            out.append(char)
+        else:
+            out.append(f"\\{byte:03o}")
+    return "".join(out)
+
+
+def _write_wrapper(task: Task, qir_path: str, with_main: bool) -> None:
+    """Write the host wrapper that runs the task's QIR through the runner.
+
+    The QIR path is quoted for the shell that std::system starts, then
+    escaped for the C++ literal, so any path reaches the runner as one
+    argument.
+    """
+    symbol = kernel_symbol(task.path)
+    qir_arg = _cpp_string_body(" " + shlex.quote(os.path.abspath(qir_path)))
+    main_part = _WRAPPER_MAIN.format(symbol=symbol) if with_main else ""
+    with open(_wrapper_path(task), "w") as handle:
+        handle.write(_WRAPPER_TEMPLATE.format(symbol=symbol, qir_arg=qir_arg, main=main_part))
+
+
+def read_program(path: str) -> QuantumProgram:
+    """Read one .qasm file, parse it and lower it to the IR."""
+    with open(path) as handle:
+        source = handle.read()
+    return lower_ast_to_ir(parse_qasm(source, filename=path))
+
+
 def compile_quantum(task: Task, opts: QuantumOptions) -> QuantumArtifacts:
     """Run the quantum pipeline for one .qasm input and write its artifacts.
 
     Nothing is written until the whole pipeline has succeeded, so a
     diagnostic never leaves a stale .qir.ll behind.
     """
-    with open(task.path) as handle:
-        source = handle.read()
-    ast = parse_qasm(source, filename=task.path)
-    program = lower_ast_to_ir(ast)
-    program = optimize(program, level=opts.opt_level, native=opts.native)
+    program = optimize(read_program(task.path), level=opts.opt_level, native=opts.native)
 
     metrics = gate_counts(program)
     if opts.coupling_path:
@@ -232,38 +269,23 @@ def compile_quantum(task: Task, opts: QuantumOptions) -> QuantumArtifacts:
         metrics["inserted_swaps"] = routing.swap_count
         metrics["inserted_swap_cx"] = routing.swap_cx_count
 
-    symbol = kernel_symbol(task.path)
-    module = emit_qir(program, symbol)
+    module = emit_qir(program, kernel_symbol(task.path))
     problems = verify_qir_text(module)
     if problems:
         raise QccError("emitted QIR failed self-check: " + "; ".join(problems))
 
-    stem_path = task.object_path[: -len(".o")] if task.object_path.endswith(".o") else task.object_path
-    qir_path = stem_path + ".qir.ll"
-    wrapper_path = None
+    qir_path = _artifact_path(task, ".qir.ll")
     metrics_path = None
     os.makedirs(os.path.dirname(qir_path) or ".", exist_ok=True)
     if opts.emit in ("qir", "all"):
         with open(qir_path, "w") as handle:
             handle.write(module.text)
     if opts.emit in ("metrics", "all"):
-        metrics_path = stem_path + ".metrics.json"
+        metrics_path = _artifact_path(task, ".metrics.json")
         with open(metrics_path, "w") as handle:
             json.dump(metrics, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    if opts.emit == "all" and opts.write_wrapper:
-        wrapper_path = stem_path + "_wrapper.cpp"
-        main_part = _WRAPPER_MAIN.format(symbol=symbol) if opts.standalone else ""
-        with open(wrapper_path, "w") as handle:
-            handle.write(
-                _WRAPPER_TEMPLATE.format(
-                    symbol=symbol,
-                    runner=opts.runner_cmd,
-                    qir=os.path.abspath(qir_path),
-                    main=main_part,
-                )
-            )
-    return QuantumArtifacts(qir_path, wrapper_path, metrics_path, metrics)
+    return QuantumArtifacts(qir_path, metrics_path, metrics)
 
 
 @dataclass
@@ -333,23 +355,27 @@ def execute_plan(
     """Run every compile task, then the link step.
 
     Classical tasks call the configured external tools; qasm tasks run the
-    in-process pipeline and then compile their generated wrapper.  Any tool
-    failure aborts before the link.  With dry_run the exact command lines
-    are printed (via `log`) and no process is spawned and no file written.
+    in-process pipeline.  When the plan links, each qasm task also writes
+    all its artifacts plus a host wrapper, which gets a main() when every
+    input is quantum, and compiles that wrapper.  Any tool failure aborts
+    before the link.  With dry_run the exact command lines are printed
+    (via `log`) and no process is spawned and no file written.
     """
     opts = quantum_opts or QuantumOptions()
     emit = log or (lambda line: None)
     steps: list[StepResult] = []
 
     link_needed = plan.link_step is not None
+    if link_needed:
+        opts = replace(opts, emit="all")
+    quantum_only = all(t.kind == "qasm" for t in plan.tasks)
     flag_args = shlex.split(flags)
 
     def command_for(task: Task) -> list[str] | None:
         if task.kind == "qasm":
             if not link_needed:
                 return None  # emit-only: the pipeline runs in-process
-            wrapper = (task.object_path[:-2] if task.object_path.endswith(".o") else task.object_path) + "_wrapper.cpp"
-            return _render(config.cxx_cmd, input=wrapper, output=task.object_path, flags=flag_args)
+            return _render(config.cxx_cmd, input=_wrapper_path(task), output=task.object_path, flags=flag_args)
         template = config.template_for(task.kind)
         return _render(
             template, input=task.path, output=task.object_path, flags=flag_args, arch=config.cuda_arch
@@ -373,12 +399,13 @@ def execute_plan(
         command = command_for(task)
         if task.kind == "qasm":
             start = time.monotonic()
-            compile_quantum(task, opts)
+            artifacts = compile_quantum(task, opts)
             quantum_elapsed = time.monotonic() - start
             if command is None:
                 steps.append(StepResult(f"qasm {task.path}", "(in-process)", "ok", quantum_elapsed))
                 emit(f"qasm {task.path}: ok (emit-only)")
                 continue
+            _write_wrapper(task, artifacts.qir_path, with_main=quantum_only)
             result = _run_tool(f"qasm {task.path}", command)
             result.duration += quantum_elapsed
             steps.append(result)

@@ -104,6 +104,8 @@ def evaluate(expr: Expr, env: dict[str, float], span: SourceSpan | None = None) 
             raise QasmSemanticError("division by zero in parameter expression", span) from None
         except OverflowError:
             raise QasmSemanticError("parameter expression overflows", span) from None
+        if isinstance(result, complex):  # a negative base to a fractional power
+            raise QasmSemanticError("parameter expression is not real", span)
         if not math.isfinite(result):
             raise QasmSemanticError("parameter expression is not finite", span)
         return result
@@ -113,6 +115,8 @@ def evaluate(expr: Expr, env: dict[str, float], span: SourceSpan | None = None) 
             result = _FUNCTIONS[expr.func](value)
         except ValueError:
             raise QasmSemanticError(f"domain error in {expr.func}()", span) from None
+        except OverflowError:
+            raise QasmSemanticError(f"{expr.func}() overflows", span) from None
         if not math.isfinite(result):
             raise QasmSemanticError("parameter expression is not finite", span)
         return result

@@ -13,6 +13,7 @@ The include mechanism is hermetic: the only accepted include is
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -43,6 +44,10 @@ BUILTIN_GATES: dict[str, tuple[int, int]] = {"U": (3, 1), "CX": (0, 2)}
 # Bounds the recursion of parsing and of walking the parsed expression tree,
 # so deeply nested input is a diagnostic rather than a RecursionError.
 MAX_EXPR_DEPTH = 100
+
+# Register sizes, indices and if-values are i64 in QIR; 19 digits hold any
+# of them, and the cap keeps int() from Python's conversion limit.
+MAX_INT_DIGITS = 19
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,13 @@ class _Parser:
 
     def semantic_error(self, message: str, span: SourceSpan) -> QasmSemanticError:
         return QasmSemanticError(message, span, self.filename)
+
+    def expect_int(self, what: str) -> tuple[Token, int]:
+        tok = self.expect("int", what)
+        if len(tok.text) > MAX_INT_DIGITS:
+            message = f"integer literal longer than {MAX_INT_DIGITS} digits does not fit in 64 bits"
+            raise self.semantic_error(message, tok.span)
+        return tok, int(tok.text)
 
     def expect(self, type_: str, what: str) -> Token:
         tok = self.peek()
@@ -192,8 +204,7 @@ class _Parser:
         if name in self.qregs or name in self.cregs:
             raise self.semantic_error(f"register '{name}' is already declared", name_tok.span)
         self.expect("[", "'['")
-        size_tok = self.expect("int", "register size")
-        size = int(size_tok.text)
+        size_tok, size = self.expect_int("register size")
         if size < 1:
             raise self.semantic_error("register size must be positive", size_tok.span)
         self.expect("]", "']'")
@@ -293,8 +304,7 @@ class _Parser:
             raise self.semantic_error(f"undeclared {kind} '{name}'", name_tok.span)
         index: int | None = None
         if self.accept("["):
-            idx_tok = self.expect("int", "index")
-            index = int(idx_tok.text)
+            idx_tok, index = self.expect_int("index")
             self.expect("]", "']'")
             if index >= table[name]:
                 raise self.semantic_error(
@@ -390,11 +400,11 @@ class _Parser:
         if creg_tok.text not in self.cregs:
             raise self.semantic_error(f"undeclared creg '{creg_tok.text}'", creg_tok.span)
         self.expect("==", "'=='")
-        value_tok = self.expect("int", "comparison value")
+        value_tok, value = self.expect_int("comparison value")
         self.expect(")", "')'")
         # The value must fit the register and the i64 that QIR compares it as.
         width = min(self.cregs[creg_tok.text], 63)
-        if int(value_tok.text).bit_length() > width:
+        if value.bit_length() > width:
             raise self.semantic_error(
                 f"comparison value {value_tok.text} does not fit in {width} bits of creg '{creg_tok.text}'",
                 value_tok.span,
@@ -411,7 +421,7 @@ class _Parser:
             raise self.syntax_error(f"'{body_tok.text}' cannot be conditioned", body_tok)
         else:
             body = self.parse_gate_call()
-        return ast.IfStatement(creg_tok.text, int(value_tok.text), body, tok.span)
+        return ast.IfStatement(creg_tok.text, value, body, tok.span)
 
     # --- expressions ---
 
@@ -463,7 +473,10 @@ class _Parser:
         tok = self.peek()
         if tok.type in ("real", "int"):
             self.advance()
-            return ast.Num(float(tok.text))
+            value = float(tok.text)
+            if math.isinf(value):
+                raise self.semantic_error("number literal does not fit in a double", tok.span)
+            return ast.Num(value)
         if tok.type == "(":
             self.advance()
             node = self.parse_expr(params)

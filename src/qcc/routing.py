@@ -39,6 +39,8 @@ EXTENDED_SET_SIZE = 20
 EXTENDED_SET_WEIGHT = 0.5
 DECAY_FACTOR = 1.001
 DECAY_RESET_INTERVAL = 5
+SABRE_ITERATIONS = 3
+SABRE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -188,19 +190,13 @@ def sabre_swap(
     dag: GateDag,
     initial: Layout,
     graph: CouplingGraph,
-    seed: int = 0,
-    extended_size: int = EXTENDED_SET_SIZE,
-    extended_weight: float = EXTENDED_SET_WEIGHT,
-    decay_factor: float = DECAY_FACTOR,
-    decay_reset: int = DECAY_RESET_INTERVAL,
 ) -> RoutingResult:
     """Route a gate DAG, inserting swaps when the front layer is blocked.
 
     The candidate score is the mean front-layer distance plus a weighted mean
     over an extended lookahead set, scaled by a per-qubit decay that
     discourages immediately reusing the same physical qubits.  Ties break on
-    the lexicographically smallest edge, so routing is deterministic; the
-    seed only matters for initial-layout search.
+    the lexicographically smallest edge, so routing is deterministic.
     """
     for node in dag.nodes:
         _check_routable(node)
@@ -255,7 +251,7 @@ def sabre_swap(
         blocked = [n for n in front if len(n.qubits) == 2]
         if not blocked:
             raise RoutingError("front layer stalled without a blocked two-qubit gate")
-        extended = _extended_set(dag, node_by_id, ready, extended_size)
+        extended = _extended_set(dag, node_by_id, ready)
 
         active = {layout.phys(q) for n in blocked for q in n.qubits}
         candidates = [e for e in graph.edges if e[0] in active or e[1] in active]
@@ -265,7 +261,7 @@ def sabre_swap(
         best = None
         for u, v in candidates:
             layout.swap_physical(u, v)
-            cost = _heuristic_cost(blocked, extended, layout, graph, extended_weight)
+            cost = _heuristic_cost(blocked, extended, layout, graph)
             layout.swap_physical(u, v)
             cost *= max(decay[u], decay[v])
             key = (cost, u, v)
@@ -277,20 +273,20 @@ def sabre_swap(
         swap_count += 1
         if swap_count > swap_budget:
             raise RoutingError(f"routing exceeded the safety bound of {swap_budget} swaps")
-        decay[u] *= decay_factor
-        decay[v] *= decay_factor
-        if swap_count % decay_reset == 0:
+        decay[u] *= DECAY_FACTOR
+        decay[v] *= DECAY_FACTOR
+        if swap_count % DECAY_RESET_INTERVAL == 0:
             decay = [1.0] * graph.n_physical
 
     return RoutingResult(routed, initial.copy(), layout, swap_count)
 
 
-def _extended_set(dag, node_by_id, ready, limit: int) -> list:
-    """Up to `limit` two-qubit gates reachable from the front layer."""
+def _extended_set(dag, node_by_id, ready) -> list:
+    """Up to EXTENDED_SET_SIZE two-qubit gates reachable from the front layer."""
     out = []
     seen = set(ready)
     queue = deque(sorted(ready))
-    while queue and len(out) < limit:
+    while queue and len(out) < EXTENDED_SET_SIZE:
         node_id = queue.popleft()
         for succ in dag.successors[node_id]:
             if succ in seen:
@@ -299,26 +295,26 @@ def _extended_set(dag, node_by_id, ready, limit: int) -> list:
             node = node_by_id[succ]
             if len(node.qubits) == 2:
                 out.append(node)
-                if len(out) >= limit:
+                if len(out) >= EXTENDED_SET_SIZE:
                     break
             queue.append(succ)
     return out
 
 
-def _heuristic_cost(front, extended, layout, graph, weight: float) -> float:
+def _heuristic_cost(front, extended, layout, graph) -> float:
     dist = graph.distance
     cost = sum(dist[layout.phys(n.qubits[0])][layout.phys(n.qubits[1])] for n in front) / len(front)
     if extended:
         ext = sum(dist[layout.phys(n.qubits[0])][layout.phys(n.qubits[1])] for n in extended)
-        cost += weight * ext / len(extended)
+        cost += EXTENDED_SET_WEIGHT * ext / len(extended)
     return cost
 
 
 def sabre_layout(
     dag: GateDag,
     graph: CouplingGraph,
-    iterations: int = 3,
-    seed: int = 0,
+    iterations: int = SABRE_ITERATIONS,
+    seed: int = SABRE_SEED,
     n_logical: int | None = None,
 ) -> Layout:
     """Pick an initial layout by alternating forward and reverse routing.
@@ -357,9 +353,9 @@ def route_program(
     program: QuantumProgram,
     graph: CouplingGraph,
     layout: Layout | None = None,
-    seed: int = 0,
+    seed: int = SABRE_SEED,
     native: NativeGateSet | None = None,
-    sabre_iterations: int = 3,
+    sabre_iterations: int = SABRE_ITERATIONS,
 ) -> tuple[QuantumProgram, RoutingResult]:
     """Map a program onto a device and insert the swaps routing requires.
 

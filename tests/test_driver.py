@@ -3,7 +3,9 @@
 import json
 import os
 import shlex
+import shutil
 import stat
+import subprocess
 
 import pytest
 
@@ -60,6 +62,10 @@ while [ $# -gt 0 ]; do
   shift
 done
 echo built > "$out"
+"""
+
+ARGV_RUNNER = """#!/bin/sh
+printf '%s\\n' "$#" "$@" > "{log}"
 """
 
 
@@ -179,6 +185,27 @@ def test_load_toolchain_config_env(tmp_path, monkeypatch):
     assert load_toolchain_config(str(over)).cuda_arch == "sm_80"
 
 
+def test_unbalanced_quote_in_template_is_a_diagnostic(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("QCC_TOOLCHAIN", raising=False)
+    path = tmp_path / "tc.json"
+    path.write_text(json.dumps({"cxx_cmd": 'cc -c "{flags} {input} -o {output}'}))
+    with pytest.raises(QccError, match="cxx_cmd"):
+        load_toolchain_config(str(path))
+    main_cc = tmp_path / "main.cc"
+    main_cc.write_text("")
+    argv = ["build", str(main_cc), "--dry-run", "--build-dir", str(tmp_path), "--toolchain-config", str(path)]
+    assert main(argv) == 1
+    assert "error: toolchain template cxx_cmd" in capsys.readouterr().err
+
+
+def test_non_string_toolchain_value_is_a_diagnostic(tmp_path, monkeypatch):
+    monkeypatch.delenv("QCC_TOOLCHAIN", raising=False)
+    path = tmp_path / "tc.json"
+    path.write_text(json.dumps({"cuda_arch": 70}))
+    with pytest.raises(QccError, match="cuda_arch must be a string"):
+        load_toolchain_config(str(path))
+
+
 def test_load_toolchain_config_rejects_unknown_keys(tmp_path, monkeypatch):
     monkeypatch.delenv("QCC_TOOLCHAIN", raising=False)
     path = tmp_path / "tc.json"
@@ -191,7 +218,7 @@ def test_load_toolchain_config_rejects_unknown_keys(tmp_path, monkeypatch):
 
 
 def test_compile_quantum_outputs(workspace):
-    tmp_path, _, source, _ = workspace
+    tmp_path, _, source, config = workspace
     qasm = source("circ.qasm", GHZ2)
     task = Task(path=qasm, kind="qasm", object_path=str(tmp_path / "circ.o"))
     artifacts = compile_quantum(task, QuantumOptions())
@@ -200,7 +227,9 @@ def test_compile_quantum_outputs(workspace):
     metrics = json.loads(open(artifacts.metrics_path).read())
     assert metrics["total_gates"] == 2
     assert metrics["depth"] == 2
-    wrapper = open(artifacts.wrapper_path).read()
+    plan = classify_inputs([qasm], output=str(tmp_path / "app"), build_dir=str(tmp_path), standalone=True)
+    execute_plan(plan, config, QuantumOptions(), log=lambda s: None)
+    wrapper = (tmp_path / "circ_wrapper.cpp").read_text()
     assert 'extern "C" int run_circ(' in wrapper
 
 
@@ -208,8 +237,7 @@ def test_compile_quantum_emit_only_writes_no_wrapper(workspace):
     tmp_path, _, source, _ = workspace
     qasm = source("only.qasm", GHZ2)
     task = Task(path=qasm, kind="qasm", object_path=str(tmp_path / "only.o"))
-    artifacts = compile_quantum(task, QuantumOptions(write_wrapper=False))
-    assert artifacts.wrapper_path is None
+    compile_quantum(task, QuantumOptions())
     assert not os.path.exists(str(tmp_path / "only_wrapper.cpp"))
 
 
@@ -272,6 +300,36 @@ def test_full_mock_build(workspace):
     summary = report.summary().splitlines()
     assert len(summary) == 5  # four steps plus the artifact line
     assert summary[-1].startswith("artifact: ")
+
+
+def test_linking_writes_every_artifact_and_main_only_without_host(workspace):
+    tmp_path, _, source, config = workspace
+    main_cc, circ = source("main.cc", "int main(){}\n"), source("circ.qasm", GHZ2)
+    mixed = classify_inputs([main_cc, circ], output=str(tmp_path / "app"), build_dir=str(tmp_path / "mixed"))
+    alone = classify_inputs([circ], output=str(tmp_path / "app"), build_dir=str(tmp_path / "alone"), standalone=True)
+    for plan in (mixed, alone):
+        execute_plan(plan, config, QuantumOptions(emit="qir"), log=lambda s: None)
+        assert os.path.exists(os.path.join(plan.build_dir, "circ.metrics.json"))  # linking emits all
+    assert "int main(" not in (tmp_path / "mixed" / "circ_wrapper.cpp").read_text()
+    assert "int main(void)" in (tmp_path / "alone" / "circ_wrapper.cpp").read_text()
+
+
+@pytest.mark.skipif(shutil.which("g++") is None, reason="needs g++")
+def test_wrapper_passes_a_hostile_qir_path_as_one_argument(workspace, tmp_path):
+    _, script, source, _ = workspace
+    log = tmp_path / "runner.log"
+    runner = script("runner.sh", ARGV_RUNNER.format(log=log))
+    build_dir = tmp_path / 'we ird"q\\b$(touch PWNED)dir'
+    plan = classify_inputs(
+        [source("circ.qasm", GHZ2)], output=str(build_dir / "app"), build_dir=str(build_dir), standalone=True
+    )
+    execute_plan(plan, ToolchainConfig(), QuantumOptions(), log=lambda s: None)
+
+    env = dict(os.environ, QCC_RUNNER=runner)
+    proc = subprocess.run([str(build_dir / "app")], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert log.read_text().splitlines() == ["1", str(build_dir / "circ.qir.ll")]
+    assert list(tmp_path.rglob("PWNED")) == []
 
 
 def test_build_creates_missing_build_dir(workspace):

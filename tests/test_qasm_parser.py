@@ -10,7 +10,7 @@ from qcc.cli import main
 from qcc.errors import QasmSemanticError, QasmSyntaxError
 from qcc.qasm import parse_qasm, to_qasm
 from qcc.qasm.ast import Argument, GateCall, Measure, RegDecl
-from qcc.qasm.parser import MAX_EXPR_DEPTH
+from qcc.qasm.parser import MAX_EXPR_DEPTH, MAX_INT_DIGITS
 
 GHZ = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -126,6 +126,16 @@ def test_opaque_rejected():
 def test_division_by_zero_in_parameter():
     src = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz(1/0) q[0];\n'
     with pytest.raises(QasmSemanticError, match="division by zero"):
+        parse_qasm(src)
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [("(0-8)^(1/3)", "not real"), ("exp(1000)", "overflows"), ("1e999", "does not fit in a double")],
+)
+def test_parameter_outside_the_finite_reals(expr, message):
+    src = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz({expr}) q[0];\n'
+    with pytest.raises(QasmSemanticError, match=message):
         parse_qasm(src)
 
 
@@ -276,3 +286,26 @@ def test_nesting_below_the_limit_parses():
     depth = MAX_EXPR_DEPTH - 1
     src = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz({"(" * depth}0.5{")" * depth}) q[0];\n'
     assert parse_qasm(src).statements[0].params == (0.5,)
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("qreg q[{n}];\n", 3),
+        ("qreg q[2];\nh q[{n}];\n", 4),
+        ("qreg q[1];\ncreg c[1];\nif(c=={n}) x q[0];\n", 5),
+    ],
+    ids=["size", "index", "if-value"],
+)
+def test_oversized_integer_literal_is_a_diagnostic(tmp_path, capsys, body, line):
+    path = tmp_path / "big.qasm"
+    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\n' + body.format(n="9" * 5000))
+    assert main(["metrics", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(rf"big\.qasm:{line}:\d+: error: integer literal longer than {MAX_INT_DIGITS} digits does not fit", err)
+
+
+def test_integer_literal_at_the_digit_limit_is_checked_by_value():
+    src = f"OPENQASM 2.0;\nqreg q[1];\nU(0, 0, 0) q[{'9' * MAX_INT_DIGITS}];\n"
+    with pytest.raises(QasmSemanticError, match="out of range"):
+        parse_qasm(src)
