@@ -175,6 +175,11 @@ class QuantumOptions:
     sabre_iterations: int = SABRE_ITERATIONS
     emit: str = "all"  # qir | metrics | all
 
+    def __post_init__(self):
+        # numpy's permutation generator rejects a negative seed with a bare ValueError.
+        if self.seed < 0:
+            raise QccError(f"seed must be a non-negative integer, not {self.seed}")
+
 
 @dataclass(frozen=True)
 class QuantumArtifacts:

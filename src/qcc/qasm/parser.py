@@ -49,6 +49,10 @@ MAX_EXPR_DEPTH = 100
 # of them, and the cap keeps int() from Python's conversion limit.
 MAX_INT_DIGITS = 19
 
+# Whole-register statements lower to one op per qubit, so the qubits a
+# program declares bound the work of each such statement.
+MAX_PROGRAM_QUBITS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Token:
@@ -92,6 +96,7 @@ class _Parser:
         self.filename = filename
         self.qregs: dict[str, int] = {}
         self.cregs: dict[str, int] = {}
+        self.n_qubits = 0
         self.gate_arities: dict[str, tuple[int, int]] = dict(BUILTIN_GATES)
         self.includes: list[str] = []
         self.declarations: list[ast.RegDecl] = []
@@ -196,7 +201,8 @@ class _Parser:
             self.gate_arities.update(qelib1.gate_table())
 
     def parse_reg_decl(self) -> None:
-        kind = self.advance().text
+        kind_tok = self.advance()
+        kind = kind_tok.text
         name_tok = self.expect("id", "register name")
         name = name_tok.text
         if not _NAME_RE.match(name):
@@ -207,6 +213,11 @@ class _Parser:
         size_tok, size = self.expect_int("register size")
         if size < 1:
             raise self.semantic_error("register size must be positive", size_tok.span)
+        if kind == "qreg":
+            self.n_qubits += size
+            if self.n_qubits > MAX_PROGRAM_QUBITS:
+                message = f"program declares more than {MAX_PROGRAM_QUBITS} qubits"
+                raise self.semantic_error(message, kind_tok.span)
         self.expect("]", "']'")
         self.expect(";", "';'")
         (self.qregs if kind == "qreg" else self.cregs)[name] = size

@@ -5,9 +5,15 @@ processes the gate dependency DAG in topological order, keeping a front layer
 of ready gates.  Front-layer two-qubit gates whose operands sit on adjacent
 physical qubits execute immediately; when every front gate is blocked, the
 swap minimizing a distance heuristic is inserted and the layout updated.
+The heuristic is scored incrementally: each candidate swap adds only the
+distance changes of the gates on the two qubits it moves, yet picks exactly
+the swap a full re-sum of every distance would pick.
+
 Initial placement runs the same router forward and backward over the circuit
 a few times (SABRE) and keeps the layout whose forward pass needed the
-fewest swaps.
+fewest swaps.  With ``iterations`` rounds that is at most
+``2 * iterations - 1`` router passes (the last round has no backward pass),
+and ``route_program`` adds one more for the final routing.
 
 Conventions: inserted swaps are tagged, barriers order the DAG but do not
 appear in routed output, and conditional regions are only routable when
@@ -16,7 +22,8 @@ their body is a single-qubit gate.
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,8 +56,9 @@ class CouplingGraph:
     adjacency: tuple[tuple[int, ...], ...]
     distance: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def edges(self) -> list[tuple[int, int]]:
+        """Each undirected edge once as ``(u, v)`` with ``u < v``, in ascending order."""
         out = []
         for u, neighbors in enumerate(self.adjacency):
             out.extend((u, v) for v in neighbors if u < v)
@@ -197,76 +205,122 @@ def sabre_swap(
     over an extended lookahead set, scaled by a per-qubit decay that
     discourages immediately reusing the same physical qubits.  Ties break on
     the lexicographically smallest edge, so routing is deterministic.
+
+    Scoring is incremental.  At each blocked step the front and extended
+    distance sums are taken once, as integers.  A candidate swap changes only
+    the gates on the two qubits it moves, so each candidate adds just those
+    changes before the mean, weight and decay are applied.  The floats, and
+    so the chosen swaps, are bit-identical to re-summing every distance per
+    candidate.
     """
     for node in dag.nodes:
         _check_routable(node)
 
+    # Per-node lists indexed by node id.  The reversed DAG keeps node ids but
+    # reverses the node list, so list position is not the id.
+    nodes = sorted(dag.nodes, key=lambda node: node.node_id)
+    n_nodes = len(nodes)
+    qubits_of = [node.qubits for node in nodes]
+    successors = [dag.successors[i] for i in range(n_nodes)]
+    indegree = [len(dag.predecessors[i]) for i in range(n_nodes)]
+    two_qubit = [len(q) == 2 for q in qubits_of]
+
     layout = initial.copy()
-    indegree = {n.node_id: len(dag.predecessors[n.node_id]) for n in dag.nodes}
-    ready = sorted(n.node_id for n in dag.nodes if indegree[n.node_id] == 0)
-    node_by_id = {n.node_id: n for n in dag.nodes}
+    log_to_phys = layout.log_to_phys
+    n_physical = graph.n_physical
+    dist, edges = graph.distance, graph.edges
     routed: list[RoutedGate] = []
     swap_count = 0
-    decay = [1.0] * graph.n_physical
-    swap_budget = 10 * max(len(dag.nodes), 1) * graph.n_physical
+    decay = [1.0] * n_physical
+    swap_budget = 10 * max(n_nodes, 1) * n_physical
 
-    def executable(node) -> bool:
-        if len(node.qubits) < 2:
-            return True
-        u, v = (layout.phys(q) for q in node.qubits)
-        return graph.adjacent(u, v)
-
-    def emit(node) -> None:
-        routed.append(
-            RoutedGate(
-                name=node.name,
-                params=node.params,
-                qubits=tuple(layout.phys(q) for q in node.qubits),
-                result=node.result,
-                condition=node.condition,
-            )
-        )
-
-    def release(node_id: int) -> None:
-        for succ in dag.successors[node_id]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready.append(succ)
-
-    while ready:
-        progressed = True
-        while progressed:
-            progressed = False
-            for node_id in sorted(ready):
-                node = node_by_id[node_id]
-                if executable(node):
-                    emit(node)
-                    ready.remove(node_id)
-                    release(node_id)
-                    progressed = True
-        if not ready:
+    # Ready nodes not yet examined under the current layout; ready nodes that
+    # were examined and are blocked.  Ready nodes never share a qubit.
+    pending = [i for i in range(n_nodes) if indegree[i] == 0]
+    blocked: list[int] = []
+    extended_of: list[int] = []
+    extended: list[int] = []
+    while True:
+        # Each sweep emits, in node-id order, every examined node that can run
+        # here (one qubit, or two on adjacent physical qubits); the nodes it
+        # releases form the next sweep.
+        while pending:
+            sweep, pending = sorted(pending), []
+            for node_id in sweep:
+                qubits = qubits_of[node_id]
+                if two_qubit[node_id] and dist[log_to_phys[qubits[0]]][log_to_phys[qubits[1]]] != 1:
+                    blocked.append(node_id)
+                    continue
+                node = nodes[node_id]
+                routed.append(
+                    RoutedGate(
+                        name=node.name,
+                        params=node.params,
+                        qubits=tuple(log_to_phys[q] for q in qubits),
+                        result=node.result,
+                        condition=node.condition,
+                    )
+                )
+                for succ in successors[node_id]:
+                    indegree[succ] -= 1
+                    if indegree[succ] == 0:
+                        pending.append(succ)
+        if not blocked:
             break
 
-        front = [node_by_id[i] for i in sorted(ready)]
-        blocked = [n for n in front if len(n.qubits) == 2]
-        if not blocked:
-            raise RoutingError("front layer stalled without a blocked two-qubit gate")
-        extended = _extended_set(dag, node_by_id, ready)
-
-        active = {layout.phys(q) for n in blocked for q in n.qubits}
-        candidates = [e for e in graph.edges if e[0] in active or e[1] in active]
-        if not candidates:
-            raise RoutingError("no candidate swaps touch the blocked front layer")
+        # Per physical qubit: the position of its front-gate partner, and the
+        # positions of its extended-gate partners.
+        blocked.sort()
+        front_other: list[int | None] = [None] * n_physical
+        front_sum = 0
+        for node_id in blocked:
+            a, b = qubits_of[node_id]
+            pa, pb = log_to_phys[a], log_to_phys[b]
+            front_other[pa], front_other[pb] = pb, pa
+            front_sum += dist[pa][pb]
+        if blocked != extended_of:
+            # A swap that executed nothing leaves the front, and so the
+            # extended set, as it was.
+            extended_of = blocked
+            extended = _extended_set(successors, two_qubit, blocked)
+        ext_others: list[tuple[int, ...]] = [()] * n_physical
+        ext_sum = 0
+        for node_id in extended:
+            a, b = qubits_of[node_id]
+            pa, pb = log_to_phys[a], log_to_phys[b]
+            ext_others[pa] += (pb,)
+            ext_others[pb] += (pa,)
+            ext_sum += dist[pa][pb]
+        n_front, n_ext = len(blocked), len(extended)
 
         best = None
-        for u, v in candidates:
-            layout.swap_physical(u, v)
-            cost = _heuristic_cost(blocked, extended, layout, graph)
-            layout.swap_physical(u, v)
+        for u, v in edges:
+            fu, fv = front_other[u], front_other[v]
+            if fu is None and fv is None:
+                continue
+            # The swap moves the qubit on u to v and the one on v to u.  Only
+            # gates on u or v change distance, and a gate joining them does not.
+            du, dv = dist[u], dist[v]
+            front_delta = ext_delta = 0
+            if fu is not None and fu != v:
+                front_delta += dv[fu] - du[fu]
+            if fv is not None and fv != u:
+                front_delta += du[fv] - dv[fv]
+            for w in ext_others[u]:
+                if w != v:
+                    ext_delta += dv[w] - du[w]
+            for w in ext_others[v]:
+                if w != u:
+                    ext_delta += du[w] - dv[w]
+            cost = (front_sum + front_delta) / n_front
+            if extended:
+                cost += EXTENDED_SET_WEIGHT * (ext_sum + ext_delta) / n_ext
             cost *= max(decay[u], decay[v])
             key = (cost, u, v)
             if best is None or key < best:
                 best = key
+        if best is None:
+            raise RoutingError("no candidate swaps touch the blocked front layer")
         _, u, v = best
         layout.swap_physical(u, v)
         routed.append(RoutedGate(name="swap", params=(), qubits=(u, v), inserted=True))
@@ -276,38 +330,29 @@ def sabre_swap(
         decay[u] *= DECAY_FACTOR
         decay[v] *= DECAY_FACTOR
         if swap_count % DECAY_RESET_INTERVAL == 0:
-            decay = [1.0] * graph.n_physical
+            decay = [1.0] * n_physical
+        pending, blocked = blocked, []
 
     return RoutingResult(routed, initial.copy(), layout, swap_count)
 
 
-def _extended_set(dag, node_by_id, ready) -> list:
-    """Up to EXTENDED_SET_SIZE two-qubit gates reachable from the front layer."""
+def _extended_set(successors, two_qubit, front) -> list[int]:
+    """Up to EXTENDED_SET_SIZE two-qubit node ids reachable from the front layer."""
     out = []
-    seen = set(ready)
-    queue = deque(sorted(ready))
+    seen = set(front)
+    queue = deque(front)
     while queue and len(out) < EXTENDED_SET_SIZE:
         node_id = queue.popleft()
-        for succ in dag.successors[node_id]:
+        for succ in successors[node_id]:
             if succ in seen:
                 continue
             seen.add(succ)
-            node = node_by_id[succ]
-            if len(node.qubits) == 2:
-                out.append(node)
+            if two_qubit[succ]:
+                out.append(succ)
                 if len(out) >= EXTENDED_SET_SIZE:
                     break
             queue.append(succ)
     return out
-
-
-def _heuristic_cost(front, extended, layout, graph) -> float:
-    dist = graph.distance
-    cost = sum(dist[layout.phys(n.qubits[0])][layout.phys(n.qubits[1])] for n in front) / len(front)
-    if extended:
-        ext = sum(dist[layout.phys(n.qubits[0])][layout.phys(n.qubits[1])] for n in extended)
-        cost += EXTENDED_SET_WEIGHT * ext / len(extended)
-    return cost
 
 
 def sabre_layout(
@@ -321,8 +366,11 @@ def sabre_layout(
 
     Starts from a seeded random permutation; each round routes the circuit
     forward, then routes the reversed circuit starting from the forward
-    pass's final layout.  Returns the starting layout whose forward pass
-    inserted the fewest swaps, stopping early on a zero-swap pass.
+    pass's final layout to seed the next round.  Returns the starting layout
+    whose forward pass inserted the fewest swaps, stopping early on a
+    zero-swap pass.  The last round skips its backward pass, so this makes
+    at most ``2 * iterations - 1`` ``sabre_swap`` calls (``iterations``
+    below 1 count as 1).
     """
     if n_logical is None:
         n_logical = max((q + 1 for n in dag.nodes for q in n.qubits), default=0)
@@ -335,17 +383,18 @@ def sabre_layout(
         return current
 
     reversed_dag = dag.reversed()
+    rounds = max(iterations, 1)
     best_layout = current.copy()
     best_swaps = None
-    for _ in range(max(iterations, 1)):
+    for round_index in range(rounds):
         forward = sabre_swap(dag, current, graph)
         if best_swaps is None or forward.swap_count < best_swaps:
             best_swaps = forward.swap_count
             best_layout = current.copy()
-        if forward.swap_count == 0:
+        # The last round's backward pass would only seed a round that never runs.
+        if forward.swap_count == 0 or round_index == rounds - 1:
             break
-        backward = sabre_swap(reversed_dag, forward.final_layout, graph)
-        current = backward.final_layout
+        current = sabre_swap(reversed_dag, forward.final_layout, graph).final_layout
     return best_layout
 
 

@@ -506,6 +506,17 @@ def test_cli_build_diagnostic_exit_1(tmp_path, capsys):
     assert "bad.qasm:3:" in err and "error:" in err
 
 
+def test_cli_negative_seed_is_a_diagnostic(tmp_path, capsys):
+    circ = tmp_path / "circ.qasm"
+    circ.write_text(GHZ2)
+    device = tmp_path / "line.json"
+    device.write_text(json.dumps({"n_qubits": 2, "edges": [[0, 1]]}))
+    code = main(["build", str(circ), "--build-dir", str(tmp_path), "--coupling", str(device), "--seed", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == "error: seed must be a non-negative integer, not -1"
+    assert not (tmp_path / "circ.qir.ll").exists()
+
+
 def test_cli_emit_only_build(tmp_path, capsys):
     circ = tmp_path / "circ.qasm"
     circ.write_text(GHZ2)

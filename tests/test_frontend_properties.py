@@ -28,12 +28,15 @@ WORDS = [
     "0", "1", "0.5", "1e3", "1e999", ".5",
 ]
 
-# Digit runs are either short or longer than an i64 literal may be: a
-# register declared with a size in between and then broadcast over would
-# make lowering loop over that many qubits.  Long runs end the parse, so
-# they are kept to one draw in four.
-LONG = st.builds("{}{}".format, st.integers(1, 9), st.text("0123456789", min_size=MAX_INT_DIGITS, max_size=5000))
-DIGITS = st.integers(0, 3).flatmap(lambda draw: LONG if draw == 0 else st.integers(0, 99).map(str))
+# Digit runs of every length from 1 to 5000 digits, the length drawn from a
+# band around the i64 limit or from one far past it.  Any run may size a
+# register that is then broadcast over; the parser's qubit cap keeps that
+# lowering short.  Runs too long for i64 end the parse, so runs are kept to
+# one draw in four.
+RUN = st.one_of(st.integers(1, MAX_INT_DIGITS + 1), st.integers(MAX_INT_DIGITS, 5000)).flatmap(
+    lambda n: st.builds("{}{}".format, st.integers(1, 9), st.text("0123456789", min_size=n - 1, max_size=n - 1))
+)
+DIGITS = st.integers(0, 3).flatmap(lambda draw: RUN if draw == 0 else st.integers(0, 99).map(str))
 INDEX = st.one_of(st.integers(0, 2).map(str), DIGITS)
 PARENS = st.integers(MAX_EXPR_DEPTH - 5, MAX_EXPR_DEPTH + 20).flatmap(
     lambda n: st.sampled_from(["(" * n, ")" * n, "(" * n + "1" + ")" * n, "-" * n])

@@ -10,7 +10,7 @@ from qcc.cli import main
 from qcc.errors import QasmSemanticError, QasmSyntaxError
 from qcc.qasm import parse_qasm, to_qasm
 from qcc.qasm.ast import Argument, GateCall, Measure, RegDecl
-from qcc.qasm.parser import MAX_EXPR_DEPTH, MAX_INT_DIGITS
+from qcc.qasm.parser import MAX_EXPR_DEPTH, MAX_INT_DIGITS, MAX_PROGRAM_QUBITS
 
 GHZ = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -309,3 +309,24 @@ def test_integer_literal_at_the_digit_limit_is_checked_by_value():
     src = f"OPENQASM 2.0;\nqreg q[1];\nU(0, 0, 0) q[{'9' * MAX_INT_DIGITS}];\n"
     with pytest.raises(QasmSemanticError, match="out of range"):
         parse_qasm(src)
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("qreg q[100000000];\nh q;\n", 3),
+        (f"qreg a[{MAX_PROGRAM_QUBITS}];\nqreg b[1];\nh b;\n", 4),
+    ],
+    ids=["one-register", "total"],
+)
+def test_too_many_qubits_is_a_diagnostic(tmp_path, capsys, body, line):
+    path = tmp_path / "wide.qasm"
+    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\n' + body)
+    assert main(["metrics", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"wide.qasm:{line}:1: error: program declares more than {MAX_PROGRAM_QUBITS} qubits" in err
+
+
+def test_qubit_count_at_the_limit_parses():
+    src = f"OPENQASM 2.0;\nqreg a[{MAX_PROGRAM_QUBITS - 1}];\nqreg b[1];\ncreg c[{MAX_PROGRAM_QUBITS + 1}];\n"
+    assert [d.size for d in parse_qasm(src).declarations] == [MAX_PROGRAM_QUBITS - 1, 1, MAX_PROGRAM_QUBITS + 1]

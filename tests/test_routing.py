@@ -1,5 +1,6 @@
 """Coupling graphs, layouts, SABRE swap insertion, and full-program routing."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from qcc.errors import CapacityError, CouplingFormatError, RoutingError
 from qcc.ir import Barrier, ConditionalRegion, Inst, build_dag, gate_counts
+from qcc import routing
 from qcc.optimizer import NativeGateSet, optimize
 from qcc.routing import (
     CouplingGraph,
@@ -235,10 +237,101 @@ def test_layout_seeds_differ():
     assert len(seen) > 1  # different seeds explore different permutations
 
 
+@pytest.mark.parametrize("iterations", [1, 2, 3, 4])
+def test_layout_skips_the_last_backward_pass(monkeypatch, iterations):
+    # A cx between every pair of 5 qubits needs swaps on a line from any
+    # start, so no round stops early and every round runs its forward pass.
+    pairs = "".join(f"cx q[{a}],q[{b}];\n" for a in range(5) for b in range(a + 1, 5))
+    dag = build_dag(qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[5];\n' + pairs))
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0] is dag)
+        return sabre_swap(*args)
+
+    monkeypatch.setattr(routing, "sabre_swap", counting)
+    sabre_layout(dag, linear(5), iterations=iterations)
+    assert len(calls) == 2 * iterations - 1
+    assert calls.count(True) == iterations  # one forward pass per round
+
+
 def test_layout_capacity_error():
     dag = build_dag(qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\nh q[0];\n'))
     with pytest.raises(CapacityError):
         sabre_layout(dag, linear(3), n_logical=4)
+
+
+# ------------------------------------------------------------- pinned output
+
+
+def grid(rows, cols):
+    edges = [[r * cols + c, r * cols + c + 1] for r in range(rows) for c in range(cols - 1)]
+    edges += [[r * cols + c, (r + 1) * cols + c] for r in range(rows - 1) for c in range(cols)]
+    return CouplingGraph.from_edges(rows * cols, edges)
+
+
+def golden_source(seed):
+    """16 qubits, 400 gates: 60% cx on two random qubits, the rest h."""
+    rng = np.random.default_rng(seed)
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[16];"]
+    for _ in range(400):
+        if rng.random() < 0.6:
+            a, b = (int(q) for q in rng.choice(16, size=2, replace=False))
+            lines.append(f"cx q[{a}],q[{b}];")
+        else:
+            lines.append(f"h q[{int(rng.integers(16))}];")
+    return "\n".join(lines) + "\n"
+
+
+# (seed, direction) -> (swap count, sabre_layout result, sha256 of the routed
+# gate list).  Recorded from the full-re-sum scorer; incremental scoring must
+# pick exactly the same swaps.
+ROUTING_GOLDEN = {
+    (11, "forward"): (
+        216,
+        (9, 11, 8, 12, 1, 3, 0, 2, 5, 4, 15, 6, 10, 13, 14, 7),
+        "0f326f9a98edb19f946b6a563452eef7ad27108d2ab05d75689b13f4e2b9ede3",
+    ),
+    (11, "reversed"): (
+        220,
+        (4, 0, 11, 3, 8, 13, 5, 10, 2, 9, 14, 6, 7, 12, 15, 1),
+        "b172db4ddafd1dfa3310754687af7600bf5261d71e211daf787bed933ed6309e",
+    ),
+    (12, "forward"): (
+        182,
+        (0, 4, 3, 12, 2, 11, 10, 1, 8, 7, 5, 6, 15, 14, 9, 13),
+        "75755705821cfbed0d6ab775972b11534e158b8933fcff7cdbaee8e2c19b027b",
+    ),
+    (12, "reversed"): (
+        183,
+        (0, 13, 3, 6, 11, 15, 9, 1, 4, 12, 2, 7, 8, 10, 14, 5),
+        "05f0cd34b533a9b44f2d5552de2733d36baa09b0dc4d20de32d4d32c97c3fbd6",
+    ),
+    (13, "forward"): (
+        223,
+        (7, 5, 4, 6, 8, 0, 15, 12, 3, 1, 9, 2, 14, 11, 13, 10),
+        "e22ef4ffa785844b56c0e0b4e4e005c39e2bb2564c2b9d69255c0171a27438de",
+    ),
+    (13, "reversed"): (
+        221,
+        (2, 0, 5, 3, 10, 12, 15, 6, 9, 8, 13, 11, 14, 7, 1, 4),
+        "2a7aea986b091ce607ac6e13360757a755f7d1427439409955e00ab67d37c636",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_routing_output_is_pinned(seed):
+    graph = grid(4, 4)
+    dag = build_dag(qasm_program(golden_source(seed)))
+    for direction, d in (("forward", dag), ("reversed", dag.reversed())):
+        layout = sabre_layout(d, graph, iterations=3, seed=seed)
+        res = sabre_swap(d, layout, graph)
+        gates = [(g.name, g.params, g.qubits, g.inserted) for g in res.routed_gates]
+        digest = hashlib.sha256(repr(gates).encode()).hexdigest()
+        assert (res.swap_count, tuple(layout.log_to_phys), digest) == ROUTING_GOLDEN[
+            (seed, direction)
+        ]
 
 
 # ------------------------------------------------------------- route_program
