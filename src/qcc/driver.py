@@ -297,22 +297,22 @@ def compile_quantum(task: Task, opts: QuantumOptions) -> QuantumArtifacts:
 class StepResult:
     name: str
     command: str
-    status: str  # ok | failed | skipped
     duration: float
     stderr: str = ""
 
 
 @dataclass
 class BuildReport:
+    """The steps of a finished build; a failing step raises instead, so each one printed is ok."""
+
     steps: list[StepResult]
     artifact: str | None
-    success: bool
 
     def summary(self) -> str:
         lines = []
         total = len(self.steps)
         for i, step in enumerate(self.steps, 1):
-            lines.append(f"[{i}/{total}] {step.name}: {step.status} ({step.duration:.2f}s)")
+            lines.append(f"[{i}/{total}] {step.name}: ok ({step.duration:.2f}s)")
         if self.artifact:
             lines.append(f"artifact: {self.artifact}")
         return "\n".join(lines)
@@ -346,7 +346,7 @@ def _run_tool(name: str, argv: list[str]) -> StepResult:
     duration = time.monotonic() - start
     if proc.returncode != 0:
         raise ToolFailure(name, proc.returncode, proc.stderr.strip())
-    return StepResult(name, shlex.join(argv), "ok", duration, proc.stderr.strip())
+    return StepResult(name, shlex.join(argv), duration, proc.stderr.strip())
 
 
 def execute_plan(
@@ -395,7 +395,7 @@ def execute_plan(
             emit(shlex.join(command) if command else f"# {task.path}: in-process quantum pipeline, no external command")
         if plan.link_step:
             emit(shlex.join(link_command()))
-        return BuildReport([], None, True)
+        return BuildReport([], None)
 
     # object paths live under build_dir; external tools will not create it
     os.makedirs(plan.build_dir or ".", exist_ok=True)
@@ -407,7 +407,7 @@ def execute_plan(
             artifacts = compile_quantum(task, opts)
             quantum_elapsed = time.monotonic() - start
             if command is None:
-                steps.append(StepResult(f"qasm {task.path}", "(in-process)", "ok", quantum_elapsed))
+                steps.append(StepResult(f"qasm {task.path}", "(in-process)", quantum_elapsed))
                 emit(f"qasm {task.path}: ok (emit-only)")
                 continue
             _write_wrapper(task, artifacts.qir_path, with_main=quantum_only)
@@ -423,4 +423,4 @@ def execute_plan(
         steps.append(_run_tool("link", link_command()))
         emit(f"link -> {plan.link_step.output}")
         artifact = plan.link_step.output
-    return BuildReport(steps, artifact, True)
+    return BuildReport(steps, artifact)

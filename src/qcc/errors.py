@@ -7,6 +7,7 @@ external tools are ToolFailure and map to exit code 2.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 
@@ -34,6 +35,16 @@ class QccError(Exception):
         if self.span is not None:
             return f"{name}:{self.span.line}:{self.span.column}: error: {self.message}"
         return f"{name}: error: {self.message}"
+
+
+@contextmanager
+def in_file(filename: str | None):
+    """Name filename in every QccError raised in the block that names no file yet."""
+    try:
+        yield
+    except QccError as err:
+        err.filename = err.filename or filename
+        raise
 
 
 class QasmSyntaxError(QccError):

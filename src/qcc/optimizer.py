@@ -21,6 +21,7 @@ from . import gates
 from .errors import (
     NoValidBasisError,
     NotUnitaryError,
+    QasmSemanticError,
     UnknownGateError,
     UnsupportedGateError,
 )
@@ -33,7 +34,8 @@ from .ir import (
     QubitRef,
     op_qubits,
 )
-from .qasm import ast, qelib1
+from .qasm import qelib1
+from .qasm.lower import instantiate, primitive
 
 ANGLE_EPS = 1e-10
 UNITARY_TOL = 1e-10
@@ -272,24 +274,6 @@ def _rotation_insts(pairs: list[tuple[str, float]], qubit: QubitRef) -> list[Ins
     return [Inst(name, (angle,), (qubit,)) for name, angle in pairs]
 
 
-def _expand_via_body(op: Inst, sink: list[IrOp]) -> None:
-    gdef = qelib1.gate_defs().get(op.name)
-    if gdef is None:
-        raise UnsupportedGateError(f"gate '{op.name}' cannot be lowered to the native set")
-    env = dict(zip(gdef.params, op.params))
-    qmap = dict(zip(gdef.qubits, op.qubits))
-    for stmt in gdef.body:
-        assert isinstance(stmt, ast.GateCall)
-        values = tuple(ast.evaluate(p, env) for p in stmt.params)
-        qubits = tuple(qmap[a.reg] for a in stmt.qargs)
-        if stmt.name == "U":
-            sink.append(Inst("u3", values, qubits))
-        elif stmt.name == "CX":
-            sink.append(Inst("cx", values, qubits))
-        else:
-            sink.append(Inst(stmt.name, values, qubits))
-
-
 def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None = None) -> QuantumProgram:
     """Rewrite every gate outside the native set into native gates.
 
@@ -310,11 +294,15 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
                 raise UnsupportedGateError(f"unknown gate '{op.name}'") from None
             sink.extend(_rotation_insts(select_decomposition(matrix, native), op.qubits[0]))
             return
-        expanded: list[IrOp] = []
-        _expand_via_body(op, expanded)
-        for sub in expanded:
-            assert isinstance(sub, Inst)
-            rewrite(sub, sink)
+        gdef = qelib1.gate_defs().get(op.name)
+        if gdef is None or op.name == "cx":  # cx's body is the CX builtin, cx again
+            raise UnsupportedGateError(f"gate '{op.name}' cannot be lowered to the native set")
+        try:
+            body = instantiate(gdef, op.params, op.qubits)
+        except QasmSemanticError as err:  # its span would point into qelib1, not the program
+            raise UnsupportedGateError(f"gate '{op.name}' cannot be lowered to the native set: {err.message}") from None
+        for sub in body:
+            rewrite(primitive(sub), sink)
 
     new_ops: list[IrOp] = []
     for op in program.ops:

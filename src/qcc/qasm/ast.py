@@ -1,9 +1,10 @@
 """Abstract syntax tree for OpenQASM 2.0.
 
-Source spans are carried for diagnostics but excluded from equality, so an
-AST compares equal to the AST of its own pretty-printed text.  Parameter
-expressions at the top level are already evaluated to floats; inside gate
-bodies they stay symbolic trees because they may reference formal parameters.
+Source spans and the file name are carried for diagnostics but excluded
+from equality, so an AST compares equal to the AST of its own pretty-printed
+text.  Parameter expressions at the top level are already evaluated to
+floats; inside gate bodies they stay symbolic trees because they may
+reference formal parameters.
 """
 
 from __future__ import annotations
@@ -217,17 +218,7 @@ class QasmAst:
     declarations: list[RegDecl]
     gate_defs: list[GateDef]
     statements: list[Statement]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QasmAst):
-            return NotImplemented
-        return (
-            self.version == other.version
-            and self.includes == other.includes
-            and self.declarations == other.declarations
-            and self.gate_defs == other.gate_defs
-            and self.statements == other.statements
-        )
+    filename: str | None = field(default=None, compare=False)
 
 
 # --- pretty printer -----------------------------------------------------------

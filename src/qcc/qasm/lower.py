@@ -1,10 +1,14 @@
 """Lowering from the QASM AST to the quantum IR.
 
+The parser has validated the program, so lowering only expands it.
 Whole-register statements are expanded per index in ascending order, and
-user-defined gate macros are inlined recursively down to the primitive
-vocabulary: the standard-library gates, u3 (for the U builtin), cx (for CX),
-measure, reset and barriers.  Standard-library gates are not inlined here;
-turning them into a hardware-native set is the optimizer's job.
+calls of user-defined gates are inlined recursively, one instantiate() per
+call.  Every other name is a primitive: the standard-library gates keep
+their names, U becomes u3 and CX becomes cx, and measure, reset and barriers
+pass through.  Standard-library gates are not inlined here; turning them
+into a hardware-native set is the optimizer's job.  The one diagnostic
+left to lowering is a body's parameter expression that fails to evaluate
+for the values of one call; it names the AST's file.
 
 A conditioned statement lowers to one ConditionalRegion per expanded gate.
 The comparison is against a classical register that no unitary body can
@@ -14,7 +18,7 @@ gates preserves the program's meaning.
 
 from __future__ import annotations
 
-from ..errors import QasmSemanticError, SourceSpan
+from ..errors import in_file
 from ..ir import (
     Barrier,
     ConditionalRegion,
@@ -28,136 +32,91 @@ from ..ir import (
     QubitRef,
     ResultRef,
 )
-from . import ast, qelib1
+from . import ast
+
+# IR names of the two builtins; every other primitive keeps its QASM name.
+_BUILTIN_NAMES = {"U": "u3", "CX": "cx"}
+
+
+def primitive(op: Inst) -> Inst:
+    """op under its IR name: U becomes u3, CX becomes cx, the rest stay."""
+    name = _BUILTIN_NAMES.get(op.name)
+    return op if name is None else Inst(name, op.params, op.qubits)
+
+
+def instantiate(gdef: ast.GateDef, params: tuple[float, ...], qubits: tuple[QubitRef, ...]) -> list[IrOp]:
+    """The ops of one call of gdef, each gate still under the name its body uses.
+
+    The body's parameter expressions are evaluated with the call's values
+    bound to the formal names, formal qubits map to the call's qubits, and
+    barriers are kept.
+    """
+    env = dict(zip(gdef.params, params))
+    qmap = dict(zip(gdef.qubits, qubits))
+    ops: list[IrOp] = []
+    for stmt in gdef.body:
+        mapped = tuple(qmap[a.reg] for a in stmt.qargs)
+        if isinstance(stmt, ast.BarrierStmt):
+            ops.append(Barrier(mapped))
+        else:
+            ops.append(Inst(stmt.name, tuple(ast.evaluate(p, env, stmt.span) for p in stmt.params), mapped))
+    return ops
 
 
 class _Lowering:
     def __init__(self, program_ast: ast.QasmAst):
         self.ast = program_ast
-        self.qregs: dict[str, QRegister] = {}
-        self.cregs: dict[str, CRegister] = {}
-        base = 0
+        decls = program_ast.declarations
+        self.registers = [QRegister(i, d.size, d.name) for i, d in enumerate(d for d in decls if d.kind == "qreg")]
+        self.cregisters = [CRegister(i, d.size, d.name) for i, d in enumerate(d for d in decls if d.kind == "creg")]
+        self.qregs = {r.name: r for r in self.registers}
+        self.cregs = {c.name: c for c in self.cregisters}
         self.bases: dict[str, int] = {}
-        registers = []
-        cregisters = []
-        for decl in program_ast.declarations:
-            if decl.kind == "qreg":
-                reg = QRegister(len(registers), decl.size, decl.name)
-                self.qregs[decl.name] = reg
-                self.bases[decl.name] = base
-                base += decl.size
-                registers.append(reg)
-            else:
-                creg = CRegister(len(cregisters), decl.size, decl.name)
-                self.cregs[decl.name] = creg
-                cregisters.append(creg)
-        self.registers = registers
-        self.cregisters = cregisters
-
-        self.use_qelib = "qelib1.inc" in program_ast.includes
-        self.std_defs = qelib1.gate_defs() if self.use_qelib else {}
+        base = 0
+        for reg in self.registers:
+            self.bases[reg.name] = base
+            base += reg.size
         self.user_defs = {g.name: g for g in program_ast.gate_defs}
-        self.ops: list[IrOp] = []
-        self.inline_stack: list[str] = []
-
-    def qubit(self, reg: QRegister, index: int) -> QubitRef:
-        return QubitRef(reg.register_id, index, self.bases[reg.name] + index)
 
     # --- statement expansion ---
 
-    def broadcast(self, qargs: tuple[ast.Argument, ...], span: SourceSpan) -> list[tuple[QubitRef, ...]]:
+    def qubit(self, arg: ast.Argument, i: int) -> QubitRef:
+        """The qubit arg names in row i of a broadcast."""
+        index = i if arg.index is None else arg.index
+        return QubitRef(self.qregs[arg.reg].register_id, index, self.bases[arg.reg] + index)
+
+    def broadcast(self, qargs: tuple[ast.Argument, ...]) -> list[tuple[QubitRef, ...]]:
         """Expand whole-register arguments index by index, ascending."""
-        width = 1
-        for arg in qargs:
-            if arg.index is None:
-                width = self.qregs[arg.reg].size
-                break
-        rows = []
-        for i in range(width):
-            row = []
-            for arg in qargs:
-                reg = self.qregs[arg.reg]
-                row.append(self.qubit(reg, i if arg.index is None else arg.index))
-            rows.append(tuple(row))
-        return rows
+        width = next((self.qregs[a.reg].size for a in qargs if a.index is None), 1)
+        return [tuple(self.qubit(a, i) for a in qargs) for i in range(width)]
 
-    def lower_gate_call(self, call: ast.GateCall, sink: list[IrOp]) -> None:
-        params = tuple(float(p) for p in call.params)
-        for qubits in self.broadcast(call.qargs, call.span):
-            self.apply_gate(call.name, params, qubits, call.span, sink)
-
-    def apply_gate(
-        self,
-        name: str,
-        params: tuple[float, ...],
-        qubits: tuple[QubitRef, ...],
-        span: SourceSpan,
-        sink: list[IrOp],
-    ) -> None:
-        if name == "U":
-            sink.append(Inst("u3", params, qubits))
-            return
-        if name == "CX":
-            sink.append(Inst("cx", (), qubits))
-            return
-        if self.use_qelib and name in self.std_defs:
-            sink.append(Inst(name, params, qubits))
-            return
-        gdef = self.user_defs.get(name)
+    def apply_gate(self, op: Inst, sink: list[IrOp]) -> None:
+        """Inline a call of a user gate; emit anything else as a primitive."""
+        gdef = self.user_defs.get(op.name)
         if gdef is None:
-            raise QasmSemanticError(f"unknown gate '{name}'", span)
-        if name in self.inline_stack:
-            raise QasmSemanticError(f"recursive gate definition '{name}'", span)
-        if len(params) != len(gdef.params) or len(qubits) != len(gdef.qubits):
-            raise QasmSemanticError(f"wrong arity in call to gate '{name}'", span)
-
-        env = dict(zip(gdef.params, params))
-        qmap = dict(zip(gdef.qubits, qubits))
-        self.inline_stack.append(name)
-        try:
-            for stmt in gdef.body:
-                if isinstance(stmt, ast.BarrierStmt):
-                    sink.append(Barrier(tuple(qmap[a.reg] for a in stmt.qargs)))
-                    continue
-                assert isinstance(stmt, ast.GateCall)
-                values = tuple(ast.evaluate(p, env, stmt.span) for p in stmt.params)
-                mapped = tuple(qmap[a.reg] for a in stmt.qargs)
-                if len(set(mapped)) != len(mapped):
-                    raise QasmSemanticError(
-                        f"gate '{name}' applies '{stmt.name}' to a repeated qubit", stmt.span
-                    )
-                self.apply_gate(stmt.name, values, mapped, stmt.span, sink)
-        finally:
-            self.inline_stack.pop()
+            sink.append(primitive(op))
+            return
+        for sub in instantiate(gdef, op.params, op.qubits):
+            if isinstance(sub, Inst):
+                self.apply_gate(sub, sink)
+            else:
+                sink.append(sub)
 
     def lower_statement(self, stmt: ast.Statement, sink: list[IrOp]) -> None:
         if isinstance(stmt, ast.GateCall):
-            self.lower_gate_call(stmt, sink)
+            params = tuple(float(p) for p in stmt.params)
+            for qubits in self.broadcast(stmt.qargs):
+                self.apply_gate(Inst(stmt.name, params, qubits), sink)
         elif isinstance(stmt, ast.Measure):
-            qreg = self.qregs[stmt.qarg.reg]
-            creg = self.cregs[stmt.carg.reg]
-            if stmt.qarg.index is None:
-                pairs = [(i, i) for i in range(qreg.size)]
-            else:
-                pairs = [(stmt.qarg.index, stmt.carg.index)]
-            for qi, ci in pairs:
-                sink.append(
-                    Inst("measure", (), (self.qubit(qreg, qi),), ResultRef(creg.creg_id, ci))
-                )
+            creg_id = self.cregs[stmt.carg.reg].creg_id
+            for i, qubits in enumerate(self.broadcast((stmt.qarg,))):
+                result = ResultRef(creg_id, i if stmt.carg.index is None else stmt.carg.index)
+                sink.append(Inst("measure", (), qubits, result))
         elif isinstance(stmt, ast.Reset):
-            qreg = self.qregs[stmt.qarg.reg]
-            indices = range(qreg.size) if stmt.qarg.index is None else [stmt.qarg.index]
-            for i in indices:
-                sink.append(Inst("reset", (), (self.qubit(qreg, i),)))
+            sink.extend(Inst("reset", (), qubits) for qubits in self.broadcast((stmt.qarg,)))
         elif isinstance(stmt, ast.BarrierStmt):
-            qubits: list[QubitRef] = []
-            for arg in stmt.qargs:
-                qreg = self.qregs[arg.reg]
-                indices = range(qreg.size) if arg.index is None else [arg.index]
-                for i in indices:
-                    ref = self.qubit(qreg, i)
-                    if ref not in qubits:
-                        qubits.append(ref)
+            # A qubit named twice is fenced once, at its first position.
+            qubits = dict.fromkeys(q for arg in stmt.qargs for (q,) in self.broadcast((arg,)))
             sink.append(Barrier(tuple(qubits)))
         elif isinstance(stmt, ast.IfStatement):
             creg = self.cregs[stmt.creg]
@@ -184,4 +143,5 @@ class _Lowering:
 
 def lower_ast_to_ir(program_ast: ast.QasmAst) -> QuantumProgram:
     """Expand and inline a validated AST into a flat QuantumProgram."""
-    return _Lowering(program_ast).run()
+    with in_file(program_ast.filename):
+        return _Lowering(program_ast).run()

@@ -1,11 +1,16 @@
 """Recursive-descent parser for OpenQASM 2.0.
 
-parse_qasm validates as it goes: registers must be declared before use,
-indices must be in range, gate applications must match the arity of a known
-gate, and opaque declarations are rejected.  Gate bodies are checked for
-well-formed arguments here; whether a body references an undefined or
-recursive gate is only decidable once all definitions are known, so that
-check lives in the lowering pass.
+parse_qasm is the one validator of a program; lowering trusts what it
+returns.  It checks as it goes: registers must be declared before use,
+indices must be in range, and opaque declarations are rejected.  Every gate
+is defined before use, as OpenQASM 2.0 requires: a call, at top level or in
+a gate body, must name U, CX, a qelib1 gate included earlier or a user gate
+defined earlier, with matching parameter and qubit counts.  So a gate body
+cannot call its own gate or a later one, which rules out recursion, and an
+include that would redefine an earlier user gate is rejected.  Each gate's
+expanded size is known once it is defined, so the ops the whole program
+lowers to are counted statement by statement and capped at MAX_PROGRAM_OPS.
+Every diagnostic names the file given to parse_qasm.
 
 The include mechanism is hermetic: the only accepted include is
 "qelib1.inc", which resolves to a built-in gate table rather than a file.
@@ -17,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from ..errors import QasmSemanticError, QasmSyntaxError, SourceSpan
+from ..errors import QasmSemanticError, QasmSyntaxError, SourceSpan, in_file
 from . import ast
 
 _TOKEN_RE = re.compile(
@@ -53,6 +58,11 @@ MAX_INT_DIGITS = 19
 # program declares bound the work of each such statement.
 MAX_PROGRAM_QUBITS = 1 << 16
 
+# Gate macros multiply what a statement lowers to, so the ops a whole
+# program expands to are bounded too: four whole-register gates on the
+# widest program allowed.
+MAX_PROGRAM_OPS = 1 << 18
+
 
 @dataclass(frozen=True)
 class Token:
@@ -61,7 +71,7 @@ class Token:
     span: SourceSpan
 
 
-def _tokenize(source: str, filename: str) -> list[Token]:
+def _tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     pos = 0
     line = 1
@@ -69,7 +79,7 @@ def _tokenize(source: str, filename: str) -> list[Token]:
     while pos < len(source):
         m = _TOKEN_RE.match(source, pos)
         if m is None:
-            raise QasmSyntaxError(f"unexpected character {source[pos]!r}", SourceSpan(line, col), filename)
+            raise QasmSyntaxError(f"unexpected character {source[pos]!r}", SourceSpan(line, col))
         kind = m.lastgroup
         text = m.group()
         if kind == "nl":
@@ -98,6 +108,9 @@ class _Parser:
         self.cregs: dict[str, int] = {}
         self.n_qubits = 0
         self.gate_arities: dict[str, tuple[int, int]] = dict(BUILTIN_GATES)
+        # Ops one call of each user gate expands to; any other gate is one op.
+        self.gate_sizes: dict[str, int] = {}
+        self.n_ops = 0
         self.includes: list[str] = []
         self.declarations: list[ast.RegDecl] = []
         self.gate_defs: list[ast.GateDef] = []
@@ -117,16 +130,13 @@ class _Parser:
 
     def syntax_error(self, message: str, tok: Token | None = None) -> QasmSyntaxError:
         tok = tok or self.peek()
-        return QasmSyntaxError(message, tok.span, self.filename)
-
-    def semantic_error(self, message: str, span: SourceSpan) -> QasmSemanticError:
-        return QasmSemanticError(message, span, self.filename)
+        return QasmSyntaxError(message, tok.span)
 
     def expect_int(self, what: str) -> tuple[Token, int]:
         tok = self.expect("int", what)
         if len(tok.text) > MAX_INT_DIGITS:
             message = f"integer literal longer than {MAX_INT_DIGITS} digits does not fit in 64 bits"
-            raise self.semantic_error(message, tok.span)
+            raise QasmSemanticError(message, tok.span)
         return tok, int(tok.text)
 
     def expect(self, type_: str, what: str) -> Token:
@@ -150,7 +160,7 @@ class _Parser:
             raise self.syntax_error("program must start with 'OPENQASM'", header)
         version = self.expect("real", "version number")
         if version.text != "2.0":
-            raise self.semantic_error(f"unsupported OPENQASM version '{version.text}'", version.span)
+            raise QasmSemanticError(f"unsupported OPENQASM version '{version.text}'", version.span)
         self.expect(";", "';'")
 
         while self.peek().type != "eof":
@@ -162,6 +172,7 @@ class _Parser:
             declarations=self.declarations,
             gate_defs=self.gate_defs,
             statements=self.statements,
+            filename=self.filename,
         )
 
     def parse_statement(self) -> None:
@@ -176,28 +187,43 @@ class _Parser:
             self.parse_gate_def()
         elif tok.text == "opaque":
             self.parse_opaque()
-        elif tok.text == "barrier":
-            self.statements.append(self.parse_barrier())
-        elif tok.text == "if":
-            self.statements.append(self.parse_if())
-        elif tok.text == "measure":
-            self.statements.append(self.parse_measure())
-        elif tok.text == "reset":
-            self.statements.append(self.parse_reset())
         else:
-            self.statements.append(self.parse_gate_call())
+            parse = {
+                "barrier": self.parse_barrier,
+                "if": self.parse_if,
+                "measure": self.parse_measure,
+                "reset": self.parse_reset,
+            }.get(tok.text, self.parse_gate_call)
+            stmt = parse()
+            self.statements.append(stmt)
+            self.n_ops += self.expanded_size(stmt)
+            if self.n_ops > MAX_PROGRAM_OPS:
+                raise QasmSemanticError(f"program expands to more than {MAX_PROGRAM_OPS} operations", tok.span)
+
+    def expanded_size(self, stmt: ast.Statement) -> int:
+        """Ops a top-level statement lowers to: its broadcast width times its gate's size."""
+        if isinstance(stmt, ast.IfStatement):
+            return self.expanded_size(stmt.body)
+        if isinstance(stmt, ast.BarrierStmt):
+            return 1
+        args = stmt.qargs if isinstance(stmt, ast.GateCall) else (stmt.qarg,)
+        width = max((self.qregs[a.reg] for a in args if a.index is None), default=1)
+        return width * (self.gate_sizes.get(stmt.name, 1) if isinstance(stmt, ast.GateCall) else 1)
 
     def parse_include(self) -> None:
-        self.advance()
+        tok = self.advance()
         name_tok = self.expect("string", "include filename")
         self.expect(";", "';'")
         name = name_tok.text.strip('"')
         if name != "qelib1.inc":
-            raise self.semantic_error(f"unknown include '{name}'", name_tok.span)
+            raise QasmSemanticError(f"unknown include '{name}'", name_tok.span)
         if name not in self.includes:
-            self.includes.append(name)
             from . import qelib1
 
+            for gdef in self.gate_defs:
+                if gdef.name in qelib1.gate_table():
+                    raise QasmSemanticError(f"gate '{gdef.name}' is already defined", tok.span)
+            self.includes.append(name)
             self.gate_arities.update(qelib1.gate_table())
 
     def parse_reg_decl(self) -> None:
@@ -206,18 +232,18 @@ class _Parser:
         name_tok = self.expect("id", "register name")
         name = name_tok.text
         if not _NAME_RE.match(name):
-            raise self.semantic_error(f"invalid register name '{name}'", name_tok.span)
+            raise QasmSemanticError(f"invalid register name '{name}'", name_tok.span)
         if name in self.qregs or name in self.cregs:
-            raise self.semantic_error(f"register '{name}' is already declared", name_tok.span)
+            raise QasmSemanticError(f"register '{name}' is already declared", name_tok.span)
         self.expect("[", "'['")
         size_tok, size = self.expect_int("register size")
         if size < 1:
-            raise self.semantic_error("register size must be positive", size_tok.span)
+            raise QasmSemanticError("register size must be positive", size_tok.span)
         if kind == "qreg":
             self.n_qubits += size
             if self.n_qubits > MAX_PROGRAM_QUBITS:
                 message = f"program declares more than {MAX_PROGRAM_QUBITS} qubits"
-                raise self.semantic_error(message, kind_tok.span)
+                raise QasmSemanticError(message, kind_tok.span)
         self.expect("]", "']'")
         self.expect(";", "';'")
         (self.qregs if kind == "qreg" else self.cregs)[name] = size
@@ -229,16 +255,16 @@ class _Parser:
         while self.peek().type not in (";", "eof"):
             self.advance()
         self.accept(";")
-        raise self.semantic_error("opaque gates are not supported", tok.span)
+        raise QasmSemanticError("opaque gates are not supported", tok.span)
 
     def parse_gate_def(self) -> None:
         self.advance()
         name_tok = self.expect("id", "gate name")
         name = name_tok.text
         if not _NAME_RE.match(name):
-            raise self.semantic_error(f"invalid gate name '{name}'", name_tok.span)
+            raise QasmSemanticError(f"invalid gate name '{name}'", name_tok.span)
         if name in self.gate_arities:
-            raise self.semantic_error(f"gate '{name}' is already defined", name_tok.span)
+            raise QasmSemanticError(f"gate '{name}' is already defined", name_tok.span)
 
         params: list[str] = []
         if self.accept("("):
@@ -248,19 +274,22 @@ class _Parser:
         qubits = self.parse_id_list("qubit argument")
 
         if len(set(params)) != len(params):
-            raise self.semantic_error("duplicate parameter name", name_tok.span)
+            raise QasmSemanticError("duplicate parameter name", name_tok.span)
         if len(set(qubits)) != len(qubits):
-            raise self.semantic_error("duplicate qubit argument", name_tok.span)
+            raise QasmSemanticError("duplicate qubit argument", name_tok.span)
 
         self.expect("{", "'{'")
         body: list[ast.Statement] = []
         while self.peek().type != "}":
             if self.peek().type == "eof":
                 raise self.syntax_error("unterminated gate body")
-            body.append(self.parse_body_statement(frozenset(params), frozenset(qubits)))
+            body.append(self.parse_body_statement(name, frozenset(params), frozenset(qubits)))
         self.expect("}", "'}'")
 
         self.gate_arities[name] = (len(params), len(qubits))
+        # Clamped past the bound, so a deep chain of macros stays cheap to count.
+        size = sum(1 if isinstance(s, ast.BarrierStmt) else self.gate_sizes.get(s.name, 1) for s in body)
+        self.gate_sizes[name] = min(size, MAX_PROGRAM_OPS + 1)
         self.gate_defs.append(
             ast.GateDef(name, tuple(params), tuple(qubits), tuple(body), name_tok.span)
         )
@@ -271,7 +300,8 @@ class _Parser:
             names.append(self.expect("id", what).text)
         return names
 
-    def parse_body_statement(self, params: frozenset[str], qubits: frozenset[str]) -> ast.Statement:
+    def parse_body_statement(self, gate: str, params: frozenset[str], qubits: frozenset[str]) -> ast.Statement:
+        """One statement of gate's body; it may call only gates defined before gate."""
         tok = self.peek()
         if tok.type != "id":
             raise self.syntax_error(f"expected a gate application, got {tok.text!r}")
@@ -280,12 +310,15 @@ class _Parser:
             args = []
             for name in self.parse_id_list("qubit argument"):
                 if name not in qubits:
-                    raise self.semantic_error(f"'{name}' is not a qubit argument of this gate", tok.span)
+                    raise QasmSemanticError(f"'{name}' is not a qubit argument of this gate", tok.span)
                 args.append(ast.Argument(name, None, tok.span))
             self.expect(";", "';'")
             return ast.BarrierStmt(tuple(args), tok.span)
 
         name_tok = self.advance()
+        if name_tok.text == gate:
+            raise QasmSemanticError(f"recursive gate definition '{gate}'", name_tok.span)
+        arity = self.gate_arity(name_tok)
         call_params: list[ast.Expr] = []
         if self.accept("("):
             if self.peek().type != ")":
@@ -296,13 +329,14 @@ class _Parser:
         arg_names = self.parse_id_list("qubit argument")
         self.expect(";", "';'")
 
+        self.check_arity(name_tok, arity, len(call_params), len(arg_names))
         args = []
         for name in arg_names:
             if name not in qubits:
-                raise self.semantic_error(f"'{name}' is not a qubit argument of this gate", name_tok.span)
+                raise QasmSemanticError(f"'{name}' is not a qubit argument of this gate", name_tok.span)
             args.append(ast.Argument(name, None, name_tok.span))
         if len(set(arg_names)) != len(arg_names):
-            raise self.semantic_error("gate arguments must be distinct", name_tok.span)
+            raise QasmSemanticError("gate arguments must be distinct", name_tok.span)
         return ast.GateCall(name_tok.text, tuple(call_params), tuple(args), name_tok.span)
 
     # --- top-level statements ---
@@ -312,13 +346,13 @@ class _Parser:
         name = name_tok.text
         table = self.qregs if kind == "qreg" else self.cregs
         if name not in table:
-            raise self.semantic_error(f"undeclared {kind} '{name}'", name_tok.span)
+            raise QasmSemanticError(f"undeclared {kind} '{name}'", name_tok.span)
         index: int | None = None
         if self.accept("["):
             idx_tok, index = self.expect_int("index")
             self.expect("]", "']'")
             if index >= table[name]:
-                raise self.semantic_error(
+                raise QasmSemanticError(
                     f"index {index} out of range for {kind} '{name}' of size {table[name]}",
                     idx_tok.span,
                 )
@@ -328,31 +362,42 @@ class _Parser:
         """Whole-register args must share one size and no qubit may repeat."""
         sizes = {self.qregs[a.reg] for a in args if a.index is None}
         if len(sizes) > 1:
-            raise self.semantic_error("whole-register operands have mismatched sizes", span)
+            raise QasmSemanticError("whole-register operands have mismatched sizes", span)
         indexed: set[tuple[str, int]] = set()
         whole: set[str] = set()
         for a in args:
             if a.index is None:
                 if a.reg in whole:
-                    raise self.semantic_error(f"register '{a.reg}' used twice in one statement", span)
+                    raise QasmSemanticError(f"register '{a.reg}' used twice in one statement", span)
                 whole.add(a.reg)
             else:
                 if (a.reg, a.index) in indexed:
-                    raise self.semantic_error(f"duplicate qubit '{a.reg}[{a.index}]'", span)
+                    raise QasmSemanticError(f"duplicate qubit '{a.reg}[{a.index}]'", span)
                 indexed.add((a.reg, a.index))
         for reg, index in indexed:
             if reg in whole:
-                raise self.semantic_error(
+                raise QasmSemanticError(
                     f"'{reg}[{index}]' collides with whole-register operand '{reg}'", span
                 )
 
+    def gate_arity(self, name_tok: Token) -> tuple[int, int]:
+        """(n_params, n_qubits) of a gate known at this point of the program."""
+        if name_tok.text not in self.gate_arities:
+            raise QasmSemanticError(f"undeclared gate '{name_tok.text}'", name_tok.span)
+        return self.gate_arities[name_tok.text]
+
+    def check_arity(self, name_tok: Token, arity: tuple[int, int], n_params: int, n_qubits: int) -> None:
+        """The arity check of every gate call, at top level and in gate bodies."""
+        if n_params != arity[0]:
+            message = f"gate '{name_tok.text}' takes {arity[0]} parameter(s), got {n_params}"
+            raise QasmSemanticError(message, name_tok.span)
+        if n_qubits != arity[1]:
+            message = f"gate '{name_tok.text}' takes {arity[1]} qubit argument(s), got {n_qubits}"
+            raise QasmSemanticError(message, name_tok.span)
+
     def parse_gate_call(self) -> ast.GateCall:
         name_tok = self.advance()
-        name = name_tok.text
-        if name not in self.gate_arities:
-            raise self.semantic_error(f"undeclared gate '{name}'", name_tok.span)
-        n_params, n_qubits = self.gate_arities[name]
-
+        arity = self.gate_arity(name_tok)
         values: list[float] = []
         if self.accept("("):
             if self.peek().type != ")":
@@ -360,21 +405,13 @@ class _Parser:
                 while self.accept(","):
                     values.append(ast.evaluate(self.parse_expr(None), {}, name_tok.span))
             self.expect(")", "')'")
-        if len(values) != n_params:
-            raise self.semantic_error(
-                f"gate '{name}' takes {n_params} parameter(s), got {len(values)}", name_tok.span
-            )
-
         args = [self.parse_argument("qreg")]
         while self.accept(","):
             args.append(self.parse_argument("qreg"))
         self.expect(";", "';'")
-        if len(args) != n_qubits:
-            raise self.semantic_error(
-                f"gate '{name}' takes {n_qubits} qubit argument(s), got {len(args)}", name_tok.span
-            )
+        self.check_arity(name_tok, arity, len(values), len(args))
         self._check_broadcast(args, name_tok.span)
-        return ast.GateCall(name, tuple(values), tuple(args), name_tok.span)
+        return ast.GateCall(name_tok.text, tuple(values), tuple(args), name_tok.span)
 
     def parse_measure(self) -> ast.Measure:
         tok = self.advance()
@@ -383,11 +420,11 @@ class _Parser:
         carg = self.parse_argument("creg")
         self.expect(";", "';'")
         if (qarg.index is None) != (carg.index is None):
-            raise self.semantic_error(
+            raise QasmSemanticError(
                 "measure operands must both be indexed or both whole registers", tok.span
             )
         if qarg.index is None and self.qregs[qarg.reg] != self.cregs[carg.reg]:
-            raise self.semantic_error("measured registers have mismatched sizes", tok.span)
+            raise QasmSemanticError("measured registers have mismatched sizes", tok.span)
         return ast.Measure(qarg, carg, tok.span)
 
     def parse_reset(self) -> ast.Reset:
@@ -409,14 +446,14 @@ class _Parser:
         self.expect("(", "'('")
         creg_tok = self.expect("id", "creg name")
         if creg_tok.text not in self.cregs:
-            raise self.semantic_error(f"undeclared creg '{creg_tok.text}'", creg_tok.span)
+            raise QasmSemanticError(f"undeclared creg '{creg_tok.text}'", creg_tok.span)
         self.expect("==", "'=='")
         value_tok, value = self.expect_int("comparison value")
         self.expect(")", "')'")
         # The value must fit the register and the i64 that QIR compares it as.
         width = min(self.cregs[creg_tok.text], 63)
         if value.bit_length() > width:
-            raise self.semantic_error(
+            raise QasmSemanticError(
                 f"comparison value {value_tok.text} does not fit in {width} bits of creg '{creg_tok.text}'",
                 value_tok.span,
             )
@@ -486,7 +523,7 @@ class _Parser:
             self.advance()
             value = float(tok.text)
             if math.isinf(value):
-                raise self.semantic_error("number literal does not fit in a double", tok.span)
+                raise QasmSemanticError("number literal does not fit in a double", tok.span)
             return ast.Num(value)
         if tok.type == "(":
             self.advance()
@@ -503,12 +540,12 @@ class _Parser:
                 self.expect(")", "')'")
                 return ast.Call(tok.text, node)
             if params is not None and tok.text not in params:
-                raise self.semantic_error(f"unknown parameter '{tok.text}'", tok.span)
+                raise QasmSemanticError(f"unknown parameter '{tok.text}'", tok.span)
             return ast.Param(tok.text)
         raise self.syntax_error(f"expected an expression, got {tok.text or 'end of input'!r}")
 
 
 def parse_qasm(source: str, filename: str = "<input>") -> ast.QasmAst:
-    """Parse and validate OpenQASM 2.0 source text."""
-    tokens = _tokenize(source, filename)
-    return _Parser(tokens, filename).parse()
+    """Parse and validate OpenQASM 2.0 source text; diagnostics name filename."""
+    with in_file(filename):
+        return _Parser(_tokenize(source), filename).parse()

@@ -322,6 +322,24 @@ def test_unknown_inst_rejected():
         decompose_unsupported(prog)
 
 
+@pytest.mark.parametrize("gate", ["cx q[0],q[1];", "swap q[0],q[1];", "ccx q[0],q[1],q[2];"])
+def test_cx_outside_the_native_set_is_unsupported(gate):
+    # cx's qelib1 body is the CX builtin, which lowers to cx again.
+    prog = qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n' + gate + "\n")
+    with pytest.raises(UnsupportedGateError, match="^gate 'cx' cannot be lowered to the native set$"):
+        decompose_unsupported(prog, NativeGateSet.from_names(["rz", "rx", "cz"]))
+
+
+def test_body_parameter_overflow_names_the_gate_not_a_qelib1_line():
+    # cu3's body adds phi and lambda, which overflows to inf here.
+    prog = qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncu3(0,1.7e308,1.7e308) q[0],q[1];\n')
+    with pytest.raises(UnsupportedGateError) as exc:
+        decompose_unsupported(prog)
+    assert exc.value.diagnostic() == (
+        "<input>: error: gate 'cu3' cannot be lowered to the native set: parameter expression is not finite"
+    )
+
+
 def test_two_qubit_decompositions_preserve_semantics(corpus_programs):
     for prog, _ in corpus_programs[:40]:
         out = decompose_unsupported(prog)

@@ -2,15 +2,17 @@
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
 
 from qcc.cli import main
 from qcc.errors import QasmSemanticError, QasmSyntaxError
-from qcc.qasm import parse_qasm, to_qasm
+from qcc.ir import Dealloc, Qalloc
+from qcc.qasm import lower_ast_to_ir, parse_qasm, parser, to_qasm
 from qcc.qasm.ast import Argument, GateCall, Measure, RegDecl
-from qcc.qasm.parser import MAX_EXPR_DEPTH, MAX_INT_DIGITS, MAX_PROGRAM_QUBITS
+from qcc.qasm.parser import MAX_EXPR_DEPTH, MAX_INT_DIGITS, MAX_PROGRAM_OPS, MAX_PROGRAM_QUBITS
 
 GHZ = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -330,3 +332,89 @@ def test_too_many_qubits_is_a_diagnostic(tmp_path, capsys, body, line):
 def test_qubit_count_at_the_limit_parses():
     src = f"OPENQASM 2.0;\nqreg a[{MAX_PROGRAM_QUBITS - 1}];\nqreg b[1];\ncreg c[{MAX_PROGRAM_QUBITS + 1}];\n"
     assert [d.size for d in parse_qasm(src).declarations] == [MAX_PROGRAM_QUBITS - 1, 1, MAX_PROGRAM_QUBITS + 1]
+
+
+@pytest.mark.parametrize(
+    "body, diagnostic",
+    [
+        ("gate a x { b x; }\ngate b x { U(0,0,0) x; }\na q[0];\n", "3:12: error: undeclared gate 'b'"),
+        ("gate g x { CX x; }\ng q[0];\n", "3:12: error: gate 'CX' takes 2 qubit argument(s), got 1"),
+        ("gate g(t) x { U(t,0) x; }\ng(1) q[0];\n", "3:15: error: gate 'U' takes 3 parameter(s), got 2"),
+        ('gate h a { U(0,0,0) a; }\ninclude "qelib1.inc";\nh q[0];\n', "4:1: error: gate 'h' is already defined"),
+        ('gate g a { h a; }\ninclude "qelib1.inc";\ng q[0];\n', "3:12: error: undeclared gate 'h'"),
+        ("gate g x { g x; }\ng q[0];\n", "3:12: error: recursive gate definition 'g'"),
+    ],
+    ids=["forward-reference", "body-qubit-count", "body-parameter-count", "late-include-clash",
+         "qelib1-before-include", "self-recursion"],
+)
+def test_gates_are_defined_before_use(tmp_path, capsys, body, diagnostic):
+    path = tmp_path / "defs.qasm"
+    path.write_text("OPENQASM 2.0;\nqreg q[2];\n" + body)
+    assert main(["metrics", str(path)]) == 1
+    assert capsys.readouterr().err.strip() == f"{path}:{diagnostic}"
+
+
+@pytest.mark.parametrize(
+    "body, diagnostic",
+    [
+        ("rx(sqrt(-1)) q[0];\n", "4:1: error: domain error in sqrt()"),
+        ("rx(1/0) q[0];\n", "4:1: error: division by zero in parameter expression"),
+        ("gate g(x) a { rx(sqrt(x)) a; }\ng(-1) q[0];\n", "4:15: error: domain error in sqrt()"),
+    ],
+    ids=["top-level-domain", "top-level-division", "body-domain-at-call"],
+)
+def test_parameter_diagnostics_name_the_file(tmp_path, capsys, body, diagnostic):
+    path = tmp_path / "params.qasm"
+    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n' + body)
+    assert main(["metrics", str(path)]) == 1
+    assert capsys.readouterr().err.strip() == f"{path}:{diagnostic}"
+
+
+def doubling_macros(levels: int) -> str:
+    """Gate d<k> calls d<k-1> twice, so one call of d<levels> is 2**(levels+1) ops."""
+    lines = ["gate d0 a { h a; h a; }"]
+    lines += [f"gate d{k} a {{ d{k - 1} a; d{k - 1} a; }}" for k in range(1, levels + 1)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("qreg q[1];\n" + doubling_macros(19) + "d19 q[0];\n", 24),
+        (f"qreg q[{MAX_PROGRAM_QUBITS}];\n" + "h q;\n" * 10, 8),
+    ],
+    ids=["doubling-macros", "wide-broadcasts"],
+)
+def test_too_many_operations_is_a_parse_time_diagnostic(tmp_path, capsys, body, line):
+    path = tmp_path / "big.qasm"
+    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\n' + body)
+    start = time.perf_counter()
+    assert main(["metrics", str(path), "--opt-level", "0"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.strip()
+    assert err == f"{path}:{line}:1: error: program expands to more than {MAX_PROGRAM_OPS} operations"
+
+
+def test_operation_count_at_the_limit_is_accepted():
+    widest = f"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[{MAX_PROGRAM_QUBITS}];\n"
+    src = widest + "h q;\n" * (MAX_PROGRAM_OPS // MAX_PROGRAM_QUBITS)
+    assert len(parse_qasm(src).statements) == 4
+    with pytest.raises(QasmSemanticError, match="program expands to more than"):
+        parse_qasm(src + "barrier q;\n")
+
+
+def test_operation_count_is_what_lowering_emits(monkeypatch):
+    src = (
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\nqreg r[3];\ncreg c[3];\n'
+        "gate inner(t) a, b { rz(t) a; barrier a, b; CX a, b; }\n"
+        "gate outer a, b { inner(0.5) a, b; h b; inner(pi) b, a; }\n"
+        "outer q, r;\nouter q[0], r[1];\nif (c == 1) outer r, q;\n"
+        "measure q -> c;\nreset r;\nreset q[2];\nbarrier q, r[0];\nU(0,0,0) q;\nCX q[1], r;\n"
+    )
+    n_ops = sum(not isinstance(op, (Qalloc, Dealloc)) for op in lower_ast_to_ir(parse_qasm(src)).ops)
+    assert n_ops == 3 * 7 + 7 + 3 * 7 + 3 + 3 + 1 + 1 + 3 + 3
+    monkeypatch.setattr(parser, "MAX_PROGRAM_OPS", n_ops)
+    parse_qasm(src)
+    monkeypatch.setattr(parser, "MAX_PROGRAM_OPS", n_ops - 1)
+    with pytest.raises(QasmSemanticError, match=f"more than {n_ops - 1} operations"):
+        parse_qasm(src)
