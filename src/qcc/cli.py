@@ -21,7 +21,7 @@ from .driver import (
     load_toolchain_config,
     read_program,
 )
-from .errors import QccError, ToolFailure
+from .errors import QccError, ToolFailure, in_file
 from .ir import gate_counts
 from .optimizer import NativeGateSet, optimize
 from .qir import extract_circuit, find_quantum_kernels
@@ -31,7 +31,8 @@ from .simulator import MAX_QUBITS, simulate
 def _load_program(path: str, opt_level: int = 0, native: NativeGateSet | None = None):
     program = read_program(path)
     if opt_level > 0:
-        program = optimize(program, level=opt_level, native=native or NativeGateSet.default())
+        with in_file(path):
+            program = optimize(program, level=opt_level, native=native or NativeGateSet.default())
     return program
 
 

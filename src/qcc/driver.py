@@ -22,6 +22,7 @@ from .errors import (
     QccError,
     ToolFailure,
     UnknownFileTypeError,
+    in_file,
 )
 from .ir import QuantumProgram, gate_counts
 from .optimizer import NativeGateSet, optimize
@@ -254,7 +255,9 @@ def compile_quantum(task: Task, opts: QuantumOptions) -> QuantumArtifacts:
     Nothing is written until the whole pipeline has succeeded, so a
     diagnostic never leaves a stale .qir.ll behind.
     """
-    program = optimize(read_program(task.path), level=opts.opt_level, native=opts.native)
+    program = read_program(task.path)
+    with in_file(task.path):
+        program = optimize(program, level=opts.opt_level, native=opts.native)
 
     metrics = gate_counts(program)
     if opts.coupling_path:

@@ -7,12 +7,22 @@ a 2x2 unitary, decompose it in the ZYZ, ZXZ and XYX Euler bases, and keep the
 shortest native rotation sequence.  Global phase is discarded at resynthesis;
 every conditioned gate is classically controlled, so the phase is never
 observable downstream.
+
+The funnel does each piece of work once per matrix.  Unitarity is checked
+only at the public boundary (``select_decomposition`` and
+``euler_decompose``), never again in the private helpers behind it.  One ZYZ
+solve of U serves both zyz and zxz (zxz only shifts the outer angles), and one
+ZYZ solve of H.U.H serves xyx.  A parameterless single-qubit gate outside the
+native set (``t``, ``s``, ``x``, ...) is resynthesized once per native set and
+memoized; the memo is bounded by the gate vocabulary.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +55,7 @@ MAX_PASSES = 10
 _BASES = {"zyz": ("z", "y"), "zxz": ("z", "x"), "xyx": ("x", "y")}
 _BASIS_ORDER = ("zyz", "zxz", "xyx")
 _AXIS_GATE = {"x": "rx", "y": "ry", "z": "rz"}
+_H = gates.gate_matrix("h")
 
 
 @dataclass(frozen=True)
@@ -122,24 +133,26 @@ def euler_decompose(matrix: np.ndarray, basis: str = "zyz") -> EulerDecompositio
     if basis not in _BASES:
         raise ValueError(f"unknown Euler basis '{basis}'")
     u = _require_unitary(matrix)
+    zyz = _zyz_angles(_H @ u @ _H if basis == "xyx" else u)
+    return EulerDecomposition(basis, *_basis_angles(basis, zyz))
 
-    if basis == "zyz":
-        alpha, beta, gamma, delta = _zyz_angles(u)
-    elif basis == "zxz":
+
+def _basis_angles(basis: str, zyz: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+    """Normalized (beta, gamma, delta, alpha) in basis, from the ZYZ angles of
+    U for zyz and zxz, or of H.U.H for xyx."""
+    alpha, beta, gamma, delta = zyz
+    if basis == "zxz":
         # Rx(g) = Rz(-pi/2) Ry(g) Rz(pi/2), so shift the outer angles.
-        alpha, beta, gamma, delta = _zyz_angles(u)
         beta, delta = beta + math.pi / 2, delta - math.pi / 2
-    else:  # xyx
+    elif basis == "xyx":
         # Conjugating by H swaps the x and z axes and flips y.
-        h = gates.gate_matrix("h")
-        alpha, beta, gamma, delta = _zyz_angles(h @ u @ h)
         gamma = -gamma
         if gamma < 0:
             # Ry(-g) = Rx(pi) Ry(g) Rx(-pi): fold the sign into the outer angles.
             gamma = -gamma
             beta += math.pi
             delta -= math.pi
-    return EulerDecomposition(basis, *_normalize(beta, gamma, delta, alpha))
+    return _normalize(beta, gamma, delta, alpha)
 
 
 def _wrap(angle: float) -> float:
@@ -179,15 +192,17 @@ def select_decomposition(matrix: np.ndarray, native: NativeGateSet) -> list[tupl
     created by the drop are merged.  Ties go to zyz, then zxz, then xyx.
     """
     u = _require_unitary(matrix)
+    zyz = _zyz_angles(u)
+    hzyz = _zyz_angles(_H @ u @ _H)
     best: list[tuple[str, float]] | None = None
     for basis in _BASIS_ORDER:
-        dec = euler_decompose(u, basis)
+        beta, gamma, delta, _ = _basis_angles(basis, hzyz if basis == "xyx" else zyz)
         outer, inner = _BASES[basis]
         # Application order: delta first (rightmost factor acts first).
         seq = [
-            (_AXIS_GATE[outer], dec.delta),
-            (_AXIS_GATE[inner], dec.gamma),
-            (_AXIS_GATE[outer], dec.beta),
+            (_AXIS_GATE[outer], delta),
+            (_AXIS_GATE[inner], gamma),
+            (_AXIS_GATE[outer], beta),
         ]
         merged: list[tuple[str, float]] = []
         for name, angle in seq:
@@ -270,8 +285,26 @@ def fuse_single_qubit_runs(program: QuantumProgram) -> QuantumProgram:
 # --- native-set rewriting ------------------------------------------------------
 
 
-def _rotation_insts(pairs: list[tuple[str, float]], qubit: QubitRef) -> list[Inst]:
+def _rotation_insts(pairs: Iterable[tuple[str, float]], qubit: QubitRef) -> list[Inst]:
     return [Inst(name, (angle,), (qubit,)) for name, angle in pairs]
+
+
+def _stranger_matrix(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
+    try:
+        return gates.gate_matrix(name, params)
+    except UnknownGateError:
+        raise UnsupportedGateError(f"unknown gate '{name}'") from None
+
+
+@functools.lru_cache(maxsize=256)
+def _fixed_gate_rotations(name: str, native: NativeGateSet) -> tuple[tuple[str, float], ...]:
+    """Native rotation pairs of a parameterless single-qubit gate.
+
+    Only parameterless names reach the memo, so it holds one entry per fixed
+    gate of the vocabulary and native set in use, and no float key can alias
+    0.0 with -0.0.
+    """
+    return tuple(select_decomposition(_stranger_matrix(name), native))
 
 
 def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None = None) -> QuantumProgram:
@@ -288,11 +321,11 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
             sink.append(op)
             return
         if len(op.qubits) == 1:
-            try:
-                matrix = gates.gate_matrix(op.name, op.params)
-            except UnknownGateError:
-                raise UnsupportedGateError(f"unknown gate '{op.name}'") from None
-            sink.extend(_rotation_insts(select_decomposition(matrix, native), op.qubits[0]))
+            if op.params:
+                pairs = select_decomposition(_stranger_matrix(op.name, op.params), native)
+            else:
+                pairs = _fixed_gate_rotations(op.name, native)
+            sink.extend(_rotation_insts(pairs, op.qubits[0]))
             return
         gdef = qelib1.gate_defs().get(op.name)
         if gdef is None or op.name == "cx":  # cx's body is the CX builtin, cx again

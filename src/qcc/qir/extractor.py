@@ -20,6 +20,7 @@ from ..errors import ExtractionError, QirParseError
 from ..ir import (
     Barrier, CRegister, GateDag, Inst, QRegister, QuantumProgram, QubitRef, ResultRef, build_dag, instruction_kind
 )
+from ..qasm.parser import MAX_INT_DIGITS, MAX_PROGRAM_QUBITS
 
 _DEFINE_RE = re.compile(r"^define\b[^@]*@([\w.]+)\s*\([^)]*\)[^{]*\{")
 _ALLOC_RE = re.compile(
@@ -81,6 +82,12 @@ def _parse_double(token: str, line_number: int) -> float:
         raise ExtractionError(f"line {line_number}: bad double literal {token!r}") from None
 
 
+def _parse_i64(digits: str, line_number: int) -> int:
+    if len(digits) > MAX_INT_DIGITS:
+        raise ExtractionError(f"line {line_number}: integer literal longer than {MAX_INT_DIGITS} digits")
+    return int(digits)
+
+
 def _split_args(arg_text: str) -> list[str]:
     args = []
     depth = 0
@@ -121,16 +128,18 @@ def extract_circuit(kernel_body: str) -> tuple[list[ExtractedGate], GateDag]:
             )
         m = _ALLOC_RE.match(line)
         if m:
-            name, size = m.group(1), int(m.group(2))
+            name, size = m.group(1), _parse_i64(m.group(2), number)
             if name in array_base:
                 raise ExtractionError(f"line {number}: SSA value {name} bound twice")
+            if n_logical + size > MAX_PROGRAM_QUBITS:
+                raise ExtractionError(f"line {number}: kernel allocates more than {MAX_PROGRAM_QUBITS} qubits")
             array_base[name] = n_logical
             array_size[name] = size
             n_logical += size
             continue
         m = _GEP_RE.match(line)
         if m:
-            name, array, index = m.group(1), m.group(2), int(m.group(3))
+            name, array, index = m.group(1), m.group(2), _parse_i64(m.group(3), number)
             if array not in array_base:
                 raise ExtractionError(f"line {number}: element pointer from unknown array {array}")
             if index >= array_size[array]:
@@ -158,6 +167,8 @@ def extract_circuit(kernel_body: str) -> tuple[list[ExtractedGate], GateDag]:
                 if arg == "...":
                     continue
                 parts = arg.split()
+                if len(parts) < 2:
+                    raise ExtractionError(f"line {number}: operand {arg!r} has no value")
                 if parts[0] == "double":
                     params.append(_parse_double(parts[1], number))
                 elif parts[0] == "%Qubit*":

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shlex
 import shutil
 import stat
@@ -520,7 +521,7 @@ def test_cli_native_set_without_cx_is_a_diagnostic(tmp_path, capsys, subcommand)
     if subcommand == "build":
         args += ["--build-dir", str(tmp_path)]
     assert main(args) == 1
-    assert capsys.readouterr().err.strip() == "error: gate 'cx' cannot be lowered to the native set"
+    assert capsys.readouterr().err.strip() == f"{circ}: error: gate 'cx' cannot be lowered to the native set"
     assert not (tmp_path / "circ.qir.ll").exists()
 
 
@@ -545,6 +546,24 @@ def test_cli_extract(tmp_path, capsys):
     assert len(payload) == 1  # one kernel
     assert [g["name"] for g in payload[0]] == ["h", "cx"]
     assert payload[0][1]["operands"] == [0, 1]
+
+
+@pytest.mark.parametrize("subcommand", ["extract", "simulate"])
+@pytest.mark.parametrize(
+    "operand, bare",
+    [("%Qubit* %2)", "%Qubit*)"), ("double 5.000000e-01,", "double,")],
+)
+def test_cli_operand_without_value_is_a_diagnostic(tmp_path, capsys, subcommand, operand, bare):
+    circ = tmp_path / "circ.qasm"
+    circ.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nh q[0];\nrz(0.5) q[0];\n')
+    assert main(["build", str(circ), "--build-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    qir = tmp_path / "circ.qir.ll"
+    text = qir.read_text()
+    assert operand in text
+    qir.write_text(text.replace(operand, bare, 1))
+    assert main([subcommand, str(qir)]) == 1
+    assert re.fullmatch(r"error: line \d+: operand '\S+' has no value", capsys.readouterr().err.strip())
 
 
 def test_cli_simulate_qasm_and_qir_agree(tmp_path, capsys):

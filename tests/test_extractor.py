@@ -2,11 +2,13 @@
 
 import math
 import re
+import time
 
 import pytest
 
 from qcc.errors import ExtractionError, QirParseError
 from qcc.ir import build_dag
+from qcc.qasm.parser import MAX_PROGRAM_QUBITS
 from qcc.qir import emit_qir, extract_circuit, find_quantum_kernels
 
 from conftest import qasm_program
@@ -199,3 +201,42 @@ def test_roundtrip_on_corpus_sample(corpus_programs):
             assert g.params == pytest.approx(inst.params, abs=1e-15)
         original = build_dag(prog)
         assert dag.successors == original.successors
+
+
+def allocating_kernel(count):
+    return f"""define void @k() #0 {{
+entry:
+  %0 = call %Array* @__quantum__rt__qubit_allocate_array(i64 {count})
+  %1 = call i8* @__quantum__rt__array_get_element_ptr(%Array* %0, i64 0)
+  %2 = bitcast i8* %1 to %Qubit*
+  call void @__quantum__qis__h(%Qubit* %2)
+  ret void
+}}
+"""
+
+
+def test_allocation_beyond_the_qubit_cap_is_rejected_fast():
+    start = time.perf_counter()
+    with pytest.raises(ExtractionError, match=f"^line 3: kernel allocates more than {MAX_PROGRAM_QUBITS} qubits$"):
+        extract_circuit(allocating_kernel(1_000_000_000))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_allocations_are_capped_in_total():
+    body = allocating_kernel(MAX_PROGRAM_QUBITS).replace(
+        "  ret void", "  %3 = call %Array* @__quantum__rt__qubit_allocate_array(i64 1)\n  ret void"
+    )
+    with pytest.raises(ExtractionError, match="^line 7: kernel allocates more than"):
+        extract_circuit(body)
+
+
+def test_allocation_at_the_qubit_cap_is_accepted():
+    gates, _ = extract_circuit(allocating_kernel(MAX_PROGRAM_QUBITS))
+    assert [(g.name, g.operands) for g in gates] == [("h", (0,))]
+
+
+@pytest.mark.parametrize("count, index", [("9" * 5000, "0"), ("2", "9" * 5000)])
+def test_overlong_integer_literal_is_rejected(count, index):
+    body = allocating_kernel(count).replace("(%Array* %0, i64 0)", f"(%Array* %0, i64 {index})")
+    with pytest.raises(ExtractionError, match="^line [34]: integer literal longer than 19 digits$"):
+        extract_circuit(body)

@@ -1,14 +1,19 @@
 """Euler decomposition, gate fusion, resynthesis, and the optimization pipeline."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from qcc import gates, optimizer
 from qcc.errors import NotUnitaryError, UnsupportedGateError
 from qcc.gates import rx, ry, rz, unitary
 from qcc.ir import Dealloc, FusedUnitary, Inst, Qalloc, QRegister, QuantumProgram, QubitRef
 from qcc.optimizer import (
+    ANGLE_EPS,
     NativeGateSet,
     decompose_unsupported,
     euler_decompose,
@@ -16,6 +21,7 @@ from qcc.optimizer import (
     optimize,
     select_decomposition,
 )
+from qcc.qir import emit_qir
 from qcc.simulator import equiv_up_to_global_phase, simulate
 
 from conftest import qasm_program
@@ -202,6 +208,104 @@ def test_select_respects_restricted_axes():
         seq = select_decomposition(m, native)
         assert all(name in ("rz", "ry") for name, _ in seq)
         assert equiv_m(sequence_matrix(seq), m)
+
+
+def test_select_rejects_non_unitary():
+    with pytest.raises(NotUnitaryError):
+        select_decomposition(np.array([[1, 1], [0, 1]], dtype=complex), NativeGateSet.default())
+    with pytest.raises(NotUnitaryError):
+        select_decomposition(np.eye(3, dtype=complex), NativeGateSet.default())
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_select_checks_unitarity_once(monkeypatch):
+    calls = counting(monkeypatch, gates, "is_unitary")
+    select_decomposition(random_unitaries(1, seed=9)[0], NativeGateSet.default())
+    assert len(calls) == 1
+
+
+def test_fixed_gates_are_resynthesized_once_per_native_set(monkeypatch):
+    prog = qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n' + "t q[0];\nt q[1];\n" * 20)
+    optimizer._fixed_gate_rotations.cache_clear()
+    calls = counting(monkeypatch, optimizer, "select_decomposition")
+    for names in (None, ["rz", "rx", "cx"], ["rx", "ry", "cx"]):
+        native = NativeGateSet.from_names(names) if names else NativeGateSet.default()
+        before = len(calls)
+        out = decompose_unsupported(prog, native)
+        assert len(calls) - before == 1
+        assert set(gate_names(out)) <= native.names
+        assert equiv_up_to_global_phase(simulate(prog), simulate(out))
+
+
+def _wrap_reference(angle):
+    wrapped = math.remainder(angle, 2 * math.pi)
+    return wrapped + 2 * math.pi if wrapped <= -math.pi else wrapped
+
+
+def _reference_selection(matrix, native):
+    """select_decomposition from the public euler_decompose, one call per basis."""
+    best = None
+    for basis in ("zyz", "zxz", "xyx"):
+        d = euler_decompose(matrix, basis)
+        outer, inner = f"r{basis[0]}", f"r{basis[1]}"
+        merged = []
+        for name, angle in ((outer, d.delta), (inner, d.gamma), (outer, d.beta)):
+            if abs(_wrap_reference(angle)) <= ANGLE_EPS:
+                continue
+            if merged and merged[-1][0] == name:
+                combined = _wrap_reference(merged.pop()[1] + angle)
+                if abs(_wrap_reference(combined)) > ANGLE_EPS:
+                    merged.append((name, combined))
+            else:
+                merged.append((name, angle))
+        if all(name in native for name, _ in merged) and (best is None or len(merged) < len(best)):
+            best = merged
+    return best
+
+
+_special_angles = st.sampled_from([0.0, -0.0, math.pi / 4, math.pi / 2, math.pi, -math.pi, 2 * math.pi])
+_angles = st.one_of(_special_angles, st.floats(-2 * math.pi, 2 * math.pi))
+
+
+@st.composite
+def unitaries_2x2(draw):
+    """Haar-ish QR unitaries, plus Euler products that hit the branch cuts."""
+    if draw(st.booleans()):
+        entries = draw(st.lists(st.floats(-1, 1), min_size=8, max_size=8))
+        m = np.array(entries[:4]).reshape(2, 2) + 1j * np.array(entries[4:]).reshape(2, 2)
+        assume(abs(np.linalg.det(m)) > 1e-3)
+        q, r = np.linalg.qr(m)
+        return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+    phase, beta, gamma, delta = (draw(_angles) for _ in range(4))
+    first, middle = draw(st.sampled_from([(rz, ry), (rz, rx), (rx, ry)]))
+    return np.exp(1j * phase) * first(beta) @ middle(gamma) @ first(delta)
+
+
+@st.composite
+def native_sets(draw):
+    axes = draw(st.lists(st.sampled_from(["rx", "ry", "rz"]), min_size=2, max_size=3, unique=True))
+    extra = draw(st.lists(st.sampled_from(["h", "s", "t", "x", "swap"]), unique=True))
+    return NativeGateSet.from_names(axes + extra + ["cx"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(unitaries_2x2(), native_sets())
+def test_select_matches_per_basis_reference(matrix, native):
+    seq = select_decomposition(matrix, native)
+    assert seq == _reference_selection(matrix, native)
+    assert equiv_m(sequence_matrix(seq), matrix)
 
 
 # ---------------------------------------------------------------- native set
@@ -461,3 +565,42 @@ def test_conditional_bodies_survive():
     assert len(regions) == 1
     # the h gates on either side of the conditional must not fuse together
     assert gate_names(out) == ["h", "h"]
+
+
+# ---------------------------------------------------------------- pinned output
+
+PINNED_NATIVE_SETS = {
+    "default": NativeGateSet.default(),
+    "rz,rx,cx": NativeGateSet.from_names(["rz", "rx", "cx"]),
+    "rx,ry,cx": NativeGateSet.from_names(["rx", "ry", "cx"]),
+}
+
+# (native set, level) -> sha256 of the emitted QIR of the first 50 corpus
+# circuits.  Recorded from the funnel that solved ZYZ once per basis and
+# resynthesized every fixed gate afresh; the shared solve and the fixed-gate
+# memo must not move a single bit.
+OPTIMIZER_GOLDEN = {
+    ("default", 0): "ba8ee9198b7cff620afa0fe42c7ea5dcfa3b1c47155099bd71b15e7ca25aefeb",
+    ("default", 1): "109856ca51f3606c06e6f223801a18413118bba99d3ee0f3bb171c2444e78772",
+    ("default", 2): "a7c38b8e196b54d64fb8cfe7c9023fae1a171644801dad5c85971fd4020391d4",
+    ("default", 3): "a7c38b8e196b54d64fb8cfe7c9023fae1a171644801dad5c85971fd4020391d4",
+    ("rz,rx,cx", 0): "950ced9ea986416b5e36aa88305f87ddd53cf6b3f75a0a0ded32097a29593158",
+    ("rz,rx,cx", 1): "1b7cf1efa6196c312f2c0ae88294241288bc21242a2c51500f95da2c649dc69e",
+    ("rz,rx,cx", 2): "0ba0c07a4f98b3d3479a356b15593b2a26d5c61ae940ded24b575a34d67c022b",
+    ("rz,rx,cx", 3): "0ba0c07a4f98b3d3479a356b15593b2a26d5c61ae940ded24b575a34d67c022b",
+    ("rx,ry,cx", 0): "3c0d59742f6eb8847a535c42f2a52521aa7baf7264baf1f51d6806bda109cddd",
+    ("rx,ry,cx", 1): "65d0f99588e093b01ed0112260ea1b37e7dc7def8cbd3b9c8bfefd9a5b7087a1",
+    ("rx,ry,cx", 2): "dfd19e7b6afbde3777eb9cb8e1b53682aac0ce87131efd3ff909edd27ff085be",
+    ("rx,ry,cx", 3): "dfd19e7b6afbde3777eb9cb8e1b53682aac0ce87131efd3ff909edd27ff085be",
+}
+
+
+def test_optimizer_output_is_pinned(corpus_programs):
+    digests = {}
+    for label, native in PINNED_NATIVE_SETS.items():
+        for level in range(4):
+            h = hashlib.sha256()
+            for prog, _ in corpus_programs[:50]:
+                h.update(emit_qir(optimize(prog, level, native)).text.encode())
+            digests[(label, level)] = h.hexdigest()
+    assert digests == OPTIMIZER_GOLDEN
