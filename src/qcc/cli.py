@@ -22,9 +22,9 @@ from .driver import (
     read_program,
 )
 from .errors import QccError, ToolFailure, in_file
-from .ir import gate_counts
+from .ir import Inst, gate_counts
 from .optimizer import NativeGateSet, optimize
-from .qir import extract_circuit, find_quantum_kernels
+from .qir import extract_program, find_quantum_kernels
 from .simulator import MAX_QUBITS, simulate
 
 
@@ -74,7 +74,7 @@ def cmd_extract(args) -> int:
     kernels = find_quantum_kernels(text)
     out = []
     for body in kernels:
-        gates, _ = extract_circuit(body)
+        gates, _ = extract_program(body)
         out.append(
             [
                 {
@@ -95,16 +95,15 @@ def cmd_extract(args) -> int:
 def cmd_simulate(args) -> int:
     if args.file.endswith(".qasm"):
         program = _load_program(args.file)
-        state = simulate(program, n_qubits=args.qubits)
     else:
         with open(args.file) as handle:
             text = handle.read()
         kernels = find_quantum_kernels(text)
         if len(kernels) != 1:
             raise QccError(f"{args.file}: expected exactly one quantum kernel, found {len(kernels)}")
-        gates, _ = extract_circuit(kernels[0])
-        gates = [g for g in gates if g.kind != "measure"]
-        state = simulate(gates, n_qubits=args.qubits)
+        _, program = extract_program(kernels[0])
+        program = program.with_ops([op for op in program.ops if not (isinstance(op, Inst) and op.result is not None)])
+    state = simulate(program, n_qubits=args.qubits)
     json.dump([[amp.real, amp.imag] for amp in state], sys.stdout)
     print()
     return 0

@@ -211,10 +211,6 @@ class GateDag:
             self.successors[src].append(dst)
             self.predecessors[dst].append(src)
 
-    def front_layer(self) -> list[int]:
-        """Node ids with no unexecuted predecessors, in node order."""
-        return [n.node_id for n in self.nodes if not self.predecessors[n.node_id]]
-
     def topological_order(self) -> list[int]:
         indeg = {n.node_id: len(self.predecessors[n.node_id]) for n in self.nodes}
         # Iterating while appending visits nodes in FIFO order, like a queue.

@@ -1,5 +1,6 @@
-from .codegen import QirModule, emit_qir, verify_qir_text
-from .extractor import ExtractedGate, extract_circuit, find_quantum_kernels
+from .codegen import QirModule, emit_qir
+from .extractor import ExtractedGate, extract_circuit, extract_program, find_quantum_kernels
+from .reader import verify_qir_text
 
 __all__ = [
     "QirModule",
@@ -7,5 +8,6 @@ __all__ = [
     "verify_qir_text",
     "ExtractedGate",
     "extract_circuit",
+    "extract_program",
     "find_quantum_kernels",
 ]

@@ -13,10 +13,12 @@ Conventions fixed here and relied on by the extractor:
   ``%Qubit*`` (the ``_1d`` spelling of the element accessor is not used);
 * measurement is ``%Result* @__quantum__qis__m(%Qubit*)`` and the mapping
   from result values to classical register bits is recorded positionally in
-  the module's comment header;
+  the module's comment header, which the extractor does not read;
 * ``if (creg == n)`` regions compare through an opaque runtime predicate
   ``i1 @__quantum__rt__creg_equal(i64, i64)`` and branch over the body.
   Branching kernels are deliberately outside what the extractor accepts.
+
+This module only writes QIR; ``reader.py`` reads and verifies it.
 """
 
 import re
@@ -219,76 +221,3 @@ def emit_qir(program: QuantumProgram, kernel_name: str = "main") -> QirModule:
         raise EmitError(f"invalid kernel name {kernel_name!r}")
     return _Emitter(program.finalized(), kernel_name).run()
 
-
-_DEF_RE = re.compile(r"^define\b.*@([\w.]+)\s*\(")
-_DECLARE_RE = re.compile(r"^declare\b.*@([\w.]+)\s*\(")
-_CALL_RE = re.compile(r"\bcall\b[^@]*@([\w.]+)\s*\(")
-_SSA_DEF_RE = re.compile(r"^\s*(%[\w.]+)\s*=")
-_SSA_USE_RE = re.compile(r"%[\w.]+")
-_TYPE_NAMES = {"%Array", "%Qubit", "%Result"}
-
-
-def verify_qir_text(module) -> list[str]:
-    """Structural linter for emitted (or hand-written) QIR text.
-
-    Returns a list of diagnostics; empty means the text is self-consistent.
-    This is not an LLVM verifier, it only checks the properties downstream
-    passes rely on: unique SSA definitions, no calls to undeclared symbols
-    and balanced brackets.
-    """
-    text = module.text if isinstance(module, QirModule) else module
-    diagnostics: list[str] = []
-    declared: set[str] = set()
-    defined: set[str] = set()
-    lines = text.splitlines()
-    for line in lines:
-        code = line.split(";", 1)[0]
-        m = _DECLARE_RE.match(code.strip())
-        if m:
-            declared.add(m.group(1))
-        m = _DEF_RE.match(code.strip())
-        if m:
-            defined.add(m.group(1))
-
-    depth = 0
-    ssa_defined: set[str] = set()
-    in_function = False
-    for number, line in enumerate(lines, 1):
-        code = line.split(";", 1)[0]
-        if "(" in code or ")" in code:
-            if code.count("(") != code.count(")"):
-                diagnostics.append(f"line {number}: unbalanced parentheses")
-        stripped = code.strip()
-        if stripped.startswith("define"):
-            in_function = True
-            ssa_defined = set()
-        m = _SSA_DEF_RE.match(code)
-        if m:
-            name = m.group(1)
-            if name in ssa_defined:
-                diagnostics.append(f"line {number}: duplicate SSA definition {name}")
-            for use in _SSA_USE_RE.findall(code.split("=", 1)[1]):
-                if use in _TYPE_NAMES or use.startswith(("%then", "%endif")):
-                    continue
-                if use not in ssa_defined:
-                    diagnostics.append(f"line {number}: use of undefined value {use}")
-            ssa_defined.add(name)
-        elif in_function and stripped and not stripped.startswith(("define", "}", "declare")):
-            if not stripped.endswith(":"):
-                for use in _SSA_USE_RE.findall(code):
-                    if use in _TYPE_NAMES or use.startswith(("%then", "%endif")):
-                        continue
-                    if use not in ssa_defined:
-                        diagnostics.append(f"line {number}: use of undefined value {use}")
-        m = _CALL_RE.search(code)
-        if m and m.group(1) not in declared and m.group(1) not in defined:
-            diagnostics.append(f"line {number}: call to undeclared symbol @{m.group(1)}")
-        depth += code.count("{") - code.count("}")
-        if depth == 0:
-            in_function = False
-        if depth < 0:
-            diagnostics.append(f"line {number}: unbalanced braces")
-            depth = 0
-    if depth != 0:
-        diagnostics.append("end of module: unbalanced braces")
-    return diagnostics

@@ -1,38 +1,26 @@
 """Circuit reconstruction from textual QIR.
 
-The extractor accepts the subset of LLVM IR text that the emitter produces
-(plus whitespace and comments), so hand-written kernels following the same
-allocation pattern work too.  Reconstruction runs in two stages: first a
-value map is built from ``qubit_allocate_array`` / ``array_get_element_ptr``
-/ ``bitcast`` chains, mapping SSA names to logical qubit indices assigned
-densely in allocation order; then the ``__quantum__qis__`` calls are walked
-in program order to produce the gate list and dependency DAG.
-
-Kernels containing branch instructions are rejected: mapping operates on
-straight-line code only, and partial extraction would silently drop gates.
+The extractor reads the records of ``reader.read_qir`` and accepts the
+straight-line subset that ``codegen.py`` emits (its docstring lists the
+conventions), so hand-written kernels following the same pattern work too.
+Qubits get logical indices densely in allocation order.  Any instruction
+outside the subset is an ExtractionError naming its line, since partial
+extraction would silently drop gates.
 """
 
-import re
-import struct
 from dataclasses import dataclass
 
 from ..errors import ExtractionError, QirParseError
 from ..ir import (
     Barrier, CRegister, GateDag, Inst, QRegister, QuantumProgram, QubitRef, ResultRef, build_dag, instruction_kind
 )
-from ..qasm.parser import MAX_INT_DIGITS, MAX_PROGRAM_QUBITS
+from ..qasm.parser import MAX_PROGRAM_QUBITS
+from .reader import double_value, int_value, read_qir
 
-_DEFINE_RE = re.compile(r"^define\b[^@]*@([\w.]+)\s*\([^)]*\)[^{]*\{")
-_ALLOC_RE = re.compile(
-    r"^(%[\w.]+)\s*=\s*call\s+%Array\*\s+@__quantum__rt__qubit_allocate_array\(i64\s+(\d+)\)$"
-)
-_GEP_RE = re.compile(
-    r"^(%[\w.]+)\s*=\s*call\s+i8\*\s+@__quantum__rt__array_get_element_ptr\(%Array\*\s+(%[\w.]+),\s*i64\s+(\d+)\)$"
-)
-_BITCAST_RE = re.compile(r"^(%[\w.]+)\s*=\s*bitcast\s+i8\*\s+(%[\w.]+)\s+to\s+%Qubit\*$")
-_CALL_RE = re.compile(r"^(?:(%[\w.]+)\s*=\s*)?call\s+[^@]*@([\w.]+)\s*\((.*)\)$")
-_BRANCH_RE = re.compile(r"^(br|switch|indirectbr)\b")
-_HEX_FLOAT_RE = re.compile(r"^0x[0-9A-Fa-f]{16}$")
+_QIS = "__quantum__qis__"
+_RT = "__quantum__rt__"
+_ALLOCATE = "__quantum__rt__qubit_allocate_array"
+_ELEMENT = "__quantum__rt__array_get_element_ptr"
 
 
 @dataclass(frozen=True)
@@ -45,174 +33,116 @@ class ExtractedGate:
 
 
 def find_quantum_kernels(module_text: str) -> list[str]:
-    """Return the body text of every function that calls a QIS intrinsic."""
-    kernels = []
+    """Return the body text of every function that calls the quantum runtime or a QIS intrinsic.
+
+    Each body keeps its place in the module: the lines before it are blank,
+    so the line numbers read from it are module lines.
+    """
     lines = module_text.splitlines()
-    i = 0
-    while i < len(lines):
-        stripped = lines[i].split(";", 1)[0].strip()
-        if stripped.startswith("define"):
-            if not _DEFINE_RE.match(stripped):
-                raise QirParseError(f"malformed function definition: {stripped!r}")
-            body = []
-            depth = stripped.count("{") - stripped.count("}")
-            i += 1
-            while i < len(lines):
-                code = lines[i].split(";", 1)[0]
-                depth += code.count("{") - code.count("}")
-                if depth <= 0:
-                    break
-                body.append(lines[i])
-                i += 1
-            else:
-                raise QirParseError("unterminated function body")
-            text = "\n".join(body)
-            if "__quantum__qis__" in text:
-                kernels.append(text)
-        i += 1
+    quantum = set()  # define lines of the functions seen to call into the quantum runtime
+    kernels = []
+    for record in read_qir(module_text):
+        if record.kind == "define" and record.problem is not None:
+            raise QirParseError(f"line {record.line}: {record.problem}")
+        if record.kind == "close" and record.function in quantum:
+            kernels.append("\n" * record.function + "\n".join(lines[record.function : record.line - 1]))
+        elif record.function and record.opcode == "call" and record.name.startswith((_QIS, _RT)):
+            quantum.add(record.function)
     return kernels
 
 
-def _parse_double(token: str, line_number: int) -> float:
-    if _HEX_FLOAT_RE.match(token):
-        return struct.unpack(">d", struct.pack(">Q", int(token, 16)))[0]
-    try:
-        return float(token)
-    except ValueError:
-        raise ExtractionError(f"line {line_number}: bad double literal {token!r}") from None
+def extract_program(text: str) -> tuple[list[ExtractedGate], QuantumProgram]:
+    """Gate records and the equivalent program of the QIR instructions in text.
 
+    Text may be a whole module or a body from ``find_quantum_kernels``; the
+    program's register holds every allocated qubit, and every measurement
+    writes the next bit of classical register 0.
+    """
+    qubit_of: dict[str, QubitRef] = {}  # %Qubit* SSA name -> its qubit
+    element_of: dict[str, int] = {}  # raw i8* element pointer -> logical index
+    arrays: dict[str, tuple[int, int]] = {}  # %Array* SSA name -> (first logical index, size)
+    n_logical = 0
+    n_measures = 0
+    gates: list[ExtractedGate] = []
+    ops: list = []
 
-def _parse_i64(digits: str, line_number: int) -> int:
-    if len(digits) > MAX_INT_DIGITS:
-        raise ExtractionError(f"line {line_number}: integer literal longer than {MAX_INT_DIGITS} digits")
-    return int(digits)
-
-
-def _split_args(arg_text: str) -> list[str]:
-    args = []
-    depth = 0
-    current = ""
-    for ch in arg_text:
-        if ch == "," and depth == 0:
-            args.append(current.strip())
-            current = ""
+    for r in read_qir(text):
+        line = r.line
+        if r.problem is not None:
+            raise ExtractionError(f"line {line}: {r.problem}")
+        if r.kind != "inst" or r.opcode == "ret":
             continue
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        current += ch
-    if current.strip():
-        args.append(current.strip())
-    return args
+        typed = r.operands()
+        types = tuple([type_ for type_, _ in typed])
+        values = [value for _, value in typed]
+        if None in values:
+            raise ExtractionError(f"line {line}: operand {types[values.index(None)]!r} has no value")
+        if r.opcode == "call" and r.name.startswith(_QIS):
+            name = r.name[len(_QIS):]
+            params: list[float] = []
+            qubits: list[QubitRef] = []
+            for type_, value in typed:
+                if type_ == "%Qubit*":
+                    if value not in qubit_of:
+                        raise ExtractionError(f"line {line}: qubit operand {value} was never extracted from an array")
+                    qubits.append(qubit_of[value])
+                elif type_ == "double":
+                    params.append(double_value(value, line))
+                else:
+                    raise ExtractionError(f"line {line}: unsupported operand '{type_} {value}'")
+            operands = tuple([q.logical_id for q in qubits])
+            if name == "barrier":
+                ops.append(Barrier(qubits=tuple(qubits)))
+                continue
+            if r.result is not None or name == "m":
+                if len(operands) != 1:
+                    raise ExtractionError(f"line {line}: measure takes one qubit operand")
+                kind = "measure"
+                ops.append(Inst("measure", (), tuple(qubits), ResultRef(0, n_measures)))
+                n_measures += 1
+            else:
+                if not 1 <= len(operands) <= 3:
+                    raise ExtractionError(f"line {line}: gate {name} has {len(operands)} qubit operands")
+                if len(set(operands)) != len(operands):
+                    raise ExtractionError(f"line {line}: gate {name} repeats a qubit operand")
+                kind = instruction_kind(name, len(operands))
+                ops.append(Inst(name, tuple(params), tuple(qubits)))
+            gates.append(ExtractedGate(kind, name, tuple(params), operands, line))
+        elif r.opcode == "call" and r.name == _ALLOCATE and r.result is not None and types == ("i64",):
+            size = int_value(values[0], line)
+            if r.result in arrays:
+                raise ExtractionError(f"line {line}: SSA value {r.result} bound twice")
+            if n_logical + size > MAX_PROGRAM_QUBITS:
+                raise ExtractionError(f"line {line}: kernel allocates more than {MAX_PROGRAM_QUBITS} qubits")
+            arrays[r.result] = (n_logical, size)
+            n_logical += size
+        elif r.opcode == "call" and r.name == _ELEMENT and r.result is not None and types == ("%Array*", "i64"):
+            array, index = values[0], int_value(values[1], line)
+            if array not in arrays:
+                raise ExtractionError(f"line {line}: element pointer from unknown array {array}")
+            if index >= arrays[array][1]:
+                raise ExtractionError(f"line {line}: index {index} out of range for {array}")
+            element_of[r.result] = arrays[array][0] + index
+        elif r.opcode == "bitcast" and r.result is not None and types == ("i8*",) and r.type == "%Qubit*":
+            if values[0] not in element_of:
+                raise ExtractionError(f"line {line}: bitcast of untracked value {values[0]}")
+            if r.result in qubit_of:
+                raise ExtractionError(f"line {line}: SSA value {r.result} bound twice")
+            logical = element_of[values[0]]
+            qubit_of[r.result] = QubitRef(register_id=0, index=logical, logical_id=logical)
+        elif not (r.opcode == "call" and r.name.startswith(_RT) and r.name not in (_ALLOCATE, _ELEMENT)):
+            what = f"call to @{r.name}" if r.opcode == "call" else f"{r.opcode} instruction"
+            raise ExtractionError(f"line {line}: {what} is outside the extractable subset of straight-line kernels")
+
+    program = QuantumProgram(
+        registers=[QRegister(name="q", size=n_logical, register_id=0)],
+        cregs=[CRegister(name="c", size=n_measures, creg_id=0)],
+        ops=ops,
+    )
+    return gates, program
 
 
 def extract_circuit(kernel_body: str) -> tuple[list[ExtractedGate], GateDag]:
-    qubit_of: dict[str, int] = {}  # %Qubit* SSA name -> logical index
-    element_of: dict[str, int] = {}  # raw i8* element pointer -> logical index
-    array_base: dict[str, int] = {}  # %Array* SSA name -> first logical index
-    array_size: dict[str, int] = {}
-    n_logical = 0
-    gates: list[ExtractedGate] = []
-    ops: list = []
-    measure_count = 0
-
-    for number, raw_line in enumerate(kernel_body.splitlines(), 1):
-        line = raw_line.split(";", 1)[0].strip()
-        if not line or line.endswith(":"):
-            continue
-        if _BRANCH_RE.match(line):
-            raise ExtractionError(
-                f"line {number}: control flow ({line.split()[0]}) is not extractable; "
-                "mapping requires straight-line kernels"
-            )
-        m = _ALLOC_RE.match(line)
-        if m:
-            name, size = m.group(1), _parse_i64(m.group(2), number)
-            if name in array_base:
-                raise ExtractionError(f"line {number}: SSA value {name} bound twice")
-            if n_logical + size > MAX_PROGRAM_QUBITS:
-                raise ExtractionError(f"line {number}: kernel allocates more than {MAX_PROGRAM_QUBITS} qubits")
-            array_base[name] = n_logical
-            array_size[name] = size
-            n_logical += size
-            continue
-        m = _GEP_RE.match(line)
-        if m:
-            name, array, index = m.group(1), m.group(2), _parse_i64(m.group(3), number)
-            if array not in array_base:
-                raise ExtractionError(f"line {number}: element pointer from unknown array {array}")
-            if index >= array_size[array]:
-                raise ExtractionError(f"line {number}: index {index} out of range for {array}")
-            element_of[name] = array_base[array] + index
-            continue
-        m = _BITCAST_RE.match(line)
-        if m:
-            name, source = m.group(1), m.group(2)
-            if source not in element_of:
-                raise ExtractionError(f"line {number}: bitcast of untracked value {source}")
-            if name in qubit_of:
-                raise ExtractionError(f"line {number}: SSA value {name} bound twice")
-            qubit_of[name] = element_of[source]
-            continue
-        m = _CALL_RE.match(line)
-        if m:
-            result, callee, arg_text = m.groups()
-            if not callee.startswith("__quantum__qis__"):
-                continue  # runtime bookkeeping: init/finalize/release
-            name = callee[len("__quantum__qis__"):]
-            params: list[float] = []
-            operands: list[int] = []
-            for arg in _split_args(arg_text):
-                if arg == "...":
-                    continue
-                parts = arg.split()
-                if len(parts) < 2:
-                    raise ExtractionError(f"line {number}: operand {arg!r} has no value")
-                if parts[0] == "double":
-                    params.append(_parse_double(parts[1], number))
-                elif parts[0] == "%Qubit*":
-                    value = parts[1]
-                    if value not in qubit_of:
-                        raise ExtractionError(
-                            f"line {number}: qubit operand {value} was never extracted from an array"
-                        )
-                    operands.append(qubit_of[value])
-                else:
-                    raise ExtractionError(f"line {number}: unsupported operand {arg!r}")
-            if name == "barrier":
-                ops.append((number, "barrier", (), tuple(operands), None))
-                continue
-            if result is not None or name == "m":
-                if len(operands) != 1:
-                    raise ExtractionError(f"line {number}: measure takes one qubit operand")
-                kind = "measure"
-                record = ResultRef(creg_id=0, index=measure_count)
-                measure_count += 1
-            else:
-                if not 1 <= len(operands) <= 3:
-                    raise ExtractionError(f"line {number}: gate {name} has {len(operands)} qubit operands")
-                kind = instruction_kind(name, len(operands))
-                if len(set(operands)) != len(operands):
-                    raise ExtractionError(f"line {number}: gate {name} repeats a qubit operand")
-                record = None
-            gates.append(ExtractedGate(kind, name, tuple(params), tuple(operands), number))
-            ops.append((number, name, tuple(params), tuple(operands), record))
-
-    register = QRegister(name="q", size=max(n_logical, 1), register_id=0)
-    creg = CRegister(name="c", size=max(measure_count, 1), creg_id=0)
-    refs = {i: QubitRef(register_id=0, index=i, logical_id=i) for i in range(n_logical)}
-    program_ops = []
-    for number, name, params, operands, record in ops:
-        try:
-            qubits = tuple(refs[i] for i in operands)
-        except KeyError:
-            raise ExtractionError(f"line {number}: qubit index out of allocated range") from None
-        if name == "barrier":
-            program_ops.append(Barrier(qubits=qubits))
-        elif record is not None:
-            program_ops.append(Inst(name="measure", params=(), qubits=qubits, result=record))
-        else:
-            program_ops.append(Inst(name=name, params=params, qubits=qubits))
-    program = QuantumProgram(registers=[register], cregs=[creg], ops=program_ops)
+    """Gate records and the dependency DAG of the QIR instructions in text."""
+    gates, program = extract_program(kernel_body)
     return gates, build_dag(program)

@@ -139,9 +139,6 @@ class Layout:
     def n_physical(self) -> int:
         return len(self.phys_to_log)
 
-    def phys(self, logical: int) -> int:
-        return self.log_to_phys[logical]
-
     def copy(self) -> "Layout":
         return Layout(self.log_to_phys, self.n_physical)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gates
 from .errors import DimensionMismatchError, InvalidPermutationError, OracleError
-from .ir import Barrier, ConditionalRegion, Dealloc, FusedUnitary, Inst, Qalloc, QRTFinalize, QRTInit, QuantumProgram, QubitRef
+from .ir import Barrier, ConditionalRegion, Dealloc, FusedUnitary, Inst, Qalloc, QRTFinalize, QRTInit, QuantumProgram
 
 MAX_QUBITS = 20
 
@@ -36,67 +36,37 @@ def apply_gate(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n
     return out.reshape(-1)
 
 
-def _gate_stream(obj) -> tuple[int, list[tuple[str, tuple[float, ...], tuple[int, ...], object]]]:
-    """Normalize a QuantumProgram or gate record list to (n_qubits, gate tuples)."""
-    if isinstance(obj, QuantumProgram):
-        stream = []
-        for op in obj.ops:
-            if isinstance(op, (Qalloc, Dealloc, QRTInit, QRTFinalize, Barrier)):
-                continue
-            if isinstance(op, ConditionalRegion):
-                raise OracleError("conditional regions are not simulable in unitary mode")
-            if isinstance(op, FusedUnitary):
-                stream.append(("fused", (), (op.qubit.logical_id,), op.matrix))
-                continue
-            if isinstance(op, Inst):
-                if op.result is not None or op.name in ("measure", "reset"):
-                    raise OracleError(f"'{op.name}' is not simulable in unitary mode")
-                qubits = tuple(q.logical_id for q in op.qubits)
-                stream.append((op.name, op.params, qubits, None))
-                continue
-            raise OracleError(f"cannot simulate op {op!r}")
-        return obj.n_qubits, stream
+def simulate(program: QuantumProgram, n_qubits: int | None = None) -> np.ndarray:
+    """Statevector of a program applied to |0...0>.
 
-    stream = []
-    highest = -1
-    for g in obj:
-        qubits = getattr(g, "operands", None)
-        if qubits is None:
-            qubits = getattr(g, "qubits", None)
-        if qubits is None:
-            raise OracleError(f"cannot interpret gate record {g!r}")
-        qubits = tuple(q.logical_id if isinstance(q, QubitRef) else int(q) for q in qubits)
-        name = g.name
-        if name in ("measure", "reset") or getattr(g, "result", None) is not None:
-            raise OracleError(f"'{name}' is not simulable in unitary mode")
-        if getattr(g, "condition", None) is not None:
-            raise OracleError("conditional gates are not simulable in unitary mode")
-        params = tuple(getattr(g, "params", ()) or ())
-        stream.append((name, params, qubits, getattr(g, "matrix", None)))
-        highest = max(highest, max(qubits))
-    return highest + 1, stream
-
-
-def simulate(program, n_qubits: int | None = None) -> np.ndarray:
-    """Statevector of a program or gate list applied to |0...0>.
-
-    n_qubits may widen the register beyond what the gates touch (extra qubits
-    stay |0>); it may not shrink it.
+    n_qubits may widen the register beyond the program's qubits (extra
+    qubits stay |0>); it may not shrink it.
     """
-    needed, stream = _gate_stream(program)
+    needed = program.n_qubits
     n = needed if n_qubits is None else n_qubits
     if n < needed:
         raise OracleError(f"program touches {needed} qubits, got n_qubits={n}")
     if n > MAX_QUBITS:
         raise OracleError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit simulation cap")
-    if n == 0:
-        return np.ones(1, dtype=complex)
 
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
-    for name, params, qubits, matrix in stream:
-        if matrix is None:
-            matrix = gates.unitary(name, params)
+    for op in program.ops:
+        if isinstance(op, (Qalloc, Dealloc, QRTInit, QRTFinalize, Barrier)):
+            continue
+        if isinstance(op, ConditionalRegion):
+            raise OracleError("conditional regions are not simulable in unitary mode")
+        if isinstance(op, FusedUnitary):
+            name, matrix, qubits = "fused", op.matrix, (op.qubit.logical_id,)
+        elif isinstance(op, Inst):
+            if op.result is not None or op.name in ("measure", "reset"):
+                raise OracleError(f"'{op.name}' is not simulable in unitary mode")
+            name, matrix, qubits = op.name, gates.unitary(op.name, op.params), tuple(q.logical_id for q in op.qubits)
+        else:
+            raise OracleError(f"cannot simulate op {op!r}")
+        if len(matrix) != 2 ** len(qubits):
+            width = len(matrix).bit_length() - 1
+            raise OracleError(f"gate '{name}' acts on {width} qubit(s) but is given {len(qubits)}")
         state = apply_gate(state, matrix, qubits, n)
     return state
 

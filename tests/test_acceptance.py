@@ -90,7 +90,7 @@ def test_routing_validity(corpus_programs, topologies, verdict):
                 if isinstance(op, Inst) and len(op.qubits) == 2:
                     if not graph.adjacent(op.qubits[0].logical_id, op.qubits[1].logical_id):
                         off_edge += 1
-            perm = [result.final_layout.phys(l) for l in range(len(result.final_layout.log_to_phys))]
+            perm = list(result.final_layout.log_to_phys)
             perm += sorted(set(range(5)) - set(perm))
             if not equiv_up_to_global_phase(permute_qubits(reference, perm), simulate(routed)):
                 mismatched += 1

@@ -224,3 +224,28 @@ def test_verifier_flags_unbalanced_parens():
         "call void @__quantum__qis__h(%Qubit* %2",
     )
     assert verify_qir_text(broken) != []
+
+
+def test_verifier_accepts_parameters_as_defined():
+    text = "define i32 @add(i32 %a, i32 %b) {\nentry:\n  %0 = add i32 %a, %b\n  ret i32 %0\n}\n"
+    assert verify_qir_text(text) == []
+
+
+def test_verifier_accepts_labels_as_defined():
+    text = "define void @f() {\nentry:\n  br label %next\nnext:\n  ret void\n}\n"
+    assert verify_qir_text(text) == []
+
+
+def test_verifier_flags_unknown_instruction():
+    broken = GHZ_QIR.replace(
+        "  call void @__quantum__qis__h(%Qubit* %2)\n",
+        "  cal void @__quantum__qis__h(%Qubit* %2)\n",
+    )
+    line = broken.splitlines().index("  cal void @__quantum__qis__h(%Qubit* %2)") + 1
+    assert verify_qir_text(broken) == [f"line {line}: unknown instruction 'cal'"]
+
+
+def test_verifier_flags_unterminated_body():
+    text = GHZ_QIR.replace("\n}\n", "\n")
+    define = text.splitlines().index("define void @main() #0 {") + 1
+    assert verify_qir_text(text) == [f"line {define}: unterminated function body"]

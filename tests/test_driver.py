@@ -2,7 +2,6 @@
 
 import json
 import os
-import re
 import shlex
 import shutil
 import stat
@@ -546,6 +545,12 @@ def test_cli_extract(tmp_path, capsys):
     assert len(payload) == 1  # one kernel
     assert [g["name"] for g in payload[0]] == ["h", "cx"]
     assert payload[0][1]["operands"] == [0, 1]
+    # each gate names the line of its own call in the file
+    lines = (tmp_path / "circ.qir.ll").read_text().splitlines()
+    assert [lines[g["line"] - 1].split("@")[1].split("(")[0] for g in payload[0]] == [
+        "__quantum__qis__h",
+        "__quantum__qis__cx",
+    ]
 
 
 @pytest.mark.parametrize("subcommand", ["extract", "simulate"])
@@ -562,23 +567,51 @@ def test_cli_operand_without_value_is_a_diagnostic(tmp_path, capsys, subcommand,
     text = qir.read_text()
     assert operand in text
     qir.write_text(text.replace(operand, bare, 1))
+    line = text[: text.index(operand)].count("\n") + 1
     assert main([subcommand, str(qir)]) == 1
-    assert re.fullmatch(r"error: line \d+: operand '\S+' has no value", capsys.readouterr().err.strip())
+    assert capsys.readouterr().err.strip() == f"error: line {line}: operand {bare[:-1]!r} has no value"
 
 
-def test_cli_simulate_qasm_and_qir_agree(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ("call void @__quantum__qis__cx(%Qubit* %2)", "gate 'cx' acts on 2 qubit(s) but is given 1"),
+        ("call void @__quantum__qis__h(double 0x7FF8000000000000, %Qubit* %2)", "non-finite double"),
+        ("cal void @__quantum__qis__h(%Qubit* %2)", "unknown instruction 'cal'"),
+    ],
+)
+def test_cli_simulate_of_hostile_qir_is_a_diagnostic(tmp_path, capsys, call, message):
     circ = tmp_path / "circ.qasm"
     circ.write_text(GHZ2)
     assert main(["build", str(circ), "--build-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert main(["simulate", str(circ)]) == 0
-    from_qasm = json.loads(capsys.readouterr().out)
-    assert main(["simulate", str(tmp_path / "circ.qir.ll")]) == 0
-    from_qir = json.loads(capsys.readouterr().out)
-    # amplitudes come out as [re, im] pairs
-    assert len(from_qasm) == len(from_qir) == 4
-    for a, b in zip(from_qasm, from_qir):
-        assert a == pytest.approx(b, abs=1e-12)
+    qir = tmp_path / "circ.qir.ll"
+    qir.write_text(qir.read_text().replace("call void @__quantum__qis__h(%Qubit* %2)", call, 1))
+    assert main(["simulate", str(qir)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_cli_simulate_qasm_and_qir_agree(tmp_path, capsys):
+    cases = [
+        (GHZ2, 4),
+        # an unused qubit still widens the state: the QIR allocates all three
+        ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\nh q[0];\ncx q[0],q[1];\n', 8),
+        ("OPENQASM 2.0;\n", 1),
+    ]
+    for source, amplitudes in cases:
+        circ = tmp_path / "circ.qasm"
+        circ.write_text(source)
+        assert main(["build", str(circ), "--build-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", str(circ)]) == 0
+        from_qasm = json.loads(capsys.readouterr().out)
+        assert main(["simulate", str(tmp_path / "circ.qir.ll")]) == 0
+        from_qir = json.loads(capsys.readouterr().out)
+        # amplitudes come out as [re, im] pairs
+        assert len(from_qasm) == len(from_qir) == amplitudes
+        for a, b in zip(from_qasm, from_qir):
+            assert a == pytest.approx(b, abs=1e-12)
+    assert from_qasm == from_qir == [[1.0, 0.0]]
 
 
 def test_cli_metrics(tmp_path, capsys):

@@ -35,7 +35,7 @@ def test_ghz_roundtrip_gates():
         ("measure", "m", (1,)),
         ("measure", "m", (2,)),
     ]
-    assert dag.front_layer() == [0]
+    assert [n.node_id for n in dag.nodes if not dag.predecessors[n.node_id]] == [0]
 
 
 def test_roundtrip_dag_is_isomorphic_to_source():
@@ -239,4 +239,35 @@ def test_allocation_at_the_qubit_cap_is_accepted():
 def test_overlong_integer_literal_is_rejected(count, index):
     body = allocating_kernel(count).replace("(%Array* %0, i64 0)", f"(%Array* %0, i64 {index})")
     with pytest.raises(ExtractionError, match="^line [34]: integer literal longer than 19 digits$"):
+        extract_circuit(body)
+
+
+def test_tail_call_marker_is_read():
+    text = emit_qir(qasm_program(GHZ)).text
+    marked = text.replace("  call void @__quantum__qis__", "  tail call void @__quantum__qis__")
+    assert marked != text
+    assert extract_circuit(marked)[0] == extract_circuit(text)[0]
+
+
+def test_unknown_instruction_names_its_module_line():
+    text = emit_qir(qasm_program(GHZ)).text
+    broken = text.replace("call void @__quantum__qis__cx", "cal void @__quantum__qis__cx", 1)
+    line = broken.splitlines().index("  cal void @__quantum__qis__cx(%Qubit* %2, %Qubit* %4)") + 1
+    (kernel,) = find_quantum_kernels(broken)
+    with pytest.raises(ExtractionError, match=f"^line {line}: unknown instruction 'cal'$"):
+        extract_circuit(kernel)
+
+
+def test_instruction_outside_the_subset_is_rejected():
+    body = allocating_kernel(1).replace("  ret void", "  %9 = add i64 1, 2\n  ret void")
+    with pytest.raises(ExtractionError, match="^line 7: add instruction is outside the extractable subset"):
+        extract_circuit(body)
+
+
+@pytest.mark.parametrize("literal", ["nan", "1e999", "-inf", "0x7FF0000000000000", "0x7FF8000000000000"])
+def test_non_finite_double_is_rejected(literal):
+    body = allocating_kernel(1).replace(
+        "call void @__quantum__qis__h(%Qubit* %2)", f"call void @__quantum__qis__rz(double {literal}, %Qubit* %2)"
+    )
+    with pytest.raises(ExtractionError, match=f"^line 6: non-finite double '{literal}'$"):
         extract_circuit(body)

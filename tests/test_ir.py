@@ -26,7 +26,7 @@ def test_ghz_dag_structure():
         (5, "measure", (2,)),
     ]
     assert dag.successors == {0: [1], 1: [2, 3], 2: [4, 5], 3: [], 4: [], 5: []}
-    assert dag.front_layer() == [0]
+    assert [n.node_id for n in dag.nodes if not dag.predecessors[n.node_id]] == [0]
     assert circuit_depth(dag) == 4
 
 
@@ -59,7 +59,7 @@ def test_parallel_gates_have_depth_one():
     prog = qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\nh q[1];\n')
     dag = build_dag(prog)
     assert circuit_depth(dag) == 1
-    assert dag.front_layer() == [0, 1]
+    assert dag.predecessors == {0: [], 1: []}
     assert dag.successors == {0: [], 1: []}
 
 

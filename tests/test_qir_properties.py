@@ -1,0 +1,135 @@
+"""Property tests: random programs and hostile QIR text through the QIR reader.
+
+The first property compiles random programs to QIR, which must verify clean
+and extract back to a program with the same statevector up to global phase.
+The second mutates the lines of emitted QIR (deletes, duplicates and swaps
+lines, adds a ``tail`` marker, changes an opcode, writes a non-finite double
+or a wrong qubit count) and feeds the file to ``qcc extract`` and
+``qcc simulate``: each must print a result or a diagnostic, with exit code 0
+or 1, and never raise.  The searches are derandomized and bounded so the
+suite stays deterministic and fast.
+"""
+
+import contextlib
+import io
+import math
+import re
+import time
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qcc.cli import main
+from qcc.optimizer import optimize
+from qcc.qir import emit_qir, extract_program, find_quantum_kernels, verify_qir_text
+from qcc.simulator import equiv_up_to_global_phase, simulate
+
+from conftest import QELIB1_POOL, qasm_program
+
+BOUNDED = settings(
+    max_examples=150,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+ANGLE = st.one_of(
+    st.sampled_from([0.0, math.pi / 2, -math.pi, 0.5]),
+    st.floats(-math.pi, math.pi, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def programs(draw):
+    n_qubits = draw(st.integers(1, 4))
+    pool = [entry for entry in QELIB1_POOL if entry[1] <= n_qubits]
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n_qubits}];"]
+    for name, arity, n_params in draw(st.lists(st.sampled_from(pool), max_size=12)):
+        qubits = draw(st.permutations(range(n_qubits)))[:arity]
+        params = [repr(draw(ANGLE)) for _ in range(n_params)]
+        call = f"{name}({','.join(params)})" if params else name
+        lines.append(f"{call} {', '.join(f'q[{q}]' for q in qubits)};")
+    return "\n".join(lines) + "\n"
+
+
+@BOUNDED
+@given(programs(), st.integers(0, 3))
+def test_emitted_programs_verify_extract_and_simulate_like_the_source(source, level):
+    program = qasm_program(source)
+    if level:
+        program = optimize(program, level=level)
+    text = emit_qir(program).text
+    assert verify_qir_text(text) == []
+    (kernel,) = find_quantum_kernels(text)
+    _, extracted = extract_program(kernel)
+    assert extracted.n_qubits == program.n_qubits
+    assert equiv_up_to_global_phase(simulate(qasm_program(source)), simulate(extracted))
+
+
+BASE = emit_qir(
+    qasm_program(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[2];\n'
+        "h q[0];\nrz(0.5) q[1];\ncx q[0],q[1];\nbarrier q;\nu3(0.1,-0.2,0.3) q[2];\n"
+        "ccx q[0],q[1],q[2];\nmeasure q[0] -> c[0];\n"
+    )
+).text.splitlines()
+
+WORDS = ["cal", "call", "tail", "add", "br", "ret", "bitcast", "store", "%9 =", "define", "}", "declare"]
+DOUBLES = ["nan", "-inf", "1e999", "0x7FF0000000000000", "0x7FF8000000000000", "0x3FF", "1_0", "."]
+
+
+def _mutate(lines, mutation):
+    op, i, j, word = mutation
+    i %= len(lines)
+    j %= len(lines)
+    line = lines[i]
+    if op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, line)
+    elif op == "swap":
+        lines[i], lines[j] = lines[j], line
+    elif op == "tail":
+        lines[i] = line.replace("call ", "tail call ", 1)
+    elif op == "opcode":
+        head, sep, rest = line.partition("= ")
+        body = rest if sep else line
+        lines[i] = (head + sep if sep else "  ") + word + " " + body.strip().partition(" ")[2]
+    elif op == "double":
+        doubles = [k for k, text in enumerate(lines) if "double " in text and "declare" not in text]
+        k = doubles[i % len(doubles)]
+        lines[k] = re.sub(r"double [^,)]+", f"double {DOUBLES[j % len(DOUBLES)]}", lines[k], count=1)
+    elif op == "arity":
+        calls = [k for k, text in enumerate(lines) if "%Qubit* %" in text and "declare" not in text]
+        k = calls[i % len(calls)]
+        text = lines[k]
+        if j % 2:
+            cut = text.rindex("%Qubit* %")
+            lines[k] = text[:cut].rstrip(", ") + ")"
+        else:
+            lines[k] = text[:-1] + ", %Qubit* %2)"
+
+
+MUTATION = st.tuples(
+    st.sampled_from(["delete", "duplicate", "swap", "tail", "opcode", "double", "arity"]),
+    st.integers(0, 200),
+    st.integers(0, 200),
+    st.sampled_from(WORDS),
+)
+
+
+@BOUNDED
+@given(st.lists(MUTATION, min_size=1, max_size=3))
+def test_mutated_qir_gives_a_result_or_a_diagnostic(tmp_path_factory, mutations):
+    lines = list(BASE)
+    for mutation in mutations:
+        _mutate(lines, mutation)
+    path = tmp_path_factory.getbasetemp() / "mutant.qir.ll"
+    path.write_text("\n".join(lines) + "\n")
+    for command in ("extract", "simulate"):
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, str(path)])
+        assert code in (0, 1)
+        assert time.perf_counter() - start < 10

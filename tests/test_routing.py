@@ -111,7 +111,7 @@ def test_identity_layout():
     lay = Layout.identity(2, 4)
     assert lay.log_to_phys == [0, 1]
     assert lay.phys_to_log == [0, 1, None, None]
-    assert lay.phys(1) == 1
+    assert lay.log_to_phys[1] == 1
 
 
 def test_layout_rejects_duplicates():
@@ -339,7 +339,7 @@ def test_routing_output_is_pinned(seed):
 
 def routing_permutation(result, n_physical):
     """Logical-to-physical assignment extended with spare slots, ascending."""
-    perm = [result.final_layout.phys(l) for l in range(len(result.final_layout.log_to_phys))]
+    perm = list(result.final_layout.log_to_phys)
     free = sorted(set(range(n_physical)) - set(perm))
     return perm + free
 

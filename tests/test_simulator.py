@@ -7,7 +7,7 @@ import pytest
 
 from qcc.errors import DimensionMismatchError, InvalidPermutationError, OracleError
 from qcc.gates import unitary
-from qcc.ir import Inst
+from qcc.ir import Inst, QRegister, QuantumProgram, QubitRef
 from qcc.simulator import apply_gate, equiv_up_to_global_phase, permute_qubits, simulate
 
 from conftest import qasm_program
@@ -71,6 +71,14 @@ def test_conditional_rejected():
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\ncreg c[1];\nif(c==0) x q[0];\n'
     )
     with pytest.raises(OracleError, match="conditional"):
+        simulate(prog)
+
+
+@pytest.mark.parametrize("name, operands", [("cx", 1), ("h", 2), ("ccx", 2)])
+def test_gate_arity_must_match_its_matrix(name, operands):
+    qubits = tuple(QubitRef(0, i, i) for i in range(operands))
+    prog = QuantumProgram([QRegister(0, 2)], [], [Inst(name, (), qubits)])
+    with pytest.raises(OracleError, match=f"gate '{name}' acts on"):
         simulate(prog)
 
 
