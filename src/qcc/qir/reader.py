@@ -67,11 +67,16 @@ def read_qir(text: str) -> list[Record]:
     """Read module text into records, one per line of code, in line order."""
     records: list[Record] = []
     function = 0  # line of the define whose body is open
+    seen: dict[str, Record] = {}  # a body repeats most of its lines: read each text once
     for number, raw in enumerate(text.splitlines(), 1):
         code = raw.split(";", 1)[0].strip() if ";" in raw else raw.strip()
         if not code:
             continue
-        record = _read_line(number, code, function)
+        record = seen.get(code)
+        if record is not None and record.function == function:
+            record = Record(number, *record[1:])
+        else:
+            record = seen[code] = _read_line(number, code, function)
         if record.kind == "define":
             function = number
         elif record.kind == "close":
@@ -92,8 +97,8 @@ def _read_line(line: int, code: str, function: int) -> Record:
     if code.startswith(("define ", "define\t")):
         m = _DEFINE_RE.fullmatch(code)
         if m is None:
-            return Record(line, "define", line, problem="malformed function definition")
-        return Record(line, "define", line, name=m[1], args=m[2])
+            return Record(line, "define", function, problem="malformed function definition")
+        return Record(line, "define", function, name=m[1], args=m[2])
     if code.count("(") != code.count(")"):
         return Record(line, "inst", function, problem="unbalanced parentheses")
     if code.count("{") != code.count("}"):
