@@ -28,7 +28,7 @@ from .ir import QuantumProgram, gate_counts
 from .optimizer import NativeGateSet, optimize
 from .qasm import lower_ast_to_ir, parse_qasm
 from .qir import emit_qir, verify_qir_text
-from .routing import SABRE_ITERATIONS, SABRE_SEED, Layout, load_coupling_graph, route_program
+from .routing import MAX_SABRE_ITERATIONS, SABRE_ITERATIONS, SABRE_SEED, Layout, load_coupling_graph, route_program
 
 _EXTENSION_KINDS = {".c": "cxx", ".cc": "cxx", ".cpp": "cxx", ".cu": "cuda", ".qasm": "qasm"}
 
@@ -180,6 +180,8 @@ class QuantumOptions:
         # numpy's permutation generator rejects a negative seed with a bare ValueError.
         if self.seed < 0:
             raise QccError(f"seed must be a non-negative integer, not {self.seed}")
+        if self.sabre_iterations > MAX_SABRE_ITERATIONS:
+            raise QccError(f"sabre iterations must be at most {MAX_SABRE_ITERATIONS}, not {self.sabre_iterations}")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ so node counts and depth reflect actual gates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,8 +175,7 @@ def instruction_kind(name: str, n_qubits: int) -> str:
 # --- gate dependency DAG ----------------------------------------------------
 
 
-@dataclass
-class DagNode:
+class DagNode(NamedTuple):
     node_id: int
     name: str
     params: tuple[float, ...]
@@ -200,11 +200,10 @@ class GateDag:
         self.successors: dict[int, list[int]] = {}
         self.predecessors: dict[int, list[int]] = {}
 
-    def add_node(self, node: DagNode) -> int:
+    def add_node(self, node: DagNode) -> None:
         self.nodes.append(node)
         self.successors[node.node_id] = []
         self.predecessors[node.node_id] = []
-        return node.node_id
 
     def add_edge(self, src: int, dst: int) -> None:
         if dst not in self.successors[src]:
@@ -228,12 +227,15 @@ class GateDag:
         Node ids are preserved; only edge directions flip and the node list
         order is reversed so iteration follows the reversed program.
         """
+        position = {node.node_id: i for i, node in enumerate(self.nodes)}
         rev = GateDag()
-        for node in reversed(self.nodes):
-            rev.add_node(node)
-        for src, dsts in self.successors.items():
-            for dst in dsts:
-                rev.add_edge(dst, src)
+        rev.nodes = self.nodes[::-1]
+        # The lists add_edge(dst, src) over the forward edges, sources in node
+        # order, would build: forward predecessors by node position, successors as is.
+        for node in rev.nodes:
+            nid = node.node_id
+            rev.successors[nid] = sorted(self.predecessors[nid], key=position.__getitem__)
+            rev.predecessors[nid] = list(self.successors[nid])
         return rev
 
 
@@ -264,20 +266,12 @@ def build_dag(program: QuantumProgram) -> GateDag:
             last[q] = node_id
 
     def add_inst(inst: Inst, origin: int, condition: tuple[int, int] | None = None) -> int:
-        qubits = tuple(q.logical_id for q in inst.qubits)
-        node = DagNode(
-            node_id=len(dag.nodes),
-            name=inst.name,
-            params=inst.params,
-            qubits=qubits,
-            kind=instruction_kind(inst.name, len(qubits)),
-            origin=origin,
-            result=inst.result,
-            condition=condition,
-        )
-        dag.add_node(node)
-        link(node.node_id, qubits)
-        return node.node_id
+        qubits = tuple([q.logical_id for q in inst.qubits])
+        node_id = len(dag.nodes)
+        kind = instruction_kind(inst.name, len(qubits))
+        dag.add_node(DagNode(node_id, inst.name, inst.params, qubits, kind, origin, inst.result, condition))
+        link(node_id, qubits)
+        return node_id
 
     for index, op in enumerate(program.ops):
         if isinstance(op, Inst):

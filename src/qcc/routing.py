@@ -12,8 +12,8 @@ the swap a full re-sum of every distance would pick.
 Initial placement runs the same router forward and backward over the circuit
 a few times (SABRE) and keeps the layout whose forward pass needed the
 fewest swaps.  With ``iterations`` rounds that is at most
-``2 * iterations - 1`` router passes (the last round has no backward pass),
-and ``route_program`` adds one more for the final routing.
+``2 * iterations - 1`` router passes (the last round has no backward pass);
+``route_program`` routes with the best forward pass, adding none.
 
 Conventions: inserted swaps are tagged, barriers order the DAG but do not
 appear in routed output, and conditional regions are only routable when
@@ -47,6 +47,8 @@ EXTENDED_SET_WEIGHT = 0.5
 DECAY_FACTOR = 1.001
 DECAY_RESET_INTERVAL = 5
 SABRE_ITERATIONS = 3
+# Each round is up to two router passes over the whole circuit.
+MAX_SABRE_ITERATIONS = 100
 SABRE_SEED = 0
 
 
@@ -225,7 +227,7 @@ def sabre_swap(
     layout = initial.copy()
     log_to_phys = layout.log_to_phys
     n_physical = graph.n_physical
-    dist, edges = graph.distance, graph.edges
+    dist, adjacency = graph.distance, graph.adjacency
     routed: list[RoutedGate] = []
     swap_count = 0
     decay = [1.0] * n_physical
@@ -245,19 +247,16 @@ def sabre_swap(
             sweep, pending = sorted(pending), []
             for node_id in sweep:
                 qubits = qubits_of[node_id]
-                if two_qubit[node_id] and dist[log_to_phys[qubits[0]]][log_to_phys[qubits[1]]] != 1:
-                    blocked.append(node_id)
-                    continue
+                if two_qubit[node_id]:
+                    pa, pb = log_to_phys[qubits[0]], log_to_phys[qubits[1]]
+                    if dist[pa][pb] != 1:
+                        blocked.append(node_id)
+                        continue
+                    phys = (pa, pb)
+                else:
+                    phys = tuple([log_to_phys[q] for q in qubits])
                 node = nodes[node_id]
-                routed.append(
-                    RoutedGate(
-                        name=node.name,
-                        params=node.params,
-                        qubits=tuple(log_to_phys[q] for q in qubits),
-                        result=node.result,
-                        condition=node.condition,
-                    )
-                )
+                routed.append(RoutedGate(node.name, node.params, phys, node.result, node.condition))
                 for succ in successors[node_id]:
                     indegree[succ] -= 1
                     if indegree[succ] == 0:
@@ -269,11 +268,13 @@ def sabre_swap(
         # positions of its extended-gate partners.
         blocked.sort()
         front_other: list[int | None] = [None] * n_physical
+        front_qubits: list[int] = []
         front_sum = 0
         for node_id in blocked:
             a, b = qubits_of[node_id]
             pa, pb = log_to_phys[a], log_to_phys[b]
             front_other[pa], front_other[pb] = pb, pa
+            front_qubits += (pa, pb)
             front_sum += dist[pa][pb]
         if blocked != extended_of:
             # A swap that executed nothing leaves the front, and so the
@@ -290,37 +291,41 @@ def sabre_swap(
             ext_sum += dist[pa][pb]
         n_front, n_ext = len(blocked), len(extended)
 
+        # Score each edge touching a front qubit once; keys are distinct, so order is moot.
         best = None
-        for u, v in edges:
-            fu, fv = front_other[u], front_other[v]
-            if fu is None and fv is None:
-                continue
-            # The swap moves the qubit on u to v and the one on v to u.  Only
-            # gates on u or v change distance, and a gate joining them does not.
-            du, dv = dist[u], dist[v]
-            front_delta = ext_delta = 0
-            if fu is not None and fu != v:
-                front_delta += dv[fu] - du[fu]
-            if fv is not None and fv != u:
-                front_delta += du[fv] - dv[fv]
-            for w in ext_others[u]:
-                if w != v:
-                    ext_delta += dv[w] - du[w]
-            for w in ext_others[v]:
-                if w != u:
-                    ext_delta += du[w] - dv[w]
-            cost = (front_sum + front_delta) / n_front
-            if extended:
-                cost += EXTENDED_SET_WEIGHT * (ext_sum + ext_delta) / n_ext
-            cost *= max(decay[u], decay[v])
-            key = (cost, u, v)
-            if best is None or key < best:
-                best = key
+        for p in front_qubits:
+            for q in adjacency[p]:
+                if q < p and front_other[q] is not None:
+                    continue  # scored from q
+                u, v = (p, q) if p < q else (q, p)
+                # The swap moves the qubit on u to v and the one on v to u.  Only
+                # gates on u or v change distance, and a gate joining them does not.
+                fu, fv = front_other[u], front_other[v]
+                du, dv = dist[u], dist[v]
+                front_delta = ext_delta = 0
+                if fu is not None and fu != v:
+                    front_delta += dv[fu] - du[fu]
+                if fv is not None and fv != u:
+                    front_delta += du[fv] - dv[fv]
+                for w in ext_others[u]:
+                    if w != v:
+                        ext_delta += dv[w] - du[w]
+                for w in ext_others[v]:
+                    if w != u:
+                        ext_delta += du[w] - dv[w]
+                cost = (front_sum + front_delta) / n_front
+                if extended:
+                    cost += EXTENDED_SET_WEIGHT * (ext_sum + ext_delta) / n_ext
+                decay_u, decay_v = decay[u], decay[v]
+                cost *= decay_u if decay_u >= decay_v else decay_v
+                # The least (cost, u, v), compared without building the tuple.
+                if best is None or cost < best_cost or (cost == best_cost and (u, v) < best):
+                    best_cost, best = cost, (u, v)
         if best is None:
             raise RoutingError("no candidate swaps touch the blocked front layer")
-        _, u, v = best
+        u, v = best
         layout.swap_physical(u, v)
-        routed.append(RoutedGate(name="swap", params=(), qubits=(u, v), inserted=True))
+        routed.append(RoutedGate("swap", (), (u, v), None, None, True))
         swap_count += 1
         if swap_count > swap_budget:
             raise RoutingError(f"routing exceeded the safety bound of {swap_budget} swaps")
@@ -337,9 +342,8 @@ def _extended_set(successors, two_qubit, front) -> list[int]:
     """Up to EXTENDED_SET_SIZE two-qubit node ids reachable from the front layer."""
     out = []
     seen = set(front)
-    queue = deque(front)
-    while queue and len(out) < EXTENDED_SET_SIZE:
-        node_id = queue.popleft()
+    queue = list(front)  # breadth-first: the loop below also visits what it appends
+    for node_id in queue:
         for succ in successors[node_id]:
             if succ in seen:
                 continue
@@ -347,7 +351,7 @@ def _extended_set(successors, two_qubit, front) -> list[int]:
             if two_qubit[succ]:
                 out.append(succ)
                 if len(out) >= EXTENDED_SET_SIZE:
-                    break
+                    return out
             queue.append(succ)
     return out
 
@@ -367,8 +371,13 @@ def sabre_layout(
     whose forward pass inserted the fewest swaps, stopping early on a
     zero-swap pass.  The last round skips its backward pass, so this makes
     at most ``2 * iterations - 1`` ``sabre_swap`` calls (``iterations``
-    below 1 count as 1).
+    below 1 count as 1).  ``route_program`` reuses the best forward pass.
     """
+    return _best_forward_pass(dag, graph, iterations, seed, n_logical).initial_layout
+
+
+def _best_forward_pass(dag, graph, iterations, seed, n_logical) -> RoutingResult:
+    """The search behind ``sabre_layout``: its best forward routing."""
     if n_logical is None:
         n_logical = max((q + 1 for n in dag.nodes for q in n.qubits), default=0)
     if n_logical > graph.n_physical:
@@ -377,22 +386,20 @@ def sabre_layout(
     perm = [int(p) for p in rng.permutation(graph.n_physical)[:n_logical]]
     current = Layout(perm, graph.n_physical)
     if not dag.nodes:
-        return current
+        return RoutingResult([], current, current.copy(), 0)
 
     reversed_dag = dag.reversed()
     rounds = max(iterations, 1)
-    best_layout = current.copy()
-    best_swaps = None
+    best = None
     for round_index in range(rounds):
         forward = sabre_swap(dag, current, graph)
-        if best_swaps is None or forward.swap_count < best_swaps:
-            best_swaps = forward.swap_count
-            best_layout = current.copy()
+        if best is None or forward.swap_count < best.swap_count:
+            best = forward
         # The last round's backward pass would only seed a round that never runs.
         if forward.swap_count == 0 or round_index == rounds - 1:
             break
         current = sabre_swap(reversed_dag, forward.final_layout, graph).final_layout
-    return best_layout
+    return best
 
 
 def route_program(
@@ -418,10 +425,11 @@ def route_program(
         )
     dag = build_dag(program)
     if layout is None:
-        layout = sabre_layout(dag, graph, iterations=sabre_iterations, seed=seed, n_logical=n_logical)
+        result = _best_forward_pass(dag, graph, sabre_iterations, seed, n_logical)
     elif len(layout.log_to_phys) < n_logical or layout.n_physical != graph.n_physical:
         raise RoutingError("layout does not cover the program and device")
-    result = sabre_swap(dag, layout, graph)
+    else:
+        result = sabre_swap(dag, layout, graph)
 
     decompose_swaps = native is not None and "swap" not in native
     device = QRegister(register_id=0, size=graph.n_physical, name="device")

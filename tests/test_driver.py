@@ -6,6 +6,7 @@ import shlex
 import shutil
 import stat
 import subprocess
+import time
 
 import pytest
 
@@ -26,6 +27,7 @@ from qcc.errors import (
     ToolFailure,
     UnknownFileTypeError,
 )
+from qcc.routing import MAX_SABRE_ITERATIONS
 
 GHZ2 = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
 
@@ -512,6 +514,24 @@ def test_cli_negative_seed_is_a_diagnostic(tmp_path, capsys):
     assert not (tmp_path / "circ.qir.ll").exists()
 
 
+def test_cli_huge_sabre_iterations_is_a_diagnostic(tmp_path, capsys):
+    # All-pairs cx on a 5-qubit line needs swaps from every start, so no round stops early.
+    pairs = "".join(f"cx q[{a}],q[{b}];\n" for a in range(5) for b in range(a + 1, 5))
+    circ = tmp_path / "allpairs.qasm"
+    circ.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[5];\n' + pairs)
+    device = tmp_path / "line5.json"
+    device.write_text(json.dumps({"n_qubits": 5, "edges": [[i, i + 1] for i in range(4)]}))
+    argv = ["build", str(circ), "--build-dir", str(tmp_path), "--coupling", str(device)]
+    start = time.perf_counter()
+    assert main(argv + ["--sabre-iterations", "1000000000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.strip() == (
+        f"error: sabre iterations must be at most {MAX_SABRE_ITERATIONS}, not 1000000000"
+    )
+    assert not (tmp_path / "allpairs.qir.ll").exists()
+    assert main(argv + ["--sabre-iterations", str(MAX_SABRE_ITERATIONS)]) == 0
+
+
 @pytest.mark.parametrize("subcommand", ["metrics", "build"])
 def test_cli_native_set_without_cx_is_a_diagnostic(tmp_path, capsys, subcommand):
     circ = tmp_path / "circ.qasm"
@@ -612,6 +632,36 @@ def test_cli_simulate_qasm_and_qir_agree(tmp_path, capsys):
         for a, b in zip(from_qasm, from_qir):
             assert a == pytest.approx(b, abs=1e-12)
     assert from_qasm == from_qir == [[1.0, 0.0]]
+
+
+def test_cli_simulate_drops_trailing_measurements_of_qir(tmp_path, capsys):
+    circ = tmp_path / "circ.qasm"
+    circ.write_text(GHZ2)
+    assert main(["simulate", str(circ)]) == 0
+    unmeasured = json.loads(capsys.readouterr().out)
+    circ.write_text(GHZ2 + "creg c[2];\nmeasure q -> c;\n")
+    assert main(["build", str(circ), "--build-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", str(tmp_path / "circ.qir.ll")]) == 0
+    measured = json.loads(capsys.readouterr().out)
+    assert len(measured) == len(unmeasured) == 4
+    for a, b in zip(measured, unmeasured):
+        assert a == pytest.approx(b, abs=1e-12)
+
+
+def test_cli_simulate_of_qir_rejects_a_measurement_before_a_gate(tmp_path, capsys):
+    circ = tmp_path / "mid.qasm"
+    # the later gate is on another qubit than the one measured
+    circ.write_text(GHZ2 + "creg c[2];\nmeasure q[0] -> c[0];\nh q[1];\nmeasure q[1] -> c[1];\n")
+    assert main(["build", str(circ), "--build-dir", str(tmp_path), "--opt-level", "0"]) == 0
+    capsys.readouterr()
+    assert main(["simulate", str(tmp_path / "mid.qir.ll")]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: {tmp_path / 'mid.qir.ll'}: the measurement of qubit 0 is followed by a gate;"
+        " only measurements after the last gate can be dropped for simulation"
+    )
+    assert main(["simulate", str(circ)]) == 1
+    assert "not simulable" in capsys.readouterr().err
 
 
 def test_cli_metrics(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Gate DAG construction and circuit metrics."""
 
-from qcc.ir import build_dag, circuit_depth, gate_counts, instruction_kind, Inst
+import pytest
+
+from qcc.ir import GateDag, build_dag, circuit_depth, gate_counts, instruction_kind, Inst
 
 from conftest import qasm_program
 
@@ -131,6 +133,38 @@ def test_reversed_dag_flips_edges():
     for src, dsts in dag.successors.items():
         for dst in dsts:
             assert src in rev.successors[dst]
+
+
+def _reversed_edge_by_edge(dag) -> GateDag:
+    """The reversed DAG built one add_node and one add_edge at a time."""
+    rev = GateDag()
+    for node in reversed(dag.nodes):
+        rev.add_node(node)
+    for src, dsts in dag.successors.items():
+        for dst in dsts:
+            rev.add_edge(dst, src)
+    return rev
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        GHZ.split("creg c[3];\n")[1],
+        # a barrier fences gates whose ids do not follow one another
+        "h q[2];\ncx q[0],q[1];\nbarrier q;\nx q[1];\ncx q[2],q[0];\nbarrier q[0],q[2];\nh q[0];\n",
+        # measurements into one creg, a conditional reading it, a later measurement
+        "h q[0];\nmeasure q[1] -> c[1];\nmeasure q[0] -> c[0];\nif (c == 1) x q[2];\n"
+        "barrier q[1],q[2];\nmeasure q[2] -> c[2];\ncx q[1],q[0];\nif (c == 3) h q[1];\n",
+    ],
+    ids=["ghz", "barriers", "measurements-and-conditionals"],
+)
+def test_reversed_matches_an_edge_by_edge_build(body):
+    dag = build_dag(qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\n' + body))
+    for forward in (dag, dag.reversed()):
+        rev, reference = forward.reversed(), _reversed_edge_by_edge(forward)
+        assert rev.nodes == reference.nodes
+        assert list(rev.successors.items()) == list(reference.successors.items())
+        assert list(rev.predecessors.items()) == list(reference.predecessors.items())
 
 
 def _brute_force_depth(dag) -> int:

@@ -255,6 +255,14 @@ def test_layout_skips_the_last_backward_pass(monkeypatch, iterations):
     assert calls.count(True) == iterations  # one forward pass per round
 
 
+def test_layout_of_an_empty_dag_routes_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(routing, "sabre_swap", lambda *args: calls.append(args))
+    dag = build_dag(qasm_program('OPENQASM 2.0;\nqreg q[2];\n'))
+    assert len(sabre_layout(dag, linear(3), n_logical=2).log_to_phys) == 2
+    assert calls == []
+
+
 def test_layout_capacity_error():
     dag = build_dag(qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\nh q[0];\n'))
     with pytest.raises(CapacityError):
@@ -432,3 +440,46 @@ def test_route_program_output_register_is_device_sized(topologies):
     assert routed.registers[0].size == 5
     counts = gate_counts(routed)
     assert counts["total_gates"] >= 3
+
+
+def all_pairs_program(n):
+    """A cx between every pair of n qubits: a line needs swaps from any start."""
+    pairs = "".join(f"cx q[{a}],q[{b}];\n" for a in range(n) for b in range(a + 1, n))
+    return qasm_program(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{n}];\n' + pairs)
+
+
+def assert_routes_like_its_layout(program, graph, seed, iterations=3):
+    """route_program routes exactly as a final pass from sabre_layout's layout would."""
+    layout = sabre_layout(build_dag(program), graph, iterations=iterations, seed=seed, n_logical=program.n_qubits)
+    routed, result = route_program(program, graph, seed=seed, sabre_iterations=iterations)
+    again, reference = route_program(program, graph, layout=layout)
+    assert routed.ops == again.ops
+    assert result.routed_gates == reference.routed_gates
+    assert result.swap_count == reference.swap_count
+    assert result.initial_layout == reference.initial_layout == layout
+    assert result.final_layout == reference.final_layout
+
+
+def test_route_program_reuses_the_best_layout_pass(corpus_programs, topologies):
+    for index, (prog, _) in enumerate(corpus_programs[:60]):
+        assert_routes_like_its_layout(optimize(prog, 1), topologies["ring5"], seed=index)
+    for seed in (11, 12, 13):
+        assert_routes_like_its_layout(qasm_program(golden_source(seed)), grid(4, 4), seed=seed)
+    assert_routes_like_its_layout(all_pairs_program(5), linear(5), seed=0, iterations=4)
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3, 4])
+def test_route_program_makes_no_pass_beyond_the_layout_search(monkeypatch, iterations):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sabre_swap(*args)
+
+    monkeypatch.setattr(routing, "sabre_swap", counting)
+    program = all_pairs_program(5)
+    route_program(program, linear(5), sabre_iterations=iterations)
+    assert len(calls) == 2 * iterations - 1
+    calls.clear()
+    route_program(program, linear(5), layout=Layout.identity(5, 5))
+    assert len(calls) == 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qcc.ir import Inst, build_dag
 from qcc.optimizer import NativeGateSet
-from qcc.routing import CouplingGraph, route_program
+from qcc.routing import CouplingGraph, route_program, sabre_layout
 
 from conftest import qasm_program
 
@@ -108,3 +108,21 @@ def test_routing_respects_edges_layouts_and_dependencies(data):
     phys_to_log, gates = replay(result)
     assert {l: p for p, l in phys_to_log.items()} == dict(enumerate(result.final_layout.log_to_phys))
     assert executes_dag(program, gates)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_route_program_routes_from_its_layout_search(data):
+    """Without a layout, the routing is the one a final pass from sabre_layout's
+    layout would give."""
+    graph = data.draw(connected_graphs())
+    program = data.draw(circuits(graph.n_physical))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    iterations = data.draw(st.integers(1, 3))
+    layout = sabre_layout(build_dag(program), graph, iterations=iterations, seed=seed, n_logical=program.n_qubits)
+    routed, result = route_program(program, graph, seed=seed, sabre_iterations=iterations)
+    again, reference = route_program(program, graph, layout=layout)
+    assert routed.ops == again.ops
+    assert result.routed_gates == reference.routed_gates
+    assert result.swap_count == reference.swap_count
+    assert (result.initial_layout, result.final_layout) == (layout, reference.final_layout)
