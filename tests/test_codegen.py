@@ -1,15 +1,19 @@
 """Textual QIR emission: golden module, formatting rules, verifier."""
 
+import hashlib
 import math
 import struct
 
 import numpy as np
 import pytest
 
-from qcc.errors import EmitError
+from qcc.benchmarks import benchmark_source, list_benchmarks
+from qcc.errors import CapacityError, EmitError
 from qcc.ir import Dealloc, FusedUnitary, Qalloc, QRegister, QuantumProgram, QubitRef
+from qcc.optimizer import optimize
 from qcc.qir import emit_qir, verify_qir_text
 from qcc.qir.codegen import format_double
+from qcc.routing import CouplingGraph, route_program
 
 from conftest import qasm_program
 
@@ -249,3 +253,102 @@ def test_verifier_flags_unterminated_body():
     text = GHZ_QIR.replace("\n}\n", "\n")
     define = text.splitlines().index("define void @main() #0 {") + 1
     assert verify_qir_text(text) == [f"line {define}: unterminated function body"]
+
+
+# ------------------------------------------------------------ pinned emission
+
+# sha256 of the emitted QIR of each bundled benchmark per optimization level,
+# unrouted (False) and routed on a 10-qubit line with seed 0 (True).  adder4
+# declares four qregs, so its modules pin the allocation order of several
+# registers and the reversed order of their releases.  A CapacityError is a
+# pinned outcome too.
+EMITTED_QIR_GOLDEN = {
+    ("adder4", 0, False): "9e732eea9c724e60428a3c7e4dada6abb014452de78d3b407af74c90dde8b7cb",
+    ("adder4", 0, True): "acef29607255c58789ba2d4160137d7f104e409bca2f748515fd0328f3160eb7",
+    ("adder4", 1, False): "9e732eea9c724e60428a3c7e4dada6abb014452de78d3b407af74c90dde8b7cb",
+    ("adder4", 1, True): "acef29607255c58789ba2d4160137d7f104e409bca2f748515fd0328f3160eb7",
+    ("adder4", 2, False): "9e732eea9c724e60428a3c7e4dada6abb014452de78d3b407af74c90dde8b7cb",
+    ("adder4", 2, True): "acef29607255c58789ba2d4160137d7f104e409bca2f748515fd0328f3160eb7",
+    ("adder4", 3, False): "9e732eea9c724e60428a3c7e4dada6abb014452de78d3b407af74c90dde8b7cb",
+    ("adder4", 3, True): "acef29607255c58789ba2d4160137d7f104e409bca2f748515fd0328f3160eb7",
+    ("bv5", 0, False): "d7ebe7079e6da80ee9ee40fc5dcd81d5d9c351dd8b5d135bb415ba8014c0f94b",
+    ("bv5", 0, True): "5197b7ffa467a3af9746ed0f879e8622fed15bee657dac662da2b3e98dc1ad5d",
+    ("bv5", 1, False): "2c3032607b5e989eb59a7fd6c6f15675c493b5a432a43ff24eadddf6ac42eb6c",
+    ("bv5", 1, True): "7f27fc4e3fc38399b27326bed39cfc0b058b909d5ec6ba307e9f43d13b2584a8",
+    ("bv5", 2, False): "2c3032607b5e989eb59a7fd6c6f15675c493b5a432a43ff24eadddf6ac42eb6c",
+    ("bv5", 2, True): "7f27fc4e3fc38399b27326bed39cfc0b058b909d5ec6ba307e9f43d13b2584a8",
+    ("bv5", 3, False): "2c3032607b5e989eb59a7fd6c6f15675c493b5a432a43ff24eadddf6ac42eb6c",
+    ("bv5", 3, True): "7f27fc4e3fc38399b27326bed39cfc0b058b909d5ec6ba307e9f43d13b2584a8",
+    ("ghz3", 0, False): "472a000e5b42513e216b3bb463a05c1ac4c5103bed7061021c4d1dad9d362e8e",
+    ("ghz3", 0, True): "b4cb428c69750bed4a72f1cde58b51c204be3aff80884d74e85da1f44f20294d",
+    ("ghz3", 1, False): "472a000e5b42513e216b3bb463a05c1ac4c5103bed7061021c4d1dad9d362e8e",
+    ("ghz3", 1, True): "b4cb428c69750bed4a72f1cde58b51c204be3aff80884d74e85da1f44f20294d",
+    ("ghz3", 2, False): "472a000e5b42513e216b3bb463a05c1ac4c5103bed7061021c4d1dad9d362e8e",
+    ("ghz3", 2, True): "b4cb428c69750bed4a72f1cde58b51c204be3aff80884d74e85da1f44f20294d",
+    ("ghz3", 3, False): "472a000e5b42513e216b3bb463a05c1ac4c5103bed7061021c4d1dad9d362e8e",
+    ("ghz3", 3, True): "b4cb428c69750bed4a72f1cde58b51c204be3aff80884d74e85da1f44f20294d",
+    ("ghz5", 0, False): "51a404fb38299a5c568b76e31adae483186ca7e08a575ef0e4869206e267a22d",
+    ("ghz5", 0, True): "51bc45a756b64c3b1a1b95ee57425b3ab3298788640e27aaed695a048ee0364d",
+    ("ghz5", 1, False): "51a404fb38299a5c568b76e31adae483186ca7e08a575ef0e4869206e267a22d",
+    ("ghz5", 1, True): "51bc45a756b64c3b1a1b95ee57425b3ab3298788640e27aaed695a048ee0364d",
+    ("ghz5", 2, False): "51a404fb38299a5c568b76e31adae483186ca7e08a575ef0e4869206e267a22d",
+    ("ghz5", 2, True): "51bc45a756b64c3b1a1b95ee57425b3ab3298788640e27aaed695a048ee0364d",
+    ("ghz5", 3, False): "51a404fb38299a5c568b76e31adae483186ca7e08a575ef0e4869206e267a22d",
+    ("ghz5", 3, True): "51bc45a756b64c3b1a1b95ee57425b3ab3298788640e27aaed695a048ee0364d",
+    ("hs_chain", 0, False): "4dc181ec30256dad1a48767887302d67af4671500c05a6c13a126adbcfd47751",
+    ("hs_chain", 0, True): "8e308da7d19920a2c7ad809d119e1939af802edf463cb4465e0f62da5c765604",
+    ("hs_chain", 1, False): "6e2e22b815e74b328071b35696bc823c248ef022311566e399249cd4bfd613bb",
+    ("hs_chain", 1, True): "ac720932f707c097b1bc481bc97a012b12909720157ff21a18184e0669fbac81",
+    ("hs_chain", 2, False): "6e2e22b815e74b328071b35696bc823c248ef022311566e399249cd4bfd613bb",
+    ("hs_chain", 2, True): "ac720932f707c097b1bc481bc97a012b12909720157ff21a18184e0669fbac81",
+    ("hs_chain", 3, False): "6e2e22b815e74b328071b35696bc823c248ef022311566e399249cd4bfd613bb",
+    ("hs_chain", 3, True): "ac720932f707c097b1bc481bc97a012b12909720157ff21a18184e0669fbac81",
+    ("qft4", 0, False): "b53a6d8703017e6f1916486db09ec6ae26f4a5dd97c6f7877de8dd20d4826cbf",
+    ("qft4", 0, True): "206daae7dd88612540167d607713c0d43c2482bd48e25356e8a7034dd5f14426",
+    ("qft4", 1, False): "b53a6d8703017e6f1916486db09ec6ae26f4a5dd97c6f7877de8dd20d4826cbf",
+    ("qft4", 1, True): "206daae7dd88612540167d607713c0d43c2482bd48e25356e8a7034dd5f14426",
+    ("qft4", 2, False): "b53a6d8703017e6f1916486db09ec6ae26f4a5dd97c6f7877de8dd20d4826cbf",
+    ("qft4", 2, True): "206daae7dd88612540167d607713c0d43c2482bd48e25356e8a7034dd5f14426",
+    ("qft4", 3, False): "b53a6d8703017e6f1916486db09ec6ae26f4a5dd97c6f7877de8dd20d4826cbf",
+    ("qft4", 3, True): "206daae7dd88612540167d607713c0d43c2482bd48e25356e8a7034dd5f14426",
+    ("random_a", 0, False): "f9a7c900a1fc9feefdc375a1e5308113eb6bb939988c244575f7930073e84fc6",
+    ("random_a", 0, True): "c3773af73afe3c29a20e298e74334d7eaf8a215cc16de55877c2669853b6767b",
+    ("random_a", 1, False): "6d4b11731cc70424b601ee88438793c521bf29b60dff08dfd540a909ab0d9729",
+    ("random_a", 1, True): "48c5d343ee8d061b411432cd3556ab081b23013ef56bc878e9dc5ce3a388f9c2",
+    ("random_a", 2, False): "6d4b11731cc70424b601ee88438793c521bf29b60dff08dfd540a909ab0d9729",
+    ("random_a", 2, True): "48c5d343ee8d061b411432cd3556ab081b23013ef56bc878e9dc5ce3a388f9c2",
+    ("random_a", 3, False): "6d4b11731cc70424b601ee88438793c521bf29b60dff08dfd540a909ab0d9729",
+    ("random_a", 3, True): "48c5d343ee8d061b411432cd3556ab081b23013ef56bc878e9dc5ce3a388f9c2",
+    ("random_b", 0, False): "0e558b37301b98645626db6fb02d8327ae59e15994a257939177c179f2827538",
+    ("random_b", 0, True): "1201ae77e26d145706dc49d70563e969fdb88ee869234d6fbfbbd732a9fe7a15",
+    ("random_b", 1, False): "59a4576152ce5fef1b463e678788c3f9c79967c7597f7c6d92246c73805b93dc",
+    ("random_b", 1, True): "21975849228473cc12928798c7f8735c2f52605d8dae8a5157fcfc64b8ea8c8b",
+    ("random_b", 2, False): "59a4576152ce5fef1b463e678788c3f9c79967c7597f7c6d92246c73805b93dc",
+    ("random_b", 2, True): "21975849228473cc12928798c7f8735c2f52605d8dae8a5157fcfc64b8ea8c8b",
+    ("random_b", 3, False): "59a4576152ce5fef1b463e678788c3f9c79967c7597f7c6d92246c73805b93dc",
+    ("random_b", 3, True): "21975849228473cc12928798c7f8735c2f52605d8dae8a5157fcfc64b8ea8c8b",
+    ("toffoli_pair", 0, False): "ac5befaf81114b51e814b9bb7d832bec2d676c14047965a17d31beb29200f9ce",
+    ("toffoli_pair", 0, True): "4488f2db8d3b95f5bca902e3dee9719f1e7cead9dbd5602a0d2b9a0a3b5838b9",
+    ("toffoli_pair", 1, False): "fc9d4283dc27404c414398739ed99f4166b57675288f06f7ed97c0653d6159ce",
+    ("toffoli_pair", 1, True): "5ab7bf069427981f4e9c8ca02a6139177f07a60128b5a84321a21dc487de6394",
+    ("toffoli_pair", 2, False): "fc9d4283dc27404c414398739ed99f4166b57675288f06f7ed97c0653d6159ce",
+    ("toffoli_pair", 2, True): "5ab7bf069427981f4e9c8ca02a6139177f07a60128b5a84321a21dc487de6394",
+    ("toffoli_pair", 3, False): "fc9d4283dc27404c414398739ed99f4166b57675288f06f7ed97c0653d6159ce",
+    ("toffoli_pair", 3, True): "5ab7bf069427981f4e9c8ca02a6139177f07a60128b5a84321a21dc487de6394",
+}
+
+
+def test_emitted_qir_is_pinned():
+    line10 = CouplingGraph.from_edges(10, [[i, i + 1] for i in range(9)])
+    digests = {}
+    for name in list_benchmarks():
+        for level in range(4):
+            for routed in (False, True):
+                prog = optimize(qasm_program(benchmark_source(name)), level)
+                try:
+                    if routed:
+                        prog, _ = route_program(prog, line10, seed=0)
+                    digests[(name, level, routed)] = hashlib.sha256(emit_qir(prog).text.encode()).hexdigest()
+                except CapacityError:
+                    digests[(name, level, routed)] = "CapacityError"
+    assert digests == EMITTED_QIR_GOLDEN
