@@ -1,9 +1,10 @@
 """Quantum intermediate representation.
 
-A QuantumProgram is a flat list of runtime and gate operations over logical
-qubits.  Logical qubit ids are contiguous across all quantum registers in
-declaration order, so a program with qreg a[2]; qreg b[3]; numbers its qubits
-a[0]=0, a[1]=1, b[0]=2, b[1]=3, b[2]=4.
+A QuantumProgram is a flat list of gate operations over logical qubits; its
+register list alone says which registers exist.  Logical qubit ids are
+contiguous across all quantum registers in declaration order, so a program
+with qreg a[2]; qreg b[3]; numbers its qubits a[0]=0, a[1]=1, b[0]=2, b[1]=3,
+b[2]=4.
 
 The module also builds the gate dependency DAG used by scheduling, routing
 and metrics.  Barriers are not DAG nodes: they contribute ordering edges only,
@@ -53,26 +54,6 @@ class ResultRef:
 
 
 @dataclass(frozen=True)
-class QRTInit:
-    pass
-
-
-@dataclass(frozen=True)
-class QRTFinalize:
-    pass
-
-
-@dataclass(frozen=True)
-class Qalloc:
-    register: QRegister
-
-
-@dataclass(frozen=True)
-class Dealloc:
-    register: QRegister
-
-
-@dataclass(frozen=True)
 class Inst:
     """A gate application, measurement (result set) or reset."""
 
@@ -110,28 +91,17 @@ class ConditionalRegion:
     body: Inst
 
 
-IrOp = (
-    QRTInit
-    | QRTFinalize
-    | Qalloc
-    | Dealloc
-    | Inst
-    | FusedUnitary
-    | Barrier
-    | ConditionalRegion
-)
+IrOp = Inst | FusedUnitary | Barrier | ConditionalRegion
 
 
 def op_qubits(op: IrOp) -> tuple[int, ...]:
-    """Logical ids of the qubits an op touches; () for runtime and allocation ops."""
-    # tuple([...]) rather than a generator: this runs once per op in several passes.
-    if isinstance(op, (Inst, Barrier)):
-        return tuple([q.logical_id for q in op.qubits])
-    if isinstance(op, ConditionalRegion):
-        return tuple([q.logical_id for q in op.body.qubits])
+    """Logical ids of the qubits an op touches, in operand order."""
     if isinstance(op, FusedUnitary):
         return (op.qubit.logical_id,)
-    return ()
+    if isinstance(op, ConditionalRegion):
+        op = op.body
+    # tuple([...]) rather than a generator: this runs once per op in several passes.
+    return tuple([q.logical_id for q in op.qubits])
 
 
 @dataclass
@@ -155,15 +125,6 @@ class QuantumProgram:
 
     def with_ops(self, ops: list[IrOp]) -> "QuantumProgram":
         return QuantumProgram(self.registers, self.cregs, ops)
-
-    def finalized(self) -> "QuantumProgram":
-        """Wrap the op list in QRTInit/QRTFinalize if not already present."""
-        ops = list(self.ops)
-        if not ops or not isinstance(ops[0], QRTInit):
-            ops.insert(0, QRTInit())
-        if not isinstance(ops[-1], QRTFinalize):
-            ops.append(QRTFinalize())
-        return self.with_ops(ops)
 
 
 def instruction_kind(name: str, n_qubits: int) -> str:
@@ -209,17 +170,6 @@ class GateDag:
         if dst not in self.successors[src]:
             self.successors[src].append(dst)
             self.predecessors[dst].append(src)
-
-    def topological_order(self) -> list[int]:
-        indeg = {n.node_id: len(self.predecessors[n.node_id]) for n in self.nodes}
-        # Iterating while appending visits nodes in FIFO order, like a queue.
-        order = [nid for nid, d in sorted(indeg.items()) if d == 0]
-        for nid in order:
-            for succ in self.successors[nid]:
-                indeg[succ] -= 1
-                if indeg[succ] == 0:
-                    order.append(succ)
-        return order
 
     def reversed(self) -> "GateDag":
         """The DAG of the reversed gate sequence (for backward routing passes).
@@ -307,25 +257,25 @@ def build_dag(program: QuantumProgram) -> GateDag:
         elif isinstance(op, FusedUnitary):
             inst = Inst("fused", (), (op.qubit,))
             add_inst(inst, index)
-        # Alloc/dealloc and runtime init/finalize carry no gate dependencies.
     return dag
 
 
 def circuit_depth(dag: GateDag) -> int:
     """Length in gates of the longest dependency chain; 0 for no gates."""
     depth: dict[int, int] = {}
-    for nid in dag.topological_order():
-        preds = dag.predecessors[nid]
-        depth[nid] = 1 + max((depth[p] for p in preds), default=0)
+    # Every edge points forward in the node list, so it is a topological order.
+    for node in dag.nodes:
+        nid = node.node_id
+        depth[nid] = 1 + max((depth[p] for p in dag.predecessors[nid]), default=0)
     return max(depth.values(), default=0)
 
 
 def gate_counts(program: QuantumProgram) -> dict[str, int]:
     """Metrics record over a program's instructions.
 
-    Counts exclude barriers, allocations and runtime ops.  Measurements are
-    reported separately from gates; swaps are counted twice on purpose, once
-    as two-qubit gates and once in their own bucket.
+    Counts exclude barriers.  Measurements are reported separately from
+    gates; swaps are counted twice on purpose, once as two-qubit gates and
+    once in their own bucket.
     """
     total = 0
     single = 0

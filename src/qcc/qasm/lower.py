@@ -23,10 +23,8 @@ from ..ir import (
     Barrier,
     ConditionalRegion,
     CRegister,
-    Dealloc,
     Inst,
     IrOp,
-    Qalloc,
     QRegister,
     QuantumProgram,
     QubitRef,
@@ -132,12 +130,9 @@ class _Lowering:
             raise TypeError(f"not a statement: {stmt!r}")
 
     def run(self) -> QuantumProgram:
-        body: list[IrOp] = []
+        ops: list[IrOp] = []
         for stmt in self.ast.statements:
-            self.lower_statement(stmt, body)
-        ops: list[IrOp] = [Qalloc(r) for r in self.registers]
-        ops.extend(body)
-        ops.extend(Dealloc(r) for r in reversed(self.registers))
+            self.lower_statement(stmt, ops)
         return QuantumProgram(self.registers, self.cregisters, ops)
 
 

@@ -7,8 +7,12 @@ dependency.
 
 Conventions fixed here and relied on by the extractor:
 
-* qubit registers are allocated with ``__quantum__rt__qubit_allocate_array``
-  and every used qubit is extracted once, right after the allocations, via
+* the runtime frame comes from ``program.registers``, not from the op list:
+  ``__quantum__rt__initialize`` first, then one
+  ``__quantum__rt__qubit_allocate_array`` per register in declaration order,
+  and at the end one ``__quantum__rt__qubit_release_array`` per register in
+  reverse order followed by ``__quantum__rt__finalize``;
+* every used qubit is extracted once, right after the allocations, via
   ``__quantum__rt__array_get_element_ptr`` followed by a ``bitcast`` to
   ``%Qubit*`` (the ``_1d`` spelling of the element accessor is not used);
 * measurement is ``%Result* @__quantum__qis__m(%Qubit*)`` and the mapping
@@ -29,12 +33,8 @@ from ..errors import EmitError
 from ..ir import (
     Barrier,
     ConditionalRegion,
-    Dealloc,
     FusedUnitary,
     Inst,
-    Qalloc,
-    QRTFinalize,
-    QRTInit,
     QuantumProgram,
     op_qubits,
 )
@@ -111,9 +111,7 @@ class _Emitter:
         if logical in self.qubit_ssa:
             return
         ref = self.program.qubit(logical)
-        array = self.array_ssa.get(ref.register_id)
-        if array is None:
-            raise EmitError(f"qubit {logical} used before its register is allocated")
+        array = self.array_ssa[ref.register_id]
         gep = self.rt("__quantum__rt__array_get_element_ptr")
         raw = self.ssa()
         self.body.append(f"  {raw} = call i8* {gep}(%Array* {array}, i64 {ref.index})")
@@ -146,24 +144,7 @@ class _Emitter:
         self.body.append(f"{indent}call void {callee}({', '.join(args)})")
 
     def emit_op(self, op) -> None:
-        if isinstance(op, QRTInit):
-            init = self.rt("__quantum__rt__initialize")
-            self.body.append(f"  call void {init}(i8* null)")
-        elif isinstance(op, QRTFinalize):
-            fin = self.rt("__quantum__rt__finalize")
-            self.body.append(f"  call void {fin}()")
-        elif isinstance(op, Qalloc):
-            alloc = self.rt("__quantum__rt__qubit_allocate_array")
-            value = self.ssa()
-            self.body.append(f"  {value} = call %Array* {alloc}(i64 {op.register.size})")
-            self.array_ssa[op.register.register_id] = value
-        elif isinstance(op, Dealloc):
-            release = self.rt("__quantum__rt__qubit_release_array")
-            array = self.array_ssa.get(op.register.register_id)
-            if array is None:
-                raise EmitError(f"register {op.register.name!r} released before allocation")
-            self.body.append(f"  call void {release}(%Array* {array})")
-        elif isinstance(op, Inst):
+        if isinstance(op, Inst):
             self.emit_inst(op)
         elif isinstance(op, Barrier):
             callee = self.qis("barrier", "declare void @__quantum__qis__barrier(...)")
@@ -186,20 +167,21 @@ class _Emitter:
             raise EmitError(f"cannot emit op {type(op).__name__}")
 
     def run(self) -> QirModule:
-        alloc_ops = []
-        rest = []
-        seen_body = False
-        for op in self.program.ops:
-            if isinstance(op, (QRTInit, Qalloc)) and not seen_body:
-                alloc_ops.append(op)
-            else:
-                seen_body = True
-                rest.append(op)
-        for op in alloc_ops:
-            self.emit_op(op)
+        init = self.rt("__quantum__rt__initialize")
+        self.body.append(f"  call void {init}(i8* null)")
+        for reg in self.program.registers:
+            alloc = self.rt("__quantum__rt__qubit_allocate_array")
+            value = self.ssa()
+            self.body.append(f"  {value} = call %Array* {alloc}(i64 {reg.size})")
+            self.array_ssa[reg.register_id] = value
         self.emit_extracts()
-        for op in rest:
+        for op in self.program.ops:
             self.emit_op(op)
+        for reg in reversed(self.program.registers):
+            release = self.rt("__quantum__rt__qubit_release_array")
+            self.body.append(f"  call void {release}(%Array* {self.array_ssa[reg.register_id]})")
+        fin = self.rt("__quantum__rt__finalize")
+        self.body.append(f"  call void {fin}()")
 
         header = [f"; ModuleID = '{self.kernel_name}'", f"; quantum kernel: {self.kernel_name}"]
         header += self.result_lines
@@ -219,5 +201,5 @@ def emit_qir(program: QuantumProgram, kernel_name: str = "main") -> QirModule:
     """Lower a program to a textual QIR module with one kernel function."""
     if not _SYMBOL_RE.match(kernel_name):
         raise EmitError(f"invalid kernel name {kernel_name!r}")
-    return _Emitter(program.finalized(), kernel_name).run()
+    return _Emitter(program, kernel_name).run()
 

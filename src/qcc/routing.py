@@ -31,10 +31,8 @@ from .errors import CapacityError, CouplingFormatError, RoutingError
 from .ir import (
     Barrier,
     ConditionalRegion,
-    Dealloc,
     GateDag,
     Inst,
-    Qalloc,
     QRegister,
     QuantumProgram,
     QubitRef,
@@ -434,7 +432,7 @@ def route_program(
     decompose_swaps = native is not None and "swap" not in native
     device = QRegister(register_id=0, size=graph.n_physical, name="device")
     refs = [QubitRef(register_id=0, index=p, logical_id=p) for p in range(graph.n_physical)]
-    ops: list = [Qalloc(register=device)]
+    ops: list = []
     swap_cx = 0
     for gate in result.routed_gates:
         qubits = tuple(refs[p] for p in gate.qubits)
@@ -451,7 +449,6 @@ def route_program(
             ops.append(ConditionalRegion(creg_id=creg_id, value=value, body=inst))
         else:
             ops.append(inst)
-    ops.append(Dealloc(register=device))
     result.swap_cx_count = swap_cx
     routed = QuantumProgram(registers=[device], cregs=list(program.cregs), ops=ops)
     return routed, result

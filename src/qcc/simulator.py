@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gates
 from .errors import DimensionMismatchError, InvalidPermutationError, OracleError
-from .ir import Barrier, ConditionalRegion, Dealloc, FusedUnitary, Inst, Qalloc, QRTFinalize, QRTInit, QuantumProgram
+from .ir import Barrier, ConditionalRegion, FusedUnitary, Inst, QuantumProgram
 
 MAX_QUBITS = 20
 
@@ -52,7 +52,7 @@ def simulate(program: QuantumProgram, n_qubits: int | None = None) -> np.ndarray
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
     for op in program.ops:
-        if isinstance(op, (Qalloc, Dealloc, QRTInit, QRTFinalize, Barrier)):
+        if isinstance(op, Barrier):
             continue
         if isinstance(op, ConditionalRegion):
             raise OracleError("conditional regions are not simulable in unitary mode")

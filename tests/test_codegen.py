@@ -9,7 +9,7 @@ import pytest
 
 from qcc.benchmarks import benchmark_source, list_benchmarks
 from qcc.errors import CapacityError, EmitError
-from qcc.ir import Dealloc, FusedUnitary, Qalloc, QRegister, QuantumProgram, QubitRef
+from qcc.ir import FusedUnitary, QRegister, QuantumProgram, QubitRef
 from qcc.optimizer import optimize
 from qcc.qir import emit_qir, verify_qir_text
 from qcc.qir.codegen import format_double
@@ -104,6 +104,38 @@ def test_empty_program_module():
     assert verify_qir_text(mod.text) == []
 
 
+def kernel_body(text: str) -> list[str]:
+    """The lines of the kernel function between its entry label and its closing brace."""
+    lines = text.splitlines()
+    start = lines.index("entry:") + 1
+    return lines[start : lines.index("}", start)]
+
+
+def test_runtime_frame_comes_from_registers():
+    # a is never used, yet it is allocated and released like b.
+    src = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg a[2];\nqreg b[3];\nx b[1];\n'
+    text = emit_qir(qasm_program(src)).text
+    assert kernel_body(text) == [
+        "  call void @__quantum__rt__initialize(i8* null)",
+        "  %0 = call %Array* @__quantum__rt__qubit_allocate_array(i64 2)",
+        "  %1 = call %Array* @__quantum__rt__qubit_allocate_array(i64 3)",
+        "  %2 = call i8* @__quantum__rt__array_get_element_ptr(%Array* %1, i64 1)",
+        "  %3 = bitcast i8* %2 to %Qubit*",
+        "  call void @__quantum__qis__x(%Qubit* %3)",
+        "  call void @__quantum__rt__qubit_release_array(%Array* %1)",
+        "  call void @__quantum__rt__qubit_release_array(%Array* %0)",
+        "  call void @__quantum__rt__finalize()",
+        "  ret void",
+    ]
+    assert verify_qir_text(text) == []
+    empty = emit_qir(QuantumProgram(registers=[], cregs=[], ops=[])).text
+    assert kernel_body(empty) == [
+        "  call void @__quantum__rt__initialize(i8* null)",
+        "  call void @__quantum__rt__finalize()",
+        "  ret void",
+    ]
+
+
 def test_declarations_cover_used_symbols_only():
     mod = emit_qir(qasm_program(GHZ))
     assert "declare void @__quantum__qis__h(%Qubit*)" in mod.text
@@ -157,15 +189,10 @@ def test_result_map_comments():
 
 
 def test_fused_unitary_cannot_be_emitted():
-    reg = QRegister(register_id=0, size=1, name="q")
     prog = QuantumProgram(
-        registers=[reg],
+        registers=[QRegister(register_id=0, size=1, name="q")],
         cregs=[],
-        ops=[
-            Qalloc(register=reg),
-            FusedUnitary(QubitRef(0, 0, 0), np.eye(2, dtype=complex), ()),
-            Dealloc(register=reg),
-        ],
+        ops=[FusedUnitary(QubitRef(0, 0, 0), np.eye(2, dtype=complex), ())],
     )
     with pytest.raises(EmitError, match="decompose before emission"):
         emit_qir(prog)

@@ -6,10 +6,12 @@ import time
 
 import pytest
 
+from qcc.benchmarks import benchmark_source, list_benchmarks
 from qcc.errors import ExtractionError, QirParseError
 from qcc.ir import build_dag
+from qcc.optimizer import optimize
 from qcc.qasm.parser import MAX_PROGRAM_QUBITS
-from qcc.qir import emit_qir, extract_circuit, find_quantum_kernels
+from qcc.qir import emit_qir, extract_circuit, extract_program, find_quantum_kernels
 
 from conftest import qasm_program
 
@@ -201,6 +203,15 @@ def test_roundtrip_on_corpus_sample(corpus_programs):
             assert g.params == pytest.approx(inst.params, abs=1e-15)
         original = build_dag(prog)
         assert dag.successors == original.successors
+
+
+def test_extracted_kernels_emit_again(corpus_programs):
+    # One emit of an extracted kernel reaches the fixpoint of emit after extract.
+    sources = [qasm_program(benchmark_source(name)) for name in list_benchmarks()]
+    sources += [prog for prog, _ in corpus_programs[:100]]
+    for prog in sources:
+        once = emit_qir(extract_program(emit_qir(optimize(prog, 1)).text)[1]).text
+        assert emit_qir(extract_program(once)[1]).text == once
 
 
 def allocating_kernel(count):

@@ -118,11 +118,18 @@ def test_sequential_chain_depth():
 
 
 def test_topological_order_respects_edges():
-    dag = build_dag(qasm_program(GHZ))
-    order = dag.topological_order()
-    pos = {nid: i for i, nid in enumerate(order)}
-    for src, dsts in dag.successors.items():
-        for dst in dsts:
+    # The node list is the topological order circuit_depth walks, forward and reversed.
+    prog = qasm_program(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[2];\n'
+        "h q[0];\ncx q[0],q[1];\nbarrier q[0],q[2];\nmeasure q[0] -> c[0];\n"
+        "if (c == 1) x q[2];\nbarrier q;\nmeasure q[1] -> c[1];\nh q[2];\nmeasure q[2] -> c[0];\n"
+    )
+    dag = build_dag(prog)
+    for d in (dag, dag.reversed()):
+        pos = {node.node_id: i for i, node in enumerate(d.nodes)}
+        edges = [(src, dst) for src, dsts in d.successors.items() for dst in dsts]
+        assert len(edges) >= len(d.nodes)
+        for src, dst in edges:
             assert pos[src] < pos[dst]
 
 

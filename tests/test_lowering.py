@@ -1,4 +1,4 @@
-"""AST-to-IR lowering: macro inlining, broadcast, conditionals, runtime framing."""
+"""AST-to-IR lowering: macro inlining, broadcast, conditionals, register numbering."""
 
 import pytest
 
@@ -6,11 +6,7 @@ from qcc.errors import QasmSemanticError
 from qcc.ir import (
     Barrier,
     ConditionalRegion,
-    Dealloc,
     Inst,
-    Qalloc,
-    QRTFinalize,
-    QRTInit,
     QubitRef,
     ResultRef,
 )
@@ -40,25 +36,13 @@ def test_ghz_lowering_exact():
     assert [r.name for r in prog.registers] == ["q"]
     assert [c.name for c in prog.cregs] == ["c"]
     assert prog.ops == [
-        Qalloc(register=prog.registers[0]),
         Inst(name="h", params=(), qubits=(q(0),)),
         Inst(name="cx", params=(), qubits=(q(0), q(1))),
         Inst(name="cx", params=(), qubits=(q(1), q(2))),
         Inst(name="measure", params=(), qubits=(q(0),), result=ResultRef(creg_id=0, index=0)),
         Inst(name="measure", params=(), qubits=(q(1),), result=ResultRef(creg_id=0, index=1)),
         Inst(name="measure", params=(), qubits=(q(2),), result=ResultRef(creg_id=0, index=2)),
-        Dealloc(register=prog.registers[0]),
     ]
-
-
-def test_finalized_adds_runtime_frame():
-    prog = qasm_program(GHZ)
-    fin = prog.finalized()
-    assert isinstance(fin.ops[0], QRTInit)
-    assert isinstance(fin.ops[-1], QRTFinalize)
-    assert fin.ops[1:-1] == prog.ops
-    # idempotent
-    assert fin.finalized().ops == fin.ops
 
 
 def test_macro_inlined():

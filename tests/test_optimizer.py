@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qcc import gates, optimizer
 from qcc.errors import NotUnitaryError, UnsupportedGateError
 from qcc.gates import rx, ry, rz, unitary
-from qcc.ir import Dealloc, FusedUnitary, Inst, Qalloc, QRegister, QuantumProgram, QubitRef
+from qcc.ir import FusedUnitary, Inst, QRegister, QuantumProgram, QubitRef
 from qcc.optimizer import (
     ANGLE_EPS,
     NativeGateSet,
@@ -412,15 +412,10 @@ def test_t_becomes_rz():
 
 
 def test_unknown_inst_rejected():
-    reg = QRegister(register_id=0, size=1, name="q")
     prog = QuantumProgram(
-        registers=[reg],
+        registers=[QRegister(register_id=0, size=1, name="q")],
         cregs=[],
-        ops=[
-            Qalloc(register=reg),
-            Inst(name="mygate", params=(), qubits=(QubitRef(0, 0, 0),)),
-            Dealloc(register=reg),
-        ],
+        ops=[Inst(name="mygate", params=(), qubits=(QubitRef(0, 0, 0),))],
     )
     with pytest.raises(UnsupportedGateError):
         decompose_unsupported(prog)

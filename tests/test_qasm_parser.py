@@ -9,7 +9,6 @@ import pytest
 
 from qcc.cli import main
 from qcc.errors import QasmSemanticError, QasmSyntaxError
-from qcc.ir import Dealloc, Qalloc
 from qcc.qasm import lower_ast_to_ir, parse_qasm, parser, to_qasm
 from qcc.qasm.ast import Argument, GateCall, Measure, RegDecl
 from qcc.qasm.parser import MAX_EXPR_DEPTH, MAX_INT_DIGITS, MAX_PROGRAM_OPS, MAX_PROGRAM_QUBITS
@@ -411,7 +410,7 @@ def test_operation_count_is_what_lowering_emits(monkeypatch):
         "outer q, r;\nouter q[0], r[1];\nif (c == 1) outer r, q;\n"
         "measure q -> c;\nreset r;\nreset q[2];\nbarrier q, r[0];\nU(0,0,0) q;\nCX q[1], r;\n"
     )
-    n_ops = sum(not isinstance(op, (Qalloc, Dealloc)) for op in lower_ast_to_ir(parse_qasm(src)).ops)
+    n_ops = len(lower_ast_to_ir(parse_qasm(src)).ops)
     assert n_ops == 3 * 7 + 7 + 3 * 7 + 3 + 3 + 1 + 1 + 3 + 3
     monkeypatch.setattr(parser, "MAX_PROGRAM_OPS", n_ops)
     parse_qasm(src)
