@@ -102,20 +102,20 @@ def cmd_simulate(args) -> int:
         if len(kernels) != 1:
             raise QccError(f"{args.file}: expected exactly one quantum kernel, found {len(kernels)}")
         _, program = extract_program(kernels[0])
-        # Measurements after the last gate are dropped; an earlier one would
-        # collapse the state, which a unitary simulation cannot show.
-        kept, after_last_gate = [], True
-        for op in reversed(program.ops):
-            if isinstance(op, Inst) and op.result is not None:
-                if not after_last_gate:
-                    raise QccError(
-                        f"{args.file}: the measurement of qubit {op.qubits[0].logical_id} is followed by a gate;"
-                        " only measurements after the last gate can be dropped for simulation"
-                    )
-                continue
-            after_last_gate = after_last_gate and not isinstance(op, Inst)
-            kept.append(op)
-        program = program.with_ops(kept[::-1])
+    # Measurements after the last gate are dropped; an earlier one would
+    # collapse the state, which a unitary simulation cannot show.
+    kept, after_last_gate = [], True
+    for op in reversed(program.ops):
+        if isinstance(op, Inst) and op.result is not None:
+            if not after_last_gate:
+                raise QccError(
+                    f"{args.file}: the measurement of qubit {op.qubits[0].logical_id} is followed by a gate;"
+                    " only measurements after the last gate can be dropped for simulation"
+                )
+            continue
+        after_last_gate = after_last_gate and not isinstance(op, Inst)
+        kept.append(op)
+    program = program.with_ops(kept[::-1])
     state = simulate(program, n_qubits=args.qubits)
     json.dump([[amp.real, amp.imag] for amp in state], sys.stdout)
     print()

@@ -133,14 +133,13 @@ def classify_inputs(
     paths: list[str],
     output: str = "a.out",
     build_dir: str = ".",
-    mpi: bool | set[str] = False,
+    mpi: bool = False,
     standalone: bool = False,
 ) -> BuildPlan:
     """Assign a toolchain kind to every input by extension and plan the build.
 
-    `mpi` promotes C/C++ inputs to the MPI toolchain: pass True for all of
-    them or a set of paths for per-file selection.  A qasm-only invocation
-    is emit-only (no link step) unless `standalone` asks to link it.
+    `mpi` promotes every C/C++ input to the MPI toolchain.  A qasm-only
+    invocation is emit-only (no link step) unless `standalone` asks to link it.
     """
     if not paths:
         raise QccError("no input files")
@@ -152,7 +151,7 @@ def classify_inputs(
         kind = _EXTENSION_KINDS.get(ext)
         if kind is None:
             raise UnknownFileTypeError(f"cannot classify {path}: unknown extension {ext!r}")
-        if kind == "cxx" and (mpi is True or (isinstance(mpi, set) and path in mpi)):
+        if kind == "cxx" and mpi:
             kind = "mpi"
         tasks.append(Task(path, kind, os.path.join(build_dir, _stem(path) + ".o")))
     names = [_stem(t.path) for t in tasks]
@@ -261,7 +260,7 @@ def compile_quantum(task: Task, opts: QuantumOptions) -> QuantumArtifacts:
     with in_file(task.path):
         program = optimize(program, level=opts.opt_level, native=opts.native)
 
-    metrics = gate_counts(program)
+    swaps = {}
     if opts.coupling_path:
         graph = load_coupling_graph(opts.coupling_path)
         layout = None
@@ -275,9 +274,8 @@ def compile_quantum(task: Task, opts: QuantumOptions) -> QuantumArtifacts:
             native=opts.native,
             sabre_iterations=opts.sabre_iterations,
         )
-        metrics = gate_counts(program)
-        metrics["inserted_swaps"] = routing.swap_count
-        metrics["inserted_swap_cx"] = routing.swap_cx_count
+        swaps = {"inserted_swaps": routing.swap_count, "inserted_swap_cx": routing.swap_cx_count}
+    metrics = gate_counts(program) | swaps
 
     module = emit_qir(program, kernel_symbol(task.path))
     problems = verify_qir_text(module)

@@ -141,8 +141,6 @@ class DagNode(NamedTuple):
     name: str
     params: tuple[float, ...]
     qubits: tuple[int, ...]
-    kind: str
-    origin: int
     result: ResultRef | None = None
     condition: tuple[int, int] | None = None
 
@@ -215,17 +213,16 @@ def build_dag(program: QuantumProgram) -> GateDag:
                 dag.add_edge(prev, node_id)
             last[q] = node_id
 
-    def add_inst(inst: Inst, origin: int, condition: tuple[int, int] | None = None) -> int:
+    def add_inst(inst: Inst, condition: tuple[int, int] | None = None) -> int:
         qubits = tuple([q.logical_id for q in inst.qubits])
         node_id = len(dag.nodes)
-        kind = instruction_kind(inst.name, len(qubits))
-        dag.add_node(DagNode(node_id, inst.name, inst.params, qubits, kind, origin, inst.result, condition))
+        dag.add_node(DagNode(node_id, inst.name, inst.params, qubits, inst.result, condition))
         link(node_id, qubits)
         return node_id
 
-    for index, op in enumerate(program.ops):
+    for op in program.ops:
         if isinstance(op, Inst):
-            nid = add_inst(op, index)
+            nid = add_inst(op)
             if op.result is not None:
                 creg = op.result.creg_id
                 bit = (creg, op.result.index)
@@ -236,7 +233,7 @@ def build_dag(program: QuantumProgram) -> GateDag:
                 last_bit_writer[bit] = nid
                 creg_writers.setdefault(creg, []).append(nid)
         elif isinstance(op, ConditionalRegion):
-            nid = add_inst(op.body, index, condition=(op.creg_id, op.value))
+            nid = add_inst(op.body, condition=(op.creg_id, op.value))
             for writer in creg_writers.get(op.creg_id, []):
                 dag.add_edge(writer, nid)
             if op.creg_id in creg_barrier:
@@ -255,8 +252,7 @@ def build_dag(program: QuantumProgram) -> GateDag:
             for q in qubits:
                 last[q] = fence
         elif isinstance(op, FusedUnitary):
-            inst = Inst("fused", (), (op.qubit,))
-            add_inst(inst, index)
+            add_inst(Inst("fused", (), (op.qubit,)))
     return dag
 
 

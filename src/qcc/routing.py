@@ -9,11 +9,11 @@ The heuristic is scored incrementally: each candidate swap adds only the
 distance changes of the gates on the two qubits it moves, yet picks exactly
 the swap a full re-sum of every distance would pick.
 
-Initial placement runs the same router forward and backward over the circuit
-a few times (SABRE) and keeps the layout whose forward pass needed the
-fewest swaps.  With ``iterations`` rounds that is at most
+Initial placement (``sabre_layout``) runs the same router forward and
+backward over the circuit a few times (SABRE) and returns the forward pass
+that needed the fewest swaps.  With ``iterations`` rounds that is at most
 ``2 * iterations - 1`` router passes (the last round has no backward pass);
-``route_program`` routes with the best forward pass, adding none.
+``route_program`` takes its routing from that pass, adding none.
 
 Conventions: inserted swaps are tagged, barriers order the DAG but do not
 appear in routed output, and conditional regions are only routable when
@@ -23,7 +23,6 @@ their body is a single-qubit gate.
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -55,14 +54,6 @@ class CouplingGraph:
     n_physical: int
     adjacency: tuple[tuple[int, ...], ...]
     distance: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def edges(self) -> list[tuple[int, int]]:
-        """Each undirected edge once as ``(u, v)`` with ``u < v``, in ascending order."""
-        out = []
-        for u, neighbors in enumerate(self.adjacency):
-            out.extend((u, v) for v in neighbors if u < v)
-        return out
 
     def adjacent(self, u: int, v: int) -> bool:
         return self.distance[u][v] == 1
@@ -360,22 +351,17 @@ def sabre_layout(
     iterations: int = SABRE_ITERATIONS,
     seed: int = SABRE_SEED,
     n_logical: int | None = None,
-) -> Layout:
-    """Pick an initial layout by alternating forward and reverse routing.
+) -> RoutingResult:
+    """Search for an initial layout by alternating forward and reverse routing.
 
     Starts from a seeded random permutation; each round routes the circuit
     forward, then routes the reversed circuit starting from the forward
-    pass's final layout to seed the next round.  Returns the starting layout
-    whose forward pass inserted the fewest swaps, stopping early on a
-    zero-swap pass.  The last round skips its backward pass, so this makes
-    at most ``2 * iterations - 1`` ``sabre_swap`` calls (``iterations``
-    below 1 count as 1).  ``route_program`` reuses the best forward pass.
+    pass's final layout to seed the next round.  Returns the forward pass
+    that inserted the fewest swaps, stopping early on a zero-swap pass; its
+    ``initial_layout`` is the chosen layout.  The last round skips its
+    backward pass, so this makes at most ``2 * iterations - 1``
+    ``sabre_swap`` calls (``iterations`` below 1 count as 1).
     """
-    return _best_forward_pass(dag, graph, iterations, seed, n_logical).initial_layout
-
-
-def _best_forward_pass(dag, graph, iterations, seed, n_logical) -> RoutingResult:
-    """The search behind ``sabre_layout``: its best forward routing."""
     if n_logical is None:
         n_logical = max((q + 1 for n in dag.nodes for q in n.qubits), default=0)
     if n_logical > graph.n_physical:
@@ -417,13 +403,9 @@ def route_program(
     routed program.
     """
     n_logical = program.n_qubits
-    if n_logical > graph.n_physical:
-        raise CapacityError(
-            f"program uses {n_logical} qubits but the device has {graph.n_physical}"
-        )
     dag = build_dag(program)
     if layout is None:
-        result = _best_forward_pass(dag, graph, sabre_iterations, seed, n_logical)
+        result = sabre_layout(dag, graph, sabre_iterations, seed, n_logical)
     elif len(layout.log_to_phys) < n_logical or layout.n_physical != graph.n_physical:
         raise RoutingError("layout does not cover the program and device")
     else:
@@ -433,7 +415,6 @@ def route_program(
     device = QRegister(register_id=0, size=graph.n_physical, name="device")
     refs = [QubitRef(register_id=0, index=p, logical_id=p) for p in range(graph.n_physical)]
     ops: list = []
-    swap_cx = 0
     for gate in result.routed_gates:
         qubits = tuple(refs[p] for p in gate.qubits)
         if gate.inserted and decompose_swaps:
@@ -441,7 +422,6 @@ def route_program(
             ops.append(Inst(name="cx", params=(), qubits=(u, v)))
             ops.append(Inst(name="cx", params=(), qubits=(v, u)))
             ops.append(Inst(name="cx", params=(), qubits=(u, v)))
-            swap_cx += 3
             continue
         inst = Inst(name=gate.name, params=gate.params, qubits=qubits, result=gate.result)
         if gate.condition is not None:
@@ -449,6 +429,6 @@ def route_program(
             ops.append(ConditionalRegion(creg_id=creg_id, value=value, body=inst))
         else:
             ops.append(inst)
-    result.swap_cx_count = swap_cx
+    result.swap_cx_count = 3 * result.swap_count if decompose_swaps else 0
     routed = QuantumProgram(registers=[device], cregs=list(program.cregs), ops=ops)
     return routed, result

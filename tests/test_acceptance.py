@@ -170,7 +170,7 @@ def test_sabre_sanity(topologies, verdict):
     one_swap = far_result.swap_count == 1
 
     ghz_dag = build_dag(qasm_program(GHZ3_OPEN))
-    layout = sabre_layout(ghz_dag, lin3, seed=42)
+    layout = sabre_layout(ghz_dag, lin3, seed=42).initial_layout
     zero_swaps = sabre_swap(ghz_dag, layout, lin3).swap_count == 0
 
     probe = qasm_program(
@@ -180,7 +180,7 @@ def test_sabre_sanity(topologies, verdict):
     probe_dag = build_dag(probe)
     snapshots = set()
     for _ in range(10):
-        lay = sabre_layout(probe_dag, topologies["tshape5"], seed=7)
+        lay = sabre_layout(probe_dag, topologies["tshape5"], seed=7).initial_layout
         res = sabre_swap(probe_dag, lay, topologies["tshape5"])
         snapshots.add(
             repr(

@@ -44,11 +44,10 @@ def test_roundtrip_dag_is_isomorphic_to_source():
     prog = qasm_program(GHZ)
     original = build_dag(prog)
     _, extracted = extract_circuit(emit_qir(prog).text)
-    # measure calls come back under the QIS name "m"; node ids, qubits and
-    # edges must line up one to one
+    # node ids, names, qubits and edges must line up one to one
     assert len(extracted.nodes) == len(original.nodes)
     for a, b in zip(extracted.nodes, original.nodes):
-        assert (a.node_id, a.qubits, a.kind) == (b.node_id, b.qubits, b.kind)
+        assert (a.node_id, a.name, a.qubits) == (b.node_id, b.name, b.qubits)
     assert extracted.successors == original.successors
 
 

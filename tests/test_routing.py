@@ -38,7 +38,7 @@ def linear(n):
 def test_linear3_distances():
     g = linear(3)
     assert g.distance == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
-    assert g.edges == [(0, 1), (1, 2)]
+    assert g.adjacency == ((1,), (0, 2), (1,))
     assert g.adjacent(0, 1) and g.adjacent(2, 1)
     assert not g.adjacent(0, 2)
 
@@ -72,7 +72,8 @@ def _floyd_warshall(n, edges):
 
 def test_distances_match_floyd_warshall(topologies):
     for g in topologies.values():
-        ref = _floyd_warshall(g.n_physical, g.edges)
+        edges = [(u, v) for u, neighbors in enumerate(g.adjacency) for v in neighbors]
+        ref = _floyd_warshall(g.n_physical, edges)
         for u in range(g.n_physical):
             for v in range(g.n_physical):
                 assert g.distance[u][v] == ref[u][v]
@@ -215,13 +216,13 @@ def test_all_output_two_qubit_gates_on_edges(corpus_programs, topologies):
 
 def test_layout_finds_zero_swap_embedding():
     dag = build_dag(qasm_program(GHZ3))
-    lay = sabre_layout(dag, linear(3), seed=42)
+    lay = sabre_layout(dag, linear(3), seed=42).initial_layout
     assert sabre_swap(dag, lay, linear(3)).swap_count == 0
 
 
 def test_layout_deterministic_for_fixed_seed():
     dag = build_dag(qasm_program(GHZ3))
-    layouts = {tuple(sabre_layout(dag, linear(3), seed=42).log_to_phys) for _ in range(10)}
+    layouts = {tuple(sabre_layout(dag, linear(3), seed=42).initial_layout.log_to_phys) for _ in range(10)}
     assert len(layouts) == 1
 
 
@@ -232,7 +233,7 @@ def test_layout_seeds_differ():
     )
     dag = build_dag(qasm_program(src))
     seen = {
-        tuple(sabre_layout(dag, linear(4), seed=s).log_to_phys) for s in range(12)
+        tuple(sabre_layout(dag, linear(4), seed=s).initial_layout.log_to_phys) for s in range(12)
     }
     assert len(seen) > 1  # different seeds explore different permutations
 
@@ -259,7 +260,7 @@ def test_layout_of_an_empty_dag_routes_nothing(monkeypatch):
     calls = []
     monkeypatch.setattr(routing, "sabre_swap", lambda *args: calls.append(args))
     dag = build_dag(qasm_program('OPENQASM 2.0;\nqreg q[2];\n'))
-    assert len(sabre_layout(dag, linear(3), n_logical=2).log_to_phys) == 2
+    assert len(sabre_layout(dag, linear(3), n_logical=2).initial_layout.log_to_phys) == 2
     assert calls == []
 
 
@@ -333,7 +334,7 @@ def test_routing_output_is_pinned(seed):
     graph = grid(4, 4)
     dag = build_dag(qasm_program(golden_source(seed)))
     for direction, d in (("forward", dag), ("reversed", dag.reversed())):
-        layout = sabre_layout(d, graph, iterations=3, seed=seed)
+        layout = sabre_layout(d, graph, iterations=3, seed=seed).initial_layout
         res = sabre_swap(d, layout, graph)
         gates = [(g.name, g.params, g.qubits, g.inserted) for g in res.routed_gates]
         digest = hashlib.sha256(repr(gates).encode()).hexdigest()
@@ -385,8 +386,10 @@ def test_route_program_gate_multiset_preserved():
 
 def test_route_program_too_many_qubits():
     prog = qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\nh q[0];\n')
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="^4 logical qubits exceed 3 physical$"):
         route_program(prog, linear(3))
+    with pytest.raises(RoutingError, match="layout does not cover"):
+        route_program(prog, linear(3), layout=Layout.identity(3, 3))
 
 
 def test_route_program_rejects_three_qubit_gates():
@@ -450,7 +453,8 @@ def all_pairs_program(n):
 
 def assert_routes_like_its_layout(program, graph, seed, iterations=3):
     """route_program routes exactly as a final pass from sabre_layout's layout would."""
-    layout = sabre_layout(build_dag(program), graph, iterations=iterations, seed=seed, n_logical=program.n_qubits)
+    dag = build_dag(program)
+    layout = sabre_layout(dag, graph, iterations, seed, program.n_qubits).initial_layout
     routed, result = route_program(program, graph, seed=seed, sabre_iterations=iterations)
     again, reference = route_program(program, graph, layout=layout)
     assert routed.ops == again.ops
@@ -470,16 +474,23 @@ def test_route_program_reuses_the_best_layout_pass(corpus_programs, topologies):
 
 @pytest.mark.parametrize("iterations", [1, 2, 3, 4])
 def test_route_program_makes_no_pass_beyond_the_layout_search(monkeypatch, iterations):
-    calls = []
+    calls, searches = [], []
 
     def counting(*args):
         calls.append(args)
         return sabre_swap(*args)
 
+    def searching(*args):
+        searches.append(args)
+        return sabre_layout(*args)
+
     monkeypatch.setattr(routing, "sabre_swap", counting)
+    monkeypatch.setattr(routing, "sabre_layout", searching)
     program = all_pairs_program(5)
     route_program(program, linear(5), sabre_iterations=iterations)
     assert len(calls) == 2 * iterations - 1
+    assert len(searches) == 1  # the search is reached through the module attribute
     calls.clear()
     route_program(program, linear(5), layout=Layout.identity(5, 5))
     assert len(calls) == 1
+    assert len(searches) == 1

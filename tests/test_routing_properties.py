@@ -119,7 +119,8 @@ def test_route_program_routes_from_its_layout_search(data):
     program = data.draw(circuits(graph.n_physical))
     seed = data.draw(st.integers(0, 2**32 - 1))
     iterations = data.draw(st.integers(1, 3))
-    layout = sabre_layout(build_dag(program), graph, iterations=iterations, seed=seed, n_logical=program.n_qubits)
+    dag = build_dag(program)
+    layout = sabre_layout(dag, graph, iterations, seed, program.n_qubits).initial_layout
     routed, result = route_program(program, graph, seed=seed, sabre_iterations=iterations)
     again, reference = route_program(program, graph, layout=layout)
     assert routed.ops == again.ops
