@@ -10,7 +10,7 @@ import pytest
 from qcc.benchmarks import benchmark_source, list_benchmarks
 from qcc.errors import CapacityError, EmitError
 from qcc.ir import FusedUnitary, QRegister, QuantumProgram, QubitRef
-from qcc.optimizer import optimize
+from qcc.optimizer import NativeGateSet, optimize
 from qcc.qir import emit_qir, verify_qir_text
 from qcc.qir.codegen import format_double
 from qcc.routing import CouplingGraph, route_program
@@ -365,6 +365,48 @@ EMITTED_QIR_GOLDEN = {
 }
 
 
+# The same benchmarks and line under the native set rz,ry,cx, routed with
+# seed 0: swap is not native, so every inserted swap is expanded to cx gates.
+SWAPS_EXPANDED_QIR_GOLDEN = {
+    ("adder4", 0): "87ee1c9c04752c11376232d5f0aaa81f79a119b15356215deebe2bcf46005af4",
+    ("adder4", 1): "ceaf88ddef67618456482dc70847ebc294996971ac90e9ab57774a359b84fa94",
+    ("adder4", 2): "ceaf88ddef67618456482dc70847ebc294996971ac90e9ab57774a359b84fa94",
+    ("adder4", 3): "ceaf88ddef67618456482dc70847ebc294996971ac90e9ab57774a359b84fa94",
+    ("bv5", 0): "c9d70c14a416eb76640b68bbc8a6252ea2129cf46d26f95294f237656183fb0e",
+    ("bv5", 1): "14a270c6576d48ce2370498d5b44c8043e560c848ef109d49230f666f1c003ad",
+    ("bv5", 2): "14a270c6576d48ce2370498d5b44c8043e560c848ef109d49230f666f1c003ad",
+    ("bv5", 3): "14a270c6576d48ce2370498d5b44c8043e560c848ef109d49230f666f1c003ad",
+    ("ghz3", 0): "393a46d49fcf8e7a0bad53d247aa3821e1311933741dd0dcb1ae2455ba2d57ab",
+    ("ghz3", 1): "393a46d49fcf8e7a0bad53d247aa3821e1311933741dd0dcb1ae2455ba2d57ab",
+    ("ghz3", 2): "393a46d49fcf8e7a0bad53d247aa3821e1311933741dd0dcb1ae2455ba2d57ab",
+    ("ghz3", 3): "393a46d49fcf8e7a0bad53d247aa3821e1311933741dd0dcb1ae2455ba2d57ab",
+    ("ghz5", 0): "f5fa7f3d91e3fa51e4154696fcbbf1ad0553cf129c912750d4ccd7bbb1370938",
+    ("ghz5", 1): "f5fa7f3d91e3fa51e4154696fcbbf1ad0553cf129c912750d4ccd7bbb1370938",
+    ("ghz5", 2): "f5fa7f3d91e3fa51e4154696fcbbf1ad0553cf129c912750d4ccd7bbb1370938",
+    ("ghz5", 3): "f5fa7f3d91e3fa51e4154696fcbbf1ad0553cf129c912750d4ccd7bbb1370938",
+    ("hs_chain", 0): "04b22a8b5e912d9685e789fbda02674bafd6ded73e93acf3f91e43d937e46270",
+    ("hs_chain", 1): "a513e35a3ac139bf06c685983b1a674ae0b528bdeaf88ac7b2c79a5c8a9d985c",
+    ("hs_chain", 2): "a513e35a3ac139bf06c685983b1a674ae0b528bdeaf88ac7b2c79a5c8a9d985c",
+    ("hs_chain", 3): "a513e35a3ac139bf06c685983b1a674ae0b528bdeaf88ac7b2c79a5c8a9d985c",
+    ("qft4", 0): "5513265df4a416787067a3c555c4098256a10f1d6581133657e739f930103330",
+    ("qft4", 1): "5513265df4a416787067a3c555c4098256a10f1d6581133657e739f930103330",
+    ("qft4", 2): "5513265df4a416787067a3c555c4098256a10f1d6581133657e739f930103330",
+    ("qft4", 3): "5513265df4a416787067a3c555c4098256a10f1d6581133657e739f930103330",
+    ("random_a", 0): "1afeaefebe15e48ef68aa0f174fa105f56c901798a6304e3cc968e8b3d4a087b",
+    ("random_a", 1): "c27cb6aef28d22b3563281266c8a6d1abf3cb6ba4412cbee35a586634423686f",
+    ("random_a", 2): "c27cb6aef28d22b3563281266c8a6d1abf3cb6ba4412cbee35a586634423686f",
+    ("random_a", 3): "c27cb6aef28d22b3563281266c8a6d1abf3cb6ba4412cbee35a586634423686f",
+    ("random_b", 0): "b80e14e6b871d1032c1c5c66e0bca45493c75e012cb526dc3403df4603c29834",
+    ("random_b", 1): "28e9fc0888e60e04f08f6f85429e57e9ef2705adf609623c422cc909b6812544",
+    ("random_b", 2): "28e9fc0888e60e04f08f6f85429e57e9ef2705adf609623c422cc909b6812544",
+    ("random_b", 3): "28e9fc0888e60e04f08f6f85429e57e9ef2705adf609623c422cc909b6812544",
+    ("toffoli_pair", 0): "6137510a15f86fd87b41e8592d9fd55df4033705ccedfd627fe35b7cca8bca41",
+    ("toffoli_pair", 1): "8868e8ebdcdb727cfada80c75a32640eff4b5ea7395eeaf52215dad9c30cbf02",
+    ("toffoli_pair", 2): "8868e8ebdcdb727cfada80c75a32640eff4b5ea7395eeaf52215dad9c30cbf02",
+    ("toffoli_pair", 3): "8868e8ebdcdb727cfada80c75a32640eff4b5ea7395eeaf52215dad9c30cbf02",
+}
+
+
 def test_emitted_qir_is_pinned():
     line10 = CouplingGraph.from_edges(10, [[i, i + 1] for i in range(9)])
     digests = {}
@@ -379,3 +421,12 @@ def test_emitted_qir_is_pinned():
                 except CapacityError:
                     digests[(name, level, routed)] = "CapacityError"
     assert digests == EMITTED_QIR_GOLDEN
+
+    native = NativeGateSet.from_names(["rz", "ry", "cx"])
+    expanded = {}
+    for name in list_benchmarks():
+        for level in range(4):
+            prog = optimize(qasm_program(benchmark_source(name)), level, native)
+            prog, _ = route_program(prog, line10, seed=0, native=native)
+            expanded[(name, level)] = hashlib.sha256(emit_qir(prog).text.encode()).hexdigest()
+    assert expanded == SWAPS_EXPANDED_QIR_GOLDEN
