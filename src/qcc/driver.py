@@ -14,6 +14,7 @@ import os
 import re
 import shlex
 import subprocess
+import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -263,17 +264,18 @@ def compile_quantum(task: Task, opts: QuantumOptions) -> QuantumArtifacts:
     swaps = {}
     if opts.coupling_path:
         graph = load_coupling_graph(opts.coupling_path)
-        layout = None
-        if opts.layout_mode == "identity":
-            layout = Layout.identity(program.n_qubits, graph.n_physical)
-        program, routing = route_program(
-            program,
-            graph,
-            layout=layout,
-            seed=opts.seed,
-            native=opts.native,
-            sabre_iterations=opts.sabre_iterations,
-        )
+        with in_file(task.path):
+            layout = None
+            if opts.layout_mode == "identity":
+                layout = Layout.identity(program.n_qubits, graph.n_physical)
+            program, routing = route_program(
+                program,
+                graph,
+                layout=layout,
+                seed=opts.seed,
+                native=opts.native,
+                sabre_iterations=opts.sabre_iterations,
+            )
         swaps = {"inserted_swaps": routing.swap_count, "inserted_swap_cx": routing.swap_cx_count}
     metrics = gate_counts(program) | swaps
 
@@ -301,7 +303,6 @@ class StepResult:
     name: str
     command: str
     duration: float
-    stderr: str = ""
 
 
 @dataclass
@@ -341,6 +342,7 @@ def _render(template: str, **slots: str | list[str]) -> list[str]:
 
 
 def _run_tool(name: str, argv: list[str]) -> StepResult:
+    """Run one external command; a successful tool's stderr (its warnings) goes to ours."""
     start = time.monotonic()
     try:
         proc = subprocess.run(argv, capture_output=True, text=True)
@@ -349,7 +351,9 @@ def _run_tool(name: str, argv: list[str]) -> StepResult:
     duration = time.monotonic() - start
     if proc.returncode != 0:
         raise ToolFailure(name, proc.returncode, proc.stderr.strip())
-    return StepResult(name, shlex.join(argv), duration, proc.stderr.strip())
+    if proc.stderr.strip():
+        print(proc.stderr.strip(), file=sys.stderr)
+    return StepResult(name, shlex.join(argv), duration)
 
 
 def execute_plan(

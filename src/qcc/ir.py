@@ -1,10 +1,11 @@
 """Quantum intermediate representation.
 
-A QuantumProgram is a flat list of gate operations over logical qubits; its
-register list alone says which registers exist.  Logical qubit ids are
-contiguous across all quantum registers in declaration order, so a program
-with qreg a[2]; qreg b[3]; numbers its qubits a[0]=0, a[1]=1, b[0]=2, b[1]=3,
-b[2]=4.
+A QuantumProgram is a flat list of gate operations (Inst, Barrier and
+ConditionalRegion) over logical qubits; its register lists alone say which
+registers exist, and a register's id is its position in them.  A qubit is
+its logical id, contiguous across all quantum registers in declaration
+order, so a program with qreg a[2]; qreg b[3]; numbers its qubits a[0]=0,
+a[1]=1, b[0]=2, b[1]=3, b[2]=4.
 
 The module also builds the gate dependency DAG used by scheduling, routing
 and metrics.  Barriers are not DAG nodes: they contribute ordering edges only,
@@ -21,30 +22,27 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QubitRef:
-    """A single qubit: its register, index within it, and global logical id."""
+    """A single qubit, named by its global logical id; the register lists
+    say which register and index that is."""
 
-    register_id: int
-    index: int
     logical_id: int
 
 
 @dataclass(frozen=True)
 class QRegister:
-    register_id: int
     size: int
     name: str = ""
 
 
 @dataclass(frozen=True)
 class CRegister:
-    creg_id: int
     size: int
     name: str = ""
 
 
 @dataclass(frozen=True)
 class ResultRef:
-    """Destination bit of a measurement."""
+    """Destination bit of a measurement; creg_id indexes the program's cregs."""
 
     creg_id: int
     index: int
@@ -65,11 +63,10 @@ class Inst:
 
 @dataclass(frozen=True, eq=False)
 class FusedUnitary:
-    """Optimizer-internal stand-in for a run of single-qubit gates.
+    """The optimizer's record of a run of single-qubit gates, never a program op.
 
-    Never survives an optimize() call; carries the accumulated 2x2 matrix
-    (ordered product, later gates on the left) and the original run so
-    resynthesis can fall back to it.
+    Carries the accumulated 2x2 matrix (ordered product, later gates on the
+    left) and the original run, so resynthesis can fall back to it.
     """
 
     qubit: QubitRef
@@ -84,20 +81,18 @@ class Barrier:
 
 @dataclass(frozen=True)
 class ConditionalRegion:
-    """A single op executed iff the named creg equals a constant."""
+    """A single op executed iff the creg at position creg_id equals a constant."""
 
     creg_id: int
     value: int
     body: Inst
 
 
-IrOp = Inst | FusedUnitary | Barrier | ConditionalRegion
+IrOp = Inst | Barrier | ConditionalRegion
 
 
 def op_qubits(op: IrOp) -> tuple[int, ...]:
     """Logical ids of the qubits an op touches, in operand order."""
-    if isinstance(op, FusedUnitary):
-        return (op.qubit.logical_id,)
     if isinstance(op, ConditionalRegion):
         op = op.body
     # tuple([...]) rather than a generator: this runs once per op in several passes.
@@ -113,15 +108,6 @@ class QuantumProgram:
     @property
     def n_qubits(self) -> int:
         return sum(r.size for r in self.registers)
-
-    def qubit(self, logical_id: int) -> QubitRef:
-        """QubitRef for a global logical id."""
-        base = 0
-        for reg in self.registers:
-            if logical_id < base + reg.size:
-                return QubitRef(reg.register_id, logical_id - base, logical_id)
-            base += reg.size
-        raise IndexError(f"logical qubit {logical_id} out of range")
 
     def with_ops(self, ops: list[IrOp]) -> "QuantumProgram":
         return QuantumProgram(self.registers, self.cregs, ops)
@@ -251,8 +237,6 @@ def build_dag(program: QuantumProgram) -> GateDag:
                     fence.append(prev)
             for q in qubits:
                 last[q] = fence
-        elif isinstance(op, FusedUnitary):
-            add_inst(Inst("fused", (), (op.qubit,)))
     return dag
 
 
@@ -298,9 +282,6 @@ def gate_counts(program: QuantumProgram) -> dict[str, int]:
             tally(op)
         elif isinstance(op, ConditionalRegion):
             tally(op.body)
-        elif isinstance(op, FusedUnitary):
-            total += 1
-            single += 1
 
     return {
         "total_gates": total,

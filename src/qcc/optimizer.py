@@ -232,8 +232,6 @@ def _is_plain_gate(op: IrOp) -> bool:
 
 
 def _single_qubit_matrix(op: IrOp) -> np.ndarray | None:
-    if isinstance(op, FusedUnitary):
-        return op.matrix
     if _is_plain_gate(op) and len(op.qubits) == 1:
         try:
             return gates.gate_matrix(op.name, op.params)
@@ -242,17 +240,19 @@ def _single_qubit_matrix(op: IrOp) -> np.ndarray | None:
     return None
 
 
-def fuse_single_qubit_runs(program: QuantumProgram) -> QuantumProgram:
-    """Collapse each maximal run of single-qubit gates into a FusedUnitary.
+def fuse_single_qubit_runs(program: QuantumProgram) -> list[IrOp | FusedUnitary]:
+    """The program's ops with each maximal run of single-qubit gates collapsed
+    into a FusedUnitary record.
 
     Runs end at two-qubit gates, measures, resets, barriers and conditional
     regions.  Runs of length 1 pass through unchanged.  The fused matrix is
     the ordered product of the run, later gates on the left; the run itself
-    rides along in FusedUnitary.source.
+    rides along in FusedUnitary.source.  The records exist only between this
+    pass and resynthesis, which turns each back into gates.
     """
-    new_ops: list[IrOp | None] = []
+    new_ops: list[IrOp | FusedUnitary | None] = []
     # Per logical qubit: (position, op, matrix) triples of the open run.
-    runs: dict[int, list[tuple[int, IrOp, np.ndarray]]] = {}
+    runs: dict[int, list[tuple[int, Inst, np.ndarray]]] = {}
 
     def close_run(logical: int) -> None:
         run = runs.pop(logical, None)
@@ -262,24 +262,22 @@ def fuse_single_qubit_runs(program: QuantumProgram) -> QuantumProgram:
         for _, _, m in run[1:]:
             product = m @ product
         first_pos, first_op, _ = run[0]
-        qubit = first_op.qubit if isinstance(first_op, FusedUnitary) else first_op.qubits[0]
         for pos, _, _ in run:
             new_ops[pos] = None
-        new_ops[first_pos] = FusedUnitary(qubit, product, tuple(op for _, op, _ in run))
+        new_ops[first_pos] = FusedUnitary(first_op.qubits[0], product, tuple(op for _, op, _ in run))
 
     for op in program.ops:
         matrix = _single_qubit_matrix(op)
         if matrix is not None:
-            qubit = op.qubit if isinstance(op, FusedUnitary) else op.qubits[0]
             new_ops.append(op)
-            runs.setdefault(qubit.logical_id, []).append((len(new_ops) - 1, op, matrix))
+            runs.setdefault(op.qubits[0].logical_id, []).append((len(new_ops) - 1, op, matrix))
             continue
         for logical in op_qubits(op):
             close_run(logical)
         new_ops.append(op)
     for logical in list(runs):
         close_run(logical)
-    return program.with_ops([op for op in new_ops if op is not None])
+    return [op for op in new_ops if op is not None]
 
 
 # --- native-set rewriting ------------------------------------------------------
@@ -341,9 +339,6 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
     for op in program.ops:
         if isinstance(op, Inst):
             rewrite(op, new_ops)
-        elif isinstance(op, FusedUnitary):
-            pairs = select_decomposition(op.matrix, native)
-            new_ops.extend(_rotation_insts(pairs, op.qubit))
         elif isinstance(op, ConditionalRegion):
             body: list[IrOp] = []
             rewrite(op.body, body)
@@ -358,14 +353,13 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
 def _resynthesize(program: QuantumProgram, native: NativeGateSet) -> QuantumProgram:
     """Fuse runs and replace each fused matrix by its best rotation sequence,
     keeping the original run whenever resynthesis would not shorten it."""
-    fused = fuse_single_qubit_runs(program)
     new_ops: list[IrOp] = []
-    for op in fused.ops:
+    for op in fuse_single_qubit_runs(program):
         if not isinstance(op, FusedUnitary):
             new_ops.append(op)
             continue
         pairs = select_decomposition(op.matrix, native)
-        if not op.source or len(pairs) < len(op.source):
+        if len(pairs) < len(op.source):
             new_ops.extend(_rotation_insts(pairs, op.qubit))
         else:
             new_ops.extend(op.source)

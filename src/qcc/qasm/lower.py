@@ -65,10 +65,10 @@ class _Lowering:
     def __init__(self, program_ast: ast.QasmAst):
         self.ast = program_ast
         decls = program_ast.declarations
-        self.registers = [QRegister(i, d.size, d.name) for i, d in enumerate(d for d in decls if d.kind == "qreg")]
-        self.cregisters = [CRegister(i, d.size, d.name) for i, d in enumerate(d for d in decls if d.kind == "creg")]
+        self.registers = [QRegister(d.size, d.name) for d in decls if d.kind == "qreg"]
+        self.cregisters = [CRegister(d.size, d.name) for d in decls if d.kind == "creg"]
         self.qregs = {r.name: r for r in self.registers}
-        self.cregs = {c.name: c for c in self.cregisters}
+        self.creg_ids = {c.name: i for i, c in enumerate(self.cregisters)}
         self.bases: dict[str, int] = {}
         base = 0
         for reg in self.registers:
@@ -81,7 +81,7 @@ class _Lowering:
     def qubit(self, arg: ast.Argument, i: int) -> QubitRef:
         """The qubit arg names in row i of a broadcast."""
         index = i if arg.index is None else arg.index
-        return QubitRef(self.qregs[arg.reg].register_id, index, self.bases[arg.reg] + index)
+        return QubitRef(self.bases[arg.reg] + index)
 
     def broadcast(self, qargs: tuple[ast.Argument, ...]) -> list[tuple[QubitRef, ...]]:
         """Expand whole-register arguments index by index, ascending."""
@@ -106,7 +106,7 @@ class _Lowering:
             for qubits in self.broadcast(stmt.qargs):
                 self.apply_gate(Inst(stmt.name, params, qubits), sink)
         elif isinstance(stmt, ast.Measure):
-            creg_id = self.cregs[stmt.carg.reg].creg_id
+            creg_id = self.creg_ids[stmt.carg.reg]
             for i, qubits in enumerate(self.broadcast((stmt.qarg,))):
                 result = ResultRef(creg_id, i if stmt.carg.index is None else stmt.carg.index)
                 sink.append(Inst("measure", (), qubits, result))
@@ -117,12 +117,12 @@ class _Lowering:
             qubits = dict.fromkeys(q for arg in stmt.qargs for (q,) in self.broadcast((arg,)))
             sink.append(Barrier(tuple(qubits)))
         elif isinstance(stmt, ast.IfStatement):
-            creg = self.cregs[stmt.creg]
+            creg_id = self.creg_ids[stmt.creg]
             body_ops: list[IrOp] = []
             self.lower_statement(stmt.body, body_ops)
             for op in body_ops:
                 if isinstance(op, Inst):
-                    sink.append(ConditionalRegion(creg.creg_id, stmt.value, op))
+                    sink.append(ConditionalRegion(creg_id, stmt.value, op))
                 else:
                     # Barriers inside a conditioned macro stay unconditioned fences.
                     sink.append(op)

@@ -33,8 +33,8 @@ from ..errors import EmitError
 from ..ir import (
     Barrier,
     ConditionalRegion,
-    FusedUnitary,
     Inst,
+    IrOp,
     QuantumProgram,
     op_qubits,
 )
@@ -81,7 +81,7 @@ class _Emitter:
         self.next_label = 0
         self.qis_used: list[str] = []  # first-use order, signature lines
         self.rt_used: set[str] = set()
-        self.array_ssa: dict[int, str] = {}  # register id -> %Array* value
+        self.array_ssa: list[str] = []  # %Array* value per register
         self.qubit_ssa: dict[int, str] = {}  # logical id -> %Qubit* value
         self.result_lines: list[str] = []
 
@@ -101,23 +101,23 @@ class _Emitter:
         return f"@__quantum__qis__{name}"
 
     def emit_extracts(self) -> None:
+        """Extract each used qubit once, register by register in logical order."""
         used: set[int] = set()
         for op in self.program.ops:
+            if not isinstance(op, (Inst, Barrier, ConditionalRegion)):
+                raise EmitError(f"cannot emit op {type(op).__name__}")
             used.update(op_qubits(op))
-        for logical in sorted(used):
-            self.extract_qubit(logical)
-
-    def extract_qubit(self, logical: int) -> None:
-        if logical in self.qubit_ssa:
-            return
-        ref = self.program.qubit(logical)
-        array = self.array_ssa[ref.register_id]
-        gep = self.rt("__quantum__rt__array_get_element_ptr")
-        raw = self.ssa()
-        self.body.append(f"  {raw} = call i8* {gep}(%Array* {array}, i64 {ref.index})")
-        cast = self.ssa()
-        self.body.append(f"  {cast} = bitcast i8* {raw} to %Qubit*")
-        self.qubit_ssa[logical] = cast
+        base = 0
+        for array, reg in zip(self.array_ssa, self.program.registers):
+            for index in range(reg.size):
+                if base + index in used:
+                    gep = self.rt("__quantum__rt__array_get_element_ptr")
+                    raw = self.ssa()
+                    self.body.append(f"  {raw} = call i8* {gep}(%Array* {array}, i64 {index})")
+                    cast = self.ssa()
+                    self.body.append(f"  {cast} = bitcast i8* {raw} to %Qubit*")
+                    self.qubit_ssa[base + index] = cast
+            base += reg.size
 
     def qubit(self, ref) -> str:
         value = self.qubit_ssa.get(ref.logical_id)
@@ -131,7 +131,7 @@ class _Emitter:
             callee = self.qis("m", "declare %Result* @__quantum__qis__m(%Qubit*)")
             result = self.ssa()
             self.body.append(f"{indent}{result} = call %Result* {callee}(%Qubit* {self.qubit(op.qubits[0])})")
-            creg = next(c.name for c in self.program.cregs if c.creg_id == op.result.creg_id)
+            creg = self.program.cregs[op.result.creg_id].name
             self.result_lines.append(f"; result {len(self.result_lines)} ({result}) -> {creg}[{op.result.index}]")
             return
         if not _SYMBOL_RE.match(name):
@@ -143,14 +143,14 @@ class _Emitter:
         args += [f"%Qubit* {self.qubit(q)}" for q in op.qubits]
         self.body.append(f"{indent}call void {callee}({', '.join(args)})")
 
-    def emit_op(self, op) -> None:
+    def emit_op(self, op: IrOp) -> None:
         if isinstance(op, Inst):
             self.emit_inst(op)
         elif isinstance(op, Barrier):
             callee = self.qis("barrier", "declare void @__quantum__qis__barrier(...)")
             args = ", ".join(f"%Qubit* {self.qubit(q)}" for q in op.qubits)
             self.body.append(f"  call void (...) {callee}({args})")
-        elif isinstance(op, ConditionalRegion):
+        else:  # a ConditionalRegion: emit_extracts rejected every other op
             pred = self.rt("__quantum__rt__creg_equal")
             flag = self.ssa()
             self.body.append(f"  {flag} = call i1 {pred}(i64 {op.creg_id}, i64 {op.value})")
@@ -161,10 +161,6 @@ class _Emitter:
             self.emit_inst(op.body)
             self.body.append(f"  br label %endif.{label}")
             self.body.append(f"endif.{label}:")
-        elif isinstance(op, FusedUnitary):
-            raise EmitError("fused unitary has no QIS mapping; decompose before emission")
-        else:
-            raise EmitError(f"cannot emit op {type(op).__name__}")
 
     def run(self) -> QirModule:
         init = self.rt("__quantum__rt__initialize")
@@ -173,13 +169,13 @@ class _Emitter:
             alloc = self.rt("__quantum__rt__qubit_allocate_array")
             value = self.ssa()
             self.body.append(f"  {value} = call %Array* {alloc}(i64 {reg.size})")
-            self.array_ssa[reg.register_id] = value
+            self.array_ssa.append(value)
         self.emit_extracts()
         for op in self.program.ops:
             self.emit_op(op)
-        for reg in reversed(self.program.registers):
+        for array in reversed(self.array_ssa):
             release = self.rt("__quantum__rt__qubit_release_array")
-            self.body.append(f"  call void {release}(%Array* {self.array_ssa[reg.register_id]})")
+            self.body.append(f"  call void {release}(%Array* {array})")
         fin = self.rt("__quantum__rt__finalize")
         self.body.append(f"  call void {fin}()")
 

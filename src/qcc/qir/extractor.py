@@ -129,14 +129,14 @@ def extract_program(text: str) -> tuple[list[ExtractedGate], QuantumProgram]:
             if r.result in qubit_of:
                 raise ExtractionError(f"line {line}: SSA value {r.result} bound twice")
             logical = element_of[values[0]]
-            qubit_of[r.result] = QubitRef(register_id=0, index=logical, logical_id=logical)
+            qubit_of[r.result] = QubitRef(logical)
         elif not (r.opcode == "call" and r.name.startswith(_RT) and r.name not in (_ALLOCATE, _ELEMENT)):
             what = f"call to @{r.name}" if r.opcode == "call" else f"{r.opcode} instruction"
             raise ExtractionError(f"line {line}: {what} is outside the extractable subset of straight-line kernels")
 
     program = QuantumProgram(
-        registers=[QRegister(name="q", size=n_logical, register_id=0)],
-        cregs=[CRegister(name="c", size=n_measures, creg_id=0)],
+        registers=[QRegister(name="q", size=n_logical)],
+        cregs=[CRegister(name="c", size=n_measures)],
         ops=ops,
     )
     return gates, program

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import CapacityError, CouplingFormatError, RoutingError
 from .ir import (
-    Barrier,
     ConditionalRegion,
     GateDag,
     Inst,
@@ -37,7 +36,7 @@ from .ir import (
     QubitRef,
     build_dag,
 )
-from .optimizer import NativeGateSet
+from .optimizer import NativeGateSet, decompose_unsupported
 
 EXTENDED_SET_SIZE = 20
 EXTENDED_SET_WEIGHT = 0.5
@@ -109,6 +108,11 @@ def load_coupling_graph(path) -> CouplingGraph:
     return CouplingGraph.from_edges(data["n_qubits"], data["edges"])
 
 
+def _check_capacity(n_logical: int, n_physical: int) -> None:
+    if n_logical > n_physical:
+        raise CapacityError(f"{n_logical} logical qubits exceed {n_physical} physical")
+
+
 class Layout:
     """Bijection between logical qubits and a subset of physical qubits."""
 
@@ -124,6 +128,7 @@ class Layout:
 
     @classmethod
     def identity(cls, n_logical: int, n_physical: int) -> "Layout":
+        _check_capacity(n_logical, n_physical)
         return cls(list(range(n_logical)), n_physical)
 
     @property
@@ -364,8 +369,7 @@ def sabre_layout(
     """
     if n_logical is None:
         n_logical = max((q + 1 for n in dag.nodes for q in n.qubits), default=0)
-    if n_logical > graph.n_physical:
-        raise CapacityError(f"{n_logical} logical qubits exceed {graph.n_physical} physical")
+    _check_capacity(n_logical, graph.n_physical)
     rng = np.random.default_rng(seed)
     perm = [int(p) for p in rng.permutation(graph.n_physical)[:n_logical]]
     current = Layout(perm, graph.n_physical)
@@ -397,10 +401,10 @@ def route_program(
     """Map a program onto a device and insert the swaps routing requires.
 
     Returns the rewritten program over physical qubit indices together with
-    the routing report.  When the native gate set lacks swap, each inserted
-    swap is expanded to 3 cx in the rewritten program (the report keeps both
-    counts).  Barriers constrain routing order but are dropped from the
-    routed program.
+    the routing report.  When the native gate set lacks swap, the routed
+    program goes through ``decompose_unsupported``, which expands each swap
+    by its qelib1 body of 3 cx (the report keeps both counts).  Barriers
+    constrain routing order but are dropped from the routed program.
     """
     n_logical = program.n_qubits
     dag = build_dag(program)
@@ -411,24 +415,19 @@ def route_program(
     else:
         result = sabre_swap(dag, layout, graph)
 
-    decompose_swaps = native is not None and "swap" not in native
-    device = QRegister(register_id=0, size=graph.n_physical, name="device")
-    refs = [QubitRef(register_id=0, index=p, logical_id=p) for p in range(graph.n_physical)]
+    device = QRegister(size=graph.n_physical, name="device")
+    refs = [QubitRef(p) for p in range(graph.n_physical)]
     ops: list = []
     for gate in result.routed_gates:
         qubits = tuple(refs[p] for p in gate.qubits)
-        if gate.inserted and decompose_swaps:
-            u, v = qubits
-            ops.append(Inst(name="cx", params=(), qubits=(u, v)))
-            ops.append(Inst(name="cx", params=(), qubits=(v, u)))
-            ops.append(Inst(name="cx", params=(), qubits=(u, v)))
-            continue
         inst = Inst(name=gate.name, params=gate.params, qubits=qubits, result=gate.result)
         if gate.condition is not None:
             creg_id, value = gate.condition
             ops.append(ConditionalRegion(creg_id=creg_id, value=value, body=inst))
         else:
             ops.append(inst)
-    result.swap_cx_count = 3 * result.swap_count if decompose_swaps else 0
     routed = QuantumProgram(registers=[device], cregs=list(program.cregs), ops=ops)
+    if result.swap_count and native is not None and "swap" not in native:
+        routed = decompose_unsupported(routed, native)
+        result.swap_cx_count = 3 * result.swap_count
     return routed, result

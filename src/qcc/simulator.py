@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gates
 from .errors import DimensionMismatchError, InvalidPermutationError, OracleError
-from .ir import Barrier, ConditionalRegion, FusedUnitary, Inst, QuantumProgram
+from .ir import Barrier, ConditionalRegion, Inst, QuantumProgram
 
 MAX_QUBITS = 20
 
@@ -56,17 +56,14 @@ def simulate(program: QuantumProgram, n_qubits: int | None = None) -> np.ndarray
             continue
         if isinstance(op, ConditionalRegion):
             raise OracleError("conditional regions are not simulable in unitary mode")
-        if isinstance(op, FusedUnitary):
-            name, matrix, qubits = "fused", op.matrix, (op.qubit.logical_id,)
-        elif isinstance(op, Inst):
-            if op.result is not None or op.name in ("measure", "reset"):
-                raise OracleError(f"'{op.name}' is not simulable in unitary mode")
-            name, matrix, qubits = op.name, gates.unitary(op.name, op.params), tuple(q.logical_id for q in op.qubits)
-        else:
+        if not isinstance(op, Inst):
             raise OracleError(f"cannot simulate op {op!r}")
+        if op.result is not None or op.name in ("measure", "reset"):
+            raise OracleError(f"'{op.name}' is not simulable in unitary mode")
+        matrix, qubits = gates.unitary(op.name, op.params), tuple(q.logical_id for q in op.qubits)
         if len(matrix) != 2 ** len(qubits):
             width = len(matrix).bit_length() - 1
-            raise OracleError(f"gate '{name}' acts on {width} qubit(s) but is given {len(qubits)}")
+            raise OracleError(f"gate '{op.name}' acts on {width} qubit(s) but is given {len(qubits)}")
         state = apply_gate(state, matrix, qubits, n)
     return state
 

@@ -190,11 +190,11 @@ def test_result_map_comments():
 
 def test_fused_unitary_cannot_be_emitted():
     prog = QuantumProgram(
-        registers=[QRegister(register_id=0, size=1, name="q")],
+        registers=[QRegister(size=1, name="q")],
         cregs=[],
-        ops=[FusedUnitary(QubitRef(0, 0, 0), np.eye(2, dtype=complex), ())],
+        ops=[FusedUnitary(QubitRef(0), np.eye(2, dtype=complex), ())],
     )
-    with pytest.raises(EmitError, match="decompose before emission"):
+    with pytest.raises(EmitError, match="cannot emit op FusedUnitary"):
         emit_qir(prog)
 
 

@@ -45,6 +45,16 @@ echo "mock failure: bad flag" >&2
 exit 1
 """
 
+WARNING_CC = """#!/bin/sh
+echo "warning: x" >&2
+out=""
+while [ $# -gt 0 ]; do
+  if [ "$1" = "-o" ]; then out="$2"; shift; fi
+  shift
+done
+echo built > "$out"
+"""
+
 SENTINEL_CC = """#!/bin/sh
 touch {sentinel}
 out=""
@@ -492,6 +502,29 @@ def test_cli_build_tool_failure_exit_2(workspace, tmp_path, capsys):
     assert "mock failure" in capsys.readouterr().err
 
 
+def test_cli_build_shows_compiler_warnings(workspace, tmp_path, capsys):
+    _, script, source, _ = workspace
+    warn = script("warncc.sh", WARNING_CC)
+    mock = str(tmp_path / "mockcc.sh")
+    tc = tmp_path / "tc.json"
+    tc.write_text(
+        json.dumps(
+            {
+                "cxx_cmd": f"{warn} -c {{flags}} {{input}} -o {{output}}",
+                "linker_cmd": f"{mock} {{inputs}} -o {{output}}",
+            }
+        )
+    )
+    main_cc = source("main.cc", "")
+    argv = ["build", main_cc, "-o", str(tmp_path / "app"), "--build-dir", str(tmp_path)]
+    code = main(argv + ["--toolchain-config", str(tc)])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: x\n"
+    assert f"cxx {main_cc}: ok" in captured.out and "link: ok" in captured.out
+    assert "warning" not in captured.out
+
+
 def test_cli_build_diagnostic_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.qasm"
     bad.write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0]\n")
@@ -540,6 +573,31 @@ def test_cli_native_set_without_cx_is_a_diagnostic(tmp_path, capsys, subcommand)
     assert main(args) == 1
     assert capsys.readouterr().err.strip() == f"{circ}: error: gate 'cx' cannot be lowered to the native set"
     assert not (tmp_path / "circ.qir.ll").exists()
+
+
+def test_cli_routed_swaps_must_be_native(tmp_path, capsys):
+    # cz needs a swap on a line; with swap and cx outside the native set the
+    # inserted swap cannot be lowered, and the build fails instead of emitting cx.
+    circ = tmp_path / "czfar.qasm"
+    circ.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncz q[0],q[2];\n')
+    device = tmp_path / "line3.json"
+    device.write_text(json.dumps({"n_qubits": 3, "edges": [[0, 1], [1, 2]]}))
+    args = ["build", str(circ), "--build-dir", str(tmp_path), "--coupling", str(device)]
+    assert main(args + ["--layout", "identity", "--native-gates", "rz,rx,cz"]) == 1
+    assert capsys.readouterr().err.strip() == f"{circ}: error: gate 'cx' cannot be lowered to the native set"
+    assert not (tmp_path / "czfar.qir.ll").exists()
+
+
+@pytest.mark.parametrize("layout", ["sabre", "identity"])
+def test_cli_capacity_diagnostic_for_both_layouts(tmp_path, capsys, layout):
+    circ = tmp_path / "four.qasm"
+    circ.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\ncx q[0],q[3];\n')
+    device = tmp_path / "line3.json"
+    device.write_text(json.dumps({"n_qubits": 3, "edges": [[0, 1], [1, 2]]}))
+    args = ["build", str(circ), "--build-dir", str(tmp_path), "--coupling", str(device), "--layout", layout]
+    assert main(args) == 1
+    assert capsys.readouterr().err.strip() == f"{circ}: error: 4 logical qubits exceed 3 physical"
+    assert not (tmp_path / "four.qir.ll").exists()
 
 
 def test_cli_emit_only_build(tmp_path, capsys):

@@ -12,6 +12,7 @@ from qcc.ir import (
 )
 from qcc.qasm import lower_ast_to_ir, parse_qasm
 from qcc.qasm.qelib1 import gate_table
+from qcc.qir import emit_qir
 
 from conftest import qasm_program
 
@@ -27,7 +28,7 @@ measure q -> c;
 
 
 def q(i: int) -> QubitRef:
-    return QubitRef(register_id=0, index=i, logical_id=i)
+    return QubitRef(i)
 
 
 def test_ghz_lowering_exact():
@@ -95,7 +96,7 @@ def test_broadcast_expands_ascending():
     src = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\nx q;\n'
     prog = qasm_program(src)
     gates = [op for op in prog.ops if isinstance(op, Inst)]
-    assert [g.qubits[0].index for g in gates] == [0, 1, 2, 3]
+    assert [g.qubits[0].logical_id for g in gates] == [0, 1, 2, 3]
 
 
 def test_builtin_u_lowered_to_u3():
@@ -125,7 +126,7 @@ def test_conditional_region_shape():
     region = regions[0]
     assert region.creg_id == 0 and region.value == 1
     assert region.body.name == "z"
-    assert region.body.qubits == (QubitRef(register_id=0, index=1, logical_id=1),)
+    assert region.body.qubits == (QubitRef(1),)
 
 
 def test_conditional_broadcast_splits_per_gate():
@@ -136,7 +137,7 @@ def test_conditional_broadcast_splits_per_gate():
     prog = qasm_program(src)
     regions = [op for op in prog.ops if isinstance(op, ConditionalRegion)]
     assert len(regions) == 3
-    assert [r.body.qubits[0].index for r in regions] == [0, 1, 2]
+    assert [r.body.qubits[0].logical_id for r in regions] == [0, 1, 2]
     assert all(r.creg_id == 0 and r.value == 1 for r in regions)
 
 
@@ -145,7 +146,7 @@ def test_barrier_collects_qubits():
     prog = qasm_program(src)
     barriers = [op for op in prog.ops if isinstance(op, Barrier)]
     assert len(barriers) == 1
-    assert [ref.index for ref in barriers[0].qubits] == [0, 1]
+    assert [ref.logical_id for ref in barriers[0].qubits] == [0, 1]
 
 
 def test_reset_is_an_inst():
@@ -161,8 +162,8 @@ def test_two_registers_get_disjoint_logical_ids():
     assert prog.n_qubits == 4
     gate = [op for op in prog.ops if isinstance(op, Inst)][0]
     assert [ref.logical_id for ref in gate.qubits] == [1, 2]
-    # lookup by logical id round-trips
-    assert prog.qubit(2).register_id == 1 and prog.qubit(2).index == 0
+    # the emitter takes logical qubit 2, b[0], as element 0 of the second array
+    assert "@__quantum__rt__array_get_element_ptr(%Array* %1, i64 0)" in emit_qir(prog).text
 
 
 def test_inlining_is_complete_on_corpus(corpus_programs):

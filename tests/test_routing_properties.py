@@ -103,7 +103,7 @@ def test_routing_respects_edges_layouts_and_dependencies(data):
 
     for op in routed.ops:
         if isinstance(op, Inst) and len(op.qubits) == 2:
-            assert graph.adjacent(op.qubits[0].index, op.qubits[1].index)
+            assert graph.adjacent(op.qubits[0].logical_id, op.qubits[1].logical_id)
 
     phys_to_log, gates = replay(result)
     assert {l: p for p, l in phys_to_log.items()} == dict(enumerate(result.final_layout.log_to_phys))

@@ -76,8 +76,8 @@ def test_conditional_rejected():
 
 @pytest.mark.parametrize("name, operands", [("cx", 1), ("h", 2), ("ccx", 2)])
 def test_gate_arity_must_match_its_matrix(name, operands):
-    qubits = tuple(QubitRef(0, i, i) for i in range(operands))
-    prog = QuantumProgram([QRegister(0, 2)], [], [Inst(name, (), qubits)])
+    qubits = tuple(QubitRef(i) for i in range(operands))
+    prog = QuantumProgram([QRegister(2)], [], [Inst(name, (), qubits)])
     with pytest.raises(OracleError, match=f"gate '{name}' acts on"):
         simulate(prog)
 
