@@ -102,11 +102,11 @@ def cmd_simulate(args) -> int:
         if len(kernels) != 1:
             raise QccError(f"{args.file}: expected exactly one quantum kernel, found {len(kernels)}")
         _, program = extract_program(kernels[0])
-    # Measurements after the last gate are dropped; an earlier one would
-    # collapse the state, which a unitary simulation cannot show.
+    # Unconditioned measurements after the last gate are dropped; an earlier
+    # one would collapse the state, which a unitary simulation cannot show.
     kept, after_last_gate = [], True
     for op in reversed(program.ops):
-        if isinstance(op, Inst) and op.result is not None:
+        if isinstance(op, Inst) and op.result is not None and op.condition is None:
             if not after_last_gate:
                 raise QccError(
                     f"{args.file}: the measurement of qubit {op.qubits[0].logical_id} is followed by a gate;"

@@ -1,11 +1,12 @@
 """Quantum intermediate representation.
 
-A QuantumProgram is a flat list of gate operations (Inst, Barrier and
-ConditionalRegion) over logical qubits; its register lists alone say which
-registers exist, and a register's id is its position in them.  A qubit is
-its logical id, contiguous across all quantum registers in declaration
-order, so a program with qreg a[2]; qreg b[3]; numbers its qubits a[0]=0,
-a[1]=1, b[0]=2, b[1]=3, b[2]=4.
+A QuantumProgram is a flat list of gate operations (Inst and Barrier) over
+logical qubits; its register lists alone say which registers exist, and a
+register's id is its position in them.  A qubit is its logical id,
+contiguous across all quantum registers in declaration order, so a program
+with qreg a[2]; qreg b[3]; numbers its qubits a[0]=0, a[1]=1, b[0]=2,
+b[1]=3, b[2]=4.  A classical condition is a field of the Inst it guards:
+``condition=(creg_id, value)`` runs the op iff that creg equals the value.
 
 The module also builds the gate dependency DAG used by scheduling, routing
 and metrics.  Barriers are not DAG nodes: they contribute ordering edges only,
@@ -53,12 +54,17 @@ class ResultRef:
 
 @dataclass(frozen=True)
 class Inst:
-    """A gate application, measurement (result set) or reset."""
+    """A gate application, measurement (result set) or reset.
+
+    With a condition (creg_id, value) it runs only when the creg at position
+    creg_id equals value.
+    """
 
     name: str
     params: tuple[float, ...]
     qubits: tuple[QubitRef, ...]
     result: ResultRef | None = None
+    condition: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,20 +87,22 @@ class Barrier:
 
 @dataclass(frozen=True)
 class ConditionalRegion:
-    """A single op executed iff the creg at position creg_id equals a constant."""
+    """The former wrapper form of a conditioned op, never a program op.
+
+    Programs state a condition as ``Inst.condition``; this class stays only
+    because perfbench's checks import it.
+    """
 
     creg_id: int
     value: int
     body: Inst
 
 
-IrOp = Inst | Barrier | ConditionalRegion
+IrOp = Inst | Barrier
 
 
 def op_qubits(op: IrOp) -> tuple[int, ...]:
     """Logical ids of the qubits an op touches, in operand order."""
-    if isinstance(op, ConditionalRegion):
-        op = op.body
     # tuple([...]) rather than a generator: this runs once per op in several passes.
     return tuple([q.logical_id for q in op.qubits])
 
@@ -134,7 +142,7 @@ class DagNode(NamedTuple):
 class GateDag:
     """Def-use dependency graph over gate instructions.
 
-    Nodes are Inst ops (gates, measures, resets, conditional bodies); edges
+    Nodes are Inst ops (gates, measures, resets, conditioned or not); edges
     connect each gate to the next gate on every shared qubit.  Barriers add
     edges from every gate before the barrier on its qubit set to every gate
     after it, without becoming nodes themselves.
@@ -176,10 +184,13 @@ class GateDag:
 def build_dag(program: QuantumProgram) -> GateDag:
     """Build the def-use DAG for a program's gate instructions.
 
-    Conditional regions become nodes for their body gate, serialized against
-    the classical register they read: a conditional depends on every earlier
-    measurement into that creg, and later measurements into the creg depend on
-    the conditional.  Measurements into distinct bits are otherwise independent.
+    A conditioned op is serialized against the classical register it reads:
+    it depends on every earlier measurement into that creg, and later
+    measurements into the creg depend on it.  A measurement's result is
+    registered before its own condition, so a conditioned measurement orders
+    after earlier readers of its bit and before later ones, and one that reads
+    the creg it writes gets no edge to itself.  Measurements into distinct
+    bits are otherwise independent.
     """
     dag = GateDag()
     # Per qubit: its last node, or after a barrier the list of nodes any later
@@ -189,26 +200,19 @@ def build_dag(program: QuantumProgram) -> GateDag:
     creg_writers: dict[int, list[int]] = {}
     creg_barrier: dict[int, int] = {}
 
-    def link(node_id: int, qubits: tuple[int, ...]) -> None:
-        for q in qubits:
-            prev = last.get(q)
-            if isinstance(prev, list):
-                for p in prev:
-                    dag.add_edge(p, node_id)
-            elif prev is not None:
-                dag.add_edge(prev, node_id)
-            last[q] = node_id
-
-    def add_inst(inst: Inst, condition: tuple[int, int] | None = None) -> int:
-        qubits = tuple([q.logical_id for q in inst.qubits])
-        node_id = len(dag.nodes)
-        dag.add_node(DagNode(node_id, inst.name, inst.params, qubits, inst.result, condition))
-        link(node_id, qubits)
-        return node_id
-
     for op in program.ops:
         if isinstance(op, Inst):
-            nid = add_inst(op)
+            qubits = op_qubits(op)
+            nid = len(dag.nodes)
+            dag.add_node(DagNode(nid, op.name, op.params, qubits, op.result, op.condition))
+            for q in qubits:
+                prev = last.get(q)
+                if isinstance(prev, list):
+                    for p in prev:
+                        dag.add_edge(p, nid)
+                elif prev is not None:
+                    dag.add_edge(prev, nid)
+                last[q] = nid
             if op.result is not None:
                 creg = op.result.creg_id
                 bit = (creg, op.result.index)
@@ -218,14 +222,15 @@ def build_dag(program: QuantumProgram) -> GateDag:
                     dag.add_edge(creg_barrier[creg], nid)
                 last_bit_writer[bit] = nid
                 creg_writers.setdefault(creg, []).append(nid)
-        elif isinstance(op, ConditionalRegion):
-            nid = add_inst(op.body, condition=(op.creg_id, op.value))
-            for writer in creg_writers.get(op.creg_id, []):
-                dag.add_edge(writer, nid)
-            if op.creg_id in creg_barrier:
-                dag.add_edge(creg_barrier[op.creg_id], nid)
-            creg_barrier[op.creg_id] = nid
-            creg_writers[op.creg_id] = []
+            if op.condition is not None:
+                creg = op.condition[0]
+                for writer in creg_writers.get(creg, []):
+                    if writer != nid:
+                        dag.add_edge(writer, nid)
+                if creg in creg_barrier:
+                    dag.add_edge(creg_barrier[creg], nid)
+                creg_barrier[creg] = nid
+                creg_writers[creg] = []
         elif isinstance(op, Barrier):
             qubits = op_qubits(op)
             fence: list[int] = []
@@ -263,25 +268,20 @@ def gate_counts(program: QuantumProgram) -> dict[str, int]:
     swap = 0
     measure = 0
 
-    def tally(inst: Inst) -> None:
-        nonlocal total, single, two, swap, measure
-        if inst.result is not None or inst.name == "measure":
+    for op in program.ops:
+        if not isinstance(op, Inst):
+            continue
+        if op.result is not None or op.name == "measure":
             measure += 1
-            return
+            continue
         total += 1
-        n = len(inst.qubits)
+        n = len(op.qubits)
         if n == 1:
             single += 1
         elif n == 2:
             two += 1
-        if inst.name == "swap":
+        if op.name == "swap":
             swap += 1
-
-    for op in program.ops:
-        if isinstance(op, Inst):
-            tally(op)
-        elif isinstance(op, ConditionalRegion):
-            tally(op.body)
 
     return {
         "total_gates": total,

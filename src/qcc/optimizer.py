@@ -36,7 +36,6 @@ from .errors import (
     UnsupportedGateError,
 )
 from .ir import (
-    ConditionalRegion,
     FusedUnitary,
     Inst,
     IrOp,
@@ -228,7 +227,7 @@ def select_decomposition(matrix: np.ndarray, native: NativeGateSet) -> list[tupl
 
 
 def _is_plain_gate(op: IrOp) -> bool:
-    return isinstance(op, Inst) and op.result is None and op.name not in ("measure", "reset")
+    return isinstance(op, Inst) and op.result is None and op.condition is None and op.name not in ("measure", "reset")
 
 
 def _single_qubit_matrix(op: IrOp) -> np.ndarray | None:
@@ -244,8 +243,8 @@ def fuse_single_qubit_runs(program: QuantumProgram) -> list[IrOp | FusedUnitary]
     """The program's ops with each maximal run of single-qubit gates collapsed
     into a FusedUnitary record.
 
-    Runs end at two-qubit gates, measures, resets, barriers and conditional
-    regions.  Runs of length 1 pass through unchanged.  The fused matrix is
+    Runs end at two-qubit gates, measures, resets, barriers and conditioned
+    gates.  Runs of length 1 pass through unchanged.  The fused matrix is
     the ordered product of the run, later gates on the left; the run itself
     rides along in FusedUnitary.source.  The records exist only between this
     pass and resynthesis, which turns each back into gates.
@@ -283,8 +282,10 @@ def fuse_single_qubit_runs(program: QuantumProgram) -> list[IrOp | FusedUnitary]
 # --- native-set rewriting ------------------------------------------------------
 
 
-def _rotation_insts(pairs: Iterable[tuple[str, float]], qubit: QubitRef) -> list[Inst]:
-    return [Inst(name, (angle,), (qubit,)) for name, angle in pairs]
+def _rotation_insts(
+    pairs: Iterable[tuple[str, float]], qubit: QubitRef, condition: tuple[int, int] | None = None
+) -> list[Inst]:
+    return [Inst(name, (angle,), (qubit,), None, condition) for name, angle in pairs]
 
 
 def _stranger_matrix(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
@@ -310,7 +311,8 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
 
     Single-qubit strangers go through Euler resynthesis of their matrix;
     multi-qubit strangers are expanded through their standard-library bodies
-    and the result is rewritten again until it is fully native.
+    and the result is rewritten again until it is fully native.  Every gate
+    expanded from a conditioned gate carries that gate's condition.
     """
     native = native or NativeGateSet.default()
 
@@ -323,13 +325,13 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
                 pairs = select_decomposition(_stranger_matrix(op.name, op.params), native)
             else:
                 pairs = _fixed_gate_rotations(op.name, native)
-            sink.extend(_rotation_insts(pairs, op.qubits[0]))
+            sink.extend(_rotation_insts(pairs, op.qubits[0], op.condition))
             return
         gdef = qelib1.gate_defs().get(op.name)
         if gdef is None or op.name == "cx":  # cx's body is the CX builtin, cx again
             raise UnsupportedGateError(f"gate '{op.name}' cannot be lowered to the native set")
         try:
-            body = instantiate(gdef, op.params, op.qubits)
+            body = instantiate(gdef, op.params, op.qubits, op.condition)
         except QasmSemanticError as err:  # its span would point into qelib1, not the program
             raise UnsupportedGateError(f"gate '{op.name}' cannot be lowered to the native set: {err.message}") from None
         for sub in body:
@@ -339,12 +341,6 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
     for op in program.ops:
         if isinstance(op, Inst):
             rewrite(op, new_ops)
-        elif isinstance(op, ConditionalRegion):
-            body: list[IrOp] = []
-            rewrite(op.body, body)
-            for sub in body:
-                assert isinstance(sub, Inst)
-                new_ops.append(ConditionalRegion(op.creg_id, op.value, sub))
         else:
             new_ops.append(op)
     return program.with_ops(new_ops)
@@ -367,26 +363,18 @@ def _resynthesize(program: QuantumProgram, native: NativeGateSet) -> QuantumProg
 
 
 def _cancel_cx_pairs(program: QuantumProgram) -> QuantumProgram:
-    """Remove adjacent identical cx pairs (same control and target, nothing
-    touching either qubit in between)."""
+    """Remove adjacent identical unconditioned cx pairs (same control and
+    target, nothing touching either qubit in between)."""
     ops = list(program.ops)
     last_on_qubit: dict[int, int] = {}
     removed: set[int] = set()
 
     for i, op in enumerate(ops):
         qubits = op_qubits(op)
-        if isinstance(op, Inst) and op.name == "cx" and op.result is None:
+        if isinstance(op, Inst) and op.name == "cx" and op.condition is None:
             a, b = qubits
             prev_a = last_on_qubit.get(a)
-            prev_b = last_on_qubit.get(b)
-            if (
-                prev_a is not None
-                and prev_a == prev_b
-                and prev_a not in removed
-                and isinstance(ops[prev_a], Inst)
-                and ops[prev_a].name == "cx"
-                and ops[prev_a].qubits == op.qubits
-            ):
+            if prev_a is not None and prev_a == last_on_qubit.get(b) and prev_a not in removed and ops[prev_a] == op:
                 removed.add(prev_a)
                 removed.add(i)
                 # The qubits fall back to whatever preceded the cancelled pair.

@@ -10,18 +10,20 @@ into a hardware-native set is the optimizer's job.  The one diagnostic
 left to lowering is a body's parameter expression that fails to evaluate
 for the values of one call; it names the AST's file.
 
-A conditioned statement lowers to one ConditionalRegion per expanded gate.
-The comparison is against a classical register that no unitary body can
-modify, so splitting a multi-gate expansion into individually conditioned
-gates preserves the program's meaning.
+A conditioned statement lowers to its expanded gates, each carrying the
+statement's condition as ``Inst.condition``.  The comparison is against a
+classical register that no unitary body can modify, so splitting a
+multi-gate expansion into individually conditioned gates preserves the
+program's meaning.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..errors import in_file
 from ..ir import (
     Barrier,
-    ConditionalRegion,
     CRegister,
     Inst,
     IrOp,
@@ -39,15 +41,20 @@ _BUILTIN_NAMES = {"U": "u3", "CX": "cx"}
 def primitive(op: Inst) -> Inst:
     """op under its IR name: U becomes u3, CX becomes cx, the rest stay."""
     name = _BUILTIN_NAMES.get(op.name)
-    return op if name is None else Inst(name, op.params, op.qubits)
+    return op if name is None else Inst(name, op.params, op.qubits, op.result, op.condition)
 
 
-def instantiate(gdef: ast.GateDef, params: tuple[float, ...], qubits: tuple[QubitRef, ...]) -> list[IrOp]:
+def instantiate(
+    gdef: ast.GateDef,
+    params: tuple[float, ...],
+    qubits: tuple[QubitRef, ...],
+    condition: tuple[int, int] | None = None,
+) -> list[IrOp]:
     """The ops of one call of gdef, each gate still under the name its body uses.
 
     The body's parameter expressions are evaluated with the call's values
-    bound to the formal names, formal qubits map to the call's qubits, and
-    barriers are kept.
+    bound to the formal names, formal qubits map to the call's qubits, every
+    gate carries the call's condition, and barriers are kept.
     """
     env = dict(zip(gdef.params, params))
     qmap = dict(zip(gdef.qubits, qubits))
@@ -57,7 +64,8 @@ def instantiate(gdef: ast.GateDef, params: tuple[float, ...], qubits: tuple[Qubi
         if isinstance(stmt, ast.BarrierStmt):
             ops.append(Barrier(mapped))
         else:
-            ops.append(Inst(stmt.name, tuple(ast.evaluate(p, env, stmt.span) for p in stmt.params), mapped))
+            values = tuple(ast.evaluate(p, env, stmt.span) for p in stmt.params)
+            ops.append(Inst(stmt.name, values, mapped, None, condition))
     return ops
 
 
@@ -117,15 +125,11 @@ class _Lowering:
             qubits = dict.fromkeys(q for arg in stmt.qargs for (q,) in self.broadcast((arg,)))
             sink.append(Barrier(tuple(qubits)))
         elif isinstance(stmt, ast.IfStatement):
-            creg_id = self.creg_ids[stmt.creg]
+            condition = (self.creg_ids[stmt.creg], stmt.value)
             body_ops: list[IrOp] = []
             self.lower_statement(stmt.body, body_ops)
-            for op in body_ops:
-                if isinstance(op, Inst):
-                    sink.append(ConditionalRegion(creg_id, stmt.value, op))
-                else:
-                    # Barriers inside a conditioned macro stay unconditioned fences.
-                    sink.append(op)
+            # Barriers inside a conditioned macro stay unconditioned fences.
+            sink.extend(replace(op, condition=condition) if isinstance(op, Inst) else op for op in body_ops)
         else:
             raise TypeError(f"not a statement: {stmt!r}")
 

@@ -18,8 +18,9 @@ Conventions fixed here and relied on by the extractor:
 * measurement is ``%Result* @__quantum__qis__m(%Qubit*)`` and the mapping
   from result values to classical register bits is recorded positionally in
   the module's comment header, which the extractor does not read;
-* ``if (creg == n)`` regions compare through an opaque runtime predicate
-  ``i1 @__quantum__rt__creg_equal(i64, i64)`` and branch over the body.
+* an op with ``condition=(creg, n)`` compares through an opaque runtime
+  predicate ``i1 @__quantum__rt__creg_equal(i64, i64)`` and branches over
+  the op.
   Branching kernels are deliberately outside what the extractor accepts.
 
 This module only writes QIR; ``reader.py`` reads and verifies it.
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from ..errors import EmitError
 from ..ir import (
     Barrier,
-    ConditionalRegion,
     Inst,
     IrOp,
     QuantumProgram,
@@ -104,7 +104,7 @@ class _Emitter:
         """Extract each used qubit once, register by register in logical order."""
         used: set[int] = set()
         for op in self.program.ops:
-            if not isinstance(op, (Inst, Barrier, ConditionalRegion)):
+            if not isinstance(op, (Inst, Barrier)):
                 raise EmitError(f"cannot emit op {type(op).__name__}")
             used.update(op_qubits(op))
         base = 0
@@ -125,12 +125,12 @@ class _Emitter:
             raise EmitError(f"qubit {ref.logical_id} has no extracted handle")
         return value
 
-    def emit_inst(self, op: Inst, indent: str = "  ") -> None:
+    def emit_inst(self, op: Inst) -> None:
         name = op.name
         if name == "measure":
             callee = self.qis("m", "declare %Result* @__quantum__qis__m(%Qubit*)")
             result = self.ssa()
-            self.body.append(f"{indent}{result} = call %Result* {callee}(%Qubit* {self.qubit(op.qubits[0])})")
+            self.body.append(f"  {result} = call %Result* {callee}(%Qubit* {self.qubit(op.qubits[0])})")
             creg = self.program.cregs[op.result.creg_id].name
             self.result_lines.append(f"; result {len(self.result_lines)} ({result}) -> {creg}[{op.result.index}]")
             return
@@ -141,24 +141,25 @@ class _Emitter:
         callee = self.qis(name, signature)
         args = [f"double {format_double(p)}" for p in op.params]
         args += [f"%Qubit* {self.qubit(q)}" for q in op.qubits]
-        self.body.append(f"{indent}call void {callee}({', '.join(args)})")
+        self.body.append(f"  call void {callee}({', '.join(args)})")
 
     def emit_op(self, op: IrOp) -> None:
-        if isinstance(op, Inst):
-            self.emit_inst(op)
-        elif isinstance(op, Barrier):
+        if isinstance(op, Barrier):
             callee = self.qis("barrier", "declare void @__quantum__qis__barrier(...)")
             args = ", ".join(f"%Qubit* {self.qubit(q)}" for q in op.qubits)
             self.body.append(f"  call void (...) {callee}({args})")
-        else:  # a ConditionalRegion: emit_extracts rejected every other op
+        elif op.condition is None:  # emit_extracts rejected every op but Inst and Barrier
+            self.emit_inst(op)
+        else:
             pred = self.rt("__quantum__rt__creg_equal")
             flag = self.ssa()
-            self.body.append(f"  {flag} = call i1 {pred}(i64 {op.creg_id}, i64 {op.value})")
+            creg_id, value = op.condition
+            self.body.append(f"  {flag} = call i1 {pred}(i64 {creg_id}, i64 {value})")
             label = self.next_label
             self.next_label += 1
             self.body.append(f"  br i1 {flag}, label %then.{label}, label %endif.{label}")
             self.body.append(f"then.{label}:")
-            self.emit_inst(op.body)
+            self.emit_inst(op)
             self.body.append(f"  br label %endif.{label}")
             self.body.append(f"endif.{label}:")
 

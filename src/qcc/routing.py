@@ -16,8 +16,8 @@ that needed the fewest swaps.  With ``iterations`` rounds that is at most
 ``route_program`` takes its routing from that pass, adding none.
 
 Conventions: inserted swaps are tagged, barriers order the DAG but do not
-appear in routed output, and conditional regions are only routable when
-their body is a single-qubit gate.
+appear in routed output, and a conditioned op is only routable when it acts
+on a single qubit.
 """
 
 import json
@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import CapacityError, CouplingFormatError, RoutingError
 from .ir import (
-    ConditionalRegion,
     GateDag,
     Inst,
     QRegister,
@@ -184,7 +183,7 @@ def _check_routable(node) -> None:
             f"gate {node.name} acts on {len(node.qubits)} qubits; decompose before routing"
         )
     if node.condition is not None and len(node.qubits) != 1:
-        raise RoutingError("conditional regions with multi-qubit bodies are not routable")
+        raise RoutingError("conditioned multi-qubit gates are not routable")
 
 
 def sabre_swap(
@@ -417,15 +416,10 @@ def route_program(
 
     device = QRegister(size=graph.n_physical, name="device")
     refs = [QubitRef(p) for p in range(graph.n_physical)]
-    ops: list = []
-    for gate in result.routed_gates:
-        qubits = tuple(refs[p] for p in gate.qubits)
-        inst = Inst(name=gate.name, params=gate.params, qubits=qubits, result=gate.result)
-        if gate.condition is not None:
-            creg_id, value = gate.condition
-            ops.append(ConditionalRegion(creg_id=creg_id, value=value, body=inst))
-        else:
-            ops.append(inst)
+    ops = [
+        Inst(gate.name, gate.params, tuple(refs[p] for p in gate.qubits), gate.result, gate.condition)
+        for gate in result.routed_gates
+    ]
     routed = QuantumProgram(registers=[device], cregs=list(program.cregs), ops=ops)
     if result.swap_count and native is not None and "swap" not in native:
         routed = decompose_unsupported(routed, native)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gates
 from .errors import DimensionMismatchError, InvalidPermutationError, OracleError
-from .ir import Barrier, ConditionalRegion, Inst, QuantumProgram
+from .ir import Barrier, Inst, QuantumProgram
 
 MAX_QUBITS = 20
 
@@ -54,10 +54,10 @@ def simulate(program: QuantumProgram, n_qubits: int | None = None) -> np.ndarray
     for op in program.ops:
         if isinstance(op, Barrier):
             continue
-        if isinstance(op, ConditionalRegion):
-            raise OracleError("conditional regions are not simulable in unitary mode")
         if not isinstance(op, Inst):
             raise OracleError(f"cannot simulate op {op!r}")
+        if op.condition is not None:
+            raise OracleError("conditional regions are not simulable in unitary mode")
         if op.result is not None or op.name in ("measure", "reset"):
             raise OracleError(f"'{op.name}' is not simulable in unitary mode")
         matrix, qubits = gates.unitary(op.name, op.params), tuple(q.logical_id for q in op.qubits)

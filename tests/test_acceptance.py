@@ -17,7 +17,7 @@ from qcc.benchmarks import benchmark_source, list_benchmarks
 from qcc.driver import QuantumOptions, ToolchainConfig, classify_inputs, execute_plan
 from qcc.errors import ToolFailure
 from qcc.gates import unitary
-from qcc.ir import ConditionalRegion, Inst, build_dag, circuit_depth, gate_counts
+from qcc.ir import Inst, build_dag, circuit_depth, gate_counts
 from qcc.optimizer import decompose_unsupported, euler_decompose, optimize
 from qcc.qasm import lower_ast_to_ir, parse_qasm
 from qcc.qir import emit_qir, extract_circuit
@@ -315,8 +315,7 @@ def test_metrics_correctness(corpus_programs, verdict):
         dag = build_dag(prog)
 
         total = single = two = swaps = measures = 0
-        for op in prog.ops:
-            gate = op.body if isinstance(op, ConditionalRegion) else op
+        for gate in prog.ops:
             if not isinstance(gate, Inst):
                 continue
             if gate.name == "measure":

@@ -2,14 +2,16 @@
 
 import hashlib
 import math
+import shutil
 import struct
+import subprocess
 
 import numpy as np
 import pytest
 
 from qcc.benchmarks import benchmark_source, list_benchmarks
 from qcc.errors import CapacityError, EmitError
-from qcc.ir import FusedUnitary, QRegister, QuantumProgram, QubitRef
+from qcc.ir import FusedUnitary, Inst, QRegister, QuantumProgram, QubitRef
 from qcc.optimizer import NativeGateSet, optimize
 from qcc.qir import emit_qir, verify_qir_text
 from qcc.qir.codegen import format_double
@@ -430,3 +432,52 @@ def test_emitted_qir_is_pinned():
             prog, _ = route_program(prog, line10, seed=0, native=native)
             expanded[(name, level)] = hashlib.sha256(emit_qir(prog).text.encode()).hexdigest()
     assert expanded == SWAPS_EXPANDED_QIR_GOLDEN
+
+
+LLVM_AS = shutil.which("llvm-as")
+
+MIXED = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[3];
+qreg r[2];
+creg c[2];
+creg d[1];
+h q[0];
+cx q[0],r[1];
+barrier q, r[0];
+measure q[0] -> c[0];
+reset q[1];
+if (c==1) x q[1];
+if (c==1) cz q[1],r[0];
+if (c==0) measure q[2] -> d[0];
+if (d==1) u3(0.1,0.2,0.3) r[1];
+measure r -> c;
+"""
+
+
+def assert_assembles(text: str) -> None:
+    done = subprocess.run([LLVM_AS, "-", "-o", "/dev/null"], input=text, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.skipif(LLVM_AS is None, reason="llvm-as is not installed")
+@pytest.mark.parametrize("name", list_benchmarks())
+def test_bundled_benchmark_qir_assembles_with_llvm_as(name):
+    line10 = CouplingGraph.from_edges(10, [[i, i + 1] for i in range(9)])
+    for level in (0, 2):
+        prog = optimize(qasm_program(benchmark_source(name)), level)
+        routed, _ = route_program(prog, line10, seed=0)
+        assert_assembles(emit_qir(prog).text)
+        assert_assembles(emit_qir(routed).text)
+
+
+@pytest.mark.skipif(LLVM_AS is None, reason="llvm-as is not installed")
+@pytest.mark.parametrize("level", [0, 2])
+def test_conditional_qir_assembles_with_llvm_as(level):
+    prog = optimize(qasm_program(MIXED), level)
+    conditions = [op.condition for op in prog.ops if isinstance(op, Inst) and op.condition is not None]
+    assert len(conditions) > 3 and (0, 0) in conditions
+    text = emit_qir(prog).text
+    assert text.count("call i1 @__quantum__rt__creg_equal(") == len(conditions)
+    assert "__quantum__qis__barrier" in text and "__quantum__qis__reset" in text
+    assert_assembles(text)

@@ -721,6 +721,15 @@ def test_cli_simulate_of_qir_rejects_a_measurement_before_a_gate(tmp_path, capsy
         )
 
 
+@pytest.mark.parametrize("tail", ["", "measure q[1] -> c[1];\n"])
+def test_cli_simulate_keeps_a_trailing_conditioned_measurement(tmp_path, capsys, tail):
+    # only unconditioned measurements are dropped; a conditioned one is a branch
+    circ = tmp_path / "cond.qasm"
+    circ.write_text(GHZ2 + "creg c[2];\nif (c==0) measure q[0] -> c[0];\n" + tail)
+    assert main(["simulate", str(circ)]) == 1
+    assert capsys.readouterr().err.strip() == "error: conditional regions are not simulable in unitary mode"
+
+
 def test_cli_metrics(tmp_path, capsys):
     circ = tmp_path / "circ.qasm"
     circ.write_text(GHZ2)

@@ -5,7 +5,6 @@ import pytest
 from qcc.errors import QasmSemanticError
 from qcc.ir import (
     Barrier,
-    ConditionalRegion,
     Inst,
     QubitRef,
     ResultRef,
@@ -121,12 +120,12 @@ def test_conditional_region_shape():
         "if (c == 1) z q[1];\n"
     )
     prog = qasm_program(src)
-    regions = [op for op in prog.ops if isinstance(op, ConditionalRegion)]
-    assert len(regions) == 1
-    region = regions[0]
-    assert region.creg_id == 0 and region.value == 1
-    assert region.body.name == "z"
-    assert region.body.qubits == (QubitRef(1),)
+    conditioned = [op for op in prog.ops if isinstance(op, Inst) and op.condition is not None]
+    assert len(conditioned) == 1
+    gate = conditioned[0]
+    assert gate.condition == (0, 1)
+    assert gate.name == "z"
+    assert gate.qubits == (QubitRef(1),)
 
 
 def test_conditional_broadcast_splits_per_gate():
@@ -135,10 +134,10 @@ def test_conditional_broadcast_splits_per_gate():
         "if (c == 1) x q;\n"
     )
     prog = qasm_program(src)
-    regions = [op for op in prog.ops if isinstance(op, ConditionalRegion)]
-    assert len(regions) == 3
-    assert [r.body.qubits[0].logical_id for r in regions] == [0, 1, 2]
-    assert all(r.creg_id == 0 and r.value == 1 for r in regions)
+    conditioned = [op for op in prog.ops if isinstance(op, Inst) and op.condition is not None]
+    assert len(conditioned) == 3
+    assert [g.qubits[0].logical_id for g in conditioned] == [0, 1, 2]
+    assert all(g.condition == (0, 1) for g in conditioned)
 
 
 def test_barrier_collects_qubits():
@@ -172,5 +171,3 @@ def test_inlining_is_complete_on_corpus(corpus_programs):
         for op in prog.ops:
             if isinstance(op, Inst):
                 assert op.name in allowed
-            elif isinstance(op, ConditionalRegion):
-                assert op.body.name in allowed

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -554,12 +555,50 @@ def test_conditional_bodies_survive():
         "h q[0];\nif (c == 1) x q[0];\nh q[0];\n"
     )
     out = optimize(prog, 2)
-    from qcc.ir import ConditionalRegion
-
-    regions = [op for op in out.ops if isinstance(op, ConditionalRegion)]
-    assert len(regions) == 1
+    conditioned = [op for op in out.ops if isinstance(op, Inst) and op.condition is not None]
+    assert len(conditioned) == 1
     # the h gates on either side of the conditional must not fuse together
-    assert gate_names(out) == ["h", "h"]
+    assert [(op.name, op.condition) for op in out.ops] == [("h", None), ("rx", (0, 1)), ("h", None)]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "if (c == 1) cx q[0],q[1];\ncx q[0],q[1];\n",
+        "cx q[0],q[1];\nif (c == 1) cx q[0],q[1];\n",
+        # a measurement may change c between two conditioned cx
+        "if (c == 1) cx q[0],q[1];\nmeasure q[2] -> c[0];\nif (c == 1) cx q[0],q[1];\n",
+    ],
+)
+def test_conditioned_cx_is_not_cancelled(body):
+    prog = qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[1];\n' + body)
+    assert optimize(prog, 2).ops == prog.ops
+
+
+def test_conditioned_gate_ends_a_fused_run():
+    prog = qasm_program(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\ncreg c[1];\n'
+        "rz(0.1) q[0];\nrz(0.2) q[0];\nif (c == 1) rz(0.3) q[0];\nrz(0.4) q[0];\nrz(0.5) q[0];\n"
+    )
+    fused = fuse_single_qubit_runs(prog)
+    assert len(fused) == 3
+    assert [tuple(op.params[0] for op in fused[i].source) for i in (0, 2)] == [(0.1, 0.2), (0.4, 0.5)]
+    assert fused[1] == prog.ops[2]
+    assert [(op.name, op.condition) for op in optimize(prog, 1).ops] == [
+        ("rz", None),
+        ("rz", (0, 1)),
+        ("rz", None),
+    ]
+
+
+def test_conditioned_gate_expands_under_its_condition():
+    native = NativeGateSet.from_names(["rz", "ry", "cx"])
+    prog = qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncreg c[1];\nif (c == 1) cz q[0],q[1];\n')
+    out = decompose_unsupported(prog, native)
+    assert len(out.ops) > 1
+    assert all(op.name in native and op.condition == (0, 1) for op in out.ops)
+    plain = decompose_unsupported(prog.with_ops([replace(prog.ops[0], condition=None)]), native)
+    assert [replace(op, condition=None) for op in out.ops] == plain.ops
 
 
 # ---------------------------------------------------------------- pinned output

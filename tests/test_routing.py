@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qcc.errors import CapacityError, CouplingFormatError, RoutingError
-from qcc.ir import Barrier, ConditionalRegion, Inst, build_dag, gate_counts
+from qcc.ir import Barrier, Inst, build_dag, gate_counts
 from qcc import routing
 from qcc.optimizer import NativeGateSet, optimize
 from qcc.routing import (
@@ -431,9 +431,43 @@ def test_route_program_keeps_measures_and_conditionals():
     )
     routed, _ = route_program(qasm_program(src), linear(2))
     insts = [op for op in routed.ops if isinstance(op, Inst)]
-    regions = [op for op in routed.ops if isinstance(op, ConditionalRegion)]
+    conditioned = [op for op in insts if op.condition is not None]
     assert any(op.name == "measure" and op.result is not None for op in insts)
-    assert len(regions) == 1
+    assert len(conditioned) == 1
+
+
+def test_conditioned_measurement_precedes_a_reader_of_its_creg():
+    # cx q[0],q[2] needs a swap on the line, which holds back the measurement
+    # of q[0]; the x that reads d must still wait for it.
+    src = (
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[1];\ncreg d[1];\n'
+        "cx q[0],q[2];\nif (c==0) measure q[0] -> d[0];\nif (d==1) x q[1];\n"
+    )
+    routed, result = route_program(qasm_program(src), linear(3), layout=Layout.identity(3, 3))
+    assert result.swap_count == 1
+    assert [(op.name, op.condition) for op in routed.ops] == [
+        ("swap", None),
+        ("cx", None),
+        ("measure", (0, 0)),
+        ("x", (1, 1)),
+    ]
+
+
+def test_conditioned_measurement_into_its_own_creg_routes():
+    src = (
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncreg c[1];\n'
+        "h q[0];\nif (c==0) measure q[0] -> c[0];\ncx q[0],q[1];\n"
+    )
+    routed, result = route_program(qasm_program(src), linear(2))
+    assert [(op.name, op.condition) for op in routed.ops] == [("h", None), ("measure", (0, 0)), ("cx", None)]
+    assert routed.ops[1].result is not None
+    assert gate_counts(routed)["depth"] == 3
+
+
+def test_conditioned_two_qubit_gate_is_not_routable():
+    src = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncreg c[1];\nif (c==1) cx q[0],q[1];\n'
+    with pytest.raises(RoutingError, match="conditioned multi-qubit gates are not routable"):
+        route_program(qasm_program(src), linear(2))
 
 
 def test_route_program_output_register_is_device_sized(topologies):

@@ -4,6 +4,9 @@ The checks read only the routing result and the input program's DAG: the
 routed two-qubit gates sit on device edges, replaying the inserted swaps on
 the initial layout reaches the reported final layout, and the routed gates,
 mapped back to logical qubits through that replay, execute the input DAG.
+On circuits that measure into two cregs and condition gates and measurements
+on them, every read (condition) and write (result) of a creg keeps its source
+order wherever the two do not commute.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -45,7 +48,7 @@ def circuits(draw, n_physical):
 def replay(result):
     """Walk the routed gates from the initial layout, following each inserted
     swap; returns the final physical-to-logical map and the other gates as
-    (name, params, logical qubits)."""
+    (name, params, logical qubits, result, condition)."""
     phys_to_log = {p: l for l, p in enumerate(result.initial_layout.log_to_phys)}
     gates = []
     for gate in result.routed_gates:
@@ -57,7 +60,8 @@ def replay(result):
             if lv is not None:
                 phys_to_log[u] = lv
         else:
-            gates.append((gate.name, gate.params, tuple(phys_to_log[p] for p in gate.qubits)))
+            qubits = tuple(phys_to_log[p] for p in gate.qubits)
+            gates.append((gate.name, gate.params, qubits, gate.result, gate.condition))
     return phys_to_log, gates
 
 
@@ -68,7 +72,7 @@ def executes_dag(program, gates) -> bool:
     by_id = {node.node_id: node for node in dag.nodes}
     indegree = {nid: len(preds) for nid, preds in dag.predecessors.items()}
     ready = {nid for nid, d in indegree.items() if d == 0}
-    for name, params, qubits in gates:
+    for name, params, qubits, _, _ in gates:
         # Ready nodes never share a qubit, so the qubits pick at most one.
         match = [nid for nid in ready if by_id[nid].qubits == qubits]
         if len(match) != 1 or (by_id[match[0]].name, by_id[match[0]].params) != (name, params):
@@ -127,3 +131,74 @@ def test_route_program_routes_from_its_layout_search(data):
     assert result.routed_gates == reference.routed_gates
     assert result.swap_count == reference.swap_count
     assert (result.initial_layout, result.final_layout) == (layout, reference.final_layout)
+
+
+@st.composite
+def classical_circuits(draw, n_physical):
+    """Gates, measurements into c[2] and d[2], and ifs on 1q gates and measurements."""
+    n = draw(st.integers(2, n_physical))
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];", "creg c[2];", "creg d[2];"]
+    qubits = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["1q", "2q", "measure", "if 1q", "if measure"]))
+        condition = f"if ({draw(st.sampled_from('cd'))}=={draw(st.integers(0, 3))}) " if kind.startswith("if") else ""
+        if kind == "2q":
+            a, b = draw(st.lists(qubits, min_size=2, max_size=2, unique=True))
+            lines.append(f"{draw(st.sampled_from(TWO_QUBIT))} q[{a}],q[{b}];")
+        elif kind.endswith("measure"):
+            bit = f"{draw(st.sampled_from('cd'))}[{draw(st.integers(0, 1))}]"
+            lines.append(f"{condition}measure q[{draw(qubits)}] -> {bit};")
+        else:
+            lines.append(f"{condition}{draw(st.sampled_from(ONE_QUBIT))} q[{draw(qubits)}];")
+    return qasm_program("\n".join(lines) + "\n")
+
+
+def creg_accesses(ops):
+    """Per creg id, its reads and writes in order as (op key, written bit or None).
+
+    ops are (qubits, result, condition) triples.  An op's key is its first
+    qubit and how many ops came before it on that qubit, which routing keeps,
+    so the same op has the same key in the source and in the routed order.
+    """
+    seen: dict[int, int] = {}
+    accesses: dict[int, list] = {}
+    for qubits, result, condition in ops:
+        key = (qubits[0], seen.get(qubits[0], 0))
+        for q in qubits:
+            seen[q] = seen.get(q, 0) + 1
+        if result is not None:
+            accesses.setdefault(result.creg_id, []).append((key, result.index))
+        if condition is not None:
+            accesses.setdefault(condition[0], []).append((key, None))
+    return accesses
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_routing_keeps_the_order_of_creg_reads_and_writes(data):
+    graph = data.draw(connected_graphs())
+    program = data.draw(classical_circuits(graph.n_physical))
+    _, result = route_program(
+        program, graph, seed=data.draw(st.integers(0, 2**32 - 1)), sabre_iterations=data.draw(st.integers(1, 3))
+    )
+    source = creg_accesses(
+        [(tuple(q.logical_id for q in op.qubits), op.result, op.condition) for op in program.ops]
+    )
+    _, gates = replay(result)
+    routed = creg_accesses([(qubits, res, cond) for _, _, qubits, res, cond in gates])
+    for creg, accesses in source.items():
+        position = {key: i for i, (key, _) in enumerate(routed[creg])}
+        for i, (key_a, bit_a) in enumerate(accesses):
+            for key_b, bit_b in accesses[i + 1 :]:
+                # Two reads commute, and so do writes into distinct bits.
+                both_read = bit_a is None and bit_b is None
+                distinct_writes = None not in (bit_a, bit_b) and bit_a != bit_b
+                if key_a == key_b or both_read or distinct_writes:
+                    continue
+                assert position[key_a] < position[key_b], (creg, key_a, key_b)
