@@ -1,5 +1,6 @@
 """Build driver: input classification, toolchain config, plan execution, CLI."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -10,6 +11,7 @@ import time
 
 import pytest
 
+from qcc.benchmarks import benchmark_source, list_benchmarks
 from qcc.cli import main
 from qcc.driver import (
     QuantumOptions,
@@ -627,6 +629,30 @@ def test_cli_extract(tmp_path, capsys):
         "__quantum__qis__h",
         "__quantum__qis__cx",
     ]
+
+
+EXTRACT_JSON_GOLDEN = {
+    "adder4": "020ec205fc0f5298b73a7a73a6eca0cab3e5a40ff8b86394c83550746d3c1161",
+    "bv5": "568105b73eafe0761eb8666d324448b68e0fc575a00860a3be8ea04f91a4f9e8",
+    "ghz3": "8910cd2b0e0ff48c77de359ff297a2ae966afb8c6030de93f2c251697b7b6c45",
+    "ghz5": "4c711a269b5e8d1f319fb5510f3b92996880e0e328e4d5bf0d48917d225fd26d",
+    "hs_chain": "ba0cd1b5c0b3e84dec05bcbc8101e521e3ef8acb5e93905b0e3f0a41315bc1eb",
+    "qft4": "7c8ba9ba9a9c675da478d6d7040e70a851fbb170ba970d446bcf869999215600",
+    "random_a": "4eb2be834e2f4d1e442508f6d76ccb31f5aa111a318f9947eb8d960c205757a7",
+    "random_b": "1920821b072f992acf9f4198d78f6c1e5a9ed8b99517e5e4e6a0b88c6b7c8813",
+    "toffoli_pair": "06dd787c5abdfab0361fafd88f4cd853882183887f0cb8783032b230f4fe8340",
+}
+
+
+def test_cli_extract_output_is_pinned(tmp_path, capsys):
+    digests = {}
+    for name in list_benchmarks():
+        (tmp_path / f"{name}.qasm").write_text(benchmark_source(name))
+        assert main(["build", str(tmp_path / f"{name}.qasm"), "--build-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["extract", str(tmp_path / f"{name}.qir.ll")]) == 0
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == EXTRACT_JSON_GOLDEN
 
 
 @pytest.mark.parametrize("subcommand", ["extract", "simulate"])

@@ -149,10 +149,9 @@ def test_barrier_collects_qubits():
 
 
 def test_reset_is_an_inst():
-    src = "OPENQASM 2.0;\nqreg q[1];\nreset q[0];\n"
+    src = "OPENQASM 2.0;\nqreg q[1];\ncreg c[2];\nreset q[0];\nif (c==1) reset q[0];\n"
     prog = qasm_program(src)
-    gates = [op for op in prog.ops if isinstance(op, Inst)]
-    assert [g.name for g in gates] == ["reset"]
+    assert prog.ops == [Inst("reset", (), (q(0),)), Inst("reset", (), (q(0),), condition=(0, 1))]
 
 
 def test_two_registers_get_disjoint_logical_ids():

@@ -124,6 +124,40 @@ def test_opaque_rejected():
         parse_qasm("OPENQASM 2.0;\nqreg q[1];\nopaque foo a;\n")
 
 
+@pytest.mark.parametrize(
+    "body, error, diagnostic",
+    [
+        ("@", QasmSyntaxError, "6:1: error: unexpected character '@'"),
+        ("qreg Q[2];", QasmSemanticError, "6:6: error: invalid register name 'Q'"),
+        ("gate Foo a { h a; }", QasmSemanticError, "6:6: error: invalid gate name 'Foo'"),
+        ("gate foo(a,a) b { h b; }", QasmSemanticError, "6:6: error: duplicate parameter name"),
+        ("gate foo a,a { h a; }", QasmSemanticError, "6:6: error: duplicate qubit argument"),
+        ("gate foo a { h a;", QasmSyntaxError, "7:1: error: unterminated gate body"),
+        ("gate foo a { 3; }", QasmSyntaxError, "6:14: error: expected a gate application, got '3'"),
+        ("gate g a { barrier b; }", QasmSemanticError, "6:12: error: 'b' is not a qubit argument of this gate"),
+        ("gate g a { h b; }", QasmSemanticError, "6:12: error: 'b' is not a qubit argument of this gate"),
+        ("gate g a, b { cx a,a; }", QasmSemanticError, "6:15: error: gate arguments must be distinct"),
+        ("gate g a { rz(x) b; }", QasmSemanticError, "6:15: error: unknown parameter 'x'"),
+        ("cx q, r;", QasmSemanticError, "6:1: error: whole-register operands have mismatched sizes"),
+        ("cx q, q;", QasmSemanticError, "6:1: error: register 'q' used twice in one statement"),
+        ("cx q[0], q;", QasmSemanticError, "6:1: error: 'q[0]' collides with whole-register operand 'q'"),
+        ("measure q[0] -> c;", QasmSemanticError,
+         "6:1: error: measure operands must both be indexed or both whole registers"),
+        ("if (c==1) 3;", QasmSyntaxError, "6:11: error: expected a quantum operation after if(...)"),
+        ("if (c==1) barrier q;", QasmSyntaxError, "6:11: error: 'barrier' cannot be conditioned"),
+        ("rz(,) q[0];", QasmSyntaxError, "6:4: error: expected an expression, got ','"),
+        ("rz(theta) q[0];", QasmSemanticError, "6:1: error: unknown parameter 'theta'"),
+        ("opaque foo(a) b;", QasmSemanticError, "6:1: error: opaque gates are not supported"),
+    ],
+)
+def test_statement_diagnostics(body, error, diagnostic):
+    src = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nqreg r[3];\ncreg c[2];\n' + body + "\n"
+    with pytest.raises(error) as exc:
+        parse_qasm(src)
+    assert type(exc.value) is error
+    assert exc.value.diagnostic() == f"<input>:{diagnostic}"
+
+
 def test_division_by_zero_in_parameter():
     src = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz(1/0) q[0];\n'
     with pytest.raises(QasmSemanticError, match="division by zero"):
@@ -132,7 +166,12 @@ def test_division_by_zero_in_parameter():
 
 @pytest.mark.parametrize(
     "expr, message",
-    [("(0-8)^(1/3)", "not real"), ("exp(1000)", "overflows"), ("1e999", "does not fit in a double")],
+    [
+        ("(0-8)^(1/3)", "not real"),
+        ("exp(1000)", "overflows"),
+        ("10.0^400", "parameter expression overflows"),
+        ("1e999", "does not fit in a double"),
+    ],
 )
 def test_parameter_outside_the_finite_reals(expr, message):
     src = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz({expr}) q[0];\n'
