@@ -72,21 +72,7 @@ def cmd_extract(args) -> int:
     with open(args.file) as handle:
         text = handle.read()
     kernels = find_quantum_kernels(text)
-    out = []
-    for body in kernels:
-        gates, _ = extract_program(body)
-        out.append(
-            [
-                {
-                    "kind": g.kind,
-                    "name": g.name,
-                    "params": list(g.params),
-                    "operands": list(g.operands),
-                    "line": g.origin_line,
-                }
-                for g in gates
-            ]
-        )
+    out = [[dataclasses.asdict(g) for g in extract_program(body)[0]] for body in kernels]
     json.dump(out, sys.stdout, indent=2)
     print()
     return 0

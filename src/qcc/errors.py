@@ -75,12 +75,8 @@ class EmitError(QccError):
     """Program shape that the textual QIR emitter cannot represent."""
 
 
-class QirParseError(QccError):
-    """Malformed textual QIR module."""
-
-
 class ExtractionError(QccError):
-    """QIR that parses but cannot be mapped back to a circuit."""
+    """QIR that cannot be read or mapped back to a circuit."""
 
 
 class CouplingFormatError(QccError):

@@ -10,6 +10,7 @@ reference formal parameters.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from ..errors import QasmSemanticError, SourceSpan
@@ -59,13 +60,21 @@ class Call:
 
 Expr = Num | Pi | Param | Neg | BinOp | Call
 
-_FUNCTIONS = {
+FUNCTIONS = {
     "sin": math.sin,
     "cos": math.cos,
     "tan": math.tan,
     "exp": math.exp,
     "ln": math.log,
     "sqrt": math.sqrt,
+}
+
+_OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
 }
 
 
@@ -89,18 +98,7 @@ def evaluate(expr: Expr, env: dict[str, float], span: SourceSpan | None = None) 
         lhs = evaluate(expr.lhs, env, span)
         rhs = evaluate(expr.rhs, env, span)
         try:
-            if expr.op == "+":
-                result = lhs + rhs
-            elif expr.op == "-":
-                result = lhs - rhs
-            elif expr.op == "*":
-                result = lhs * rhs
-            elif expr.op == "/":
-                result = lhs / rhs
-            elif expr.op == "^":
-                result = lhs**rhs
-            else:
-                raise QasmSemanticError(f"unknown operator '{expr.op}'", span)
+            result = _OPERATORS[expr.op](lhs, rhs)
         except ZeroDivisionError:
             raise QasmSemanticError("division by zero in parameter expression", span) from None
         except OverflowError:
@@ -112,15 +110,13 @@ def evaluate(expr: Expr, env: dict[str, float], span: SourceSpan | None = None) 
         return result
     if isinstance(expr, Call):
         value = evaluate(expr.operand, env, span)
+        # Every function gives a finite value or one of these errors for a finite operand.
         try:
-            result = _FUNCTIONS[expr.func](value)
+            return FUNCTIONS[expr.func](value)
         except ValueError:
             raise QasmSemanticError(f"domain error in {expr.func}()", span) from None
         except OverflowError:
             raise QasmSemanticError(f"{expr.func}() overflows", span) from None
-        if not math.isfinite(result):
-            raise QasmSemanticError("parameter expression is not finite", span)
-        return result
     raise TypeError(f"not an expression: {expr!r}")
 
 

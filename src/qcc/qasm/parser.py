@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TypeVar
 
 from ..errors import QasmSemanticError, QasmSyntaxError, SourceSpan, in_file
 from . import ast
@@ -41,7 +43,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_FUNCTION_NAMES = frozenset(["sin", "cos", "tan", "exp", "ln", "sqrt"])
 _NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*$")
 
 BUILTIN_GATES: dict[str, tuple[int, int]] = {"U": (3, 1), "CX": (0, 2)}
@@ -62,6 +63,8 @@ MAX_PROGRAM_QUBITS = 1 << 16
 # program expands to are bounded too: four whole-register gates on the
 # widest program allowed.
 MAX_PROGRAM_OPS = 1 << 18
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -151,11 +154,25 @@ class _Parser:
             return self.advance()
         return None
 
+    def parse_list(self, item: Callable[[], T]) -> list[T]:
+        """item {"," item}: the grammar's idlist, explist and anylist."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
+
+    def parse_parens(self, item: Callable[[], T]) -> list[T]:
+        """Optional "(" [item {"," item}] ")"; empty without the parentheses."""
+        if not self.accept("("):
+            return []
+        items = [] if self.peek().type == ")" else self.parse_list(item)
+        self.expect(")", "')'")
+        return items
+
     # --- top level ---
 
     def parse(self) -> ast.QasmAst:
-        self.expect("id", "'OPENQASM'")
-        header = self.tokens[self.pos - 1]
+        header = self.expect("id", "'OPENQASM'")
         if header.text != "OPENQASM":
             raise self.syntax_error("program must start with 'OPENQASM'", header)
         version = self.expect("real", "version number")
@@ -186,7 +203,7 @@ class _Parser:
         elif tok.text == "gate":
             self.parse_gate_def()
         elif tok.text == "opaque":
-            self.parse_opaque()
+            raise QasmSemanticError("opaque gates are not supported", tok.span)
         else:
             parse = {
                 "barrier": self.parse_barrier,
@@ -249,14 +266,6 @@ class _Parser:
         (self.qregs if kind == "qreg" else self.cregs)[name] = size
         self.declarations.append(ast.RegDecl(kind, name, size, name_tok.span))
 
-    def parse_opaque(self) -> None:
-        tok = self.advance()
-        # Consume through the terminating semicolon so the span is precise.
-        while self.peek().type not in (";", "eof"):
-            self.advance()
-        self.accept(";")
-        raise QasmSemanticError("opaque gates are not supported", tok.span)
-
     def parse_gate_def(self) -> None:
         self.advance()
         name_tok = self.expect("id", "gate name")
@@ -266,11 +275,7 @@ class _Parser:
         if name in self.gate_arities:
             raise QasmSemanticError(f"gate '{name}' is already defined", name_tok.span)
 
-        params: list[str] = []
-        if self.accept("("):
-            if self.peek().type != ")":
-                params = self.parse_id_list("parameter name")
-            self.expect(")", "')'")
+        params = self.parse_parens(lambda: self.expect("id", "parameter name").text)
         qubits = self.parse_id_list("qubit argument")
 
         if len(set(params)) != len(params):
@@ -295,10 +300,7 @@ class _Parser:
         )
 
     def parse_id_list(self, what: str) -> list[str]:
-        names = [self.expect("id", what).text]
-        while self.accept(","):
-            names.append(self.expect("id", what).text)
-        return names
+        return self.parse_list(lambda: self.expect("id", what).text)
 
     def parse_body_statement(self, gate: str, params: frozenset[str], qubits: frozenset[str]) -> ast.Statement:
         """One statement of gate's body; it may call only gates defined before gate."""
@@ -307,37 +309,30 @@ class _Parser:
             raise self.syntax_error(f"expected a gate application, got {tok.text!r}")
         if tok.text == "barrier":
             self.advance()
-            args = []
-            for name in self.parse_id_list("qubit argument"):
-                if name not in qubits:
-                    raise QasmSemanticError(f"'{name}' is not a qubit argument of this gate", tok.span)
-                args.append(ast.Argument(name, None, tok.span))
+            args = self.formal_args(self.parse_id_list("qubit argument"), qubits, tok.span)
             self.expect(";", "';'")
-            return ast.BarrierStmt(tuple(args), tok.span)
+            return ast.BarrierStmt(args, tok.span)
 
         name_tok = self.advance()
         if name_tok.text == gate:
             raise QasmSemanticError(f"recursive gate definition '{gate}'", name_tok.span)
         arity = self.gate_arity(name_tok)
-        call_params: list[ast.Expr] = []
-        if self.accept("("):
-            if self.peek().type != ")":
-                call_params.append(self.parse_expr(params))
-                while self.accept(","):
-                    call_params.append(self.parse_expr(params))
-            self.expect(")", "')'")
+        call_params = self.parse_parens(lambda: self.parse_expr(params))
         arg_names = self.parse_id_list("qubit argument")
         self.expect(";", "';'")
 
         self.check_arity(name_tok, arity, len(call_params), len(arg_names))
-        args = []
-        for name in arg_names:
-            if name not in qubits:
-                raise QasmSemanticError(f"'{name}' is not a qubit argument of this gate", name_tok.span)
-            args.append(ast.Argument(name, None, name_tok.span))
+        args = self.formal_args(arg_names, qubits, name_tok.span)
         if len(set(arg_names)) != len(arg_names):
             raise QasmSemanticError("gate arguments must be distinct", name_tok.span)
-        return ast.GateCall(name_tok.text, tuple(call_params), tuple(args), name_tok.span)
+        return ast.GateCall(name_tok.text, tuple(call_params), args, name_tok.span)
+
+    def formal_args(self, names: list[str], qubits: frozenset[str], span: SourceSpan) -> tuple[ast.Argument, ...]:
+        """The operands of a gate-body statement, each one of the gate's qubit formals."""
+        for name in names:
+            if name not in qubits:
+                raise QasmSemanticError(f"'{name}' is not a qubit argument of this gate", span)
+        return tuple(ast.Argument(name, None, span) for name in names)
 
     # --- top-level statements ---
 
@@ -398,16 +393,9 @@ class _Parser:
     def parse_gate_call(self) -> ast.GateCall:
         name_tok = self.advance()
         arity = self.gate_arity(name_tok)
-        values: list[float] = []
-        if self.accept("("):
-            if self.peek().type != ")":
-                values.append(ast.evaluate(self.parse_expr(None), {}, name_tok.span))
-                while self.accept(","):
-                    values.append(ast.evaluate(self.parse_expr(None), {}, name_tok.span))
-            self.expect(")", "')'")
-        args = [self.parse_argument("qreg")]
-        while self.accept(","):
-            args.append(self.parse_argument("qreg"))
+        # Each parameter is evaluated as it is parsed, so the first bad one is reported.
+        values = self.parse_parens(lambda: ast.evaluate(self.parse_expr(None), {}, name_tok.span))
+        args = self.parse_list(lambda: self.parse_argument("qreg"))
         self.expect(";", "';'")
         self.check_arity(name_tok, arity, len(values), len(args))
         self._check_broadcast(args, name_tok.span)
@@ -435,9 +423,7 @@ class _Parser:
 
     def parse_barrier(self) -> ast.BarrierStmt:
         tok = self.advance()
-        args = [self.parse_argument("qreg")]
-        while self.accept(","):
-            args.append(self.parse_argument("qreg"))
+        args = self.parse_list(lambda: self.parse_argument("qreg"))
         self.expect(";", "';'")
         return ast.BarrierStmt(tuple(args), tok.span)
 
@@ -473,17 +459,14 @@ class _Parser:
 
     # --- expressions ---
 
-    def parse_expr(self, params: frozenset[str] | None) -> ast.Expr:
-        """params is the set of formal names inside a gate body, None at top level."""
-        return self.parse_additive(params)
-
     def enter_expr(self) -> None:
         """Count one more level of expression nesting, at the next token."""
         self.expr_depth += 1
         if self.expr_depth > MAX_EXPR_DEPTH:
             raise self.syntax_error(f"expression nested more than {MAX_EXPR_DEPTH} levels deep")
 
-    def parse_additive(self, params: frozenset[str] | None) -> ast.Expr:
+    def parse_expr(self, params: frozenset[str] | None) -> ast.Expr:
+        """params is the set of formal names inside a gate body, None at top level."""
         node = self.parse_multiplicative(params)
         depth = self.expr_depth
         while self.peek().type in ("+", "-"):
@@ -534,7 +517,7 @@ class _Parser:
             self.advance()
             if tok.text == "pi":
                 return ast.Pi()
-            if tok.text in _FUNCTION_NAMES:
+            if tok.text in ast.FUNCTIONS:
                 self.expect("(", "'('")
                 node = self.parse_expr(params)
                 self.expect(")", "')'")

@@ -10,7 +10,7 @@ extraction would silently drop gates.
 
 from dataclasses import dataclass
 
-from ..errors import ExtractionError, QirParseError
+from ..errors import ExtractionError
 from ..ir import (
     Barrier, CRegister, GateDag, Inst, QRegister, QuantumProgram, QubitRef, ResultRef, build_dag, instruction_kind
 )
@@ -29,7 +29,7 @@ class ExtractedGate:
     name: str
     params: tuple[float, ...]
     operands: tuple[int, ...]
-    origin_line: int
+    line: int  # module line of the instruction
 
 
 def find_quantum_kernels(module_text: str) -> list[str]:
@@ -43,7 +43,7 @@ def find_quantum_kernels(module_text: str) -> list[str]:
     kernels = []
     for record in read_qir(module_text):
         if record.kind == "define" and record.problem is not None:
-            raise QirParseError(f"line {record.line}: {record.problem}")
+            raise ExtractionError(f"line {record.line}: {record.problem}")
         if record.kind == "close" and record.function in quantum:
             kernels.append("\n" * record.function + "\n".join(lines[record.function : record.line - 1]))
         elif record.function and record.opcode == "call" and record.name.startswith((_QIS, _RT)):

@@ -16,8 +16,8 @@ that needed the fewest swaps.  With ``iterations`` rounds that is at most
 ``route_program`` takes its routing from that pass, adding none.
 
 Conventions: inserted swaps are tagged, barriers order the DAG but do not
-appear in routed output, and a conditioned op is only routable when it acts
-on a single qubit.
+appear in routed output, and a conditioned op is placed like an unconditioned
+one, keeping its condition and coming after every op that writes its creg.
 """
 
 import json
@@ -156,7 +156,7 @@ class Layout:
         return f"Layout({self.log_to_phys}, n_physical={self.n_physical})"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RoutedGate:
     name: str
     params: tuple[float, ...]
@@ -175,15 +175,6 @@ class RoutingResult:
     # Count of cx gates that replace inserted swaps when the native set has
     # no swap; 0 when swaps are emitted as-is.
     swap_cx_count: int = 0
-
-
-def _check_routable(node) -> None:
-    if len(node.qubits) > 2:
-        raise RoutingError(
-            f"gate {node.name} acts on {len(node.qubits)} qubits; decompose before routing"
-        )
-    if node.condition is not None and len(node.qubits) != 1:
-        raise RoutingError("conditioned multi-qubit gates are not routable")
 
 
 def sabre_swap(
@@ -206,7 +197,8 @@ def sabre_swap(
     candidate.
     """
     for node in dag.nodes:
-        _check_routable(node)
+        if len(node.qubits) > 2:
+            raise RoutingError(f"gate {node.name} acts on {len(node.qubits)} qubits; decompose before routing")
 
     # Per-node lists indexed by node id.  The reversed DAG keeps node ids but
     # reverses the node list, so list position is not the id.

@@ -481,3 +481,7 @@ def test_conditional_qir_assembles_with_llvm_as(level):
     assert text.count("call i1 @__quantum__rt__creg_equal(") == len(conditions)
     assert "__quantum__qis__barrier" in text and "__quantum__qis__reset" in text
     assert_assembles(text)
+    line5 = CouplingGraph.from_edges(5, [[i, i + 1] for i in range(4)])
+    routed, _ = route_program(prog, line5, seed=0)
+    assert len([op for op in routed.ops if isinstance(op, Inst) and op.condition is not None]) == len(conditions)
+    assert_assembles(emit_qir(routed).text)

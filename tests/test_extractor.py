@@ -7,7 +7,7 @@ import time
 import pytest
 
 from qcc.benchmarks import benchmark_source, list_benchmarks
-from qcc.errors import ExtractionError, QirParseError
+from qcc.errors import ExtractionError
 from qcc.ir import build_dag
 from qcc.optimizer import optimize
 from qcc.qasm.parser import MAX_PROGRAM_QUBITS
@@ -86,13 +86,13 @@ def test_classical_only_module_has_no_kernels():
 
 
 def test_malformed_define_rejected():
-    with pytest.raises(QirParseError, match="malformed"):
+    with pytest.raises(ExtractionError, match="malformed"):
         find_quantum_kernels("define void @broken( {\nentry:\n")
 
 
 def test_unterminated_body_rejected():
     text = 'define void @k() #0 {\nentry:\n  call void @__quantum__qis__h(%Qubit* %2)\n'
-    with pytest.raises(QirParseError, match="unterminated"):
+    with pytest.raises(ExtractionError, match="unterminated"):
         find_quantum_kernels(text)
 
 

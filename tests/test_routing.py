@@ -464,10 +464,20 @@ def test_conditioned_measurement_into_its_own_creg_routes():
     assert gate_counts(routed)["depth"] == 3
 
 
-def test_conditioned_two_qubit_gate_is_not_routable():
-    src = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncreg c[1];\nif (c==1) cx q[0],q[1];\n'
-    with pytest.raises(RoutingError, match="conditioned multi-qubit gates are not routable"):
-        route_program(qasm_program(src), linear(2))
+@pytest.mark.parametrize("layout", [None, Layout.identity(3, 3)], ids=["sabre", "identity"])
+def test_conditioned_two_qubit_gate_routes_after_the_write_of_its_creg(layout):
+    src = (
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[1];\n'
+        "measure q[0] -> c[0];\nif (c==1) cx q[0],q[2];\n"
+    )
+    graph = linear(3)
+    routed, _ = route_program(qasm_program(src), graph, layout=layout)
+    names = [op.name for op in routed.ops]
+    cx = routed.ops[names.index("cx")]
+    assert names.count("cx") == 1 and ("swap" in names) == (layout is not None)
+    assert cx.condition == (0, 1)
+    assert graph.adjacent(*(q.logical_id for q in cx.qubits))
+    assert names.index("measure") < names.index("cx")
 
 
 def test_route_program_output_register_is_device_sized(topologies):

@@ -135,16 +135,16 @@ def test_route_program_routes_from_its_layout_search(data):
 
 @st.composite
 def classical_circuits(draw, n_physical):
-    """Gates, measurements into c[2] and d[2], and ifs on 1q gates and measurements."""
+    """Gates, measurements into c[2] and d[2], and ifs on 1q and 2q gates and measurements."""
     n = draw(st.integers(2, n_physical))
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];", "creg c[2];", "creg d[2];"]
     qubits = st.integers(0, n - 1)
     for _ in range(draw(st.integers(0, 30))):
-        kind = draw(st.sampled_from(["1q", "2q", "measure", "if 1q", "if measure"]))
+        kind = draw(st.sampled_from(["1q", "2q", "measure", "if 1q", "if 2q", "if measure"]))
         condition = f"if ({draw(st.sampled_from('cd'))}=={draw(st.integers(0, 3))}) " if kind.startswith("if") else ""
-        if kind == "2q":
+        if kind.endswith("2q"):
             a, b = draw(st.lists(qubits, min_size=2, max_size=2, unique=True))
-            lines.append(f"{draw(st.sampled_from(TWO_QUBIT))} q[{a}],q[{b}];")
+            lines.append(f"{condition}{draw(st.sampled_from(TWO_QUBIT))} q[{a}],q[{b}];")
         elif kind.endswith("measure"):
             bit = f"{draw(st.sampled_from('cd'))}[{draw(st.integers(0, 1))}]"
             lines.append(f"{condition}measure q[{draw(qubits)}] -> {bit};")
