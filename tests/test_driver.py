@@ -655,6 +655,78 @@ def test_cli_extract_output_is_pinned(tmp_path, capsys):
     assert digests == EXTRACT_JSON_GOLDEN
 
 
+LINE10 = {"n_qubits": 10, "edges": [[i, i + 1] for i in range(9)]}
+
+# sha256 over every CLI artifact of one benchmark at one level: `qcc build`
+# QIR and metrics unrouted, then routed on LINE10 with each layout (exit code
+# and stderr instead, for a program wider than the line), then `qcc metrics`.
+CLI_ARTIFACTS_GOLDEN = {
+    "adder4/0": "4b7f3da644f15977d6e5c03c7f68b073627d9c46068e15af1dd1a376d04f20ca",
+    "adder4/1": "a866b958362a49ccf946b6e8cb746679bb107a847cfbccb10e89e1be17f8a922",
+    "adder4/2": "a866b958362a49ccf946b6e8cb746679bb107a847cfbccb10e89e1be17f8a922",
+    "adder4/3": "a866b958362a49ccf946b6e8cb746679bb107a847cfbccb10e89e1be17f8a922",
+    "bv5/0": "fb3cf2e5ffaba787f16ef12ad0844927a33c8fa3711acc286a349f17a0a79a8a",
+    "bv5/1": "d39b9d1c4ca43f82da4d708318a4bbc1d14b9a96c2fbe100813dd97429db36f3",
+    "bv5/2": "d39b9d1c4ca43f82da4d708318a4bbc1d14b9a96c2fbe100813dd97429db36f3",
+    "bv5/3": "d39b9d1c4ca43f82da4d708318a4bbc1d14b9a96c2fbe100813dd97429db36f3",
+    "ghz3/0": "50e499b0cd3aa00dd6b9d0ab55aa58b62b6bf99d0d590ae71bc1fc8de228a036",
+    "ghz3/1": "50e499b0cd3aa00dd6b9d0ab55aa58b62b6bf99d0d590ae71bc1fc8de228a036",
+    "ghz3/2": "50e499b0cd3aa00dd6b9d0ab55aa58b62b6bf99d0d590ae71bc1fc8de228a036",
+    "ghz3/3": "50e499b0cd3aa00dd6b9d0ab55aa58b62b6bf99d0d590ae71bc1fc8de228a036",
+    "ghz5/0": "b163d1b8bfd807a688f85ca0076e0b7d20605bcd4405fee59b5997836d2a4637",
+    "ghz5/1": "b163d1b8bfd807a688f85ca0076e0b7d20605bcd4405fee59b5997836d2a4637",
+    "ghz5/2": "b163d1b8bfd807a688f85ca0076e0b7d20605bcd4405fee59b5997836d2a4637",
+    "ghz5/3": "b163d1b8bfd807a688f85ca0076e0b7d20605bcd4405fee59b5997836d2a4637",
+    "hs_chain/0": "e70a6da498283714364efc451327a4154a79a81701d910ce6b6472db200c9e07",
+    "hs_chain/1": "f9aa851f23e474a47f06d7cdb2392822ab6f38ab1f9f4fae5eed6cfedd8d2660",
+    "hs_chain/2": "f9aa851f23e474a47f06d7cdb2392822ab6f38ab1f9f4fae5eed6cfedd8d2660",
+    "hs_chain/3": "f9aa851f23e474a47f06d7cdb2392822ab6f38ab1f9f4fae5eed6cfedd8d2660",
+    "qft4/0": "d8652efeed17053d04402c62ec1caa8c95f7f71dc530ef3dfff398a278a32668",
+    "qft4/1": "be919ff068d74602e10c837de73c1e470dbaf53943416e4004610b45e783e584",
+    "qft4/2": "be919ff068d74602e10c837de73c1e470dbaf53943416e4004610b45e783e584",
+    "qft4/3": "be919ff068d74602e10c837de73c1e470dbaf53943416e4004610b45e783e584",
+    "random_a/0": "7abcabe7f962fadeb5a69ff74abd67ebb4ae6a4a42ceb168d3be101a4120ae73",
+    "random_a/1": "a02a7179498902546673fcf355d27b0dfa0a7d3206caf60eaf542d54f27dbce6",
+    "random_a/2": "a02a7179498902546673fcf355d27b0dfa0a7d3206caf60eaf542d54f27dbce6",
+    "random_a/3": "a02a7179498902546673fcf355d27b0dfa0a7d3206caf60eaf542d54f27dbce6",
+    "random_b/0": "08fa9f8443f61adee9b317eda16cb818e84b417f5a466cd6dedbe04114e5b650",
+    "random_b/1": "f56977921d636cdec80ba1dcc242c2d784b19d64e7c94696b2ef3b753cd80625",
+    "random_b/2": "f56977921d636cdec80ba1dcc242c2d784b19d64e7c94696b2ef3b753cd80625",
+    "random_b/3": "f56977921d636cdec80ba1dcc242c2d784b19d64e7c94696b2ef3b753cd80625",
+    "toffoli_pair/0": "f51308b301940cbb8cf6e67e5ce2fa517b2896ebd918bef45a119262745f5a87",
+    "toffoli_pair/1": "19752d758d0187d62c5ffb912e876ac04c20e4266693ddc8d154fbbe4414ff66",
+    "toffoli_pair/2": "19752d758d0187d62c5ffb912e876ac04c20e4266693ddc8d154fbbe4414ff66",
+    "toffoli_pair/3": "19752d758d0187d62c5ffb912e876ac04c20e4266693ddc8d154fbbe4414ff66",
+}
+
+
+def test_cli_artifacts_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with open("line10.json", "w") as handle:
+        json.dump(LINE10, handle)
+    routes = {"unrouted": [], "sabre": ["--coupling", "line10.json", "--layout", "sabre"]}
+    routes["identity"] = ["--coupling", "line10.json", "--layout", "identity"]
+    digests = {}
+    for name in list_benchmarks():
+        with open(f"{name}.qasm", "w") as handle:
+            handle.write(benchmark_source(name))
+        for level in "0123":
+            digest = hashlib.sha256()
+            for route, extra in routes.items():
+                code = main(["build", f"{name}.qasm", "--build-dir", route, "--opt-level", level] + extra)
+                err = capsys.readouterr().err
+                if code != 0:
+                    digest.update(f"{route} exit {code}\n{err}".encode())
+                    continue
+                for suffix in (".qir.ll", ".metrics.json"):
+                    with open(os.path.join(route, name + suffix), "rb") as handle:
+                        digest.update(handle.read())
+            assert main(["metrics", f"{name}.qasm", "--opt-level", level]) == 0
+            digest.update(capsys.readouterr().out.encode())
+            digests[f"{name}/{level}"] = digest.hexdigest()
+    assert digests == CLI_ARTIFACTS_GOLDEN
+
+
 @pytest.mark.parametrize("subcommand", ["extract", "simulate"])
 @pytest.mark.parametrize(
     "operand, bare",
