@@ -17,23 +17,16 @@ import sys
 from .driver import (
     QuantumOptions,
     classify_inputs,
+    compile_program,
     execute_plan,
     load_toolchain_config,
     read_program,
 )
 from .errors import QccError, ToolFailure, in_file
 from .ir import Inst, gate_counts
-from .optimizer import NativeGateSet, optimize
+from .optimizer import NativeGateSet
 from .qir import extract_program, find_quantum_kernels
 from .simulator import MAX_QUBITS, simulate
-
-
-def _load_program(path: str, opt_level: int = 0, native: NativeGateSet | None = None):
-    program = read_program(path)
-    if opt_level > 0:
-        with in_file(path):
-            program = optimize(program, level=opt_level, native=native or NativeGateSet.default())
-    return program
 
 
 def _native_from_arg(names: str | None) -> NativeGateSet:
@@ -69,25 +62,17 @@ def cmd_build(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    with open(args.file) as handle:
-        text = handle.read()
-    kernels = find_quantum_kernels(text)
-    out = [[dataclasses.asdict(g) for g in extract_program(body)[0]] for body in kernels]
+    with in_file(args.file):
+        with open(args.file) as handle:
+            kernels = find_quantum_kernels(handle.read())
+        out = [[dataclasses.asdict(g) for g in extract_program(body)[0]] for body in kernels]
     json.dump(out, sys.stdout, indent=2)
     print()
     return 0
 
 
 def cmd_simulate(args) -> int:
-    if args.file.endswith(".qasm"):
-        program = _load_program(args.file)
-    else:
-        with open(args.file) as handle:
-            text = handle.read()
-        kernels = find_quantum_kernels(text)
-        if len(kernels) != 1:
-            raise QccError(f"{args.file}: expected exactly one quantum kernel, found {len(kernels)}")
-        _, program = extract_program(kernels[0])
+    program = read_program(args.file)
     # Unconditioned measurements after the last gate are dropped; an earlier
     # one would collapse the state, which a unitary simulation cannot show.
     kept, after_last_gate = [], True
@@ -95,23 +80,27 @@ def cmd_simulate(args) -> int:
         if isinstance(op, Inst) and op.result is not None and op.condition is None:
             if not after_last_gate:
                 raise QccError(
-                    f"{args.file}: the measurement of qubit {op.qubits[0].logical_id} is followed by a gate;"
-                    " only measurements after the last gate can be dropped for simulation"
+                    f"the measurement of qubit {op.qubits[0].logical_id} is followed by a gate;"
+                    " only measurements after the last gate can be dropped for simulation",
+                    filename=args.file,
                 )
             continue
         after_last_gate = after_last_gate and not isinstance(op, Inst)
         kept.append(op)
-    program = program.with_ops(kept[::-1])
-    state = simulate(program, n_qubits=args.qubits)
+    state = simulate(program.with_ops(kept[::-1]), n_qubits=args.qubits)
     json.dump([[amp.real, amp.imag] for amp in state], sys.stdout)
     print()
     return 0
 
 
 def cmd_metrics(args) -> int:
-    native = _native_from_arg(args.native_gates)
-    program = _load_program(args.file, opt_level=args.opt_level, native=native)
-    json.dump(gate_counts(program), sys.stdout, indent=2, sort_keys=True)
+    opts = QuantumOptions(opt_level=args.opt_level, native=_native_from_arg(args.native_gates))
+    program = read_program(args.file)
+    if opts.opt_level > 0:
+        metrics = compile_program(program, opts, args.file)[1]
+    else:
+        metrics = gate_counts(program)
+    json.dump(metrics, sys.stdout, indent=2, sort_keys=True)
     print()
     return 0
 
@@ -149,7 +138,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_simulate)
 
     m = sub.add_parser("metrics", help="print gate counts and depth as JSON")
-    m.add_argument("file", help=".qasm input")
+    m.add_argument("file", help=".qasm or QIR input")
     m.add_argument("--opt-level", type=int, choices=[0, 1, 2, 3], default=0)
     m.add_argument("--native-gates", default=None)
     m.set_defaults(func=cmd_metrics)

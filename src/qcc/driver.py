@@ -28,7 +28,7 @@ from .errors import (
 from .ir import QuantumProgram, gate_counts
 from .optimizer import NativeGateSet, optimize
 from .qasm import lower_ast_to_ir, parse_qasm
-from .qir import emit_qir, verify_qir_text
+from .qir import emit_qir, extract_program, find_quantum_kernels, verify_qir_text
 from .routing import MAX_SABRE_ITERATIONS, SABRE_ITERATIONS, SABRE_SEED, Layout, load_coupling_graph, route_program
 
 _EXTENSION_KINDS = {".c": "cxx", ".cc": "cxx", ".cpp": "cxx", ".cu": "cuda", ".qasm": "qasm"}
@@ -245,10 +245,40 @@ def _write_wrapper(task: Task, qir_path: str, with_main: bool) -> None:
 
 
 def read_program(path: str) -> QuantumProgram:
-    """Read one .qasm file, parse it and lower it to the IR."""
-    with open(path) as handle:
-        source = handle.read()
-    return lower_ast_to_ir(parse_qasm(source, filename=path))
+    """Read a .qasm source, or else a QIR module with one quantum kernel; every diagnostic names path."""
+    with in_file(path):
+        with open(path) as handle:
+            text = handle.read()
+        if _EXTENSION_KINDS.get(os.path.splitext(path)[1].lower()) == "qasm":
+            return lower_ast_to_ir(parse_qasm(text, filename=path))
+        kernels = find_quantum_kernels(text)
+        if len(kernels) != 1:
+            raise QccError(f"expected exactly one quantum kernel, found {len(kernels)}")
+        return extract_program(kernels[0])[1]
+
+
+def compile_program(program: QuantumProgram, opts: QuantumOptions, filename: str) -> tuple[QuantumProgram, dict]:
+    """Optimize the program, route it when opts names a device, and count its gates.
+
+    Optimizer and router diagnostics name filename; device-file ones do not.
+    """
+    with in_file(filename):
+        program = optimize(program, level=opts.opt_level, native=opts.native)
+    if not opts.coupling_path:
+        return program, gate_counts(program)
+    graph = load_coupling_graph(opts.coupling_path)
+    with in_file(filename):
+        layout = Layout.identity(program.n_qubits, graph.n_physical) if opts.layout_mode == "identity" else None
+        program, routing = route_program(
+            program,
+            graph,
+            layout=layout,
+            seed=opts.seed,
+            native=opts.native,
+            sabre_iterations=opts.sabre_iterations,
+        )
+    swaps = {"inserted_swaps": routing.swap_count, "inserted_swap_cx": routing.swap_cx_count}
+    return program, gate_counts(program) | swaps
 
 
 def compile_quantum(task: Task, opts: QuantumOptions) -> QuantumArtifacts:
@@ -257,28 +287,7 @@ def compile_quantum(task: Task, opts: QuantumOptions) -> QuantumArtifacts:
     Nothing is written until the whole pipeline has succeeded, so a
     diagnostic never leaves a stale .qir.ll behind.
     """
-    program = read_program(task.path)
-    with in_file(task.path):
-        program = optimize(program, level=opts.opt_level, native=opts.native)
-
-    swaps = {}
-    if opts.coupling_path:
-        graph = load_coupling_graph(opts.coupling_path)
-        with in_file(task.path):
-            layout = None
-            if opts.layout_mode == "identity":
-                layout = Layout.identity(program.n_qubits, graph.n_physical)
-            program, routing = route_program(
-                program,
-                graph,
-                layout=layout,
-                seed=opts.seed,
-                native=opts.native,
-                sabre_iterations=opts.sabre_iterations,
-            )
-        swaps = {"inserted_swaps": routing.swap_count, "inserted_swap_cx": routing.swap_cx_count}
-    metrics = gate_counts(program) | swaps
-
+    program, metrics = compile_program(read_program(task.path), opts, task.path)
     module = emit_qir(program, kernel_symbol(task.path))
     problems = verify_qir_text(module)
     if problems:

@@ -58,12 +58,13 @@ class CouplingGraph:
 
     @classmethod
     def from_edges(cls, n_qubits: int, edges) -> "CouplingGraph":
-        if not isinstance(n_qubits, int) or n_qubits < 1:
+        # JSON true is a Python int; a qubit count or index must not be one.
+        if type(n_qubits) is not int or n_qubits < 1:
             raise CouplingFormatError("n_qubits must be a positive integer")
         neighbor_sets: list[set[int]] = [set() for _ in range(n_qubits)]
         for edge in edges:
             pair = tuple(edge)
-            if len(pair) != 2 or not all(isinstance(x, int) for x in pair):
+            if len(pair) != 2 or not all(type(x) is int for x in pair):
                 raise CouplingFormatError(f"edge {edge!r} is not a pair of qubit indices")
             u, v = pair
             if not (0 <= u < n_qubits and 0 <= v < n_qubits):

@@ -1,5 +1,6 @@
 """Build driver: input classification, toolchain config, plan execution, CLI."""
 
+import ast
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ import time
 
 import pytest
 
+from qcc import cli
 from qcc.benchmarks import benchmark_source, list_benchmarks
 from qcc.cli import main
 from qcc.driver import (
@@ -704,8 +706,11 @@ def test_cli_artifacts_are_pinned(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with open("line10.json", "w") as handle:
         json.dump(LINE10, handle)
-    routes = {"unrouted": [], "sabre": ["--coupling", "line10.json", "--layout", "sabre"]}
-    routes["identity"] = ["--coupling", "line10.json", "--layout", "identity"]
+    routes = {
+        "unrouted": [],
+        "sabre": ["--coupling", "line10.json", "--layout", "sabre"],
+        "identity": ["--coupling", "line10.json", "--layout", "identity"],
+    }
     digests = {}
     for name in list_benchmarks():
         with open(f"{name}.qasm", "w") as handle:
@@ -743,7 +748,15 @@ def test_cli_operand_without_value_is_a_diagnostic(tmp_path, capsys, subcommand,
     qir.write_text(text.replace(operand, bare, 1))
     line = text[: text.index(operand)].count("\n") + 1
     assert main([subcommand, str(qir)]) == 1
-    assert capsys.readouterr().err.strip() == f"error: line {line}: operand {bare[:-1]!r} has no value"
+    assert capsys.readouterr().err.strip() == f"{qir}: error: line {line}: operand {bare[:-1]!r} has no value"
+
+
+@pytest.mark.parametrize("subcommand", ["extract", "simulate", "metrics"])
+def test_cli_qir_diagnostics_name_the_file(tmp_path, capsys, subcommand):
+    broken = tmp_path / "broken.ll"
+    broken.write_text("define void @broken( {\n}\n")
+    assert main([subcommand, str(broken)]) == 1
+    assert capsys.readouterr().err.strip() == f"{broken}: error: line 1: malformed function definition"
 
 
 @pytest.mark.parametrize(
@@ -814,7 +827,7 @@ def test_cli_simulate_of_qir_rejects_a_measurement_before_a_gate(tmp_path, capsy
     for path in (tmp_path / "mid.qir.ll", circ):
         assert main(["simulate", str(path)]) == 1
         assert capsys.readouterr().err.strip() == (
-            f"error: {path}: the measurement of qubit 0 is followed by a gate;"
+            f"{path}: error: the measurement of qubit 0 is followed by a gate;"
             " only measurements after the last gate can be dropped for simulation"
         )
 
@@ -835,6 +848,46 @@ def test_cli_metrics(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["total_gates"] == 2
     assert payload["two_qubit_gates"] == 1
+
+
+def test_cli_metrics_of_qir_equals_the_built_metrics(tmp_path, capsys):
+    for name in list_benchmarks():
+        (tmp_path / f"{name}.qasm").write_text(benchmark_source(name))
+        for level in "0123":
+            argv = ["build", str(tmp_path / f"{name}.qasm"), "--build-dir", str(tmp_path), "--opt-level", level]
+            assert main(argv) == 0
+            capsys.readouterr()
+            assert main(["metrics", str(tmp_path / f"{name}.qir.ll")]) == 0
+            assert capsys.readouterr().out == (tmp_path / f"{name}.metrics.json").read_text(), (name, level)
+
+
+def test_cli_simulate_reads_an_upper_case_extension_as_qasm(tmp_path, capsys):
+    circ = tmp_path / "CIRC.QASM"
+    circ.write_text(GHZ2)
+    assert main(["simulate", str(circ)]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 4
+
+
+PIPELINE_LAYERS = {
+    "parse_qasm",
+    "lower_ast_to_ir",
+    "optimize",
+    "route_program",
+    "load_coupling_graph",
+    "emit_qir",
+    "verify_qir_text",
+}
+
+
+def test_cli_chains_no_pipeline_of_its_own():
+    # Every subcommand reads and compiles through qcc.driver, so the CLI needs no layer.
+    with open(cli.__file__) as handle:
+        tree = ast.parse(handle.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.name.rpartition(".")[2] for alias in node.names}
+    assert imported & PIPELINE_LAYERS == set()
 
 
 def test_cli_missing_input_exit_1(tmp_path, capsys):

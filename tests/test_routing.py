@@ -86,6 +86,10 @@ def test_graph_format_errors():
         CouplingGraph.from_edges(2, [[0, 5]])  # out of range
     with pytest.raises(CouplingFormatError):
         CouplingGraph.from_edges(0, [])
+    with pytest.raises(CouplingFormatError, match="n_qubits must be a positive integer"):
+        CouplingGraph.from_edges(True, [])
+    with pytest.raises(CouplingFormatError, match="is not a pair of qubit indices"):
+        CouplingGraph.from_edges(3, [[True, 2], [0, 1]])
 
 
 def test_disconnected_graph_rejected():
@@ -103,6 +107,10 @@ def test_load_coupling_graph(tmp_path):
     bad.write_text(json.dumps({"edges": [[0, 1]]}))
     with pytest.raises(CouplingFormatError):
         load_coupling_graph(bad)
+    boolean = tmp_path / "bool.json"
+    boolean.write_text(json.dumps({"n_qubits": True, "edges": []}))
+    with pytest.raises(CouplingFormatError, match="n_qubits must be a positive integer"):
+        load_coupling_graph(boolean)
 
 
 # ------------------------------------------------------------- layouts
