@@ -158,6 +158,57 @@ def test_statement_diagnostics(body, error, diagnostic):
     assert exc.value.diagnostic() == f"<input>:{diagnostic}"
 
 
+@pytest.mark.parametrize(
+    "body, diagnostic",
+    [
+        ("\t@", "6:2: error: unexpected character '@'"),
+        ("// comment\n@", "7:1: error: unexpected character '@'"),
+        ("h q[0]; // note\n  @", "7:3: error: unexpected character '@'"),
+        ("h q[0];\r\n@", "7:1: error: unexpected character '@'"),
+        ("x q[0];\r\n\th q[1]; $", "7:10: error: unexpected character '$'"),
+        ("é", "6:1: error: unexpected character 'é'"),
+        ('"é" @', "6:5: error: unexpected character '@'"),
+        ("barrier q; // é\n @", "7:2: error: unexpected character '@'"),
+        ("measure q[0] -> c[0]; @", "6:23: error: unexpected character '@'"),
+        ("if (c==1) x q[0]; @", "6:19: error: unexpected character '@'"),
+        ("rz(1.5e3) q[0]; @", "6:17: error: unexpected character '@'"),
+        ('include "qelib1.inc;', "6:9: error: unexpected character '\"'"),
+        ('include "qelib1\n.inc";', "6:9: error: unexpected character '\"'"),
+        ("h q[0]", "6:7: error: expected ';', got 'end of input'"),
+        ("h q[0];\r\n  h", "7:4: error: expected qreg name, got 'end of input'"),
+        ("gate g a {\n\th a;", "7:6: error: unterminated gate body"),
+    ],
+)
+def test_diagnostic_positions(body, diagnostic):
+    # No trailing newline: the last case's position is that of the end of input.
+    src = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nqreg r[3];\ncreg c[2];\n' + body
+    with pytest.raises(QasmSyntaxError) as exc:
+        parse_qasm(src)
+    assert exc.value.diagnostic() == f"<input>:{diagnostic}"
+
+
+# (expression at `levels` of nesting, column of the nesting-limit diagnostic one level deeper)
+NESTING = {
+    "parentheses": (lambda levels: "(" * (levels - 1) + "1" + ")" * (levels - 1), 104),
+    "unary-minus": (lambda levels: "-" * (levels - 1) + "1", 104),
+    "sum-chain": (lambda levels: "+".join(["1"] * levels), 204),
+    "difference-chain": (lambda levels: "-".join(["1"] * levels), 204),
+    "product-chain": (lambda levels: "*".join(["1"] * levels), 204),
+    "power-chain": (lambda levels: "^".join(["1"] * levels), 204),
+}
+
+
+@pytest.mark.parametrize("kind", NESTING)
+def test_nesting_limit_position(kind):
+    expr, column = NESTING[kind]
+    src = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz({}) q[0];\n'
+    assert MAX_EXPR_DEPTH == 100
+    assert len(parse_qasm(src.format(expr(MAX_EXPR_DEPTH))).statements) == 1
+    with pytest.raises(QasmSyntaxError) as exc:
+        parse_qasm(src.format(expr(MAX_EXPR_DEPTH + 1)))
+    assert exc.value.diagnostic() == f"<input>:4:{column}: error: expression nested more than 100 levels deep"
+
+
 def test_division_by_zero_in_parameter():
     src = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz(1/0) q[0];\n'
     with pytest.raises(QasmSemanticError, match="division by zero"):
@@ -311,8 +362,9 @@ DEEP = 3000
         "-" * (DEEP // 2) + "1",
         "^".join(["2"] * (DEEP // 2)),
         "+".join(["1"] * DEEP),
+        "*".join(["1"] * DEEP),
     ],
-    ids=["parentheses", "unary-minus", "power-chain", "sum-chain"],
+    ids=["parentheses", "unary-minus", "power-chain", "sum-chain", "product-chain"],
 )
 def test_deep_expression_is_a_diagnostic(tmp_path, capsys, expr):
     path = tmp_path / "deep.qasm"
