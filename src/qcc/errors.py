@@ -17,7 +17,6 @@ class SourceSpan:
 
     line: int
     column: int
-    length: int = 1
 
 
 class QccError(Exception):

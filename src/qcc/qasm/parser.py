@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from ..errors import QasmSemanticError, QasmSyntaxError, SourceSpan, in_file
 from . import ast
@@ -36,14 +35,16 @@ _TOKEN_RE = re.compile(
     | (?P<int>\d+)
     | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<string>"[^"\n]*")
-    | (?P<arrow>->)
-    | (?P<eq>==)
-    | (?P<sym>[;,()\[\]{}+\-*/^])
+    | (?P<sym>->|==|[;,()\[\]{}+\-*/^])
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 _NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*$")
+
+# Binary operators by precedence, loosest first; all are left associative.
+_BINARY_LEVELS = (("+", "-"), ("*", "/"))
 
 BUILTIN_GATES: dict[str, tuple[int, int]] = {"U": (3, 1), "CX": (0, 2)}
 
@@ -67,8 +68,7 @@ MAX_PROGRAM_OPS = 1 << 18
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str  # 'real' | 'int' | 'id' | 'string' | 'eof' | literal symbol text
     text: str
     span: SourceSpan
@@ -76,29 +76,19 @@ class Token:
 
 def _tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
-    line = 1
-    col = 1
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise QasmSyntaxError(f"unexpected character {source[pos]!r}", SourceSpan(line, col))
+    line, line_start = 1, 0  # line_start: the offset just after the last newline
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        text = m.group()
         if kind == "nl":
             line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(text)
-        else:
-            span = SourceSpan(line, col, len(text))
-            if kind == "sym" or kind == "arrow" or kind == "eq":
-                tokens.append(Token(text, text, span))
-            else:
-                tokens.append(Token(kind, text, span))
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", SourceSpan(line, col)))
+            line_start = m.end()
+        elif kind != "ws" and kind != "comment":
+            text = m.group()
+            span = SourceSpan(line, m.start() - line_start + 1)
+            if kind == "bad":
+                raise QasmSyntaxError(f"unexpected character {text!r}", span)
+            tokens.append(Token(text if kind == "sym" else kind, text, span))
+    tokens.append(Token("eof", "", SourceSpan(line, len(source) - line_start + 1)))
     return tokens
 
 
@@ -122,8 +112,8 @@ class _Parser:
 
     # --- token plumbing ---
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -465,39 +455,33 @@ class _Parser:
         if self.expr_depth > MAX_EXPR_DEPTH:
             raise self.syntax_error(f"expression nested more than {MAX_EXPR_DEPTH} levels deep")
 
-    def parse_expr(self, params: frozenset[str] | None) -> ast.Expr:
-        """params is the set of formal names inside a gate body, None at top level."""
-        node = self.parse_multiplicative(params)
+    def parse_expr(self, params: frozenset[str] | None, level: int = 0) -> ast.Expr:
+        """params is the set of formal names inside a gate body, None at top level.
+
+        level indexes _BINARY_LEVELS, loosest first; past the last it reads a unary.
+        """
+        if level == len(_BINARY_LEVELS):
+            return self.parse_unary(params)
+        node = self.parse_expr(params, level + 1)
         depth = self.expr_depth
-        while self.peek().type in ("+", "-"):
+        while self.peek().type in _BINARY_LEVELS[level]:
             op = self.advance().text
             self.enter_expr()  # each operator nests the tree built so far one level deeper
-            node = ast.BinOp(op, node, self.parse_multiplicative(params))
-        self.expr_depth = depth
-        return node
-
-    def parse_multiplicative(self, params: frozenset[str] | None) -> ast.Expr:
-        node = self.parse_unary(params)
-        depth = self.expr_depth
-        while self.peek().type in ("*", "/"):
-            op = self.advance().text
-            self.enter_expr()
-            node = ast.BinOp(op, node, self.parse_unary(params))
+            node = ast.BinOp(op, node, self.parse_expr(params, level + 1))
         self.expr_depth = depth
         return node
 
     def parse_unary(self, params: frozenset[str] | None) -> ast.Expr:
         # Parentheses, function calls, '-' and '^' all recurse through here.
         self.enter_expr()
-        node = ast.Neg(self.parse_unary(params)) if self.accept("-") else self.parse_power(params)
+        if self.accept("-"):
+            node: ast.Expr = ast.Neg(self.parse_unary(params))
+        else:
+            node = self.parse_atom(params)
+            if self.accept("^"):
+                # Right associative; the exponent may itself be signed.
+                node = ast.BinOp("^", node, self.parse_unary(params))
         self.expr_depth -= 1
-        return node
-
-    def parse_power(self, params: frozenset[str] | None) -> ast.Expr:
-        node = self.parse_atom(params)
-        if self.accept("^"):
-            # Right associative; the exponent may itself be signed.
-            return ast.BinOp("^", node, self.parse_unary(params))
         return node
 
     def parse_atom(self, params: frozenset[str] | None) -> ast.Expr:
