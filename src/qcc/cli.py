@@ -20,12 +20,13 @@ from .driver import (
     compile_program,
     execute_plan,
     load_toolchain_config,
+    read_kernels,
     read_program,
 )
 from .errors import QccError, ToolFailure, in_file
 from .ir import Inst, gate_counts
 from .optimizer import NativeGateSet
-from .qir import extract_program, find_quantum_kernels
+from .qir import extract_program
 from .simulator import MAX_QUBITS, simulate
 
 
@@ -63,9 +64,7 @@ def cmd_build(args) -> int:
 
 def cmd_extract(args) -> int:
     with in_file(args.file):
-        with open(args.file) as handle:
-            kernels = find_quantum_kernels(handle.read())
-        out = [[dataclasses.asdict(g) for g in extract_program(body)[0]] for body in kernels]
+        out = [[dataclasses.asdict(g) for g in extract_program(body)[0]] for body in read_kernels(args.file)]
     json.dump(out, sys.stdout, indent=2)
     print()
     return 0

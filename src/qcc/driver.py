@@ -75,9 +75,9 @@ def load_toolchain_config(path: str | None = None) -> ToolchainConfig:
         if not source:
             continue
         try:
-            with open(source) as handle:
+            with open(source, encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
             raise QccError(f"cannot read toolchain config {source}: {exc}") from exc
         if not isinstance(data, dict):
             raise QccError(f"toolchain config {source} must be a JSON object")
@@ -244,14 +244,32 @@ def _write_wrapper(task: Task, qir_path: str, with_main: bool) -> None:
         handle.write(_WRAPPER_TEMPLATE.format(symbol=symbol, qir_arg=qir_arg, main=main_part))
 
 
+def _read_text(path: str) -> str:
+    """The text of an input file, decoded as UTF-8 whatever the locale."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise QccError(f"file is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def _is_qasm(path: str) -> bool:
+    return _EXTENSION_KINDS.get(os.path.splitext(path)[1].lower()) == "qasm"
+
+
+def read_kernels(path: str) -> list[str]:
+    """The quantum kernels of a QIR module; an OpenQASM source, by its extension, is a diagnostic."""
+    if _is_qasm(path):
+        raise QccError("expected a QIR module, got an OpenQASM source")
+    return find_quantum_kernels(_read_text(path))
+
+
 def read_program(path: str) -> QuantumProgram:
     """Read a .qasm source, or else a QIR module with one quantum kernel; every diagnostic names path."""
     with in_file(path):
-        with open(path) as handle:
-            text = handle.read()
-        if _EXTENSION_KINDS.get(os.path.splitext(path)[1].lower()) == "qasm":
-            return lower_ast_to_ir(parse_qasm(text, filename=path))
-        kernels = find_quantum_kernels(text)
+        if _is_qasm(path):
+            return lower_ast_to_ir(parse_qasm(_read_text(path), filename=path))
+        kernels = read_kernels(path)
         if len(kernels) != 1:
             raise QccError(f"expected exactly one quantum kernel, found {len(kernels)}")
         return extract_program(kernels[0])[1]

@@ -348,22 +348,19 @@ class _Parser:
         sizes = {self.qregs[a.reg] for a in args if a.index is None}
         if len(sizes) > 1:
             raise QasmSemanticError("whole-register operands have mismatched sizes", span)
-        indexed: set[tuple[str, int]] = set()
-        whole: set[str] = set()
+        # A whole register is keyed by its name, one qubit by (name, index).
+        seen: set[str | tuple[str, int]] = set()
         for a in args:
-            if a.index is None:
-                if a.reg in whole:
+            key = a.reg if a.index is None else (a.reg, a.index)
+            if key in seen:
+                if a.index is None:
                     raise QasmSemanticError(f"register '{a.reg}' used twice in one statement", span)
-                whole.add(a.reg)
-            else:
-                if (a.reg, a.index) in indexed:
-                    raise QasmSemanticError(f"duplicate qubit '{a.reg}[{a.index}]'", span)
-                indexed.add((a.reg, a.index))
-        for reg, index in indexed:
-            if reg in whole:
-                raise QasmSemanticError(
-                    f"'{reg}[{index}]' collides with whole-register operand '{reg}'", span
-                )
+                raise QasmSemanticError(f"duplicate qubit '{a.reg}[{a.index}]'", span)
+            seen.add(key)
+        # Checked in operand order, so the first colliding qubit is named.
+        for a in args:
+            if a.index is not None and a.reg in seen:
+                raise QasmSemanticError(f"'{a.reg}[{a.index}]' collides with whole-register operand '{a.reg}'", span)
 
     def gate_arity(self, name_tok: Token) -> tuple[int, int]:
         """(n_params, n_qubits) of a gate known at this point of the program."""

@@ -97,9 +97,9 @@ def _bfs_distances(adjacency, source: int) -> tuple[int, ...]:
 def load_coupling_graph(path) -> CouplingGraph:
     """Load a device description: JSON {"n_qubits": N, "edges": [[u, v], ...]}."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise CouplingFormatError(f"cannot read coupling graph {path}: {exc}") from exc
     if not isinstance(data, dict) or "n_qubits" not in data or "edges" not in data:
         raise CouplingFormatError('coupling graph needs "n_qubits" and "edges" keys')

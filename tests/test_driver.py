@@ -894,3 +894,39 @@ def test_cli_missing_input_exit_1(tmp_path, capsys):
     code = main(["simulate", str(tmp_path / "ghost.qasm")])
     assert code == 1
     assert capsys.readouterr().err.strip() != ""
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["build", "{bin}.qasm"], "{bin}.qasm: error: file is not UTF-8 text: invalid start byte at byte 0"),
+        (["metrics", "{bin}.ll"], "{bin}.ll: error: file is not UTF-8 text: invalid start byte at byte 0"),
+        (["extract", "{bin}.ll"], "{bin}.ll: error: file is not UTF-8 text: invalid start byte at byte 0"),
+        (["simulate", "{bin}.ll"], "{bin}.ll: error: file is not UTF-8 text: invalid start byte at byte 0"),
+        (["build", "{ghz}", "--coupling", "{bin}.json"], "error: cannot read coupling graph {bin}.json: "),
+        (
+            ["build", "{ghz}", "--toolchain-config", "{bin}.json", "--dry-run"],
+            "error: cannot read toolchain config {bin}.json: ",
+        ),
+    ],
+    ids=["build", "metrics", "extract", "simulate", "coupling", "toolchain-config"],
+)
+def test_cli_input_that_is_not_utf8_is_a_diagnostic(tmp_path, capsys, argv, prefix):
+    names = {"bin": str(tmp_path / "bin"), "ghz": str(tmp_path / "ghz.qasm")}
+    (tmp_path / "ghz.qasm").write_text(GHZ2)
+    for ext in (".qasm", ".ll", ".json"):
+        (tmp_path / ("bin" + ext)).write_bytes(b"\xff\xfe")
+    args = [arg.format(**names) for arg in argv] + ["--build-dir", str(tmp_path)] * (argv[0] == "build")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(prefix.format(**names))
+    assert "Traceback" not in err
+
+
+def test_cli_extract_of_a_qasm_source_is_a_diagnostic(tmp_path, capsys):
+    circ = tmp_path / "circ.qasm"
+    circ.write_text(GHZ2)
+    assert main(["extract", str(circ)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"{circ}: error: expected a QIR module, got an OpenQASM source"

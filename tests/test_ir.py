@@ -94,6 +94,17 @@ def test_barrier_is_a_fence_not_a_node():
     assert circuit_depth(dag) == 2
 
 
+def test_barrier_on_an_already_fenced_qubit_joins_the_fences():
+    prog = qasm_program(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\nh q[0];\nh q[1];\nh q[2];\n'
+        "barrier q[0],q[1];\nbarrier q[1],q[2];\nx q[0];\nx q[1];\nx q[2];\n"
+    )
+    dag = build_dag(prog)
+    # q[1] is fenced by the first barrier, so the second one fences h q[0] as well.
+    assert dag.successors == {0: [3, 4, 5], 1: [3, 4, 5], 2: [4, 5], 3: [], 4: [], 5: []}
+    assert circuit_depth(dag) == 2
+
+
 def test_conditionals_chain_classically():
     prog = qasm_program(
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncreg c[1];\n'

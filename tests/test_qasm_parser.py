@@ -1,12 +1,16 @@
 """Parser unit tests: AST shape, diagnostics, expression grammar, round-trip."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import qcc
 from qcc.cli import main
 from qcc.errors import QasmSemanticError, QasmSyntaxError
 from qcc.qasm import lower_ast_to_ir, parse_qasm, parser, to_qasm
@@ -209,6 +213,22 @@ def test_nesting_limit_position(kind):
     assert exc.value.diagnostic() == f"<input>:4:{column}: error: expression nested more than 100 levels deep"
 
 
+def test_collision_diagnostic_does_not_depend_on_the_hash_seed(tmp_path):
+    # Collisions are reported in operand order, so the first colliding qubit is named.
+    path = tmp_path / "collide.qasm"
+    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nccx q, q[1], q[0];\n')
+    run_cli = "import sys; from qcc.cli import main; sys.exit(main(sys.argv[1:]))"
+    src_dir = os.path.dirname(os.path.dirname(qcc.__file__))
+    errors = set()
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src_dir)
+        argv = [sys.executable, "-c", run_cli, "metrics", str(path)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        errors.add(proc.stderr)
+    assert errors == {f"{path}:4:1: error: 'q[1]' collides with whole-register operand 'q'\n"}
+
+
 def test_division_by_zero_in_parameter():
     src = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz(1/0) q[0];\n'
     with pytest.raises(QasmSemanticError, match="division by zero"):
@@ -344,6 +364,14 @@ def test_roundtrip_with_defs_and_control_flow():
     assert parse_qasm(text) == tree
     # printing is a fixpoint after one round
     assert to_qasm(parse_qasm(text)) == text
+
+
+def test_roundtrip_of_pi_and_a_function_call_in_a_gate_body():
+    src = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\ngate g(theta) a { rz(pi/2 + sin(theta)) a; }\ng(0.5) q[0];\n'
+    tree = parse_qasm(src)
+    text = to_qasm(tree)
+    assert "  rz(((pi / 2.0) + sin(theta))) a;\n" in text
+    assert parse_qasm(text) == tree
 
 
 def test_roundtrip_random_corpus_sample(corpus_sources):
