@@ -82,7 +82,7 @@ def _tokenize(source: str) -> list[Token]:
         if kind == "nl":
             line += 1
             line_start = m.end()
-        elif kind != "ws" and kind != "comment":
+        elif kind not in ("ws", "comment"):
             text = m.group()
             span = SourceSpan(line, m.start() - line_start + 1)
             if kind == "bad":
