@@ -117,9 +117,11 @@ def gate_matrix(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
 
 
 def is_unitary(matrix: np.ndarray, tol: float = 1e-10) -> bool:
-    """Frobenius-norm unitarity check."""
+    """Frobenius-norm unitarity check of a square matrix, or of every matrix
+    in a stack of shape (..., n, n) at once."""
     matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         return False
-    eye = np.eye(matrix.shape[0])
-    return bool(np.linalg.norm(matrix.conj().T @ matrix - eye) <= tol)
+    eye = np.eye(matrix.shape[-1])
+    deviation = np.swapaxes(matrix.conj(), -1, -2) @ matrix - eye
+    return bool(np.all(np.linalg.norm(deviation, axis=(-2, -1)) <= tol))

@@ -8,13 +8,22 @@ shortest native rotation sequence.  Global phase is discarded at resynthesis;
 every conditioned gate is classically controlled, so the phase is never
 observable downstream.
 
-The funnel does each piece of work once per matrix.  Unitarity is checked
-only at the public boundary (``select_decomposition`` and
-``euler_decompose``), never again in the private helpers behind it.  One ZYZ
-solve of U serves both zyz and zxz (zxz only shifts the outer angles), and one
-ZYZ solve of H.U.H serves xyx.  A parameterless single-qubit gate outside the
-native set (``t``, ``s``, ``x``, ...) is resynthesized once per native set and
-memoized; the memo is bounded by the gate vocabulary.
+The funnel works on batches.  ``select_decomposition`` takes a (k, 2, 2)
+stack as well as one matrix, and does its numpy work once per stack: one
+unitarity check, one determinant over U and H.U.H stacked together, one
+broadcast removal of the phase.  Each sequence is bit-identical to the one
+its matrix gives alone; only the per-matrix angle math stays scalar, as
+``np.arctan2`` does not always round like ``math.atan2``.  One ZYZ solve of U
+serves both zyz and zxz (zxz only shifts the outer angles), one ZYZ solve of
+H.U.H serves xyx, and ``euler_decompose`` uses the same solver.
+
+Each resynthesis pass makes one call for the runs it has not seen before in
+the same ``optimize`` call, each distinct run once; runs are keyed by gate
+names and parameter bit patterns, so 0.0 and -0.0 stay apart.
+``decompose_unsupported`` solves its parameterized single-qubit gates outside
+the native set in one call after its walk.  A parameterless one (``t``,
+``s``, ``x``, ...) is resynthesized once per native set and memoized; that
+memo is bounded by the gate vocabulary.  No call is made for an empty batch.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -55,6 +65,9 @@ _BASES = {"zyz": ("z", "y"), "zxz": ("z", "x"), "xyx": ("x", "y")}
 _BASIS_ORDER = ("zyz", "zxz", "xyx")
 _AXIS_GATE = {"x": "rx", "y": "ry", "z": "rz"}
 _H = gates.gate_matrix("h")
+
+# (gate name, angle) pairs in application order.
+Rotations = list[tuple[str, float]]
 
 
 @dataclass(frozen=True)
@@ -97,30 +110,50 @@ class EulerDecomposition:
     global_phase: float
 
 
-def _require_unitary(matrix: np.ndarray) -> np.ndarray:
+def _require_unitary(matrix: np.ndarray, stack_ok: bool = False) -> np.ndarray:
+    """The input as a complex (k, 2, 2) stack.
+
+    A 2x2 matrix is a stack of one; a (k, 2, 2) stack is accepted only when
+    stack_ok.  Every matrix must be unitary.
+    """
     matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (2, 2):
-        raise NotUnitaryError(f"expected a 2x2 matrix, got shape {matrix.shape}")
-    if not gates.is_unitary(matrix, UNITARY_TOL):
+    if matrix.shape == (2, 2):
+        stack = matrix[None]
+    elif stack_ok and matrix.ndim == 3 and matrix.shape[1:] == (2, 2):
+        stack = matrix
+    else:
+        expected = "a 2x2 matrix or a (k, 2, 2) stack" if stack_ok else "a 2x2 matrix"
+        raise NotUnitaryError(f"expected {expected}, got shape {matrix.shape}")
+    if not gates.is_unitary(stack, UNITARY_TOL):
         raise NotUnitaryError("matrix is not unitary within 1e-10")
-    return matrix
+    return stack
 
 
-def _zyz_angles(matrix: np.ndarray) -> tuple[float, float, float, float]:
-    """(alpha, beta, gamma, delta) with U = e^{ia} Rz(beta) Ry(gamma) Rz(delta)."""
-    det = np.linalg.det(matrix)
-    alpha = cmath.phase(det) / 2
-    v = cmath.exp(-1j * alpha) * matrix  # special unitary now
-    gamma = 2 * math.atan2(abs(v[1, 0]), abs(v[0, 0]))
-    if abs(v[1, 0]) < 1e-14:
-        # gamma ~ 0: only beta+delta is determined; put it all in beta.
-        return alpha, 2 * cmath.phase(v[1, 1]), gamma, 0.0
-    if abs(v[0, 0]) < 1e-14:
-        # gamma ~ pi: only beta-delta is determined.
-        return alpha, 2 * cmath.phase(v[1, 0]), gamma, 0.0
-    plus = 2 * cmath.phase(v[1, 1])  # beta + delta
-    minus = 2 * cmath.phase(v[1, 0])  # beta - delta
-    return alpha, (plus + minus) / 2, gamma, (plus - minus) / 2
+def _zyz_angles(stack: np.ndarray) -> list[tuple[float, float, float, float]]:
+    """(alpha, beta, gamma, delta) with U = e^{ia} Rz(beta) Ry(gamma) Rz(delta),
+    for each U of a (k, 2, 2) unitary stack.
+
+    The determinants and the removal of the phase run once over the stack,
+    with the same bits as one matrix at a time.  The angle math stays scalar
+    per matrix: np.arctan2 does not always round like math.atan2.
+    """
+    alphas = [cmath.phase(det) / 2 for det in np.linalg.det(stack).tolist()]
+    phases = np.array([cmath.exp(-1j * alpha) for alpha in alphas], dtype=complex)
+    special = (phases[:, None, None] * stack).reshape(-1, 4).tolist()  # special unitaries now
+    out = []
+    for alpha, (v00, _, v10, v11) in zip(alphas, special):
+        gamma = 2 * math.atan2(abs(v10), abs(v00))
+        if abs(v10) < 1e-14:
+            # gamma ~ 0: only beta+delta is determined; put it all in beta.
+            out.append((alpha, 2 * cmath.phase(v11), gamma, 0.0))
+        elif abs(v00) < 1e-14:
+            # gamma ~ pi: only beta-delta is determined.
+            out.append((alpha, 2 * cmath.phase(v10), gamma, 0.0))
+        else:
+            plus = 2 * cmath.phase(v11)  # beta + delta
+            minus = 2 * cmath.phase(v10)  # beta - delta
+            out.append((alpha, (plus + minus) / 2, gamma, (plus - minus) / 2))
+    return out
 
 
 def euler_decompose(matrix: np.ndarray, basis: str = "zyz") -> EulerDecomposition:
@@ -132,12 +165,12 @@ def euler_decompose(matrix: np.ndarray, basis: str = "zyz") -> EulerDecompositio
     if basis not in _BASES:
         raise ValueError(f"unknown Euler basis '{basis}'")
     u = _require_unitary(matrix)
-    zyz = _zyz_angles(_H @ u @ _H if basis == "xyx" else u)
-    return EulerDecomposition(basis, *_basis_angles(basis, zyz))
+    (zyz,) = _zyz_angles(_H @ u @ _H if basis == "xyx" else u)
+    return EulerDecomposition(basis, *_normalize(*_basis_angles(basis, zyz)))
 
 
 def _basis_angles(basis: str, zyz: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
-    """Normalized (beta, gamma, delta, alpha) in basis, from the ZYZ angles of
+    """Unwrapped (beta, gamma, delta, alpha) in basis, from the ZYZ angles of
     U for zyz and zxz, or of H.U.H for xyx."""
     alpha, beta, gamma, delta = zyz
     if basis == "zxz":
@@ -151,11 +184,11 @@ def _basis_angles(basis: str, zyz: tuple[float, float, float, float]) -> tuple[f
             gamma = -gamma
             beta += math.pi
             delta -= math.pi
-    return _normalize(beta, gamma, delta, alpha)
+    return beta, gamma, delta, alpha
 
 
 def _wrap(angle: float) -> float:
-    """Normalize to (-pi, pi]."""
+    """Normalize to (-pi, pi], where it is the identity."""
     wrapped = math.remainder(angle, 2 * math.pi)
     if wrapped <= -math.pi:
         wrapped += 2 * math.pi
@@ -179,38 +212,27 @@ def _normalize(beta: float, gamma: float, delta: float, alpha: float) -> tuple[f
     return wrapped[0], wrapped[1], wrapped[2], _wrap(alpha)
 
 
-def _is_zero_rotation(angle: float) -> bool:
-    return abs(_wrap(angle)) <= ANGLE_EPS
-
-
-def select_decomposition(matrix: np.ndarray, native: NativeGateSet) -> list[tuple[str, float]]:
-    """Shortest native rotation sequence implementing the unitary up to phase.
-
-    Returns (gate name, angle) pairs in application order.  All three Euler
-    bases are tried; zero rotations are dropped and same-axis neighbours
-    created by the drop are merged.  Ties go to zyz, then zxz, then xyx.
-    """
-    u = _require_unitary(matrix)
-    zyz = _zyz_angles(u)
-    hzyz = _zyz_angles(_H @ u @ _H)
-    best: list[tuple[str, float]] | None = None
+def _shortest_sequence(zyz: tuple, hzyz: tuple, native: NativeGateSet) -> Rotations:
+    """The shortest native sequence over the three bases, from the ZYZ angles
+    of U and of H.U.H.  The global phase is never wrapped: nothing reads it."""
+    best: Rotations | None = None
     for basis in _BASIS_ORDER:
         beta, gamma, delta, _ = _basis_angles(basis, hzyz if basis == "xyx" else zyz)
         outer, inner = _BASES[basis]
         # Application order: delta first (rightmost factor acts first).
         seq = [
-            (_AXIS_GATE[outer], delta),
-            (_AXIS_GATE[inner], gamma),
-            (_AXIS_GATE[outer], beta),
+            (_AXIS_GATE[outer], _wrap(delta)),
+            (_AXIS_GATE[inner], _wrap(gamma)),
+            (_AXIS_GATE[outer], _wrap(beta)),
         ]
-        merged: list[tuple[str, float]] = []
+        # Every angle below is wrapped already, so it is its own wrap.
+        merged: Rotations = []
         for name, angle in seq:
-            if _is_zero_rotation(angle):
+            if abs(angle) <= ANGLE_EPS:
                 continue
             if merged and merged[-1][0] == name:
-                combined = _wrap(merged[-1][1] + angle)
-                merged.pop()
-                if not _is_zero_rotation(combined):
+                combined = _wrap(merged.pop()[1] + angle)
+                if abs(combined) > ANGLE_EPS:
                     merged.append((name, combined))
                 continue
             merged.append((name, angle))
@@ -221,6 +243,24 @@ def select_decomposition(matrix: np.ndarray, native: NativeGateSet) -> list[tupl
     if best is None:
         raise NoValidBasisError("no Euler basis is expressible in the native gate set")
     return best
+
+
+def select_decomposition(matrix: np.ndarray, native: NativeGateSet) -> Rotations | list[Rotations]:
+    """Shortest native rotation sequence implementing the unitary up to phase.
+
+    Returns (gate name, angle) pairs in application order.  All three Euler
+    bases are tried; zero rotations are dropped and same-axis neighbours
+    created by the drop are merged.  Ties go to zyz, then zxz, then xyx.
+
+    Given a (k, 2, 2) stack it returns the k sequences, each exactly the one
+    its matrix gives alone; unitarity, the determinants and the phase removal
+    of U and H.U.H then run once for the whole stack.
+    """
+    stack = _require_unitary(matrix, stack_ok=True)
+    k = len(stack)
+    solved = _zyz_angles(np.concatenate((stack, _H @ stack @ _H)))
+    sequences = [_shortest_sequence(zyz, hzyz, native) for zyz, hzyz in zip(solved[:k], solved[k:])]
+    return sequences if np.ndim(matrix) == 3 else sequences[0]
 
 
 # --- fusion -------------------------------------------------------------------
@@ -315,17 +355,20 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
     expanded from a conditioned gate carries that gate's condition.
     """
     native = native or NativeGateSet.default()
+    # Parameterized single-qubit strangers, in walk order; each leaves a None
+    # in the output where its rotations go once the whole batch is solved.
+    pending: list[tuple[Inst, np.ndarray]] = []
 
-    def rewrite(op: Inst, sink: list[IrOp]) -> None:
+    def rewrite(op: Inst, sink: list[IrOp | None]) -> None:
         if op.name in native or op.result is not None or op.name in ("measure", "reset"):
             sink.append(op)
             return
         if len(op.qubits) == 1:
             if op.params:
-                pairs = select_decomposition(_stranger_matrix(op.name, op.params), native)
+                pending.append((op, _stranger_matrix(op.name, op.params)))
+                sink.append(None)
             else:
-                pairs = _fixed_gate_rotations(op.name, native)
-            sink.extend(_rotation_insts(pairs, op.qubits[0], op.condition))
+                sink.extend(_rotation_insts(_fixed_gate_rotations(op.name, native), op.qubits[0], op.condition))
             return
         gdef = qelib1.gate_defs().get(op.name)
         if gdef is None or op.name == "cx":  # cx's body is the CX builtin, cx again
@@ -337,24 +380,57 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
         for sub in body:
             rewrite(primitive(sub), sink)
 
-    new_ops: list[IrOp] = []
+    walked: list[IrOp | None] = []
     for op in program.ops:
         if isinstance(op, Inst):
-            rewrite(op, new_ops)
+            rewrite(op, walked)
+        else:
+            walked.append(op)
+    if not pending:
+        return program.with_ops(walked)
+    solved = iter(zip(pending, select_decomposition(np.array([m for _, m in pending]), native)))
+    new_ops: list[IrOp] = []
+    for op in walked:
+        if op is None:
+            (stranger, _), pairs = next(solved)
+            new_ops.extend(_rotation_insts(pairs, stranger.qubits[0], stranger.condition))
         else:
             new_ops.append(op)
     return program.with_ops(new_ops)
 
 
-def _resynthesize(program: QuantumProgram, native: NativeGateSet) -> QuantumProgram:
+def _run_key(run: tuple[Inst, ...]) -> tuple[tuple[str, ...], bytes]:
+    """The gate names of a run and the bit patterns of its parameters, which
+    together fix its fused matrix.  Keying on bits keeps 0.0 and -0.0 apart:
+    equal as floats, they can give matrices whose zeros differ in sign, and
+    a signed zero can move a phase from pi to -pi."""
+    params = [p for op in run for p in op.params]
+    return tuple(op.name for op in run), struct.pack(f"{len(params)}d", *params)
+
+
+def _resynthesize(
+    program: QuantumProgram, native: NativeGateSet, memo: dict[tuple, Rotations]
+) -> QuantumProgram:
     """Fuse runs and replace each fused matrix by its best rotation sequence,
-    keeping the original run whenever resynthesis would not shorten it."""
+    keeping the original run whenever resynthesis would not shorten it.
+
+    memo maps the key of every run solved so far to its rotation pairs.  The
+    runs not in it are solved in one batched call, each distinct run once.
+    """
+    fused = fuse_single_qubit_runs(program)
+    keys = [_run_key(op.source) if isinstance(op, FusedUnitary) else None for op in fused]
+    unsolved: dict[tuple, np.ndarray] = {}
+    for op, key in zip(fused, keys):
+        if key is not None and key not in memo:
+            unsolved.setdefault(key, op.matrix)
+    if unsolved:
+        memo.update(zip(unsolved, select_decomposition(np.array(list(unsolved.values())), native)))
     new_ops: list[IrOp] = []
-    for op in fuse_single_qubit_runs(program):
-        if not isinstance(op, FusedUnitary):
+    for op, key in zip(fused, keys):
+        if key is None:
             new_ops.append(op)
             continue
-        pairs = select_decomposition(op.matrix, native)
+        pairs = memo[key]
         if len(pairs) < len(op.source):
             new_ops.extend(_rotation_insts(pairs, op.qubit))
         else:
@@ -401,9 +477,10 @@ def optimize(program: QuantumProgram, level: int = 1, native: NativeGateSet | No
     program = decompose_unsupported(program, native)
     if level == 0:
         return program
+    memo: dict[tuple, Rotations] = {}
     for _ in range(MAX_PASSES):
         previous = program.ops
-        program = _resynthesize(program, native)
+        program = _resynthesize(program, native, memo)
         if level >= 2:
             program = _cancel_cx_pairs(program)
         if program.ops == previous:

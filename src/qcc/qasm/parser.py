@@ -38,7 +38,8 @@ _TOKEN_RE = re.compile(
     | (?P<sym>->|==|[;,()\[\]{}+\-*/^])
     | (?P<bad>.)
     """,
-    re.VERBOSE,
+    # ASCII-only \d: a Unicode digit such as '٣' is an unexpected character, not a number.
+    re.VERBOSE | re.ASCII,
 )
 
 _NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*$")

@@ -538,6 +538,18 @@ def test_cli_build_diagnostic_exit_1(tmp_path, capsys):
     assert "bad.qasm:3:" in err and "error:" in err
 
 
+@pytest.mark.parametrize("digits", ["٣", "３"])
+def test_cli_non_ascii_digits_are_a_diagnostic(tmp_path, capsys, digits):
+    # Arabic-Indic and fullwidth digits are Unicode digits but not QASM ones.
+    bad = tmp_path / "digits.qasm"
+    bad.write_text(
+        f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{digits}];\nrz(١.٥) q[٢];\n', encoding="utf-8"
+    )
+    assert main(["build", str(bad), "--build-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.strip() == f"{bad}:3:8: error: unexpected character '{digits}'"
+    assert not (tmp_path / "digits.qir.ll").exists()
+
+
 def test_cli_negative_seed_is_a_diagnostic(tmp_path, capsys):
     circ = tmp_path / "circ.qasm"
     circ.write_text(GHZ2)

@@ -121,6 +121,23 @@ def test_is_unitary_rejects_non_unitary():
     assert not is_unitary(2 * np.eye(2, dtype=complex))
 
 
+def test_is_unitary_checks_a_stack():
+    stack = np.array([rx(0.3), ry(-1.2), rz(2.5), unitary("h"), u3(0.1, 0.2, 0.3)])
+    assert is_unitary(stack)
+    for bad in (np.array([[1, 1], [0, 1]], dtype=complex), 2 * np.eye(2), np.zeros((2, 2))):
+        for pos in (0, 2, len(stack)):
+            assert not is_unitary(np.insert(stack, pos, bad, axis=0))
+    assert is_unitary(np.array([np.eye(4), unitary("cx"), unitary("swap")]))
+    assert is_unitary(np.empty((0, 2, 2), dtype=complex))
+
+
+def test_is_unitary_rejects_wrong_shapes():
+    assert not is_unitary(np.array([1.0, 0.0]))
+    assert not is_unitary(np.array(1.0))
+    assert not is_unitary(np.eye(2, 3))
+    assert not is_unitary(np.zeros((3, 2, 3), dtype=complex))
+
+
 def test_unknown_gate_rejected():
     with pytest.raises(UnknownGateError):
         unitary("frobnicate", ())

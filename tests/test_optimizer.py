@@ -250,6 +250,19 @@ def test_fixed_gates_are_resynthesized_once_per_native_set(monkeypatch):
         assert equiv_up_to_global_phase(simulate(prog), simulate(out))
 
 
+def test_parameterized_strangers_are_solved_in_one_batch(monkeypatch):
+    # u1, u2 and u3 are outside the default set; cu3's qelib1 body has four more.
+    prog = qasm_program(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+        "u3(0.1,0.2,0.3) q[0];\nh q[1];\nu1(0.4) q[1];\ncu3(0.5,0.6,0.7) q[0],q[1];\nu2(0.8,0.9) q[0];\n"
+    )
+    calls = counting(monkeypatch, optimizer, "select_decomposition")
+    out = decompose_unsupported(prog)
+    assert [len(args[0]) for args in calls] == [7]
+    assert set(gate_names(out)) <= NativeGateSet.default().names
+    assert equiv_up_to_global_phase(simulate(prog), simulate(out))
+
+
 def _wrap_reference(angle):
     wrapped = math.remainder(angle, 2 * math.pi)
     return wrapped + 2 * math.pi if wrapped <= -math.pi else wrapped
@@ -307,6 +320,30 @@ def test_select_matches_per_basis_reference(matrix, native):
     seq = select_decomposition(matrix, native)
     assert seq == _reference_selection(matrix, native)
     assert equiv_m(sequence_matrix(seq), matrix)
+
+
+def _bits(seq):
+    return [(name, float.hex(angle)) for name, angle in seq]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(unitaries_2x2(), min_size=1, max_size=6), native_sets())
+def test_select_on_a_stack_matches_one_call_per_matrix(matrices, native):
+    stacked = select_decomposition(np.array(matrices), native)
+    assert [_bits(seq) for seq in stacked] == [_bits(select_decomposition(m, native)) for m in matrices]
+
+
+def test_select_on_a_stack_returns_one_sequence_per_matrix():
+    native = NativeGateSet.default()
+    h = unitary("h", ())
+    assert select_decomposition(h[None], native) == [select_decomposition(h, native)]
+    assert select_decomposition(np.empty((0, 2, 2), dtype=complex), native) == []
+    with pytest.raises(NotUnitaryError):
+        select_decomposition(np.array([h, [[1, 1], [0, 1]]]), native)
+    with pytest.raises(NotUnitaryError):
+        select_decomposition(np.zeros((2, 3, 3), dtype=complex), native)
+    with pytest.raises(NotUnitaryError):
+        euler_decompose(h[None])
 
 
 # ---------------------------------------------------------------- native set
@@ -599,6 +636,58 @@ def test_conditioned_gate_expands_under_its_condition():
     assert all(op.name in native and op.condition == (0, 1) for op in out.ops)
     plain = decompose_unsupported(prog.with_ops([replace(prog.ops[0], condition=None)]), native)
     assert [replace(op, condition=None) for op in out.ops] == plain.ops
+
+
+def test_optimize_solves_once_per_pass(monkeypatch, corpus_programs):
+    programs = [prog for prog, _ in corpus_programs[:30]]
+    for prog in programs:
+        optimize(prog, 2)  # fills the fixed-gate memo, whose misses are calls of their own
+    calls = counting(monkeypatch, optimizer, "select_decomposition")
+    passes = counting(monkeypatch, optimizer, "fuse_single_qubit_runs")
+    rows = []
+    for prog in programs:
+        del calls[:], passes[:]
+        optimize(prog, 2)
+        # one call for decompose_unsupported, one per fixpoint pass, none empty
+        assert len(calls) <= 1 + len(passes)
+        assert all(np.ndim(args[0]) == 3 and len(args[0]) > 0 for args in calls)
+        rows += [len(args[0]) for args in calls]
+    assert max(rows) > 1
+
+
+def test_each_distinct_run_is_solved_once(monkeypatch):
+    body = "".join(f"h q[{k}];\nrz(0.3) q[{k}];\nh q[{k}];\n" for k in range(3))
+    prog = qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n' + body + "barrier q;\n" + body)
+    calls = counting(monkeypatch, optimizer, "select_decomposition")
+    out = optimize(prog, 1)
+    # Six equal runs are one row; the second pass finds no run left to solve.
+    assert [len(args[0]) for args in calls] == [1]
+    assert gate_names(out) == ["rx"] * 6
+
+
+def _op_bits(program):
+    return [(op.name, [p.hex() for p in op.params], op.qubits) for op in program.ops if isinstance(op, Inst)]
+
+
+def test_memo_keeps_zero_and_negative_zero_apart():
+    head = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n'
+    runs = ["h q[0];\nrz(0.0) q[0];\n", "h q[0];\nrz(-0.0) q[0];\n"]
+    together = optimize(qasm_program(head + "barrier q[0];\n".join(runs)), 1)
+    alone = [optimize(qasm_program(head + run), 1) for run in runs]
+    assert _op_bits(together) == _op_bits(alone[0]) + _op_bits(alone[1])
+    keys = [optimizer._run_key(tuple(qasm_program(head + run).ops)) for run in runs]
+    assert keys[0] != keys[1]
+
+
+def test_optimize_keeps_no_memo_between_calls():
+    # The run is native in both sets, and only the default set has the one
+    # rx it equals: a memo that outlived the first call would hand it on.
+    prog = qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz(-pi/2) q[0];\nry(0.3) q[0];\nrz(pi/2) q[0];\n')
+    narrow = NativeGateSet.from_names(["rz", "ry", "cx"])
+    wide_alone = optimize(prog, 1)
+    assert gate_names(wide_alone) == ["rx"]
+    assert _op_bits(optimize(prog, 1, narrow)) == _op_bits(prog)
+    assert _op_bits(optimize(prog, 1)) == _op_bits(wide_alone)
 
 
 # ---------------------------------------------------------------- pinned output
