@@ -55,7 +55,8 @@ class QasmSemanticError(QccError):
 
 
 class UnknownGateError(QccError):
-    """Gate name outside the known matrix table."""
+    """Gate the matrix table cannot build: unknown name, wrong arity, or
+    parameters whose phase overflows."""
 
 
 class NotUnitaryError(QccError):

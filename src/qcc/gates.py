@@ -44,6 +44,8 @@ def rz(theta: float) -> np.ndarray:
 
 
 def u3(theta: float, phi: float, lam: float) -> np.ndarray:
+    if not math.isfinite(phi + lam):  # finite parameters whose sum overflows
+        raise OverflowError("phi + lambda overflows")
     return cmath.exp(1j * (phi + lam) / 2) * (rz(phi) @ ry(theta) @ rz(lam))
 
 
@@ -106,6 +108,8 @@ def unitary(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
     except TypeError:
         arity = len(inspect.signature(fn).parameters)
         raise UnknownGateError(f"gate '{name}' takes {arity} parameter(s), got {len(params)}") from None
+    except OverflowError as err:
+        raise UnknownGateError(f"gate '{name}' has no finite matrix: {err}") from None
 
 
 def gate_matrix(name: str, params: tuple[float, ...] = ()) -> np.ndarray:

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class QubitRef:
@@ -71,12 +69,11 @@ class Inst:
 class FusedUnitary:
     """The optimizer's record of a run of single-qubit gates, never a program op.
 
-    Carries the accumulated 2x2 matrix (ordered product, later gates on the
-    left) and the original run, so resynthesis can fall back to it.
+    Carries the qubit and the original run; resynthesis multiplies the run
+    out when it solves it, and falls back to the run when that is shorter.
     """
 
     qubit: QubitRef
-    matrix: np.ndarray
     source: tuple = ()
 
 

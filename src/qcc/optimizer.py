@@ -17,19 +17,19 @@ its matrix gives alone; only the per-matrix angle math stays scalar, as
 serves both zyz and zxz (zxz only shifts the outer angles), one ZYZ solve of
 H.U.H serves xyx, and ``euler_decompose`` uses the same solver.
 
-Each resynthesis pass makes one call for the runs it has not seen before in
-the same ``optimize`` call, each distinct run once; runs are keyed by gate
-names and parameter bit patterns, so 0.0 and -0.0 stay apart.
-``decompose_unsupported`` solves its parameterized single-qubit gates outside
-the native set in one call after its walk.  A parameterless one (``t``,
-``s``, ``x``, ...) is resynthesized once per native set and memoized; that
-memo is bounded by the gate vocabulary.  No call is made for an empty batch.
+Every single-qubit matrix the optimizer solves takes one path: a run of
+gates, keyed by its gate names and parameter bit patterns (so 0.0 and -0.0
+stay apart), is multiplied out only if its key is not memoized yet, and all
+such runs are solved in one call.  Resynthesis memoizes per ``optimize``
+call, so a run met again in a later pass is not solved again;
+``decompose_unsupported`` sends each single-qubit gate outside the native
+set through the same path as a run of one.  No call is made for an empty
+batch, and no memo outlives its call.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import struct
 from collections.abc import Iterable
@@ -42,7 +42,6 @@ from .errors import (
     NoValidBasisError,
     NotUnitaryError,
     QasmSemanticError,
-    UnknownGateError,
     UnsupportedGateError,
 )
 from .ir import (
@@ -266,17 +265,10 @@ def select_decomposition(matrix: np.ndarray, native: NativeGateSet) -> Rotations
 # --- fusion -------------------------------------------------------------------
 
 
-def _is_plain_gate(op: IrOp) -> bool:
-    return isinstance(op, Inst) and op.result is None and op.condition is None and op.name not in ("measure", "reset")
-
-
-def _single_qubit_matrix(op: IrOp) -> np.ndarray | None:
-    if _is_plain_gate(op) and len(op.qubits) == 1:
-        try:
-            return gates.gate_matrix(op.name, op.params)
-        except UnknownGateError:
-            return None
-    return None
+def _is_one_qubit_gate(op: Inst) -> bool:
+    """Whether op applies a one-qubit gate of the standard table with the
+    table's parameter count: exactly the ops that have a 2x2 matrix."""
+    return len(op.qubits) == 1 and qelib1.gate_table().get(op.name) == (len(op.params), 1)
 
 
 def fuse_single_qubit_runs(program: QuantumProgram) -> list[IrOp | FusedUnitary]:
@@ -284,35 +276,31 @@ def fuse_single_qubit_runs(program: QuantumProgram) -> list[IrOp | FusedUnitary]
     into a FusedUnitary record.
 
     Runs end at two-qubit gates, measures, resets, barriers and conditioned
-    gates.  Runs of length 1 pass through unchanged.  The fused matrix is
-    the ordered product of the run, later gates on the left; the run itself
-    rides along in FusedUnitary.source.  The records exist only between this
-    pass and resynthesis, which turns each back into gates.
+    gates.  Runs of length 1 pass through unchanged.  Fusion only groups:
+    a gate joins a run by its arity in the standard table, and no matrix is
+    built here; resynthesis multiplies out the runs it has not solved yet.
+    The records exist only between this pass and resynthesis, which turns
+    each back into gates.
     """
     new_ops: list[IrOp | FusedUnitary | None] = []
-    # Per logical qubit: (position, op, matrix) triples of the open run.
-    runs: dict[int, list[tuple[int, Inst, np.ndarray]]] = {}
+    # Per logical qubit: the positions of the open run's gates.
+    runs: dict[int, list[int]] = {}
 
     def close_run(logical: int) -> None:
-        run = runs.pop(logical, None)
-        if not run or len(run) == 1:
+        run = runs.pop(logical, ())
+        if len(run) < 2:
             return
-        product = run[0][2]
-        for _, _, m in run[1:]:
-            product = m @ product
-        first_pos, first_op, _ = run[0]
-        for pos, _, _ in run:
+        source = tuple(new_ops[pos] for pos in run)
+        for pos in run[1:]:
             new_ops[pos] = None
-        new_ops[first_pos] = FusedUnitary(first_op.qubits[0], product, tuple(op for _, op, _ in run))
+        new_ops[run[0]] = FusedUnitary(source[0].qubits[0], source)
 
     for op in program.ops:
-        matrix = _single_qubit_matrix(op)
-        if matrix is not None:
-            new_ops.append(op)
-            runs.setdefault(op.qubits[0].logical_id, []).append((len(new_ops) - 1, op, matrix))
-            continue
-        for logical in op_qubits(op):
-            close_run(logical)
+        if isinstance(op, Inst) and op.result is None and op.condition is None and _is_one_qubit_gate(op):
+            runs.setdefault(op.qubits[0].logical_id, []).append(len(new_ops))
+        else:
+            for logical in op_qubits(op):
+                close_run(logical)
         new_ops.append(op)
     for logical in list(runs):
         close_run(logical)
@@ -328,24 +316,6 @@ def _rotation_insts(
     return [Inst(name, (angle,), (qubit,), None, condition) for name, angle in pairs]
 
 
-def _stranger_matrix(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
-    try:
-        return gates.gate_matrix(name, params)
-    except UnknownGateError:
-        raise UnsupportedGateError(f"unknown gate '{name}'") from None
-
-
-@functools.lru_cache(maxsize=256)
-def _fixed_gate_rotations(name: str, native: NativeGateSet) -> tuple[tuple[str, float], ...]:
-    """Native rotation pairs of a parameterless single-qubit gate.
-
-    Only parameterless names reach the memo, so it holds one entry per fixed
-    gate of the vocabulary and native set in use, and no float key can alias
-    0.0 with -0.0.
-    """
-    return tuple(select_decomposition(_stranger_matrix(name), native))
-
-
 def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None = None) -> QuantumProgram:
     """Rewrite every gate outside the native set into native gates.
 
@@ -355,20 +325,19 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
     expanded from a conditioned gate carries that gate's condition.
     """
     native = native or NativeGateSet.default()
-    # Parameterized single-qubit strangers, in walk order; each leaves a None
-    # in the output where its rotations go once the whole batch is solved.
-    pending: list[tuple[Inst, np.ndarray]] = []
+    # Single-qubit strangers, in walk order; each leaves a None in the output
+    # where its rotations go once the whole batch is solved.
+    strangers: list[Inst] = []
 
     def rewrite(op: Inst, sink: list[IrOp | None]) -> None:
         if op.name in native or op.result is not None or op.name in ("measure", "reset"):
             sink.append(op)
             return
         if len(op.qubits) == 1:
-            if op.params:
-                pending.append((op, _stranger_matrix(op.name, op.params)))
-                sink.append(None)
-            else:
-                sink.extend(_rotation_insts(_fixed_gate_rotations(op.name, native), op.qubits[0], op.condition))
+            if not _is_one_qubit_gate(op):
+                raise UnsupportedGateError(f"unknown gate '{op.name}'")
+            strangers.append(op)
+            sink.append(None)
             return
         gdef = qelib1.gate_defs().get(op.name)
         if gdef is None or op.name == "cx":  # cx's body is the CX builtin, cx again
@@ -386,13 +355,11 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
             rewrite(op, walked)
         else:
             walked.append(op)
-    if not pending:
-        return program.with_ops(walked)
-    solved = iter(zip(pending, select_decomposition(np.array([m for _, m in pending]), native)))
+    solved = iter(zip(strangers, _solve([(op,) for op in strangers], native, {})))
     new_ops: list[IrOp] = []
     for op in walked:
         if op is None:
-            (stranger, _), pairs = next(solved)
+            stranger, pairs = next(solved)
             new_ops.extend(_rotation_insts(pairs, stranger.qubits[0], stranger.condition))
         else:
             new_ops.append(op)
@@ -408,29 +375,38 @@ def _run_key(run: tuple[Inst, ...]) -> tuple[tuple[str, ...], bytes]:
     return tuple(op.name for op in run), struct.pack(f"{len(params)}d", *params)
 
 
-def _resynthesize(
-    program: QuantumProgram, native: NativeGateSet, memo: dict[tuple, Rotations]
-) -> QuantumProgram:
-    """Fuse runs and replace each fused matrix by its best rotation sequence,
-    keeping the original run whenever resynthesis would not shorten it.
+def _run_matrix(run: tuple[Inst, ...]) -> np.ndarray:
+    """The 2x2 product of a run of one-qubit gates, later gates on the left."""
+    product = gates.gate_matrix(run[0].name, run[0].params)
+    for op in run[1:]:
+        product = gates.gate_matrix(op.name, op.params) @ product
+    return product
 
-    memo maps the key of every run solved so far to its rotation pairs.  The
-    runs not in it are solved in one batched call, each distinct run once.
-    """
-    fused = fuse_single_qubit_runs(program)
-    keys = [_run_key(op.source) if isinstance(op, FusedUnitary) else None for op in fused]
-    unsolved: dict[tuple, np.ndarray] = {}
-    for op, key in zip(fused, keys):
-        if key is not None and key not in memo:
-            unsolved.setdefault(key, op.matrix)
+
+def _solve(runs: list[tuple[Inst, ...]], native: NativeGateSet, memo: dict[tuple, Rotations]) -> list[Rotations]:
+    """The native rotation pairs of each run of one-qubit gates.  memo maps the
+    key of every run solved so far to its pairs; the distinct runs not in it
+    are multiplied out, solved in one batched call and added to it."""
+    keys = [_run_key(run) for run in runs]
+    unsolved = {key: run for key, run in zip(keys, runs) if key not in memo}
     if unsolved:
-        memo.update(zip(unsolved, select_decomposition(np.array(list(unsolved.values())), native)))
+        matrices = np.array([_run_matrix(run) for run in unsolved.values()])
+        memo.update(zip(unsolved, select_decomposition(matrices, native)))
+    return [memo[key] for key in keys]
+
+
+def _resynthesize(program: QuantumProgram, native: NativeGateSet, memo: dict[tuple, Rotations]) -> QuantumProgram:
+    """Fuse runs and replace each by its best rotation sequence, keeping the
+    original run whenever resynthesis would not shorten it.  memo is the
+    optimize call's, so a run is solved once per call."""
+    fused = fuse_single_qubit_runs(program)
+    solved = iter(_solve([op.source for op in fused if isinstance(op, FusedUnitary)], native, memo))
     new_ops: list[IrOp] = []
-    for op, key in zip(fused, keys):
-        if key is None:
+    for op in fused:
+        if not isinstance(op, FusedUnitary):
             new_ops.append(op)
             continue
-        pairs = memo[key]
+        pairs = next(solved)
         if len(pairs) < len(op.source):
             new_ops.extend(_rotation_insts(pairs, op.qubit))
         else:

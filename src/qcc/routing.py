@@ -61,7 +61,7 @@ class CouplingGraph:
         # JSON true is a Python int; a qubit count or index must not be one.
         if type(n_qubits) is not int or n_qubits < 1:
             raise CouplingFormatError("n_qubits must be a positive integer")
-        neighbor_sets: list[set[int]] = [set() for _ in range(n_qubits)]
+        pairs: list[tuple[int, int]] = []
         for edge in edges:
             pair = tuple(edge)
             if len(pair) != 2 or not all(type(x) is int for x in pair):
@@ -71,6 +71,12 @@ class CouplingGraph:
                 raise CouplingFormatError(f"edge {edge!r} out of range for {n_qubits} qubits")
             if u == v:
                 raise CouplingFormatError(f"edge {edge!r} is a self-loop")
+            pairs.append(pair)
+        # A connected graph has at least n - 1 edges; say so before allocating per qubit.
+        if len(pairs) < n_qubits - 1:
+            raise RoutingError("disconnected coupling graph")
+        neighbor_sets: list[set[int]] = [set() for _ in range(n_qubits)]
+        for u, v in pairs:
             neighbor_sets[u].add(v)
             neighbor_sets[v].add(u)
         adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)

@@ -6,7 +6,6 @@ import shutil
 import struct
 import subprocess
 
-import numpy as np
 import pytest
 
 from qcc.benchmarks import benchmark_source, list_benchmarks
@@ -194,7 +193,7 @@ def test_fused_unitary_cannot_be_emitted():
     prog = QuantumProgram(
         registers=[QRegister(size=1, name="q")],
         cregs=[],
-        ops=[FusedUnitary(QubitRef(0), np.eye(2, dtype=complex), ())],
+        ops=[FusedUnitary(QubitRef(0), ())],
     )
     with pytest.raises(EmitError, match="cannot emit op FusedUnitary"):
         emit_qir(prog)

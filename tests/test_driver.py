@@ -942,3 +942,40 @@ def test_cli_extract_of_a_qasm_source_is_a_diagnostic(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == f"{circ}: error: expected a QIR module, got an OpenQASM source"
+
+
+OVERFLOW = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nu3(0,1.7e308,1.7e308) q[0];\nrz(0.5) q[0];\n'
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["build", "{f}"], True),
+        (["build", "{f}", "--native-gates", "rz,ry,u3,cx"], True),  # u3 is native here and fused with rz
+        (["metrics", "{f}", "--opt-level", "1"], True),
+        (["simulate", "{f}"], False),
+    ],
+    ids=["build", "build-fused", "metrics", "simulate"],
+)
+def test_cli_gate_whose_phase_overflows_is_a_diagnostic(tmp_path, capsys, argv, named):
+    # Each parameter is a finite double, but phi + lambda is not.
+    circ = tmp_path / "ov.qasm"
+    circ.write_text(OVERFLOW)
+    args = [arg.format(f=circ) for arg in argv] + ["--build-dir", str(tmp_path)] * (argv[0] == "build")
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = f"{circ}: " if named else ""
+    assert captured.err.strip() == f"{prefix}error: gate 'u3' has no finite matrix: phi + lambda overflows"
+    assert not (tmp_path / "ov.qir.ll").exists()
+
+
+def test_cli_device_with_too_few_edges_is_a_diagnostic(tmp_path, capsys):
+    circ = tmp_path / "circ.qasm"
+    circ.write_text(GHZ2)
+    device = tmp_path / "sparse.json"
+    device.write_text(json.dumps({"n_qubits": 1_000_000, "edges": [[0, 1]]}))
+    start = time.process_time()
+    assert main(["build", str(circ), "--build-dir", str(tmp_path), "--coupling", str(device)]) == 1
+    assert time.process_time() - start < 0.5
+    assert capsys.readouterr().err.strip() == "error: disconnected coupling graph"

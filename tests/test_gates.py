@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qcc import gates
 from qcc.gates import UnknownGateError, gate_matrix, is_unitary, rx, ry, rz, u3, unitary
 from qcc.qasm import ast, qelib1
 from qcc.simulator import apply_gate
@@ -152,6 +153,38 @@ def test_wrong_parameter_count_rejected():
         unitary("h", (0.1,))
     with pytest.raises(UnknownGateError):
         unitary("crz", ())
+
+
+def test_matrix_table_states_exactly_the_qelib1_arities():
+    # Fusion and native-set rewriting pick gates by qelib1's arity table and
+    # then build their matrices, so both tables must name the same gates with
+    # the same arity; an extra matrix would otherwise go unchecked.
+    table = qelib1.gate_table()
+    assert sorted(gates._MATRICES) == sorted(table)
+    for name, (n_params, n_qubits) in table.items():
+        for count in range(4):
+            params = tuple(0.37 * (k + 1) for k in range(count))
+            if count == n_params:
+                assert unitary(name, params).shape == (2**n_qubits, 2**n_qubits)
+            else:
+                with pytest.raises(UnknownGateError):
+                    unitary(name, params)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("u3", (0.0, 1.7e308, 1.7e308)), ("u2", (-1.7e308, -1.7e308)), ("cu3", (0.1, 1.7e308, 1.7e308))],
+)
+def test_phase_overflow_names_the_gate(name, params):
+    with pytest.raises(UnknownGateError, match=f"gate '{name}' has no finite matrix: phi \\+ lambda overflows"):
+        unitary(name, params)
+
+
+def test_largest_finite_phase_keeps_its_bits():
+    theta, phi, lam = 0.3, 8.9e307, 8.9e307
+    expected = cmath.exp(1j * (phi + lam) / 2) * (rz(phi) @ ry(theta) @ rz(lam))
+    assert np.array_equal(unitary("u3", (theta, phi, lam)), expected)
+    assert np.isfinite(expected).all()
 
 
 def test_gate_arity_table():

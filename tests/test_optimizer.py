@@ -239,15 +239,25 @@ def test_select_checks_unitarity_once(monkeypatch):
 
 def test_fixed_gates_are_resynthesized_once_per_native_set(monkeypatch):
     prog = qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n' + "t q[0];\nt q[1];\n" * 20)
-    optimizer._fixed_gate_rotations.cache_clear()
     calls = counting(monkeypatch, optimizer, "select_decomposition")
     for names in (None, ["rz", "rx", "cx"], ["rx", "ry", "cx"]):
         native = NativeGateSet.from_names(names) if names else NativeGateSet.default()
         before = len(calls)
         out = decompose_unsupported(prog, native)
-        assert len(calls) - before == 1
+        # one call per decompose_unsupported, one row for the one distinct stranger
+        assert [len(args[0]) for args in calls[before:]] == [1]
         assert set(gate_names(out)) <= native.names
         assert equiv_up_to_global_phase(simulate(prog), simulate(out))
+
+
+def test_equal_strangers_are_solved_once(monkeypatch):
+    prog = qasm_program(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n' + "t q[0];\nt q[1];\n" * 20 + "u1(0.4) q[0];\n" * 3
+    )
+    calls = counting(monkeypatch, optimizer, "select_decomposition")
+    out = decompose_unsupported(prog)
+    assert [len(args[0]) for args in calls] == [2]
+    assert equiv_up_to_global_phase(simulate(prog), simulate(out))
 
 
 def test_parameterized_strangers_are_solved_in_one_batch(monkeypatch):
@@ -373,7 +383,7 @@ def test_fuse_hh_to_identity():
     units = [op for op in fused if isinstance(op, FusedUnitary)]
     assert len(units) == 1
     assert len(units[0].source) == 2
-    assert np.allclose(units[0].matrix, np.eye(2), atol=1e-12)
+    assert np.allclose(optimizer._run_matrix(units[0].source), np.eye(2), atol=1e-12)
 
 
 def test_fuse_rz_angles_add():
@@ -382,7 +392,32 @@ def test_fuse_rz_angles_add():
     )
     fused = fuse_single_qubit_runs(prog)
     units = [op for op in fused if isinstance(op, FusedUnitary)]
-    assert np.allclose(units[0].matrix, rz(0.7), atol=1e-12)
+    assert np.allclose(optimizer._run_matrix(units[0].source), rz(0.7), atol=1e-12)
+
+
+def test_fusion_builds_no_matrix(monkeypatch):
+    calls = counting(monkeypatch, gates, "gate_matrix")
+    prog = qasm_program(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+        "h q[0];\nt q[0];\nu3(0.1,0.2,0.3) q[1];\ncx q[0],q[1];\nrz(0.4) q[1];\nsdg q[1];\n"
+    )
+    fused = fuse_single_qubit_runs(prog)
+    assert [len(op.source) for op in fused if isinstance(op, FusedUnitary)] == [2, 2]
+    assert calls == []
+
+
+def test_equal_runs_are_multiplied_out_once(monkeypatch):
+    # Six qubits, each with the same three-rotation run, which no basis shortens.
+    prog = qasm_program(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[6];\n'
+        + "".join(f"rx(0.1) q[{i}];\nry(0.2) q[{i}];\nrz(0.3) q[{i}];\n" for i in range(6))
+    )
+    matrices = counting(monkeypatch, gates, "gate_matrix")
+    solves = counting(monkeypatch, optimizer, "select_decomposition")
+    out = optimize(prog, level=1)
+    assert len(matrices) == 3
+    assert [len(args[0]) for args in solves] == [1]
+    assert out.ops == prog.ops
 
 
 def test_fuse_leaves_short_runs_alone():
@@ -414,7 +449,7 @@ def test_fusion_product_matches_run():
         fused = fuse_single_qubit_runs(prog)
         unit = [op for op in fused if isinstance(op, FusedUnitary)][0]
         expected = unitary("u3", tuple(angles[3:])) @ unitary("u3", tuple(angles[:3]))
-        assert np.max(np.abs(unit.matrix - expected)) < 1e-12
+        assert np.max(np.abs(optimizer._run_matrix(unit.source) - expected)) < 1e-12
 
 
 # ---------------------------------------------------------------- decompose

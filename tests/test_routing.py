@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -95,6 +96,18 @@ def test_graph_format_errors():
 def test_disconnected_graph_rejected():
     with pytest.raises(RoutingError, match="disconnected"):
         CouplingGraph.from_edges(4, [[0, 1], [2, 3]])
+
+
+def test_too_few_edges_are_rejected_before_allocating():
+    # A million qubits and one edge: a set per qubit took over a second
+    # before the breadth-first search saw the graph is disconnected (at 10^8
+    # it took gigabytes), though no connected graph has fewer than n - 1 edges.
+    start = time.process_time()
+    with pytest.raises(RoutingError, match="disconnected"):
+        CouplingGraph.from_edges(1_000_000, [[0, 1]])
+    assert time.process_time() - start < 0.5
+    with pytest.raises(CouplingFormatError, match="out of range"):
+        CouplingGraph.from_edges(1_000_000, [[0, 1_000_000]])  # a malformed edge is named first
 
 
 def test_load_coupling_graph(tmp_path):
