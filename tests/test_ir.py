@@ -1,6 +1,11 @@
 """Gate DAG construction and circuit metrics."""
 
+import hashlib
+
+import numpy as np
 import pytest
+
+from qcc.benchmarks import benchmark_source, list_benchmarks
 
 from qcc.ir import GateDag, build_dag, circuit_depth, gate_counts, instruction_kind, Inst
 
@@ -248,3 +253,61 @@ def test_qubits_are_logical_ids():
         )
     )
     assert dag.nodes[0].qubits == (1, 2)
+
+
+def _with_classical_ops(source: str, rng) -> str:
+    """The source with a 2-bit creg, and barriers, measurements and ifs
+    scattered among its gates."""
+    lines = source.splitlines()
+    header, body = lines[:3], lines[3:]
+    n = int(header[2][len("qreg q[") : -len("];")])
+    lines = header + ["creg c[2];"]
+    for line in body:
+        roll = int(rng.integers(6))
+        if roll == 0:
+            lines.append(f"if (c=={int(rng.integers(4))}) {line}")
+        else:
+            lines.append(line)
+        a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
+        if roll == 1:
+            lines.append(f"barrier q[{a}],q[{b}];")
+        elif roll == 2:
+            lines.append("barrier q;")
+        elif roll == 3:
+            lines.append(f"{'if (c==1) ' * int(rng.integers(2))}measure q[{a}] -> c[{b % 2}];")
+    return "\n".join(lines) + "\n"
+
+
+def _dag_digest(dags) -> str:
+    """sha256 over each DAG's nodes in id order, its successor lists as they
+    stand and its predecessor lists sorted."""
+    digest = hashlib.sha256()
+    for dag in dags:
+        ids = range(len(dag.nodes))
+        nodes = sorted(dag.nodes, key=lambda node: node.node_id)
+        succ = [dag.successors[i] for i in ids]
+        pred = [sorted(dag.predecessors[i]) for i in ids]
+        digest.update(repr((nodes, succ, pred)).encode())
+    return digest.hexdigest()
+
+
+DAG_GOLDEN = {
+    ("benchmarks", "forward"): "cc2c0ddbc9756a27640d40e171fc621c97a292af338c56722056396e67ed8bf5",
+    ("benchmarks", "reversed"): "ae42c9430a1aeb617d0c0726754c3f4eae371740fc56228aec31a024ffa04c40",
+    ("corpus", "forward"): "209e6a9bd29a0a43f97d32b7790c7c7c8f08ea5d386a82de6d6d20a7fb796652",
+    ("corpus", "reversed"): "62bc7059181623f13d657c678f2677629683f58dfe1a32471821e5995ffef3ab",
+}
+
+
+@pytest.mark.parametrize("direction", ["forward", "reversed"])
+@pytest.mark.parametrize("inputs", ["benchmarks", "corpus"])
+def test_dag_edges_are_pinned(corpus_sources, inputs, direction):
+    if inputs == "benchmarks":
+        sources = [benchmark_source(name) for name in list_benchmarks()]
+    else:
+        rng = np.random.default_rng(20)
+        sources = [_with_classical_ops(src, rng) for src, _ in corpus_sources[:200]]
+    dags = [build_dag(qasm_program(src)) for src in sources]
+    if direction == "reversed":
+        dags = [dag.reversed() for dag in dags]
+    assert _dag_digest(dags) == DAG_GOLDEN[(inputs, direction)]
