@@ -8,9 +8,12 @@ with qreg a[2]; qreg b[3]; numbers its qubits a[0]=0, a[1]=1, b[0]=2,
 b[1]=3, b[2]=4.  A classical condition is a field of the Inst it guards:
 ``condition=(creg_id, value)`` runs the op iff that creg equals the value.
 
-The module also builds the gate dependency DAG used by scheduling, routing
-and metrics.  Barriers are not DAG nodes: they contribute ordering edges only,
-so node counts and depth reflect actual gates.
+The module also builds the gate dependency DAG used by routing and metrics:
+three lists indexed by node id, built once and reversed by swapping its two
+edge lists.  Node ids follow program order, so in a DAG that ``build_dag``
+made, id order is topological; in its reversal it is the reverse.  Barriers
+are not DAG nodes: they contribute ordering edges only, so node counts and
+depth reflect actual gates.
 """
 
 from __future__ import annotations
@@ -136,120 +139,102 @@ class DagNode(NamedTuple):
     condition: tuple[int, int] | None = None
 
 
-class GateDag:
-    """Def-use dependency graph over gate instructions.
+class GateDag(NamedTuple):
+    """Def-use dependency graph over gate instructions, as three lists indexed
+    by node id.
 
     Nodes are Inst ops (gates, measures, resets, conditioned or not); edges
     connect each gate to the next gate on every shared qubit.  Barriers add
     edges from every gate before the barrier on its qubit set to every gate
     after it, without becoming nodes themselves.
+
+    ``nodes[i].node_id == i``, and ``successors[i]`` and ``predecessors[i]``
+    are ascending and hold no duplicates.  In a DAG that ``build_dag`` made
+    every edge goes to a higher id, so id order is a topological order; in
+    its reversal every edge goes to a lower id.
     """
 
-    def __init__(self) -> None:
-        self.nodes: list[DagNode] = []
-        self.successors: dict[int, list[int]] = {}
-        self.predecessors: dict[int, list[int]] = {}
-
-    def add_node(self, node: DagNode) -> None:
-        self.nodes.append(node)
-        self.successors[node.node_id] = []
-        self.predecessors[node.node_id] = []
-
-    def add_edge(self, src: int, dst: int) -> None:
-        if dst not in self.successors[src]:
-            self.successors[src].append(dst)
-            self.predecessors[dst].append(src)
+    nodes: list[DagNode]
+    successors: list[list[int]]
+    predecessors: list[list[int]]
 
     def reversed(self) -> "GateDag":
         """The DAG of the reversed gate sequence (for backward routing passes).
 
-        Node ids are preserved; only edge directions flip and the node list
-        order is reversed so iteration follows the reversed program.
+        The same nodes and ids with every edge flipped, sharing this DAG's
+        lists; reversing it again gives this DAG back.
         """
-        position = {node.node_id: i for i, node in enumerate(self.nodes)}
-        rev = GateDag()
-        rev.nodes = self.nodes[::-1]
-        # The lists add_edge(dst, src) over the forward edges, sources in node
-        # order, would build: forward predecessors by node position, successors as is.
-        for node in rev.nodes:
-            nid = node.node_id
-            rev.successors[nid] = sorted(self.predecessors[nid], key=position.__getitem__)
-            rev.predecessors[nid] = list(self.successors[nid])
-        return rev
+        return GateDag(self.nodes, self.predecessors, self.successors)
 
 
 def build_dag(program: QuantumProgram) -> GateDag:
     """Build the def-use DAG for a program's gate instructions.
 
-    A conditioned op is serialized against the classical register it reads:
-    it depends on every earlier measurement into that creg, and later
-    measurements into the creg depend on it.  A measurement's result is
-    registered before its own condition, so a conditioned measurement orders
-    after earlier readers of its bit and before later ones, and one that reads
-    the creg it writes gets no edge to itself.  Measurements into distinct
-    bits are otherwise independent.
+    Node ids follow program order.  A conditioned op is serialized against
+    the classical register it reads: it depends on every earlier measurement
+    into that creg, and later measurements into the creg depend on it.  A
+    measurement's result is registered before its own condition, so a
+    conditioned measurement orders after earlier readers of its bit and
+    before later ones, and one that reads the creg it writes gets no edge to
+    itself.  Measurements into distinct bits are otherwise independent.
     """
-    dag = GateDag()
-    # Per qubit: its last node, or after a barrier the list of nodes any later
-    # gate on that qubit must follow.
-    last: dict[int, int | list[int]] = {}
+    nodes: list[DagNode] = []
+    successors: list[list[int]] = []
+    predecessors: list[list[int]] = []
+    # Per qubit: the nodes any later gate on that qubit must follow, which is
+    # its last node or, after a barrier, the barrier's fence.
+    last: dict[int, tuple[int, ...] | set[int]] = {}
     last_bit_writer: dict[tuple[int, int], int] = {}
     creg_writers: dict[int, list[int]] = {}
     creg_barrier: dict[int, int] = {}
 
     for op in program.ops:
-        if isinstance(op, Inst):
-            qubits = op_qubits(op)
-            nid = len(dag.nodes)
-            dag.add_node(DagNode(nid, op.name, op.params, qubits, op.result, op.condition))
-            for q in qubits:
-                prev = last.get(q)
-                if isinstance(prev, list):
-                    for p in prev:
-                        dag.add_edge(p, nid)
-                elif prev is not None:
-                    dag.add_edge(prev, nid)
-                last[q] = nid
-            if op.result is not None:
-                creg = op.result.creg_id
-                bit = (creg, op.result.index)
-                if bit in last_bit_writer:
-                    dag.add_edge(last_bit_writer[bit], nid)
-                if creg in creg_barrier:
-                    dag.add_edge(creg_barrier[creg], nid)
-                last_bit_writer[bit] = nid
-                creg_writers.setdefault(creg, []).append(nid)
-            if op.condition is not None:
-                creg = op.condition[0]
-                for writer in creg_writers.get(creg, []):
-                    if writer != nid:
-                        dag.add_edge(writer, nid)
-                if creg in creg_barrier:
-                    dag.add_edge(creg_barrier[creg], nid)
-                creg_barrier[creg] = nid
-                creg_writers[creg] = []
-        elif isinstance(op, Barrier):
-            qubits = op_qubits(op)
-            fence: list[int] = []
-            for q in qubits:
-                prev = last.get(q)
-                if isinstance(prev, list):
-                    fence.extend(p for p in prev if p not in fence)
-                elif prev is not None and prev not in fence:
-                    fence.append(prev)
+        qubits = op_qubits(op)
+        if isinstance(op, Barrier):
+            fence = set().union(*(last.get(q, ()) for q in qubits))
             for q in qubits:
                 last[q] = fence
-    return dag
+            continue
+        nid = len(nodes)
+        preds: set[int] = set()
+        for q in qubits:
+            preds.update(last.get(q, ()))
+            last[q] = (nid,)
+        if op.result is not None:
+            creg = op.result.creg_id
+            bit = (creg, op.result.index)
+            if bit in last_bit_writer:
+                preds.add(last_bit_writer[bit])
+            if creg in creg_barrier:
+                preds.add(creg_barrier[creg])
+            last_bit_writer[bit] = nid
+            creg_writers.setdefault(creg, []).append(nid)
+        if op.condition is not None:
+            creg = op.condition[0]
+            preds.update(creg_writers.get(creg, ()))
+            preds.discard(nid)
+            if creg in creg_barrier:
+                preds.add(creg_barrier[creg])
+            creg_barrier[creg] = nid
+            creg_writers[creg] = []
+        nodes.append(DagNode(nid, op.name, op.params, qubits, op.result, op.condition))
+        predecessors.append(sorted(preds))
+        successors.append([])
+        for p in predecessors[nid]:
+            successors[p].append(nid)
+    return GateDag(nodes, successors, predecessors)
 
 
 def circuit_depth(dag: GateDag) -> int:
-    """Length in gates of the longest dependency chain; 0 for no gates."""
-    depth: dict[int, int] = {}
-    # Every edge points forward in the node list, so it is a topological order.
-    for node in dag.nodes:
-        nid = node.node_id
-        depth[nid] = 1 + max((depth[p] for p in dag.predecessors[nid]), default=0)
-    return max(depth.values(), default=0)
+    """Length in gates of the longest dependency chain; 0 for no gates.
+
+    Walks the nodes in id order, so the DAG must be one ``build_dag`` made,
+    not its reversal.
+    """
+    depth: list[int] = []
+    for preds in dag.predecessors:
+        depth.append(1 + max([depth[p] for p in preds], default=0))
+    return max(depth, default=0)
 
 
 def gate_counts(program: QuantumProgram) -> dict[str, int]:

@@ -207,13 +207,11 @@ def sabre_swap(
         if len(node.qubits) > 2:
             raise RoutingError(f"gate {node.name} acts on {len(node.qubits)} qubits; decompose before routing")
 
-    # Per-node lists indexed by node id.  The reversed DAG keeps node ids but
-    # reverses the node list, so list position is not the id.
-    nodes = sorted(dag.nodes, key=lambda node: node.node_id)
+    # Per-node lists indexed by node id, as the DAG's own are.
+    nodes, successors = dag.nodes, dag.successors
     n_nodes = len(nodes)
     qubits_of = [node.qubits for node in nodes]
-    successors = [dag.successors[i] for i in range(n_nodes)]
-    indegree = [len(dag.predecessors[i]) for i in range(n_nodes)]
+    indegree = [len(pred) for pred in dag.predecessors]
     two_qubit = [len(q) == 2 for q in qubits_of]
 
     layout = initial.copy()

@@ -4,12 +4,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qcc.benchmarks import benchmark_source, list_benchmarks
-
 from qcc.ir import GateDag, build_dag, circuit_depth, gate_counts, instruction_kind, Inst
 
 from conftest import qasm_program
+from test_routing_properties import classical_circuits
 
 GHZ = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -32,7 +33,7 @@ def test_ghz_dag_structure():
         (4, "measure", (1,)),
         (5, "measure", (2,)),
     ]
-    assert dag.successors == {0: [1], 1: [2, 3], 2: [4, 5], 3: [], 4: [], 5: []}
+    assert dag.successors == [[1], [2, 3], [4, 5], [], [], []]
     assert [n.node_id for n in dag.nodes if not dag.predecessors[n.node_id]] == [0]
     assert circuit_depth(dag) == 4
 
@@ -66,8 +67,8 @@ def test_parallel_gates_have_depth_one():
     prog = qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\nh q[1];\n')
     dag = build_dag(prog)
     assert circuit_depth(dag) == 1
-    assert dag.predecessors == {0: [], 1: []}
-    assert dag.successors == {0: [], 1: []}
+    assert dag.predecessors == [[], []]
+    assert dag.successors == [[], []]
 
 
 def test_swap_counts_in_both_buckets():
@@ -95,7 +96,7 @@ def test_barrier_is_a_fence_not_a_node():
     )
     dag = build_dag(prog)
     assert len(dag.nodes) == 2  # barrier contributes no node
-    assert dag.successors == {0: [1], 1: []}
+    assert dag.successors == [[1], []]
     assert circuit_depth(dag) == 2
 
 
@@ -106,7 +107,7 @@ def test_barrier_on_an_already_fenced_qubit_joins_the_fences():
     )
     dag = build_dag(prog)
     # q[1] is fenced by the first barrier, so the second one fences h q[0] as well.
-    assert dag.successors == {0: [3, 4, 5], 1: [3, 4, 5], 2: [4, 5], 3: [], 4: [], 5: []}
+    assert dag.successors == [[3, 4, 5], [3, 4, 5], [4, 5], [], [], []]
     assert circuit_depth(dag) == 2
 
 
@@ -149,8 +150,8 @@ def test_conditioned_measurement_into_its_own_creg_has_no_self_edge():
         "measure q[0] -> c[0];\nif (c==0) measure q[0] -> c[0];\nif (c==1) x q[0];\n"
     )
     dag = build_dag(prog)
-    assert all(nid not in succ for nid, succ in dag.successors.items())
-    assert dag.successors == {0: [1], 1: [2], 2: []}
+    assert all(nid not in succ for nid, succ in enumerate(dag.successors))
+    assert dag.successors == [[1], [2], []]
     assert circuit_depth(dag) == 3
     assert gate_counts(prog)["measure_ops"] == 2
 
@@ -163,39 +164,39 @@ def test_sequential_chain_depth():
 
 
 def test_topological_order_respects_edges():
-    # The node list is the topological order circuit_depth walks, forward and reversed.
+    # Id order is topological for the DAG, and its reverse for the reversal.
     prog = qasm_program(
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[2];\n'
         "h q[0];\ncx q[0],q[1];\nbarrier q[0],q[2];\nmeasure q[0] -> c[0];\n"
         "if (c == 1) x q[2];\nbarrier q;\nmeasure q[1] -> c[1];\nh q[2];\nmeasure q[2] -> c[0];\n"
     )
     dag = build_dag(prog)
-    for d in (dag, dag.reversed()):
-        pos = {node.node_id: i for i, node in enumerate(d.nodes)}
-        edges = [(src, dst) for src, dsts in d.successors.items() for dst in dsts]
+    for d, ascending in ((dag, True), (dag.reversed(), False)):
+        edges = [(src, dst) for src, dsts in enumerate(d.successors) for dst in dsts]
         assert len(edges) >= len(d.nodes)
         for src, dst in edges:
-            assert pos[src] < pos[dst]
+            assert (src < dst) == ascending
 
 
 def test_reversed_dag_flips_edges():
     dag = build_dag(qasm_program(GHZ))
     rev = dag.reversed()
-    assert [n.node_id for n in rev.nodes] == [5, 4, 3, 2, 1, 0]
-    for src, dsts in dag.successors.items():
+    assert rev.nodes == dag.nodes
+    for src, dsts in enumerate(dag.successors):
         for dst in dsts:
             assert src in rev.successors[dst]
+    assert rev.reversed() == dag
 
 
 def _reversed_edge_by_edge(dag) -> GateDag:
-    """The reversed DAG built one add_node and one add_edge at a time."""
-    rev = GateDag()
-    for node in reversed(dag.nodes):
-        rev.add_node(node)
-    for src, dsts in dag.successors.items():
+    """The reversed DAG built one flipped edge at a time, in id order."""
+    successors = [[] for _ in dag.nodes]
+    predecessors = [[] for _ in dag.nodes]
+    for src, dsts in enumerate(dag.successors):
         for dst in dsts:
-            rev.add_edge(dst, src)
-    return rev
+            successors[dst].append(src)
+            predecessors[src].append(dst)
+    return GateDag(dag.nodes, successors, predecessors)
 
 
 @pytest.mark.parametrize(
@@ -213,10 +214,7 @@ def _reversed_edge_by_edge(dag) -> GateDag:
 def test_reversed_matches_an_edge_by_edge_build(body):
     dag = build_dag(qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\n' + body))
     for forward in (dag, dag.reversed()):
-        rev, reference = forward.reversed(), _reversed_edge_by_edge(forward)
-        assert rev.nodes == reference.nodes
-        assert list(rev.successors.items()) == list(reference.successors.items())
-        assert list(rev.predecessors.items()) == list(reference.predecessors.items())
+        assert forward.reversed() == _reversed_edge_by_edge(forward)
 
 
 def _brute_force_depth(dag) -> int:
@@ -230,6 +228,25 @@ def _brute_force_depth(dag) -> int:
         return memo[nid]
 
     return max((down(n.node_id) for n in dag.nodes), default=0)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(classical_circuits(5))
+def test_dag_invariants(program):
+    dag = build_dag(program)
+    n = len(dag.nodes)
+    assert [node.node_id for node in dag.nodes] == list(range(n))
+    assert n == sum(isinstance(op, Inst) for op in program.ops)
+    assert len(dag.successors) == len(dag.predecessors) == n
+    transpose = [[] for _ in range(n)]
+    for nid, (succ, pred) in enumerate(zip(dag.successors, dag.predecessors)):
+        assert all(nid < s for s in succ) and all(p < nid for p in pred)
+        assert succ == sorted(set(succ)) and pred == sorted(set(pred))
+        for s in succ:
+            transpose[s].append(nid)
+    assert transpose == dag.predecessors
+    assert dag.reversed().reversed() == dag
+    assert circuit_depth(dag) == _brute_force_depth(dag)
 
 
 def test_depth_matches_brute_force_on_corpus(corpus_programs):

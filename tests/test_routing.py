@@ -315,7 +315,8 @@ def golden_source(seed):
 
 # (seed, direction) -> (swap count, sabre_layout result, sha256 of the routed
 # gate list).  Recorded from the full-re-sum scorer; incremental scoring must
-# pick exactly the same swaps.
+# pick exactly the same swaps.  The reversed entries route the reversed DAG,
+# whose own reversal is the forward DAG again.
 ROUTING_GOLDEN = {
     (11, "forward"): (
         216,
@@ -323,9 +324,9 @@ ROUTING_GOLDEN = {
         "0f326f9a98edb19f946b6a563452eef7ad27108d2ab05d75689b13f4e2b9ede3",
     ),
     (11, "reversed"): (
-        220,
-        (4, 0, 11, 3, 8, 13, 5, 10, 2, 9, 14, 6, 7, 12, 15, 1),
-        "b172db4ddafd1dfa3310754687af7600bf5261d71e211daf787bed933ed6309e",
+        211,
+        (10, 14, 8, 3, 9, 0, 5, 2, 11, 4, 1, 7, 12, 15, 13, 6),
+        "22a63ef570245e3722c3d504cfa34dc4c0aa9e4b358e6f26913a79c41d46f393",
     ),
     (12, "forward"): (
         182,
@@ -333,9 +334,9 @@ ROUTING_GOLDEN = {
         "75755705821cfbed0d6ab775972b11534e158b8933fcff7cdbaee8e2c19b027b",
     ),
     (12, "reversed"): (
-        183,
-        (0, 13, 3, 6, 11, 15, 9, 1, 4, 12, 2, 7, 8, 10, 14, 5),
-        "05f0cd34b533a9b44f2d5552de2733d36baa09b0dc4d20de32d4d32c97c3fbd6",
+        202,
+        (6, 4, 10, 5, 1, 7, 11, 14, 9, 0, 13, 3, 2, 15, 12, 8),
+        "825e340b429cb0335974df32f92af674d3e5e385bc42f68a9458fef30ddf0d66",
     ),
     (13, "forward"): (
         223,
@@ -343,9 +344,9 @@ ROUTING_GOLDEN = {
         "e22ef4ffa785844b56c0e0b4e4e005c39e2bb2564c2b9d69255c0171a27438de",
     ),
     (13, "reversed"): (
-        221,
-        (2, 0, 5, 3, 10, 12, 15, 6, 9, 8, 13, 11, 14, 7, 1, 4),
-        "2a7aea986b091ce607ac6e13360757a755f7d1427439409955e00ab67d37c636",
+        215,
+        (8, 2, 3, 4, 10, 15, 0, 5, 13, 11, 7, 14, 1, 12, 9, 6),
+        "7286e45a37e2afa2e3f9920ba48bd76cbbf11c6270aa3344c49e381ce1572f31",
     ),
 }
 

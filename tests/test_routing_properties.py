@@ -69,20 +69,20 @@ def executes_dag(program, gates) -> bool:
     """True when ``gates`` runs every node of the program's DAG once, each
     after its predecessors."""
     dag = build_dag(program)
-    by_id = {node.node_id: node for node in dag.nodes}
-    indegree = {nid: len(preds) for nid, preds in dag.predecessors.items()}
-    ready = {nid for nid, d in indegree.items() if d == 0}
+    nodes = dag.nodes
+    indegree = [len(preds) for preds in dag.predecessors]
+    ready = {nid for nid, d in enumerate(indegree) if d == 0}
     for name, params, qubits, _, _ in gates:
         # Ready nodes never share a qubit, so the qubits pick at most one.
-        match = [nid for nid in ready if by_id[nid].qubits == qubits]
-        if len(match) != 1 or (by_id[match[0]].name, by_id[match[0]].params) != (name, params):
+        match = [nid for nid in ready if nodes[nid].qubits == qubits]
+        if len(match) != 1 or (nodes[match[0]].name, nodes[match[0]].params) != (name, params):
             return False
         ready.remove(match[0])
         for succ in dag.successors[match[0]]:
             indegree[succ] -= 1
             if indegree[succ] == 0:
                 ready.add(succ)
-    return not ready and all(d == 0 for d in indegree.values())
+    return not ready and all(d == 0 for d in indegree)
 
 
 @settings(
@@ -135,14 +135,18 @@ def test_route_program_routes_from_its_layout_search(data):
 
 @st.composite
 def classical_circuits(draw, n_physical):
-    """Gates, measurements into c[2] and d[2], and ifs on 1q and 2q gates and measurements."""
+    """Gates, measurements into c[2] and d[2], ifs on 1q and 2q gates and
+    measurements, and barriers."""
     n = draw(st.integers(2, n_physical))
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];", "creg c[2];", "creg d[2];"]
     qubits = st.integers(0, n - 1)
     for _ in range(draw(st.integers(0, 30))):
-        kind = draw(st.sampled_from(["1q", "2q", "measure", "if 1q", "if 2q", "if measure"]))
+        kind = draw(st.sampled_from(["1q", "2q", "measure", "if 1q", "if 2q", "if measure", "barrier"]))
         condition = f"if ({draw(st.sampled_from('cd'))}=={draw(st.integers(0, 3))}) " if kind.startswith("if") else ""
-        if kind.endswith("2q"):
+        if kind == "barrier":
+            fenced = draw(st.lists(qubits, min_size=1, unique=True))
+            lines.append("barrier " + ",".join(f"q[{q}]" for q in fenced) + ";")
+        elif kind.endswith("2q"):
             a, b = draw(st.lists(qubits, min_size=2, max_size=2, unique=True))
             lines.append(f"{condition}{draw(st.sampled_from(TWO_QUBIT))} q[{a}],q[{b}];")
         elif kind.endswith("measure"):
@@ -187,9 +191,8 @@ def test_routing_keeps_the_order_of_creg_reads_and_writes(data):
     _, result = route_program(
         program, graph, seed=data.draw(st.integers(0, 2**32 - 1)), sabre_iterations=data.draw(st.integers(1, 3))
     )
-    source = creg_accesses(
-        [(tuple(q.logical_id for q in op.qubits), op.result, op.condition) for op in program.ops]
-    )
+    insts = [op for op in program.ops if isinstance(op, Inst)]
+    source = creg_accesses([(tuple(q.logical_id for q in op.qubits), op.result, op.condition) for op in insts])
     _, gates = replay(result)
     routed = creg_accesses([(qubits, res, cond) for _, _, qubits, res, cond in gates])
     for creg, accesses in source.items():
