@@ -71,22 +71,22 @@ def cmd_extract(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    program = read_program(args.file)
-    # Unconditioned measurements after the last gate are dropped; an earlier
-    # one would collapse the state, which a unitary simulation cannot show.
-    kept, after_last_gate = [], True
-    for op in reversed(program.ops):
-        if isinstance(op, Inst) and op.result is not None and op.condition is None:
-            if not after_last_gate:
-                raise QccError(
-                    f"the measurement of qubit {op.qubits[0].logical_id} is followed by a gate;"
-                    " only measurements after the last gate can be dropped for simulation",
-                    filename=args.file,
-                )
-            continue
-        after_last_gate = after_last_gate and not isinstance(op, Inst)
-        kept.append(op)
-    state = simulate(program.with_ops(kept[::-1]), n_qubits=args.qubits)
+    with in_file(args.file):
+        program = read_program(args.file)
+        # Unconditioned measurements after the last gate are dropped; an earlier
+        # one would collapse the state, which a unitary simulation cannot show.
+        kept, after_last_gate = [], True
+        for op in reversed(program.ops):
+            if isinstance(op, Inst) and op.result is not None and op.condition is None:
+                if not after_last_gate:
+                    raise QccError(
+                        f"the measurement of qubit {op.qubits[0].logical_id} is followed by a gate;"
+                        " only measurements after the last gate can be dropped for simulation"
+                    )
+                continue
+            after_last_gate = after_last_gate and not isinstance(op, Inst)
+            kept.append(op)
+        state = simulate(program.with_ops(kept[::-1]), n_qubits=args.qubits)
     json.dump([[amp.real, amp.imag] for amp in state], sys.stdout)
     print()
     return 0

@@ -58,6 +58,9 @@ from .qasm.lower import instantiate, primitive
 ANGLE_EPS = 1e-10
 UNITARY_TOL = 1e-10
 MAX_PASSES = 10
+# Gates whose matrix sums two parameters: a finite phi and lambda can still
+# overflow, so a native one is rejected here rather than emitted unchecked.
+_PHASE_SUM_GATES = frozenset({"u2", "u3", "cu3"})
 
 # Euler basis name -> (outer axis a, inner axis b) with U = e^{ia} Ra Rb Ra.
 _BASES = {"zyz": ("z", "y"), "zxz": ("z", "x"), "xyx": ("x", "y")}
@@ -322,7 +325,8 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
     Single-qubit strangers go through Euler resynthesis of their matrix;
     multi-qubit strangers are expanded through their standard-library bodies
     and the result is rewritten again until it is fully native.  Every gate
-    expanded from a conditioned gate carries that gate's condition.
+    expanded from a conditioned gate carries that gate's condition.  A native
+    u2, u3 or cu3 whose phase overflows is a diagnostic, as a stranger is.
     """
     native = native or NativeGateSet.default()
     # Single-qubit strangers, in walk order; each leaves a None in the output
@@ -331,6 +335,8 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
 
     def rewrite(op: Inst, sink: list[IrOp | None]) -> None:
         if op.name in native or op.result is not None or op.name in ("measure", "reset"):
+            if op.name in _PHASE_SUM_GATES:
+                gates.unitary(op.name, op.params)  # raises when phi + lambda overflows
             sink.append(op)
             return
         if len(op.qubits) == 1:

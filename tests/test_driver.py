@@ -850,7 +850,7 @@ def test_cli_simulate_keeps_a_trailing_conditioned_measurement(tmp_path, capsys,
     circ = tmp_path / "cond.qasm"
     circ.write_text(GHZ2 + "creg c[2];\nif (c==0) measure q[0] -> c[0];\n" + tail)
     assert main(["simulate", str(circ)]) == 1
-    assert capsys.readouterr().err.strip() == "error: conditional regions are not simulable in unitary mode"
+    assert capsys.readouterr().err.strip() == f"{circ}: error: conditional regions are not simulable in unitary mode"
 
 
 def test_cli_metrics(tmp_path, capsys):
@@ -944,29 +944,31 @@ def test_cli_extract_of_a_qasm_source_is_a_diagnostic(tmp_path, capsys):
     assert captured.err.strip() == f"{circ}: error: expected a QIR module, got an OpenQASM source"
 
 
-OVERFLOW = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nu3(0,1.7e308,1.7e308) q[0];\nrz(0.5) q[0];\n'
+OVERFLOW_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+OVERFLOW = OVERFLOW_HEADER + "u3(0,1.7e308,1.7e308) q[0];\nrz(0.5) q[0];\n"
 
 
 @pytest.mark.parametrize(
-    "argv, named",
+    "argv, source, gate",
     [
-        (["build", "{f}"], True),
-        (["build", "{f}", "--native-gates", "rz,ry,u3,cx"], True),  # u3 is native here and fused with rz
-        (["metrics", "{f}", "--opt-level", "1"], True),
-        (["simulate", "{f}"], False),
+        (["build", "{f}"], OVERFLOW, "u3"),
+        (["build", "{f}", "--native-gates", "rz,ry,u3,cx"], OVERFLOW, "u3"),  # u3 is native here and fused with rz
+        (["build", "{f}", "--native-gates", "rz,ry,u3,cx"], OVERFLOW_HEADER + "u3(0,1.7e308,1.7e308) q[0];\n", "u3"),
+        (["build", "{f}", "--native-gates", "rz,ry,cu3,cx"], OVERFLOW_HEADER + "cu3(0,1.7e308,1.7e308) q[0],q[1];\n", "cu3"),
+        (["metrics", "{f}", "--opt-level", "1"], OVERFLOW, "u3"),
+        (["simulate", "{f}"], OVERFLOW, "u3"),
     ],
-    ids=["build", "build-fused", "metrics", "simulate"],
+    ids=["build", "build-fused", "build-native-u3", "build-native-cu3", "metrics", "simulate"],
 )
-def test_cli_gate_whose_phase_overflows_is_a_diagnostic(tmp_path, capsys, argv, named):
+def test_cli_gate_whose_phase_overflows_is_a_diagnostic(tmp_path, capsys, argv, source, gate):
     # Each parameter is a finite double, but phi + lambda is not.
     circ = tmp_path / "ov.qasm"
-    circ.write_text(OVERFLOW)
+    circ.write_text(source)
     args = [arg.format(f=circ) for arg in argv] + ["--build-dir", str(tmp_path)] * (argv[0] == "build")
     assert main(args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    prefix = f"{circ}: " if named else ""
-    assert captured.err.strip() == f"{prefix}error: gate 'u3' has no finite matrix: phi + lambda overflows"
+    assert captured.err.strip() == f"{circ}: error: gate '{gate}' has no finite matrix: phi + lambda overflows"
     assert not (tmp_path / "ov.qir.ll").exists()
 
 

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcc import gates, optimizer
-from qcc.errors import NotUnitaryError, UnsupportedGateError
+from qcc.errors import NotUnitaryError, UnknownGateError, UnsupportedGateError
 from qcc.gates import rx, ry, rz, unitary
 from qcc.ir import FusedUnitary, Inst, QRegister, QuantumProgram, QubitRef
 from qcc.optimizer import (
@@ -510,6 +510,16 @@ def test_body_parameter_overflow_names_the_gate_not_a_qelib1_line():
     assert exc.value.diagnostic() == (
         "<input>: error: gate 'cu3' cannot be lowered to the native set: parameter expression is not finite"
     )
+
+
+@pytest.mark.parametrize(
+    "gate", ["u2(-1.7e308,-1.7e308) q[0];", "u3(0,1.7e308,1.7e308) q[0];", "cu3(0,1.7e308,1.7e308) q[0],q[1];"]
+)
+def test_native_gate_whose_phase_overflows_names_the_gate(gate):
+    prog = qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n' + gate + "\n")
+    name = gate.split("(")[0]
+    with pytest.raises(UnknownGateError, match=f"^gate '{name}' has no finite matrix: phi \\+ lambda overflows$"):
+        decompose_unsupported(prog, NativeGateSet.from_names(["rz", "ry", "u2", "u3", "cu3", "cx"]))
 
 
 def test_two_qubit_decompositions_preserve_semantics(corpus_programs):
