@@ -170,13 +170,13 @@ class GateDag(NamedTuple):
 def build_dag(program: QuantumProgram) -> GateDag:
     """Build the def-use DAG for a program's gate instructions.
 
-    Node ids follow program order.  A conditioned op is serialized against
-    the classical register it reads: it depends on every earlier measurement
-    into that creg, and later measurements into the creg depend on it.  A
-    measurement's result is registered before its own condition, so a
-    conditioned measurement orders after earlier readers of its bit and
-    before later ones, and one that reads the creg it writes gets no edge to
-    itself.  Measurements into distinct bits are otherwise independent.
+    A conditioned op is serialized against the classical register it reads:
+    it depends on every earlier measurement into that creg, and later
+    measurements into the creg depend on it.  A measurement's result is
+    registered before its own condition, so a conditioned measurement orders
+    after earlier readers of its bit and before later ones, and one that reads
+    the creg it writes gets no edge to itself.  Measurements into distinct
+    bits are otherwise independent.  Node ids follow program order.
     """
     nodes: list[DagNode] = []
     successors: list[list[int]] = []
