@@ -1,10 +1,13 @@
 """Statevector oracle: simulation, equivalence checks, qubit permutation."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from qcc.benchmarks import benchmark_source, list_benchmarks
+from qcc.cli import main
 from qcc.errors import DimensionMismatchError, InvalidPermutationError, OracleError
 from qcc.gates import unitary
 from qcc.ir import Inst, QRegister, QuantumProgram, QubitRef
@@ -225,3 +228,53 @@ def test_apply_gate_multi_qubit_direct():
     expected = np.zeros(8, dtype=complex)
     expected[0] = expected[5] = INV_SQRT2  # |000> + |101>
     assert np.allclose(state, expected, atol=1e-12)
+
+
+# ------------------------------------------------------------- output pins
+
+
+def _without_trailing_measurements(program):
+    kept, tail = [], True
+    for op in reversed(program.ops):
+        if tail and isinstance(op, Inst) and op.result is not None:
+            continue
+        tail = tail and not isinstance(op, Inst)
+        kept.append(op)
+    return program.with_ops(kept[::-1])
+
+
+def _state_digest(states):
+    h = hashlib.sha256()
+    for state in states:
+        h.update(state.tobytes())
+    return h.hexdigest()
+
+
+# sha256 over simulate(...).tobytes(), recorded from the tensordot/moveaxis
+# kernel; any rewrite of the kernel must keep every bit of every amplitude.
+SIMULATE_GOLDEN = {
+    "benchmarks": "5c57e63423ae97f037b9d74ec04244534755913a9f3a630d5584f1cdfc48f215",
+    "benchmarks-wide": "b2a9a1275b8316215f726cd66b571fbd271fce61233b1aba6a762c44f1c41c73",
+    "corpus": "537078e90fd9d68be6d6630edd2d0f944a8dd5f685a6505bd77940733c44e0dd",
+    "corpus-wide": "5ccdeacb196f97eb439e727bc58c18a886592a44d34cf841c06ab6fe60d86ec7",
+    "cli": "f57470a4a59de5ffdc26f58359f6bdc92c1b30a6db58da7e394080be5e1536b5",
+}
+
+
+def test_simulate_output_is_pinned(corpus_programs, tmp_path, capsys):
+    bundled = [_without_trailing_measurements(qasm_program(benchmark_source(name))) for name in list_benchmarks()]
+    corpus = [prog for prog, _ in corpus_programs[:200]]
+    cli_out = hashlib.sha256()
+    for name in list_benchmarks():
+        path = tmp_path / f"{name}.qasm"
+        path.write_text(benchmark_source(name))
+        assert main(["simulate", str(path)]) == 0
+        cli_out.update(capsys.readouterr().out.encode())
+    digests = {
+        "benchmarks": _state_digest(simulate(prog) for prog in bundled),
+        "benchmarks-wide": _state_digest(simulate(prog, max(8, prog.n_qubits)) for prog in bundled),
+        "corpus": _state_digest(simulate(prog) for prog in corpus),
+        "corpus-wide": _state_digest(simulate(prog, 5) for prog in corpus),
+        "cli": cli_out.hexdigest(),
+    }
+    assert digests == SIMULATE_GOLDEN
