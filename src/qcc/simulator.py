@@ -11,6 +11,8 @@ amplitude index, so |q2 q1 q0> = |110> has index 6.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import gates
@@ -20,20 +22,34 @@ from .ir import Barrier, Inst, QuantumProgram
 MAX_QUBITS = 20
 
 
+@functools.lru_cache(maxsize=4096)
+def _axis_order(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Tensor shape of an n-qubit state, the axis order that puts the gate's
+    axes first (the rest keep their order), and the inverse of that order."""
+    # Axis j of the reshaped state holds qubit n-1-j.
+    front = [n - 1 - q for q in qubits]
+    order = front + [axis for axis in range(n) if axis not in front]
+    inverse = [0] * len(order)
+    for position, axis in enumerate(order):
+        inverse[axis] = position
+    return (2,) * n, tuple(order), tuple(inverse)
+
+
 def apply_gate(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """Apply a k-qubit matrix to the named qubits of an n-qubit state.
 
     Matrix rows index operand 0 as the most significant bit, matching the
-    tables in gates.py.
+    tables in gates.py.  The gate's axes are moved to the front, the state is
+    viewed as a (2^k, 2^(n-k)) matrix, and one np.dot applies the gate.  That
+    is the product np.tensordot forms on the same layout, so every bit
+    equals the tensordot/moveaxis form; only its per-call axis bookkeeping is
+    gone, cached per (qubits, n).  A matrix that is not 2^k x 2^k raises.
     """
-    k = len(qubits)
-    psi = state.reshape([2] * n)
-    # Axis j of the reshaped state holds qubit n-1-j.
-    state_axes = [n - 1 - q for q in qubits]
-    op = np.asarray(matrix, dtype=complex).reshape([2] * (2 * k))
-    out = np.tensordot(op, psi, axes=(list(range(k, 2 * k)), state_axes))
-    out = np.moveaxis(out, list(range(k)), state_axes)
-    return out.reshape(-1)
+    dim = 2 ** len(qubits)
+    shape, order, inverse = _axis_order(tuple(qubits), n)
+    op = np.asarray(matrix, dtype=complex).reshape(dim, dim)
+    psi = state.reshape(shape).transpose(order).reshape(dim, -1)
+    return np.dot(op, psi).reshape(shape).transpose(inverse).reshape(-1)
 
 
 def simulate(program: QuantumProgram, n_qubits: int | None = None) -> np.ndarray:
@@ -82,9 +98,10 @@ def permute_qubits(state: np.ndarray, perm: list[int]) -> np.ndarray:
 
     perm must be a bijection on 0..n-1 where the state has 2^n amplitudes.
     """
-    n = int(np.log2(len(state)))
-    if 2**n != len(state):
-        raise DimensionMismatchError(f"state length {len(state)} is not a power of two")
+    size = len(state)
+    if size == 0 or size & (size - 1):
+        raise DimensionMismatchError(f"state length {size} is not a power of two")
+    n = size.bit_length() - 1
     if sorted(perm) != list(range(n)):
         raise InvalidPermutationError(f"{perm} is not a permutation of 0..{n - 1}")
     idx = np.arange(len(state))
