@@ -7,6 +7,13 @@ at 20 so a forgotten register size cannot allocate gigabytes.
 
 State indexing convention: qubit 0 is the least significant bit of the
 amplitude index, so |q2 q1 q0> = |110> has index 6.
+
+Each gate is one matrix product.  The state, viewed as a tensor with one
+axis per qubit, is transposed so the gate's axes come first (the order and
+its inverse are cached per operand tuple and width), viewed as a
+(2^k, 2^(n-k)) matrix and multiplied by the gate's matrix with np.dot.
+np.tensordot forms this same product on this same layout, so every
+amplitude has the bits of the tensordot/moveaxis kernel this one replaced.
 """
 
 from __future__ import annotations
@@ -29,9 +36,7 @@ def _axis_order(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple
     # Axis j of the reshaped state holds qubit n-1-j.
     front = [n - 1 - q for q in qubits]
     order = front + [axis for axis in range(n) if axis not in front]
-    inverse = [0] * len(order)
-    for position, axis in enumerate(order):
-        inverse[axis] = position
+    inverse = sorted(range(len(order)), key=order.__getitem__)
     return (2,) * n, tuple(order), tuple(inverse)
 
 
@@ -39,11 +44,9 @@ def apply_gate(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n
     """Apply a k-qubit matrix to the named qubits of an n-qubit state.
 
     Matrix rows index operand 0 as the most significant bit, matching the
-    tables in gates.py.  The gate's axes are moved to the front, the state is
-    viewed as a (2^k, 2^(n-k)) matrix, and one np.dot applies the gate.  That
-    is the product np.tensordot forms on the same layout, so every bit
-    equals the tensordot/moveaxis form; only its per-call axis bookkeeping is
-    gone, cached per (qubits, n).  A matrix that is not 2^k x 2^k raises.
+    tables in gates.py.  k is len(qubits): a matrix that does not hold
+    2^k x 2^k entries raises ValueError.  The result equals the old
+    tensordot/moveaxis form bit for bit (see the module docstring).
     """
     dim = 2 ** len(qubits)
     shape, order, inverse = _axis_order(tuple(qubits), n)

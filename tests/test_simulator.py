@@ -2,9 +2,12 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcc.benchmarks import benchmark_source, list_benchmarks
 from qcc.cli import main
@@ -13,7 +16,7 @@ from qcc.gates import unitary
 from qcc.ir import Inst, QRegister, QuantumProgram, QubitRef
 from qcc.simulator import apply_gate, equiv_up_to_global_phase, permute_qubits, simulate
 
-from conftest import qasm_program
+from conftest import QELIB1_POOL, qasm_program
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -175,6 +178,15 @@ def test_permute_rejects_non_permutation():
         permute_qubits(state, [0, 2])
 
 
+@pytest.mark.parametrize("length", [0, 3, 6])
+def test_permute_rejects_a_length_that_is_not_a_power_of_two(length):
+    # an empty state once went through log2(0) and ended in an OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatchError, match=f"state length {length} is not a power of two"):
+            permute_qubits(np.zeros(length, dtype=complex), [])
+
+
 def test_permute_matches_swap_gate():
     src = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\nrz(0.5) q[0];\n'
     state = simulate(qasm_program(src))
@@ -278,3 +290,85 @@ def test_simulate_output_is_pinned(corpus_programs, tmp_path, capsys):
         "cli": cli_out.hexdigest(),
     }
     assert digests == SIMULATE_GOLDEN
+
+
+# ------------------------------------------------------------- kernel
+
+
+def _apply_gate_tensordot(state, matrix, qubits, n):
+    """The tensordot/moveaxis kernel apply_gate replaced, kept as its bit-level reference."""
+    k = len(qubits)
+    psi = state.reshape([2] * n)
+    state_axes = [n - 1 - q for q in qubits]
+    op = np.asarray(matrix, dtype=complex).reshape([2] * (2 * k))
+    out = np.tensordot(op, psi, axes=(list(range(k, 2 * k)), state_axes))
+    out = np.moveaxis(out, list(range(k)), state_axes)
+    return out.reshape(-1)
+
+
+# Signed zeros, the floats next to +-pi and huge finite angles, beside plain ones.
+ANGLES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, math.pi, -math.pi, 1e300, -1e300]
+        + [float(np.nextafter(sign * math.pi, sign * to)) for sign in (1, -1) for to in (0, math.inf)]
+    ),
+    st.floats(-4.0, 4.0),
+    st.floats(-1e300, 1e300),
+)
+
+
+@st.composite
+def gate_sequences(draw):
+    n = draw(st.integers(1, 8))
+    pool = [entry for entry in QELIB1_POOL if entry[1] <= n]
+    sequence = []
+    for _ in range(draw(st.integers(1, 12))):
+        name, arity, n_params = draw(st.sampled_from(pool))
+        params = tuple(draw(st.lists(ANGLES, min_size=n_params, max_size=n_params)))
+        qubits = tuple(draw(st.permutations(range(n)))[:arity])
+        form = draw(st.sampled_from(["array", "list", "fortran"]))
+        sequence.append((name, params, qubits, form))
+    return n, draw(st.integers(0, 2**32 - 1)), sequence
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(gate_sequences())
+def test_apply_gate_keeps_the_bits_of_the_tensordot_kernel(case):
+    n, seed, sequence = case
+    rng = np.random.default_rng(seed)
+    state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    state /= np.linalg.norm(state)
+    for name, params, qubits, form in sequence:
+        matrix = unitary(name, params)
+        given_matrix = {"array": matrix, "list": matrix.tolist(), "fortran": np.asfortranarray(matrix)}[form]
+        expected = _apply_gate_tensordot(state, given_matrix, qubits, n)
+        state = apply_gate(state, given_matrix, qubits, n)
+        assert state.tobytes() == expected.tobytes()
+    if n >= 2:
+        # the qubit count comes from the operands; a matrix of another size raises
+        with pytest.raises(ValueError):
+            apply_gate(state, unitary("h"), (0, 1), n)
+        with pytest.raises(ValueError):
+            apply_gate(state, unitary("cx"), (1,), n)
+
+
+@pytest.mark.parametrize("name, qubits", [("x", (3,)), ("x", (5,)), ("x", (-1,)), ("cx", (1, 1))])
+def test_apply_gate_rejects_operands_outside_the_state(name, qubits):
+    # the tensordot kernel wrapped qubits 3..5 of a 3-qubit state round to 0..2
+    with pytest.raises(ValueError):
+        apply_gate(np.eye(8, dtype=complex)[0], unitary(name), qubits, 3)
+
+
+def test_simulate_needs_neither_tensordot_nor_moveaxis(monkeypatch, corpus_programs):
+    expected = [simulate(prog) for prog, _ in corpus_programs[:20]]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the kernel must not call np.tensordot or np.moveaxis")
+
+    monkeypatch.setattr(np, "tensordot", forbidden)
+    monkeypatch.setattr(np, "moveaxis", forbidden)
+    for (prog, _), state in zip(corpus_programs[:20], expected):
+        assert simulate(prog).tobytes() == state.tobytes()
+    # |011>: control q0 is set, so cx flips target q2, giving |111>
+    state = apply_gate(np.eye(8, dtype=complex)[3], unitary("cx"), (0, 2), 3)
+    assert np.array_equal(state, np.eye(8, dtype=complex)[7])
