@@ -2,7 +2,9 @@
 
 The first property compiles random programs to QIR, which must verify clean
 and extract back to a program with the same statevector up to global phase.
-The second mutates the lines of emitted QIR (deletes, duplicates and swaps
+The second extracts each module's kernel as found by ``find_quantum_kernels``
+and asks for the same gates, line numbers and program as from the whole
+module.  The third mutates the lines of emitted QIR (deletes, duplicates and swaps
 lines, adds a ``tail`` marker, changes an opcode, writes a non-finite double
 or a wrong qubit count) and feeds the file to ``qcc extract`` and
 ``qcc simulate``: each must print a result or a diagnostic, with exit code 0
@@ -65,6 +67,17 @@ def test_emitted_programs_verify_extract_and_simulate_like_the_source(source, le
     _, extracted = extract_program(kernel)
     assert extracted.n_qubits == program.n_qubits
     assert equiv_up_to_global_phase(simulate(qasm_program(source)), simulate(extracted))
+
+
+@BOUNDED
+@given(programs(), st.integers(0, 3))
+def test_a_found_kernel_extracts_like_its_module(source, level):
+    program = qasm_program(source)
+    if level:
+        program = optimize(program, level=level)
+    text = emit_qir(program).text
+    # gates keep their module line numbers either way
+    assert extract_program(find_quantum_kernels(text)[0]) == extract_program(text)
 
 
 BASE = emit_qir(
