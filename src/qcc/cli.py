@@ -1,9 +1,10 @@
 """Command-line entry points.
 
 Subcommands: build (classify inputs, run the pipeline, drive external
-toolchains), extract (gate list from a QIR file as JSON), simulate
-(statevector of a unitary circuit as JSON), metrics (gate counts for a
-circuit as JSON).
+toolchains), extract (gate list of each kernel of a QIR file as JSON; the
+file is read once and each kernel's records go straight to the extractor),
+simulate (statevector of a unitary circuit as JSON), metrics (gate counts
+for a circuit as JSON).
 
 Exit codes: 0 success, 1 compilation/diagnostic errors, 2 external tool
 failure.
@@ -64,7 +65,7 @@ def cmd_build(args) -> int:
 
 def cmd_extract(args) -> int:
     with in_file(args.file):
-        out = [[dataclasses.asdict(g) for g in extract_program(body)[0]] for body in read_kernels(args.file)]
+        out = [[dataclasses.asdict(g) for g in extract_program(kernel)[0]] for kernel in read_kernels(args.file)]
     json.dump(out, sys.stdout, indent=2)
     print()
     return 0

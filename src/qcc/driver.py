@@ -29,6 +29,7 @@ from .ir import QuantumProgram, gate_counts
 from .optimizer import NativeGateSet, optimize
 from .qasm import lower_ast_to_ir, parse_qasm
 from .qir import emit_qir, extract_program, find_quantum_kernels, verify_qir_text
+from .qir.reader import Record
 from .routing import MAX_SABRE_ITERATIONS, SABRE_ITERATIONS, SABRE_SEED, Layout, load_coupling_graph, route_program
 
 _EXTENSION_KINDS = {".c": "cxx", ".cc": "cxx", ".cpp": "cxx", ".cu": "cuda", ".qasm": "qasm"}
@@ -257,8 +258,11 @@ def _is_qasm(path: str) -> bool:
     return _EXTENSION_KINDS.get(os.path.splitext(path)[1].lower()) == "qasm"
 
 
-def read_kernels(path: str) -> list[str]:
-    """The quantum kernels of a QIR module; an OpenQASM source, by its extension, is a diagnostic."""
+def read_kernels(path: str) -> list[list[Record]]:
+    """The body records of each quantum kernel of a QIR module, from one read of it.
+
+    An OpenQASM source, by its extension, is a diagnostic.
+    """
     if _is_qasm(path):
         raise QccError("expected a QIR module, got an OpenQASM source")
     return find_quantum_kernels(_read_text(path))

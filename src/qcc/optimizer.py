@@ -325,8 +325,9 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
     Single-qubit strangers go through Euler resynthesis of their matrix;
     multi-qubit strangers are expanded through their standard-library bodies
     and the result is rewritten again until it is fully native.  Every gate
-    expanded from a conditioned gate carries that gate's condition.  A native
-    u2, u3 or cu3 whose phase overflows is a diagnostic, as a stranger is.
+    expanded from a conditioned gate carries that gate's condition.  A u2, u3
+    or cu3 whose phi + lambda overflows is a diagnostic naming that overflow,
+    whether it is native or not.
     """
     native = native or NativeGateSet.default()
     # Single-qubit strangers, in walk order; each leaves a None in the output
@@ -334,9 +335,11 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
     strangers: list[Inst] = []
 
     def rewrite(op: Inst, sink: list[IrOp | None]) -> None:
+        # Native or not, the overflow is named the same way; a one-qubit
+        # stranger meets this check when its run is multiplied out.
+        if op.name in _PHASE_SUM_GATES and (op.name in native or len(op.qubits) > 1):
+            gates.unitary(op.name, op.params)  # raises when phi + lambda overflows
         if op.name in native or op.result is not None or op.name in ("measure", "reset"):
-            if op.name in _PHASE_SUM_GATES:
-                gates.unitary(op.name, op.params)  # raises when phi + lambda overflows
             sink.append(op)
             return
         if len(op.qubits) == 1:

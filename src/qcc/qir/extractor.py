@@ -1,11 +1,13 @@
 """Circuit reconstruction from textual QIR.
 
-The extractor reads the records of ``reader.read_qir`` and accepts the
-straight-line subset that ``codegen.py`` emits (its docstring lists the
-conventions), so hand-written kernels following the same pattern work too.
-Qubits get logical indices densely in allocation order.  Any instruction
-outside the subset is an ExtractionError naming its line, since partial
-extraction would silently drop gates.
+``find_quantum_kernels`` reads a module once with ``reader.read_qir`` and
+hands on each kernel as the records of its body.  The extractor takes those
+records, or a module's text, and accepts the straight-line subset that
+``codegen.py`` emits (its docstring lists the conventions), so hand-written
+kernels following the same pattern work too.  Qubits get logical indices
+densely in allocation order.  Any instruction outside the subset is an
+ExtractionError naming its line, since partial extraction would silently
+drop gates.
 """
 
 from dataclasses import dataclass
@@ -14,8 +16,9 @@ from ..errors import ExtractionError
 from ..ir import (
     Barrier, CRegister, GateDag, Inst, QRegister, QuantumProgram, QubitRef, ResultRef, build_dag, instruction_kind
 )
+from ..qasm import qelib1
 from ..qasm.parser import MAX_PROGRAM_QUBITS
-from .reader import double_value, int_value, read_qir
+from .reader import Record, double_value, int_value, read_qir
 
 _QIS = "__quantum__qis__"
 _RT = "__quantum__rt__"
@@ -32,31 +35,28 @@ class ExtractedGate:
     line: int  # module line of the instruction
 
 
-def find_quantum_kernels(module_text: str) -> list[str]:
-    """Return the body text of every function that calls the quantum runtime or a QIS intrinsic.
+def find_quantum_kernels(module_text: str) -> list[list[Record]]:
+    """The body records of every function that calls the quantum runtime or a QIS intrinsic, in module order.
 
-    Each body keeps its place in the module: the lines before it are blank,
-    so the line numbers read from it are module lines.
+    The records come from one read of the module, so they hold module lines.
+    A malformed or unterminated define raises here; a bad body line is left to the extractor.
     """
-    lines = module_text.splitlines()
-    quantum = set()  # define lines of the functions seen to call into the quantum runtime
-    kernels = []
+    bodies: dict[int, list[Record]] = {}  # define line -> the records of its body
     for record in read_qir(module_text):
         if record.kind == "define" and record.problem is not None:
             raise ExtractionError(f"line {record.line}: {record.problem}")
-        if record.kind == "close" and record.function in quantum:
-            kernels.append("\n" * record.function + "\n".join(lines[record.function : record.line - 1]))
-        elif record.function and record.opcode == "call" and record.name.startswith((_QIS, _RT)):
-            quantum.add(record.function)
-    return kernels
+        if record.function and record.kind != "close":
+            bodies.setdefault(record.function, []).append(record)
+    return [b for b in bodies.values() if any(r.opcode == "call" and r.name.startswith((_QIS, _RT)) for r in b)]
 
 
-def extract_program(text: str) -> tuple[list[ExtractedGate], QuantumProgram]:
-    """Gate records and the equivalent program of the QIR instructions in text.
+def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], QuantumProgram]:
+    """Gate records and the equivalent program of a module's text or a kernel's records.
 
-    Text may be a whole module or a body from ``find_quantum_kernels``; the
-    program's register holds every allocated qubit, and every measurement
-    writes the next bit of classical register 0.
+    Text is read here; records from ``find_quantum_kernels`` are used as they
+    are.  The program's register holds every allocated qubit, every measurement
+    writes the next bit of classical register 0, and a standard gate must have
+    its qelib1 arity.
     """
     qubit_of: dict[str, QubitRef] = {}  # %Qubit* SSA name -> its qubit
     element_of: dict[str, int] = {}  # raw i8* element pointer -> logical index
@@ -66,7 +66,8 @@ def extract_program(text: str) -> tuple[list[ExtractedGate], QuantumProgram]:
     gates: list[ExtractedGate] = []
     ops: list = []
 
-    for r in read_qir(text):
+    arity = qelib1.gate_table()
+    for r in read_qir(source) if isinstance(source, str) else source:
         line = r.line
         if r.problem is not None:
             raise ExtractionError(f"line {line}: {r.problem}")
@@ -105,6 +106,15 @@ def extract_program(text: str) -> tuple[list[ExtractedGate], QuantumProgram]:
                     raise ExtractionError(f"line {line}: gate {name} has {len(operands)} qubit operands")
                 if len(set(operands)) != len(operands):
                     raise ExtractionError(f"line {line}: gate {name} repeats a qubit operand")
+                n_params, n_qubits = arity.get(name, (len(params), len(operands)))
+                if len(params) != n_params:
+                    raise ExtractionError(
+                        f"line {line}: gate '{name}' takes {n_params} parameter(s), got {len(params)}"
+                    )
+                if len(operands) != n_qubits:
+                    raise ExtractionError(
+                        f"line {line}: gate '{name}' acts on {n_qubits} qubit(s) but is given {len(operands)}"
+                    )
                 kind = instruction_kind(name, len(operands))
                 ops.append(Inst(name, tuple(params), tuple(qubits)))
             gates.append(ExtractedGate(kind, name, tuple(params), operands, line))
@@ -142,7 +152,7 @@ def extract_program(text: str) -> tuple[list[ExtractedGate], QuantumProgram]:
     return gates, program
 
 
-def extract_circuit(kernel_body: str) -> tuple[list[ExtractedGate], GateDag]:
-    """Gate records and the dependency DAG of the QIR instructions in text."""
-    gates, program = extract_program(kernel_body)
+def extract_circuit(source: str | list[Record]) -> tuple[list[ExtractedGate], GateDag]:
+    """Gate records and the dependency DAG of a module's text or a kernel's records."""
+    gates, program = extract_program(source)
     return gates, build_dag(program)

@@ -790,6 +790,31 @@ def test_cli_simulate_of_hostile_qir_is_a_diagnostic(tmp_path, capsys, call, mes
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ("call void @__quantum__qis__ccx(%Qubit* %2, %Qubit* %4)", "gate 'ccx' acts on 3 qubit(s) but is given 2"),
+        ("call void @__quantum__qis__cz(double 0.5, %Qubit* %2, %Qubit* %4)", "gate 'cz' takes 0 parameter(s), got 1"),
+        ("call void @__quantum__qis__h(double 0.5, %Qubit* %2)", "gate 'h' takes 0 parameter(s), got 1"),
+    ],
+    ids=["ccx-two-qubits", "cz-with-a-parameter", "h-with-a-parameter"],
+)
+@pytest.mark.parametrize("argv", [["extract"], ["simulate"], ["metrics", "--opt-level", "1"]], ids=lambda a: a[0])
+def test_cli_standard_gate_of_the_wrong_arity_is_a_diagnostic(tmp_path, capsys, call, message, argv):
+    circ = tmp_path / "circ.qasm"
+    circ.write_text(GHZ2)
+    assert main(["build", str(circ), "--build-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    qir = tmp_path / "circ.qir.ll"
+    text = qir.read_text()
+    qir.write_text(text.replace("call void @__quantum__qis__h(%Qubit* %2)", call, 1))
+    line = text[: text.index("call void @__quantum__qis__h(")].count("\n") + 1
+    assert main([argv[0], str(qir), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"{qir}: error: line {line}: {message}"
+
+
 def test_cli_simulate_qasm_and_qir_agree(tmp_path, capsys):
     cases = [
         (GHZ2, 4),
@@ -955,10 +980,11 @@ OVERFLOW = OVERFLOW_HEADER + "u3(0,1.7e308,1.7e308) q[0];\nrz(0.5) q[0];\n"
         (["build", "{f}", "--native-gates", "rz,ry,u3,cx"], OVERFLOW, "u3"),  # u3 is native here and fused with rz
         (["build", "{f}", "--native-gates", "rz,ry,u3,cx"], OVERFLOW_HEADER + "u3(0,1.7e308,1.7e308) q[0];\n", "u3"),
         (["build", "{f}", "--native-gates", "rz,ry,cu3,cx"], OVERFLOW_HEADER + "cu3(0,1.7e308,1.7e308) q[0],q[1];\n", "cu3"),
+        (["build", "{f}"], OVERFLOW_HEADER + "cu3(0,1.7e308,1.7e308) q[0],q[1];\n", "cu3"),
         (["metrics", "{f}", "--opt-level", "1"], OVERFLOW, "u3"),
         (["simulate", "{f}"], OVERFLOW, "u3"),
     ],
-    ids=["build", "build-fused", "build-native-u3", "build-native-cu3", "metrics", "simulate"],
+    ids=["build", "build-fused", "build-native-u3", "build-native-cu3", "build-default-cu3", "metrics", "simulate"],
 )
 def test_cli_gate_whose_phase_overflows_is_a_diagnostic(tmp_path, capsys, argv, source, gate):
     # Each parameter is a finite double, but phi + lambda is not.

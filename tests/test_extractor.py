@@ -7,11 +7,13 @@ import time
 import pytest
 
 from qcc.benchmarks import benchmark_source, list_benchmarks
+from qcc.cli import main
+from qcc.driver import read_program
 from qcc.errors import ExtractionError
 from qcc.ir import build_dag
 from qcc.optimizer import optimize
 from qcc.qasm.parser import MAX_PROGRAM_QUBITS
-from qcc.qir import emit_qir, extract_circuit, extract_program, find_quantum_kernels
+from qcc.qir import emit_qir, extract_circuit, extract_program, extractor, find_quantum_kernels
 
 from conftest import qasm_program
 
@@ -74,8 +76,31 @@ def test_find_kernels_returns_bodies_in_order():
     combined = a + "\n" + second_define
     kernels = find_quantum_kernels(combined)
     assert len(kernels) == 2
-    assert "__quantum__qis__h" in kernels[0]
-    assert "__quantum__qis__x" in kernels[1]
+    assert "__quantum__qis__h" in {r.name for r in kernels[0]}
+    assert "__quantum__qis__x" in {r.name for r in kernels[1]}
+
+
+READ_PATHS = {
+    "read_program": lambda one, two: read_program(str(one)).n_qubits == 3,
+    "extract": lambda one, two: main(["extract", str(two)]) == 0,
+    "simulate": lambda one, two: main(["simulate", str(one)]) == 0,
+    "metrics": lambda one, two: main(["metrics", str(one)]) == 0,
+    "find-then-extract": lambda one, two: len(extract_circuit(find_quantum_kernels(one.read_text())[0])[0]) == 6,
+}
+
+
+@pytest.mark.parametrize("path", READ_PATHS)
+def test_every_qir_input_path_reads_its_module_once(tmp_path, monkeypatch, capsys, path):
+    one = tmp_path / "x.ll"
+    one.write_text(emit_qir(qasm_program(GHZ)).text)
+    second = emit_qir(qasm_program('OPENQASM 2.0;\nqreg q[1];\nU(0,0,0) q[0];\n'), kernel_name="second").text
+    two = tmp_path / "two_kernels.ll"
+    two.write_text(emit_qir(qasm_program(GHZ), kernel_name="first").text + second[second.index("define") :])
+    reads = []
+    real = extractor.read_qir
+    monkeypatch.setattr(extractor, "read_qir", lambda text: reads.append(text) or real(text))
+    assert READ_PATHS[path](one, two)
+    assert len(reads) == 1
 
 
 def test_classical_only_module_has_no_kernels():

@@ -503,8 +503,8 @@ def test_cx_outside_the_native_set_is_unsupported(gate):
 
 
 def test_body_parameter_overflow_names_the_gate_not_a_qelib1_line():
-    # cu3's body adds phi and lambda, which overflows to inf here.
-    prog = qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncu3(0,1.7e308,1.7e308) q[0],q[1];\n')
+    # phi + lambda is 0 here, but cu3's body subtracts them, which overflows to inf.
+    prog = qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncu3(0,-1.7e308,1.7e308) q[0],q[1];\n')
     with pytest.raises(UnsupportedGateError) as exc:
         decompose_unsupported(prog)
     assert exc.value.diagnostic() == (
@@ -518,8 +518,10 @@ def test_body_parameter_overflow_names_the_gate_not_a_qelib1_line():
 def test_native_gate_whose_phase_overflows_names_the_gate(gate):
     prog = qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n' + gate + "\n")
     name = gate.split("(")[0]
-    with pytest.raises(UnknownGateError, match=f"^gate '{name}' has no finite matrix: phi \\+ lambda overflows$"):
-        decompose_unsupported(prog, NativeGateSet.from_names(["rz", "ry", "u2", "u3", "cu3", "cx"]))
+    # the default set, where the gate is not native, names the same overflow
+    for native in (NativeGateSet.from_names(["rz", "ry", "u2", "u3", "cu3", "cx"]), NativeGateSet.default()):
+        with pytest.raises(UnknownGateError, match=f"^gate '{name}' has no finite matrix: phi \\+ lambda overflows$"):
+            decompose_unsupported(prog, native)
 
 
 def test_two_qubit_decompositions_preserve_semantics(corpus_programs):

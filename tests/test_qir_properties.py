@@ -2,14 +2,17 @@
 
 The first property compiles random programs to QIR, which must verify clean
 and extract back to a program with the same statevector up to global phase.
-The second extracts each module's kernel as found by ``find_quantum_kernels``
-and asks for the same gates, line numbers and program as from the whole
-module.  The third mutates the lines of emitted QIR (deletes, duplicates and swaps
-lines, adds a ``tail`` marker, changes an opcode, writes a non-finite double
-or a wrong qubit count) and feeds the file to ``qcc extract`` and
-``qcc simulate``: each must print a result or a diagnostic, with exit code 0
-or 1, and never raise.  The searches are derandomized and bounded so the
-suite stays deterministic and fast.
+The second extracts each module's kernel as found by
+``find_quantum_kernels`` and asks for the same gates, line numbers and
+program as from the whole module.  The third mutates the lines of emitted
+QIR (deletes, duplicates and swaps lines, adds a ``tail`` marker, changes an
+opcode, writes a non-finite double or a wrong qubit count) and feeds the
+file to ``qcc extract`` and ``qcc simulate``: each must print a result or a
+diagnostic, with exit code 0 or 1, and never raise.  The fourth renames QIS
+callees to other qelib1 gates and drops or adds a qubit or double operand,
+then runs ``qcc extract``, ``qcc simulate`` and ``qcc metrics --opt-level
+1`` on the file, which must exit 0 or 1 with no traceback.  The searches are
+derandomized and bounded so the suite stays deterministic and fast.
 """
 
 import contextlib
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 
 from qcc.cli import main
 from qcc.optimizer import optimize
+from qcc.qasm.qelib1 import gate_table
 from qcc.qir import emit_qir, extract_program, find_quantum_kernels, verify_qir_text
 from qcc.simulator import equiv_up_to_global_phase, simulate
 
@@ -146,3 +150,45 @@ def test_mutated_qir_gives_a_result_or_a_diagnostic(tmp_path_factory, mutations)
             code = main([command, str(path)])
         assert code in (0, 1)
         assert time.perf_counter() - start < 10
+
+
+QIS_CALLS = [k for k, text in enumerate(BASE) if "@__quantum__qis__" in text and "declare" not in text]
+QUBIT_NAMES = [m[1] for text in BASE if (m := re.match(r"\s*(%\d+) = bitcast", text))]
+
+
+def _mutate_call(lines, mutation):
+    which, name, edit, k = mutation
+    i = QIS_CALLS[which % len(QIS_CALLS)]
+    head, callee, args = re.fullmatch(r"(.*@__quantum__qis__)(\w+)\((.*)\)", lines[i]).groups()
+    operands = [arg.strip() for arg in args.split(",") if arg.strip()]
+    if edit == "drop" and operands:
+        del operands[k % len(operands)]
+    elif edit == "add-qubit":
+        operands.insert(k % (len(operands) + 1), f"%Qubit* {QUBIT_NAMES[k % len(QUBIT_NAMES)]}")
+    elif edit == "add-double":
+        operands.insert(k % (len(operands) + 1), "double 5.000000e-01")
+    lines[i] = f"{head}{name or callee}({', '.join(operands)})"
+
+
+CALL_MUTATION = st.tuples(
+    st.integers(0, 20),
+    st.one_of(st.none(), st.sampled_from(sorted(gate_table()))),
+    st.sampled_from(["keep", "drop", "add-qubit", "add-double"]),
+    st.integers(0, 20),
+)
+
+
+@settings(BOUNDED, max_examples=100)
+@given(st.lists(CALL_MUTATION, min_size=1, max_size=2))
+def test_mutated_qis_calls_through_the_cli_give_a_result_or_a_diagnostic(tmp_path_factory, mutations):
+    lines = list(BASE)
+    for mutation in mutations:
+        _mutate_call(lines, mutation)
+    path = tmp_path_factory.getbasetemp() / "calls.qir.ll"
+    path.write_text("\n".join(lines) + "\n")
+    for argv in (["extract"], ["simulate"], ["metrics", "--opt-level", "1"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(path), *argv[1:]])
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
