@@ -90,7 +90,7 @@ READ_PATHS = {
 
 
 @pytest.mark.parametrize("path", READ_PATHS)
-def test_every_qir_input_path_reads_its_module_once(tmp_path, monkeypatch, capsys, path):
+def test_every_qir_input_path_reads_its_module_once(tmp_path, monkeypatch, path):
     one = tmp_path / "x.ll"
     one.write_text(emit_qir(qasm_program(GHZ)).text)
     second = emit_qir(qasm_program('OPENQASM 2.0;\nqreg q[1];\nU(0,0,0) q[0];\n'), kernel_name="second").text
