@@ -112,14 +112,6 @@ def unitary(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
         raise UnknownGateError(f"gate '{name}' has no finite matrix: {err}") from None
 
 
-def gate_matrix(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
-    """2x2 matrix of a single-qubit gate from the known table."""
-    matrix = unitary(name, params)
-    if matrix.shape != (2, 2):
-        raise UnknownGateError(f"gate '{name}' is not a single-qubit gate")
-    return matrix
-
-
 def is_unitary(matrix: np.ndarray, tol: float = 1e-10) -> bool:
     """Frobenius-norm unitarity check of a square matrix, or of every matrix
     in a stack of shape (..., n, n) at once."""

@@ -72,8 +72,9 @@ class Inst:
 class FusedUnitary:
     """The optimizer's record of a run of single-qubit gates, never a program op.
 
-    Carries the qubit and the original run; resynthesis multiplies the run
-    out when it solves it, and falls back to the run when that is shorter.
+    Carries the qubit and the original run: a fused run, or a lone gate
+    outside the native set.  The optimizer's splice solves the run and puts
+    back its rotations, or the run itself when it is native and no longer.
     """
 
     qubit: QubitRef

@@ -17,14 +17,14 @@ its matrix gives alone; only the per-matrix angle math stays scalar, as
 serves both zyz and zxz (zxz only shifts the outer angles), one ZYZ solve of
 H.U.H serves xyx, and ``euler_decompose`` uses the same solver.
 
-Every single-qubit matrix the optimizer solves takes one path: a run of
-gates, keyed by its gate names and parameter bit patterns (so 0.0 and -0.0
-stay apart), is multiplied out only if its key is not memoized yet, and all
-such runs are solved in one call.  Resynthesis memoizes per ``optimize``
-call, so a run met again in a later pass is not solved again;
-``decompose_unsupported`` sends each single-qubit gate outside the native
-set through the same path as a run of one.  No call is made for an empty
-batch, and no memo outlives its call.
+Every single-qubit rewrite uses one record and one splice: fusion makes a
+``FusedUnitary`` of each run, ``decompose_unsupported`` one of each
+single-qubit gate outside the native set, and ``_splice`` solves a pass's
+records in one call and puts back each one's rotations or its own gates.
+A run, keyed by its gate names and parameter bit patterns (so 0.0 and -0.0
+stay apart), is multiplied out only if its key is not memoized yet.  The
+memo lives for one ``optimize`` call, or one ``decompose_unsupported``
+call, so no run is solved twice in it; no solve is made for an empty batch.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,6 @@ from .ir import (
     Inst,
     IrOp,
     QuantumProgram,
-    QubitRef,
     op_qubits,
 )
 from .qasm import qelib1
@@ -66,7 +64,7 @@ _PHASE_SUM_GATES = frozenset({"u2", "u3", "cu3"})
 _BASES = {"zyz": ("z", "y"), "zxz": ("z", "x"), "xyx": ("x", "y")}
 _BASIS_ORDER = ("zyz", "zxz", "xyx")
 _AXIS_GATE = {"x": "rx", "y": "ry", "z": "rz"}
-_H = gates.gate_matrix("h")
+_H = gates.unitary("h")
 
 # (gate name, angle) pairs in application order.
 Rotations = list[tuple[str, float]]
@@ -78,11 +76,13 @@ class NativeGateSet:
 
     Must contain rotations about at least two distinct axes (so one Euler
     basis is expressible) and at least one entangling two-qubit gate.
+    Measure and reset are always native.
     """
 
     names: frozenset[str]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "names", self.names | {"measure", "reset"})
         axes = {g for g in ("rx", "ry", "rz") if g in self.names}
         if len(axes) < 2:
             raise UnsupportedGateError("native set needs rotations about two distinct axes")
@@ -94,11 +94,11 @@ class NativeGateSet:
 
     @classmethod
     def default(cls) -> "NativeGateSet":
-        return cls(frozenset(["rz", "ry", "rx", "cx", "h", "swap", "measure", "reset"]))
+        return cls(frozenset(["rz", "ry", "rx", "cx", "h", "swap"]))
 
     @classmethod
     def from_names(cls, names: list[str]) -> "NativeGateSet":
-        return cls(frozenset(names) | {"measure", "reset"})
+        return cls(frozenset(names))
 
 
 @dataclass(frozen=True)
@@ -282,7 +282,7 @@ def fuse_single_qubit_runs(program: QuantumProgram) -> list[IrOp | FusedUnitary]
     gates.  Runs of length 1 pass through unchanged.  Fusion only groups:
     a gate joins a run by its arity in the standard table, and no matrix is
     built here; resynthesis multiplies out the runs it has not solved yet.
-    The records exist only between this pass and resynthesis, which turns
+    The records exist only between this pass and ``_splice``, which turns
     each back into gates.
     """
     new_ops: list[IrOp | FusedUnitary | None] = []
@@ -313,12 +313,6 @@ def fuse_single_qubit_runs(program: QuantumProgram) -> list[IrOp | FusedUnitary]
 # --- native-set rewriting ------------------------------------------------------
 
 
-def _rotation_insts(
-    pairs: Iterable[tuple[str, float]], qubit: QubitRef, condition: tuple[int, int] | None = None
-) -> list[Inst]:
-    return [Inst(name, (angle,), (qubit,), None, condition) for name, angle in pairs]
-
-
 def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None = None) -> QuantumProgram:
     """Rewrite every gate outside the native set into native gates.
 
@@ -330,23 +324,19 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
     whether it is native or not.
     """
     native = native or NativeGateSet.default()
-    # Single-qubit strangers, in walk order; each leaves a None in the output
-    # where its rotations go once the whole batch is solved.
-    strangers: list[Inst] = []
 
-    def rewrite(op: Inst, sink: list[IrOp | None]) -> None:
+    def rewrite(op: Inst, sink: list[IrOp | FusedUnitary]) -> None:
         # Native or not, the overflow is named the same way; a one-qubit
         # stranger meets this check when its run is multiplied out.
         if op.name in _PHASE_SUM_GATES and (op.name in native or len(op.qubits) > 1):
             gates.unitary(op.name, op.params)  # raises when phi + lambda overflows
-        if op.name in native or op.result is not None or op.name in ("measure", "reset"):
+        if op.name in native:
             sink.append(op)
             return
         if len(op.qubits) == 1:
             if not _is_one_qubit_gate(op):
                 raise UnsupportedGateError(f"unknown gate '{op.name}'")
-            strangers.append(op)
-            sink.append(None)
+            sink.append(FusedUnitary(op.qubits[0], (op,)))  # a run of one, solved with the rest
             return
         gdef = qelib1.gate_defs().get(op.name)
         if gdef is None or op.name == "cx":  # cx's body is the CX builtin, cx again
@@ -358,21 +348,13 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
         for sub in body:
             rewrite(primitive(sub), sink)
 
-    walked: list[IrOp | None] = []
+    walked: list[IrOp | FusedUnitary] = []
     for op in program.ops:
         if isinstance(op, Inst):
             rewrite(op, walked)
         else:
             walked.append(op)
-    solved = iter(zip(strangers, _solve([(op,) for op in strangers], native, {})))
-    new_ops: list[IrOp] = []
-    for op in walked:
-        if op is None:
-            stranger, pairs = next(solved)
-            new_ops.extend(_rotation_insts(pairs, stranger.qubits[0], stranger.condition))
-        else:
-            new_ops.append(op)
-    return program.with_ops(new_ops)
+    return program.with_ops(_splice(walked, native, {}))
 
 
 def _run_key(run: tuple[Inst, ...]) -> tuple[tuple[str, ...], bytes]:
@@ -386,9 +368,9 @@ def _run_key(run: tuple[Inst, ...]) -> tuple[tuple[str, ...], bytes]:
 
 def _run_matrix(run: tuple[Inst, ...]) -> np.ndarray:
     """The 2x2 product of a run of one-qubit gates, later gates on the left."""
-    product = gates.gate_matrix(run[0].name, run[0].params)
+    product = gates.unitary(run[0].name, run[0].params)
     for op in run[1:]:
-        product = gates.gate_matrix(op.name, op.params) @ product
+        product = gates.unitary(op.name, op.params) @ product
     return product
 
 
@@ -404,23 +386,30 @@ def _solve(runs: list[tuple[Inst, ...]], native: NativeGateSet, memo: dict[tuple
     return [memo[key] for key in keys]
 
 
-def _resynthesize(program: QuantumProgram, native: NativeGateSet, memo: dict[tuple, Rotations]) -> QuantumProgram:
-    """Fuse runs and replace each by its best rotation sequence, keeping the
-    original run whenever resynthesis would not shorten it.  memo is the
-    optimize call's, so a run is solved once per call."""
-    fused = fuse_single_qubit_runs(program)
-    solved = iter(_solve([op.source for op in fused if isinstance(op, FusedUnitary)], native, memo))
+def _splice(ops: list[IrOp | FusedUnitary], native: NativeGateSet, memo: dict[tuple, Rotations]) -> list[IrOp]:
+    """ops with each FusedUnitary record, all solved in one batch, put back as
+    its rotations when they are fewer than its gates or one of its gates is
+    not native, and as its gates otherwise.  The rotations carry the first
+    gate's condition: a stranger's own, None for a fused run."""
+    solved = iter(_solve([op.source for op in ops if isinstance(op, FusedUnitary)], native, memo))
     new_ops: list[IrOp] = []
-    for op in fused:
+    for op in ops:
         if not isinstance(op, FusedUnitary):
             new_ops.append(op)
             continue
         pairs = next(solved)
-        if len(pairs) < len(op.source):
-            new_ops.extend(_rotation_insts(pairs, op.qubit))
+        if len(pairs) < len(op.source) or not native.names.issuperset([g.name for g in op.source]):
+            condition = op.source[0].condition
+            new_ops.extend([Inst(name, (angle,), (op.qubit,), None, condition) for name, angle in pairs])
         else:
             new_ops.extend(op.source)
-    return program.with_ops(new_ops)
+    return new_ops
+
+
+def _resynthesize(program: QuantumProgram, native: NativeGateSet, memo: dict[tuple, Rotations]) -> QuantumProgram:
+    """Fuse runs and splice each back as its best rotation sequence or as
+    itself.  memo is the optimize call's, so a run is solved once per call."""
+    return program.with_ops(_splice(fuse_single_qubit_runs(program), native, memo))
 
 
 def _cancel_cx_pairs(program: QuantumProgram) -> QuantumProgram:

@@ -95,9 +95,11 @@ def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], Qu
             if name == "barrier":
                 ops.append(Barrier(qubits=tuple(qubits)))
                 continue
-            if r.result is not None or name == "m":
-                if len(operands) != 1:
-                    raise ExtractionError(f"line {line}: measure takes one qubit operand")
+            if (r.result is not None) != (name == "m"):
+                raise ExtractionError(f"line {line}: only the measurement @{_QIS}m defines a value, and it must")
+            if name in ("m", "reset") and (len(operands), len(params)) != (1, 0):
+                raise ExtractionError(f"line {line}: @{r.name} takes one qubit operand and no parameter")
+            if name == "m":
                 kind = "measure"
                 ops.append(Inst("measure", (), tuple(qubits), ResultRef(0, n_measures)))
                 n_measures += 1

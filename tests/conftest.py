@@ -4,9 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from qcc.qasm import lower_ast_to_ir, parse_qasm
 from qcc.routing import CouplingGraph
+
+# Every property runs the same examples each time and replays none from a
+# database, so tier-1 is deterministic; each test sets only max_examples.
+settings.register_profile(
+    "tier1", derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+settings.load_profile("tier1")
 
 CORPUS_SEED = 1234
 CORPUS_SIZE = 500

@@ -815,6 +815,33 @@ def test_cli_standard_gate_of_the_wrong_arity_is_a_diagnostic(tmp_path, capsys, 
     assert captured.err.strip() == f"{qir}: error: line {line}: {message}"
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ("%9 = call %Result* @__quantum__qis__h(%Qubit* %4)", "only the measurement @__quantum__qis__m defines"),
+        ("%9 = call %Result* @__quantum__qis__m(double 0.5, %Qubit* %4)", "@__quantum__qis__m takes one qubit operand"),
+        ("call void @__quantum__qis__m(%Qubit* %4)", "only the measurement @__quantum__qis__m defines"),
+        ("call void @__quantum__qis__reset(%Qubit* %2, %Qubit* %4)", "@__quantum__qis__reset takes one qubit operand"),
+    ],
+    ids=["h-defining-a-value", "m-with-a-parameter", "m-defining-nothing", "reset-on-two-qubits"],
+)
+@pytest.mark.parametrize("argv", [["extract"], ["simulate"], ["metrics", "--opt-level", "1"]], ids=lambda a: a[0])
+def test_cli_measure_and_reset_outside_their_form_are_a_diagnostic(tmp_path, capsys, call, message, argv):
+    circ = tmp_path / "circ.qasm"
+    circ.write_text(GHZ2)
+    assert main(["build", str(circ), "--build-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    qir = tmp_path / "circ.qir.ll"
+    text = qir.read_text()
+    cx = "call void @__quantum__qis__cx(%Qubit* %2, %Qubit* %4)"
+    qir.write_text(text.replace(cx, call, 1))
+    line = text[: text.index(cx)].count("\n") + 1
+    assert main([argv[0], str(qir), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{qir}: error: line {line}: {message}")
+
+
 def test_cli_simulate_qasm_and_qir_agree(tmp_path, capsys):
     cases = [
         (GHZ2, 4),

@@ -14,7 +14,7 @@ stays deterministic and fast.
 
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcc.errors import QccError
@@ -88,16 +88,7 @@ STREAM = st.tuples(
 )
 
 
-BOUNDED = settings(
-    max_examples=300,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
-
-@BOUNDED
+@settings(max_examples=300)
 @given(STREAM)
 def test_token_streams_end_in_a_program_or_a_diagnostic(stream):
     with_header, statements, tokens = stream
@@ -108,7 +99,7 @@ def test_token_streams_end_in_a_program_or_a_diagnostic(stream):
         pass
 
 
-@BOUNDED
+@settings(max_examples=300)
 @given(EXPR, st.booleans())
 def test_parameter_expressions_end_in_finite_angles_or_a_diagnostic(expr, in_gate_body):
     if in_gate_body:  # evaluated only when lowering expands the call
@@ -171,7 +162,7 @@ def gate_chains(draw):
     return "\n".join(lines) + "\n"
 
 
-@BOUNDED
+@settings(max_examples=300)
 @given(gate_chains())
 def test_a_parsed_gate_chain_always_lowers_to_primitives(source):
     try:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qcc import gates
-from qcc.gates import UnknownGateError, gate_matrix, is_unitary, rx, ry, rz, u3, unitary
+from qcc.gates import UnknownGateError, is_unitary, rx, ry, rz, u3, unitary
 from qcc.qasm import ast, qelib1
 from qcc.simulator import apply_gate
 
@@ -142,8 +142,6 @@ def test_is_unitary_rejects_wrong_shapes():
 def test_unknown_gate_rejected():
     with pytest.raises(UnknownGateError):
         unitary("frobnicate", ())
-    with pytest.raises(UnknownGateError):
-        gate_matrix("cx", ())  # two-qubit gates have no 2x2 matrix
 
 
 def test_wrong_parameter_count_rejected():

@@ -230,7 +230,7 @@ def _brute_force_depth(dag) -> int:
     return max((down(n.node_id) for n in dag.nodes), default=0)
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(classical_circuits(5))
 def test_dag_invariants(program):
     dag = build_dag(program)

@@ -25,7 +25,7 @@ from qcc.optimizer import (
 from qcc.qir import emit_qir
 from qcc.simulator import equiv_up_to_global_phase, simulate
 
-from conftest import qasm_program
+from conftest import QELIB1_POOL, qasm_program
 
 AXIS = {"rx": rx, "ry": ry, "rz": rz}
 
@@ -324,7 +324,7 @@ def native_sets(draw):
     return NativeGateSet.from_names(axes + extra + ["cx"])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(unitaries_2x2(), native_sets())
 def test_select_matches_per_basis_reference(matrix, native):
     seq = select_decomposition(matrix, native)
@@ -336,7 +336,7 @@ def _bits(seq):
     return [(name, float.hex(angle)) for name, angle in seq]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(unitaries_2x2(), min_size=1, max_size=6), native_sets())
 def test_select_on_a_stack_matches_one_call_per_matrix(matrices, native):
     stacked = select_decomposition(np.array(matrices), native)
@@ -372,6 +372,9 @@ def test_native_set_needs_entangler():
 def test_from_names_adds_measurement_ops():
     native = NativeGateSet.from_names(["rz", "rx", "cz"])
     assert "measure" in native and "reset" in native
+    built = NativeGateSet(frozenset(["rz", "ry", "cx"]))
+    assert "measure" in built and "reset" in built
+    assert NativeGateSet.default() == NativeGateSet.from_names(["rz", "ry", "rx", "cx", "h", "swap"])
 
 
 # ---------------------------------------------------------------- fusion
@@ -396,7 +399,7 @@ def test_fuse_rz_angles_add():
 
 
 def test_fusion_builds_no_matrix(monkeypatch):
-    calls = counting(monkeypatch, gates, "gate_matrix")
+    calls = counting(monkeypatch, gates, "unitary")
     prog = qasm_program(
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
         "h q[0];\nt q[0];\nu3(0.1,0.2,0.3) q[1];\ncx q[0],q[1];\nrz(0.4) q[1];\nsdg q[1];\n"
@@ -412,7 +415,7 @@ def test_equal_runs_are_multiplied_out_once(monkeypatch):
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[6];\n'
         + "".join(f"rx(0.1) q[{i}];\nry(0.2) q[{i}];\nrz(0.3) q[{i}];\n" for i in range(6))
     )
-    matrices = counting(monkeypatch, gates, "gate_matrix")
+    matrices = counting(monkeypatch, gates, "unitary")
     solves = counting(monkeypatch, optimizer, "select_decomposition")
     out = optimize(prog, level=1)
     assert len(matrices) == 3
@@ -735,6 +738,54 @@ def test_optimize_keeps_no_memo_between_calls():
     assert gate_names(wide_alone) == ["rx"]
     assert _op_bits(optimize(prog, 1, narrow)) == _op_bits(prog)
     assert _op_bits(optimize(prog, 1)) == _op_bits(wide_alone)
+
+
+@st.composite
+def mixed_programs(draw):
+    """A program over the qelib1 pool, and whether it is plain: without
+    measure, reset or condition, so that it has a statevector.  Barriers
+    stand in both kinds."""
+    n = draw(st.integers(1, 3))
+    plain = draw(st.booleans())
+    kinds = ["gate"] * 6 + ["barrier"] + ([] if plain else ["measure", "reset", "if"])
+    pool = [entry for entry in QELIB1_POOL if entry[1] <= n]
+    lines = ['OPENQASM 2.0;\ninclude "qelib1.inc";', f"qreg q[{n}];", f"creg c[{n}];"]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        qubit = draw(st.integers(0, n - 1))
+        if kind == "barrier":
+            lines.append("barrier q;")
+        elif kind == "measure":
+            lines.append(f"measure q[{qubit}] -> c[{qubit}];")
+        elif kind == "reset":
+            lines.append(f"reset q[{qubit}];")
+        else:
+            name, arity, n_params = draw(st.sampled_from(pool))
+            qubits = ",".join(f"q[{q}]" for q in draw(st.permutations(range(n)))[:arity])
+            params = [repr(draw(_angles)) for _ in range(n_params)]
+            call = f"{name}({','.join(params)}) {qubits};" if params else f"{name} {qubits};"
+            lines.append(call if kind == "gate" else f"if (c=={draw(st.integers(0, 2**n - 1))}) {call}")
+    return qasm_program("\n".join(lines) + "\n"), plain
+
+
+@st.composite
+def target_native_sets(draw):
+    """Rotations about two or three axes, cx, and any of the other gates a
+    target may execute directly."""
+    axes = draw(st.lists(st.sampled_from(["rx", "ry", "rz"]), min_size=2, max_size=3, unique=True))
+    extra = draw(st.lists(st.sampled_from(["h", "swap", "t", "s", "u1", "u2", "u3", "cz"]), unique=True))
+    return NativeGateSet.from_names(axes + extra + ["cx"])
+
+
+@settings(max_examples=300)
+@given(mixed_programs(), target_native_sets())
+def test_optimize_emits_only_native_gates_and_keeps_the_state(case, native):
+    program, plain = case
+    for level in range(4):
+        out = optimize(program, level, native)
+        assert all(op.name in native for op in out.ops if isinstance(op, Inst))
+        if plain:
+            assert equiv_up_to_global_phase(simulate(out, program.n_qubits), simulate(program))
 
 
 # ---------------------------------------------------------------- pinned output

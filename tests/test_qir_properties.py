@@ -21,7 +21,7 @@ import math
 import re
 import time
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcc.cli import main
@@ -31,14 +31,6 @@ from qcc.qir import emit_qir, extract_program, find_quantum_kernels, verify_qir_
 from qcc.simulator import equiv_up_to_global_phase, simulate
 
 from conftest import QELIB1_POOL, qasm_program
-
-BOUNDED = settings(
-    max_examples=150,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
 
 ANGLE = st.one_of(
     st.sampled_from([0.0, math.pi / 2, -math.pi, 0.5]),
@@ -59,7 +51,7 @@ def programs(draw):
     return "\n".join(lines) + "\n"
 
 
-@BOUNDED
+@settings(max_examples=150)
 @given(programs(), st.integers(0, 3))
 def test_emitted_programs_verify_extract_and_simulate_like_the_source(source, level):
     program = qasm_program(source)
@@ -73,7 +65,7 @@ def test_emitted_programs_verify_extract_and_simulate_like_the_source(source, le
     assert equiv_up_to_global_phase(simulate(qasm_program(source)), simulate(extracted))
 
 
-@BOUNDED
+@settings(max_examples=150)
 @given(programs(), st.integers(0, 3))
 def test_a_found_kernel_extracts_like_its_module(source, level):
     program = qasm_program(source)
@@ -136,7 +128,7 @@ MUTATION = st.tuples(
 )
 
 
-@BOUNDED
+@settings(max_examples=150)
 @given(st.lists(MUTATION, min_size=1, max_size=3))
 def test_mutated_qir_gives_a_result_or_a_diagnostic(tmp_path_factory, mutations):
     lines = list(BASE)
@@ -178,7 +170,7 @@ CALL_MUTATION = st.tuples(
 )
 
 
-@settings(BOUNDED, max_examples=100)
+@settings(max_examples=100)
 @given(st.lists(CALL_MUTATION, min_size=1, max_size=2))
 def test_mutated_qis_calls_through_the_cli_give_a_result_or_a_diagnostic(tmp_path_factory, mutations):
     lines = list(BASE)

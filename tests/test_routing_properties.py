@@ -9,7 +9,7 @@ on them, every read (condition) and write (result) of a creg keeps its source
 order wherever the two do not commute.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcc.ir import Inst, build_dag
@@ -85,13 +85,7 @@ def executes_dag(program, gates) -> bool:
     return not ready and all(d == 0 for d in indegree)
 
 
-@settings(
-    max_examples=200,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=200)
 @given(st.data())
 def test_routing_respects_edges_layouts_and_dependencies(data):
     graph = data.draw(connected_graphs())
@@ -114,7 +108,7 @@ def test_routing_respects_edges_layouts_and_dependencies(data):
     assert executes_dag(program, gates)
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@settings(max_examples=100)
 @given(st.data())
 def test_route_program_routes_from_its_layout_search(data):
     """Without a layout, the routing is the one a final pass from sabre_layout's
@@ -177,13 +171,7 @@ def creg_accesses(ops):
     return accesses
 
 
-@settings(
-    max_examples=200,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=200)
 @given(st.data())
 def test_routing_keeps_the_order_of_creg_reads_and_writes(data):
     graph = data.draw(connected_graphs())

@@ -331,7 +331,7 @@ def gate_sequences(draw):
     return n, draw(st.integers(0, 2**32 - 1)), sequence
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(gate_sequences())
 def test_apply_gate_keeps_the_bits_of_the_tensordot_kernel(case):
     n, seed, sequence = case
