@@ -1,5 +1,6 @@
 """QIR kernel discovery and circuit extraction, including the emit round-trip."""
 
+import hashlib
 import math
 import re
 import time
@@ -11,9 +12,10 @@ from qcc.cli import main
 from qcc.driver import read_program
 from qcc.errors import ExtractionError
 from qcc.ir import build_dag
-from qcc.optimizer import optimize
+from qcc.optimizer import NativeGateSet, optimize
 from qcc.qasm.parser import MAX_PROGRAM_QUBITS
 from qcc.qir import emit_qir, extract_circuit, extract_program, extractor, find_quantum_kernels
+from qcc.routing import CouplingGraph, route_program
 
 from conftest import qasm_program
 
@@ -306,3 +308,58 @@ def test_non_finite_double_is_rejected(literal):
     )
     with pytest.raises(ExtractionError, match=f"^line 6: non-finite double '{literal}'$"):
         extract_circuit(body)
+
+
+def _digest(modules):
+    digest = hashlib.sha256()
+    for text in modules:
+        digest.update(repr(extract_program(find_quantum_kernels(text)[0])).encode())
+    return digest.hexdigest()
+
+
+def _with_measures_and_barriers(source, n_qubits):
+    """The source with a classical register, a barrier and a mid-circuit measurement halfway, and a final measure."""
+    head, *gates = source.splitlines()[2:]
+    middle = len(gates) // 2
+    return "\n".join(
+        ['OPENQASM 2.0;', 'include "qelib1.inc";', head, f"creg c[{n_qubits}];"]
+        + gates[:middle]
+        + ["barrier q;", "measure q[0] -> c[0];", f"barrier q[{n_qubits - 1}],q[0];"]
+        + gates[middle:]
+        + ["measure q -> c;"]
+    ) + "\n"
+
+
+# sha256 over the repr of `extract_program` of every module's found kernel:
+# the bundled benchmarks at levels 0-3, unrouted (False) and routed on a 5x5
+# grid (True), with the default and with the rz,ry,cx native set; and 100
+# corpus circuits with barriers and measurements added.
+EXTRACTION_GOLDEN = {
+    ("default", False): "7782750a5e6ec8c1ec39d402336829653e15893b89f857ed9edf93d31ed7d77a",
+    ("default", True): "b8eb85e8817045081165427c230f2dfc539951f1e940031774dfc1b71aac9ca6",
+    ("rz,ry,cx", False): "03b0c81425f2bef2852088987c148634ba2425133dde7d9c0a13d81f8c7ed4a9",
+    ("rz,ry,cx", True): "37cb4c72f4442d46cdb81a157a6d3fb7cea7a3461247c7e359b6fc0c28498332",
+    "corpus": "7ebd11ed155f61a7b1f5ee3669fe0111da96920908a59ed72509853c35825f12",
+}
+
+
+def test_extraction_is_pinned(corpus_sources):
+    grid = CouplingGraph.from_edges(
+        25, [[r * 5 + c, r * 5 + c + 1] for r in range(5) for c in range(4)]
+        + [[r * 5 + c, r * 5 + c + 5] for r in range(4) for c in range(5)]
+    )
+    digests = {}
+    for natives in ("default", "rz,ry,cx"):
+        native = None if natives == "default" else NativeGateSet.from_names(natives.split(","))
+        for routed in (False, True):
+            modules = []
+            for name in list_benchmarks():
+                for level in range(4):
+                    prog = optimize(qasm_program(benchmark_source(name)), level, native)
+                    if routed:
+                        prog, _ = route_program(prog, grid, seed=0, native=native)
+                    modules.append(emit_qir(prog).text)
+            digests[(natives, routed)] = _digest(modules)
+    sources = [_with_measures_and_barriers(src, n) for src, n in corpus_sources[:100]]
+    digests["corpus"] = _digest(emit_qir(qasm_program(src)).text for src in sources)
+    assert digests == EXTRACTION_GOLDEN
