@@ -65,7 +65,7 @@ def cmd_build(args) -> int:
 
 def cmd_extract(args) -> int:
     with in_file(args.file):
-        out = [[dataclasses.asdict(g) for g in extract_program(kernel)[0]] for kernel in read_kernels(args.file)]
+        out = [[g._asdict() for g in extract_program(kernel)[0]] for kernel in read_kernels(args.file)]
     json.dump(out, sys.stdout, indent=2)
     print()
     return 0

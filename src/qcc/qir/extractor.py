@@ -8,9 +8,17 @@ kernels following the same pattern work too.  Qubits get logical indices
 densely in allocation order.  Any instruction outside the subset is an
 ExtractionError naming its line, since partial extraction would silently
 drop gates.
+
+A routed kernel repeats most of its gate calls, so ``extract_program``
+decodes each distinct one once per call: a line whose record matches an
+earlier one in all but its line number, return type included, reuses that
+decode's frozen ``Inst``, kind and operand ids.  Only clean decodes are kept,
+so a bad line fails at its first occurrence; measurements (each writes the
+next result) and barriers are decoded every time.  ``ExtractedGate`` is a
+``NamedTuple``, cheap to build per gate.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ExtractionError
 from ..ir import (
@@ -26,8 +34,7 @@ _ALLOCATE = "__quantum__rt__qubit_allocate_array"
 _ELEMENT = "__quantum__rt__array_get_element_ptr"
 
 
-@dataclass(frozen=True)
-class ExtractedGate:
+class ExtractedGate(NamedTuple):
     kind: str  # single-qubit | two-qubit | three-qubit | measure
     name: str
     params: tuple[float, ...]
@@ -65,10 +72,17 @@ def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], Qu
     n_measures = 0
     gates: list[ExtractedGate] = []
     ops: list = []
+    # a gate call's record without its line -> (Inst, kind, operand ids); a qubit's SSA name is bound once
+    decoded: dict[tuple, tuple[Inst, str, tuple[int, ...]]] = {}
 
     arity = qelib1.gate_table()
     for r in read_qir(source) if isinstance(source, str) else source:
         line = r.line
+        if (hit := decoded.get(key := r[1:])) is not None:
+            inst, kind, operands = hit
+            ops.append(inst)
+            gates.append(ExtractedGate(kind, inst.name, inst.params, operands, line))
+            continue
         if r.problem is not None:
             raise ExtractionError(f"line {line}: {r.problem}")
         if r.kind != "inst" or r.opcode == "ret":
@@ -92,11 +106,14 @@ def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], Qu
                 else:
                     raise ExtractionError(f"line {line}: unsupported operand '{type_} {value}'")
             operands = tuple([q.logical_id for q in qubits])
+            if (r.result is not None) != (name == "m"):
+                raise ExtractionError(f"line {line}: only the measurement @{_QIS}m defines a value, and it must")
+            returns = "%Result*" if name == "m" else "void"
+            if r.type != returns:
+                raise ExtractionError(f"line {line}: @{r.name} must return {returns}, not {r.type!r}")
             if name == "barrier":
                 ops.append(Barrier(qubits=tuple(qubits)))
                 continue
-            if (r.result is not None) != (name == "m"):
-                raise ExtractionError(f"line {line}: only the measurement @{_QIS}m defines a value, and it must")
             if name in ("m", "reset") and (len(operands), len(params)) != (1, 0):
                 raise ExtractionError(f"line {line}: @{r.name} takes one qubit operand and no parameter")
             if name == "m":
@@ -118,7 +135,9 @@ def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], Qu
                         f"line {line}: gate '{name}' acts on {n_qubits} qubit(s) but is given {len(operands)}"
                     )
                 kind = instruction_kind(name, len(operands))
-                ops.append(Inst(name, tuple(params), tuple(qubits)))
+                inst = Inst(name, tuple(params), tuple(qubits))
+                ops.append(inst)
+                decoded[key] = (inst, kind, operands)
             gates.append(ExtractedGate(kind, name, tuple(params), operands, line))
         elif r.opcode == "call" and r.name == _ALLOCATE and r.result is not None and types == ("i64",):
             size = int_value(values[0], line)

@@ -25,7 +25,7 @@ _NAME = r"[-\w.$]+"
 _DEFINE_RE = re.compile(rf"define\b[^@]*@({_NAME})\s*\(([^()]*)\)[^(){{}}]*\{{")
 _LABEL_RE = re.compile(rf"({_NAME}):")
 _PREFIX = rf"(?:(%{_NAME})\s*=\s*)?(?:(?:tail|musttail|notail)\s+)?"  # result, call marker
-_CALL_RE = re.compile(rf"{_PREFIX}(call|declare)\s[^@]*@({_NAME})\s*\((.*)\)(?:\s+#\d+)*")
+_CALL_RE = re.compile(rf"{_PREFIX}(call|declare)\s([^@]*)@({_NAME})\s*\((.*)\)(?:\s+#\d+)*")
 _INST_RE = re.compile(rf"{_PREFIX}([a-z_]\w*)\s*(.*)")
 _CAST_RE = re.compile(r"(.*?)\s+to\s+(.*)")  # `bitcast i8* %e to %Qubit*`
 _UNTYPED_VALUE_RE = re.compile(rf"[%@]{_NAME}|[-+]?\d[\w.+-]*")
@@ -53,7 +53,7 @@ class Record(NamedTuple):
     function: int = 0  # line of the enclosing define; 0 outside every body
     result: str | None = None  # the %name an instruction defines
     opcode: str = ""  # with any tail/musttail/notail marker dropped
-    type: str = ""  # the type after a cast's `to`
+    type: str = ""  # the type after a cast's `to`; the return type of a call or declare, without a `(...)` signature
     name: str = ""  # callee of a call, symbol of a define or declare, a label
     args: str = ""  # the operand text: call arguments, parameters, what a cast converts
     problem: str | None = None
@@ -105,8 +105,11 @@ def _read_line(line: int, code: str, function: int) -> Record:
         return Record(line, "inst", function, problem="unbalanced braces")
     m = _CALL_RE.fullmatch(code)
     if m is not None:
-        result, opcode, name, args = m.groups()
-        return Record(line, "inst" if opcode == "call" else "declare", function, result, opcode, "", name, args)
+        result, opcode, type_, name, args = m.groups()
+        type_ = type_.strip()
+        if type_.endswith(")"):  # `call void (...) @f`: the return type, then the callee's signature
+            type_ = type_[: type_.index("(")].rstrip()
+        return Record(line, "inst" if opcode == "call" else "declare", function, result, opcode, type_, name, args)
     if code[-1] == ":" and (m := _LABEL_RE.fullmatch(code)) is not None:
         return Record(line, "label", function, name=m[1])
     m = _INST_RE.fullmatch(code)

@@ -822,8 +822,19 @@ def test_cli_standard_gate_of_the_wrong_arity_is_a_diagnostic(tmp_path, capsys, 
         ("%9 = call %Result* @__quantum__qis__m(double 0.5, %Qubit* %4)", "@__quantum__qis__m takes one qubit operand"),
         ("call void @__quantum__qis__m(%Qubit* %4)", "only the measurement @__quantum__qis__m defines"),
         ("call void @__quantum__qis__reset(%Qubit* %2, %Qubit* %4)", "@__quantum__qis__reset takes one qubit operand"),
+        ("%9 = call i8* @__quantum__qis__m(%Qubit* %4)", "@__quantum__qis__m must return %Result*, not 'i8*'"),
+        ("call %Result* @__quantum__qis__h(%Qubit* %4)", "@__quantum__qis__h must return void, not '%Result*'"),
+        ("tail call i8* @__quantum__qis__barrier(%Qubit* %4)", "@__quantum__qis__barrier must return void, not 'i8*'"),
     ],
-    ids=["h-defining-a-value", "m-with-a-parameter", "m-defining-nothing", "reset-on-two-qubits"],
+    ids=[
+        "h-defining-a-value",
+        "m-with-a-parameter",
+        "m-defining-nothing",
+        "reset-on-two-qubits",
+        "m-returning-a-pointer",
+        "h-returning-a-result",
+        "barrier-returning-a-pointer",
+    ],
 )
 @pytest.mark.parametrize("argv", [["extract"], ["simulate"], ["metrics", "--opt-level", "1"]], ids=lambda a: a[0])
 def test_cli_measure_and_reset_outside_their_form_are_a_diagnostic(tmp_path, capsys, call, message, argv):

@@ -11,10 +11,10 @@ from qcc.benchmarks import benchmark_source, list_benchmarks
 from qcc.cli import main
 from qcc.driver import read_program
 from qcc.errors import ExtractionError
-from qcc.ir import build_dag
+from qcc.ir import Barrier, build_dag
 from qcc.optimizer import NativeGateSet, optimize
 from qcc.qasm.parser import MAX_PROGRAM_QUBITS
-from qcc.qir import emit_qir, extract_circuit, extract_program, extractor, find_quantum_kernels
+from qcc.qir import emit_qir, extract_circuit, extract_program, extractor, find_quantum_kernels, reader
 from qcc.routing import CouplingGraph, route_program
 
 from conftest import qasm_program
@@ -103,6 +103,32 @@ def test_every_qir_input_path_reads_its_module_once(tmp_path, monkeypatch, path)
     monkeypatch.setattr(extractor, "read_qir", lambda text: reads.append(text) or real(text))
     assert READ_PATHS[path](one, two)
     assert len(reads) == 1
+
+
+def test_each_distinct_gate_line_is_decoded_once(monkeypatch):
+    source = (
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[1];\n'
+        "h q[0];\nrz(0.25) q[1];\ncx q[0],q[1];\nbarrier q;\nu3(0.1,-0.2,0.3) q[2];\nccx q[0],q[1],q[2];\n"
+        "measure q[2] -> c[0];\nreset q[2];\n"
+    )
+    text = emit_qir(qasm_program(source)).text
+    once, program = extract_program(text)
+    # every gate line three times: as written, with a tail marker, as written
+    lines = []
+    for line in text.splitlines():
+        copies = 3 if line.startswith("  call void @__quantum__qis__") else 1
+        lines += [line, line.replace("call", "tail call", 1), line][:copies]
+    parsed = []
+    real = reader._operands
+    monkeypatch.setattr(reader, "_operands", lambda args: parsed.append(args) or real(args))
+    gates, tripled = extract_program("\n".join(lines) + "\n")
+    # preamble, gates, barrier and measurement alike: one operand split per distinct line
+    assert sorted(parsed) == sorted(r.args for r in reader.read_qir(text) if r.kind == "inst" and r.opcode != "ret")
+    assert all(f"@__quantum__qis__{g.name}(" in lines[g.line - 1] for g in gates)
+    assert len({g.line for g in gates}) == len(gates)
+    copies = [3 if g.kind != "measure" else 1 for g in once]
+    assert [g[:4] for g in gates] == [g[:4] for g, n in zip(once, copies) for _ in range(n)]
+    assert tripled.ops == [op for op in program.ops for _ in range(1 if isinstance(op, Barrier) or op.result else 3)]
 
 
 def test_classical_only_module_has_no_kernels():

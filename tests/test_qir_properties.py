@@ -11,7 +11,11 @@ file to ``qcc extract`` and ``qcc simulate``: each must print a result or a
 diagnostic, with exit code 0 or 1, and never raise.  The fourth renames QIS
 callees to other qelib1 gates and drops or adds a qubit or double operand,
 then runs ``qcc extract``, ``qcc simulate`` and ``qcc metrics --opt-level
-1`` on the file, which must exit 0 or 1 with no traceback.  The searches are
+1`` on the file, which must exit 0 or 1 with no traceback.  The fifth copies
+gate lines of an emitted module to later places, some with a ``tail`` marker
+or a wrong return type: the copies must extract as the same gates at their own
+lines, and the first wrong return type must be an error at its line even
+though a copy with the right one came before.  The searches are
 derandomized and bounded so the suite stays deterministic and fast.
 """
 
@@ -21,10 +25,12 @@ import math
 import re
 import time
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcc.cli import main
+from qcc.errors import ExtractionError
 from qcc.optimizer import optimize
 from qcc.qasm.qelib1 import gate_table
 from qcc.qir import emit_qir, extract_program, find_quantum_kernels, verify_qir_text
@@ -184,3 +190,39 @@ def test_mutated_qis_calls_through_the_cli_give_a_result_or_a_diagnostic(tmp_pat
             code = main([argv[0], str(path), *argv[1:]])
         assert code in (0, 1)
         assert "Traceback" not in err.getvalue()
+
+
+# (call marker, return type) of a copied gate line; void is the only right type
+COPY_FORMS = [("", "void"), ("tail ", "void"), ("", "void"), ("tail ", "%Result*"), ("", "i8*")]
+
+
+@settings(max_examples=150)
+@given(programs(), st.integers(0, 3), st.data())
+def test_copied_gate_lines_extract_as_copied_gates(source, level, data):
+    program = qasm_program(source)
+    if level:
+        program = optimize(program, level=level)
+    emitted = emit_qir(program).text
+    gates, extracted = extract_program(emitted)
+    emitted_lines = emitted.splitlines()
+    lines = list(emitted_lines)
+    decoded = {g.line - 1: (g, op) for g, op in zip(gates, extracted.ops, strict=True)}
+    assume(decoded)
+    origins = list(range(len(lines)))  # the line of the emitted module that each line copies
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.sampled_from([k for k, i in enumerate(origins) if i in decoded]))
+        to = data.draw(st.integers(at + 1, max(k for k, i in enumerate(origins) if i in decoded) + 1))
+        marker, returns = data.draw(st.sampled_from(COPY_FORMS))
+        origins.insert(to, origins[at])
+        lines.insert(to, emitted_lines[origins[at]].replace("call void", f"{marker}call {returns}", 1))
+    text = "\n".join(lines) + "\n"
+    wrong = [k for k, i in enumerate(origins) if i in decoded and "call void" not in lines[k]]
+    if wrong:
+        # a gate line with the right return type came first, so the error must not come from a reused decode
+        with pytest.raises(ExtractionError, match=rf"^line {wrong[0] + 1}: @__quantum__qis__\w+ must return void, not"):
+            extract_program(text)
+        return
+    copied = [(decoded[i][0]._replace(line=k + 1), decoded[i][1]) for k, i in enumerate(origins) if i in decoded]
+    got, got_program = extract_program(text)
+    assert got == [g for g, _ in copied]
+    assert got_program.ops == [op for _, op in copied]
