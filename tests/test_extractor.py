@@ -116,8 +116,8 @@ def test_each_distinct_gate_line_is_decoded_once(monkeypatch):
     # every gate line three times: as written, with a tail marker, as written
     lines = []
     for line in text.splitlines():
-        copies = 3 if line.startswith("  call void @__quantum__qis__") else 1
-        lines += [line, line.replace("call", "tail call", 1), line][:copies]
+        times = 3 if line.startswith("  call void @__quantum__qis__") else 1
+        lines += [line, line.replace("call", "tail call", 1), line][:times]
     parsed = []
     real = reader._operands
     monkeypatch.setattr(reader, "_operands", lambda args: parsed.append(args) or real(args))
