@@ -8,6 +8,8 @@ from hypothesis import given, settings
 
 from qcc.benchmarks import benchmark_source, list_benchmarks
 from qcc.ir import GateDag, build_dag, circuit_depth, gate_counts, instruction_kind, Inst
+from qcc.optimizer import optimize
+from qcc.routing import CouplingGraph, route_program
 
 from conftest import qasm_program
 from test_routing_properties import classical_circuits
@@ -328,3 +330,38 @@ def test_dag_edges_are_pinned(corpus_sources, inputs, direction):
     if direction == "reversed":
         dags = [dag.reversed() for dag in dags]
     assert _dag_digest(dags) == DAG_GOLDEN[(inputs, direction)]
+
+
+def _counts_digest(programs) -> str:
+    digest = hashlib.sha256()
+    for prog in programs:
+        digest.update(repr(gate_counts(prog)).encode())
+    return digest.hexdigest()
+
+
+# sha256 over the repr of `gate_counts` (depth included) of: the bundled
+# benchmarks at levels 0-3, unrouted (False) and routed on a 5x5 grid (True);
+# and 100 corpus circuits with barriers, measurements and ifs added.
+COUNTS_GOLDEN = {
+    ("benchmarks", False): "999527ef6b11240b228cc7351ab291afb7f6b57f5208ae1731e10ff15ab58387",
+    ("benchmarks", True): "70ea551b44d41e1f7d3af75890ccd5b62490ecbca26cd4662a90d54e2e6d0777",
+    "corpus": "20aa96a8551a162ba12158f253c5b48835f55d9b9dc8236be3dd8d2330463a05",
+}
+
+
+def test_gate_counts_are_pinned(corpus_sources):
+    grid = CouplingGraph.from_edges(
+        25, [[r * 5 + c, r * 5 + c + 1] for r in range(5) for c in range(4)]
+        + [[r * 5 + c, r * 5 + c + 5] for r in range(4) for c in range(5)]
+    )
+    digests = {}
+    for routed in (False, True):
+        programs = []
+        for name in list_benchmarks():
+            for level in range(4):
+                prog = optimize(qasm_program(benchmark_source(name)), level)
+                programs.append(route_program(prog, grid, seed=0)[0] if routed else prog)
+        digests[("benchmarks", routed)] = _counts_digest(programs)
+    rng = np.random.default_rng(25)
+    digests["corpus"] = _counts_digest(qasm_program(_with_classical_ops(src, rng)) for src, _ in corpus_sources[:100])
+    assert digests == COUNTS_GOLDEN
