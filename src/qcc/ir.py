@@ -8,7 +8,7 @@ with qreg a[2]; qreg b[3]; numbers its qubits a[0]=0, a[1]=1, b[0]=2,
 b[1]=3, b[2]=4.  A classical condition is a field of the Inst it guards:
 ``condition=(creg_id, value)`` runs the op iff that creg equals the value.
 
-The module also builds the gate dependency DAG used by routing and metrics:
+The module also builds the gate dependency DAG that routing reads:
 three lists indexed by node id, built once and reversed by swapping its two
 edge lists.  Node ids follow program order, so in a DAG that ``build_dag``
 made, id order is topological; in its reversal it is the reverse.  Barriers
@@ -226,16 +226,46 @@ def build_dag(program: QuantumProgram) -> GateDag:
     return GateDag(nodes, successors, predecessors)
 
 
-def circuit_depth(dag: GateDag) -> int:
-    """Length in gates of the longest dependency chain; 0 for no gates.
+def circuit_depth(program: QuantumProgram) -> int:
+    """Length in gates of the longest dependency chain of ``build_dag(program)``; 0 for no gates.
 
-    Walks the nodes in id order, so the DAG must be one ``build_dag`` made,
-    not its reversal.
+    One pass over the ops, without the DAG: each wire keeps the level (the
+    longest chain ending there) of the nodes a later op on it must follow,
+    and an op's level is one more than the highest level among its wires.
+    The wires are ``build_dag``'s edges: each qubit, each classical bit's
+    last writer, each creg's writers since its last reader, and each
+    creg's last reader.  A barrier adds no level; it fences its qubits at
+    their highest one.
     """
-    depth: list[int] = []
-    for preds in dag.predecessors:
-        depth.append(1 + max([depth[p] for p in preds], default=0))
-    return max(depth, default=0)
+    qubit: dict[int, int] = {}
+    bit: dict[tuple[int, int], int] = {}
+    writers: dict[int, int] = {}
+    reader: dict[int, int] = {}
+    depth = 0
+    for op in program.ops:
+        qubits = op_qubits(op)
+        level = max([qubit.get(q, 0) for q in qubits], default=0)
+        if isinstance(op, Inst):
+            result, condition = op.result, op.condition
+            if result is not None:
+                written = (result.creg_id, result.index)
+                level = max(level, bit.get(written, 0), reader.get(result.creg_id, 0))
+            if condition is not None:
+                # writers as they stand before this op's own write: a measurement
+                # into the creg it reads follows earlier writers only
+                level = max(level, writers.get(condition[0], 0), reader.get(condition[0], 0))
+            level += 1
+            if result is not None:
+                bit[written] = level
+                writers[result.creg_id] = max(writers.get(result.creg_id, 0), level)
+            if condition is not None:
+                reader[condition[0]] = level
+                writers[condition[0]] = 0
+            if level > depth:
+                depth = level
+        for q in qubits:
+            qubit[q] = level
+    return depth
 
 
 def gate_counts(program: QuantumProgram) -> dict[str, int]:
@@ -272,5 +302,5 @@ def gate_counts(program: QuantumProgram) -> dict[str, int]:
         "two_qubit_gates": two,
         "swap_gates": swap,
         "measure_ops": measure,
-        "depth": circuit_depth(build_dag(program)),
+        "depth": circuit_depth(program),
     }

@@ -337,7 +337,7 @@ def test_metrics_correctness(corpus_programs, verdict):
             "measure_ops": measures,
             "depth": _brute_force_depth(dag),
         }
-        if counts != expected or circuit_depth(dag) != expected["depth"]:
+        if counts != expected or circuit_depth(prog) != expected["depth"]:
             wrong += 1
     verdict(
         "metrics-correctness",

@@ -51,3 +51,5 @@ def test_every_instrumented_layer_is_called_by_a_routed_compile(tmp_path):
     calls = tracer.calls()
     assert tracer.wrapped
     assert sorted(name for name in tracer.wrapped if calls[name] == 0) == []
+    # gate_counts takes its depth without a DAG, so routing builds the only one
+    assert calls["ir.build_dag"] == 1

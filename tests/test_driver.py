@@ -8,11 +8,12 @@ import shlex
 import shutil
 import stat
 import subprocess
+import sys
 import time
 
 import pytest
 
-from qcc import cli
+from qcc import cli, ir
 from qcc.benchmarks import benchmark_source, list_benchmarks
 from qcc.cli import main
 from qcc.driver import (
@@ -31,6 +32,7 @@ from qcc.errors import (
     ToolFailure,
     UnknownFileTypeError,
 )
+from qcc.qir import extract_circuit, extract_program
 from qcc.routing import MAX_SABRE_ITERATIONS
 
 GHZ2 = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
@@ -292,6 +294,48 @@ def test_compile_quantum_is_idempotent(workspace):
     second = compile_quantum(task, QuantumOptions())
     assert open(second.qir_path).read() == qir1
     assert open(second.metrics_path).read() == metrics1
+
+
+def counting_build_dag(monkeypatch) -> list:
+    """Wrap ``build_dag`` under every name any loaded ``qcc`` module holds it by; returns the call log."""
+    real = ir.build_dag
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    holders = set()
+    for name, module in list(sys.modules.items()):
+        if name == "qcc" or name.startswith("qcc."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+                    holders.add(name)
+    assert {"qcc", "qcc.ir", "qcc.routing"} <= holders
+    return calls
+
+
+def test_only_routing_builds_a_dependency_dag(workspace, tmp_path, monkeypatch, capsys):
+    _, _, source, _ = workspace
+    coupling = tmp_path / "line.json"
+    coupling.write_text(json.dumps({"n_qubits": 3, "edges": [[0, 1], [1, 2]]}))
+    qasm = source(
+        "far.qasm",
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\n'
+        "h q[0];\ncx q[0],q[2];\nbarrier q;\nmeasure q -> c;\n",
+    )
+    task = Task(path=qasm, kind="qasm", object_path=str(tmp_path / "far.o"))
+    calls = counting_build_dag(monkeypatch)
+    compile_quantum(task, QuantumOptions(coupling_path=str(coupling)))
+    assert len(calls) == 1
+    calls.clear()
+    artifacts = compile_quantum(task, QuantumOptions())
+    assert main(["metrics", qasm]) == 0
+    assert json.loads(capsys.readouterr().out)["depth"] == 3
+    text = open(artifacts.qir_path).read()
+    assert extract_program(text) == extract_circuit(text)
+    assert calls == []
 
 
 # ------------------------------------------------------------- execute_plan
@@ -851,6 +895,35 @@ def test_cli_measure_and_reset_outside_their_form_are_a_diagnostic(tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"{qir}: error: line {line}: {message}")
+
+
+MEASURE_M0 = "%5 = call %Result* @__quantum__qis__m(%Qubit* %2)"
+
+
+@pytest.mark.parametrize(
+    "after, line, name",
+    [
+        # the measurement of qubit 0, twice
+        (MEASURE_M0, MEASURE_M0, "%5"),
+        # qubit 1's element pointer taken again, for qubit 0, once qubit 1 is cast
+        ("%4 = bitcast i8* %3 to %Qubit*", "%3 = call i8* @__quantum__rt__array_get_element_ptr(%Array* %0, i64 0)", "%3"),
+    ],
+    ids=["measurement-result", "element-pointer"],
+)
+@pytest.mark.parametrize("argv", [["extract"], ["simulate"], ["metrics", "--opt-level", "1"]], ids=lambda a: a[0])
+def test_cli_ssa_value_bound_twice_is_a_diagnostic(tmp_path, capsys, after, line, name, argv):
+    circ = tmp_path / "bell.qasm"
+    circ.write_text(GHZ2 + "creg c[2];\nmeasure q -> c;\n")
+    assert main(["build", str(circ), "--build-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    qir = tmp_path / "bell.qir.ll"
+    text = qir.read_text()
+    qir.write_text(text.replace(f"  {after}\n", f"  {after}\n  {line}\n", 1))
+    number = text[: text.index(after)].count("\n") + 2
+    assert main([argv[0], str(qir), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"{qir}: error: line {number}: SSA value {name} bound twice"
 
 
 def test_cli_simulate_qasm_and_qir_agree(tmp_path, capsys):

@@ -32,7 +32,8 @@ measure q -> c;
 
 def test_ghz_roundtrip_gates():
     mod = emit_qir(qasm_program(GHZ))
-    gates, dag = extract_circuit(mod.text)
+    gates, program = extract_program(mod.text)
+    dag = build_dag(program)
     assert [(g.kind, g.name, g.operands) for g in gates] == [
         ("single-qubit", "h", (0,)),
         ("two-qubit", "cx", (0, 1)),
@@ -47,7 +48,7 @@ def test_ghz_roundtrip_gates():
 def test_roundtrip_dag_is_isomorphic_to_source():
     prog = qasm_program(GHZ)
     original = build_dag(prog)
-    _, extracted = extract_circuit(emit_qir(prog).text)
+    extracted = build_dag(extract_program(emit_qir(prog).text)[1])
     # node ids, names, qubits and edges must line up one to one
     assert len(extracted.nodes) == len(original.nodes)
     for a, b in zip(extracted.nodes, original.nodes):
@@ -236,7 +237,7 @@ def test_barriers_roundtrip_as_fences():
     )
     prog = qasm_program(src)
     original = build_dag(prog)
-    _, extracted = extract_circuit(emit_qir(prog).text)
+    extracted = build_dag(extract_program(emit_qir(prog).text)[1])
     assert len(extracted.nodes) == 2
     assert extracted.successors == original.successors
 
@@ -246,7 +247,8 @@ def test_roundtrip_on_corpus_sample(corpus_programs):
 
     for prog, _ in corpus_programs[:40]:
         mod = emit_qir(prog)
-        gates, dag = extract_circuit(mod.text)
+        gates, extracted = extract_program(mod.text)
+        dag = build_dag(extracted)
         insts = [op for op in prog.ops if isinstance(op, Inst)]
         assert len(gates) == len(insts)
         for g, inst in zip(gates, insts):

@@ -26,7 +26,8 @@ measure q -> c;
 
 
 def test_ghz_dag_structure():
-    dag = build_dag(qasm_program(GHZ))
+    prog = qasm_program(GHZ)
+    dag = build_dag(prog)
     assert [(n.node_id, n.name, n.qubits) for n in dag.nodes] == [
         (0, "h", (0,)),
         (1, "cx", (0, 1)),
@@ -37,7 +38,7 @@ def test_ghz_dag_structure():
     ]
     assert dag.successors == [[1], [2, 3], [4, 5], [], [], []]
     assert [n.node_id for n in dag.nodes if not dag.predecessors[n.node_id]] == [0]
-    assert circuit_depth(dag) == 4
+    assert circuit_depth(prog) == 4
 
 
 def test_ghz_gate_counts():
@@ -62,13 +63,13 @@ def test_empty_program_counts():
         "measure_ops": 0,
         "depth": 0,
     }
-    assert circuit_depth(build_dag(prog)) == 0
+    assert circuit_depth(prog) == 0
 
 
 def test_parallel_gates_have_depth_one():
     prog = qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\nh q[1];\n')
     dag = build_dag(prog)
-    assert circuit_depth(dag) == 1
+    assert circuit_depth(prog) == 1
     assert dag.predecessors == [[], []]
     assert dag.successors == [[], []]
 
@@ -99,7 +100,7 @@ def test_barrier_is_a_fence_not_a_node():
     dag = build_dag(prog)
     assert len(dag.nodes) == 2  # barrier contributes no node
     assert dag.successors == [[1], []]
-    assert circuit_depth(dag) == 2
+    assert circuit_depth(prog) == 2
 
 
 def test_barrier_on_an_already_fenced_qubit_joins_the_fences():
@@ -110,7 +111,7 @@ def test_barrier_on_an_already_fenced_qubit_joins_the_fences():
     dag = build_dag(prog)
     # q[1] is fenced by the first barrier, so the second one fences h q[0] as well.
     assert dag.successors == [[3, 4, 5], [3, 4, 5], [4, 5], [], [], []]
-    assert circuit_depth(dag) == 2
+    assert circuit_depth(prog) == 2
 
 
 def test_conditionals_chain_classically():
@@ -154,7 +155,7 @@ def test_conditioned_measurement_into_its_own_creg_has_no_self_edge():
     dag = build_dag(prog)
     assert all(nid not in succ for nid, succ in enumerate(dag.successors))
     assert dag.successors == [[1], [2], []]
-    assert circuit_depth(dag) == 3
+    assert circuit_depth(prog) == 3
     assert gate_counts(prog)["measure_ops"] == 2
 
 
@@ -162,7 +163,7 @@ def test_sequential_chain_depth():
     prog = qasm_program(
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nh q[0];\nh q[0];\nh q[0];\n'
     )
-    assert circuit_depth(build_dag(prog)) == 3
+    assert circuit_depth(prog) == 3
 
 
 def test_topological_order_respects_edges():
@@ -248,13 +249,12 @@ def test_dag_invariants(program):
             transpose[s].append(nid)
     assert transpose == dag.predecessors
     assert dag.reversed().reversed() == dag
-    assert circuit_depth(dag) == _brute_force_depth(dag)
+    assert circuit_depth(program) == _brute_force_depth(dag)
 
 
 def test_depth_matches_brute_force_on_corpus(corpus_programs):
     for prog, _ in corpus_programs[:120]:
-        dag = build_dag(prog)
-        assert circuit_depth(dag) == _brute_force_depth(dag)
+        assert circuit_depth(prog) == _brute_force_depth(build_dag(prog))
 
 
 def test_counts_totals_on_corpus(corpus_programs):
