@@ -73,7 +73,7 @@ def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], Qu
     n_measures = 0
     gates: list[ExtractedGate] = []
     ops: list = []
-    # a gate call's record without its line -> (Inst, kind, operand ids); it defines no value
+    # a gate call's record without its line -> (Inst, kind, operand ids); no SSA name is bound twice, so a decode holds
     decoded: dict[tuple, tuple[Inst, str, tuple[int, ...]]] = {}
 
     arity = qelib1.gate_table()
