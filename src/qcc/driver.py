@@ -142,6 +142,7 @@ def classify_inputs(
 
     `mpi` promotes every C/C++ input to the MPI toolchain.  A qasm-only
     invocation is emit-only (no link step) unless `standalone` asks to link it.
+    A linking plan gives each qasm input its own ``run_<symbol>``.
     """
     if not paths:
         raise QccError("no input files")
@@ -164,6 +165,12 @@ def classify_inputs(
     link = None
     if not quantum_only or standalone:
         link = LinkStep(tuple(t.object_path for t in tasks), output)
+        owners: dict[str, str] = {}  # kernel symbol -> the qasm input that defines it
+        for task in (t for t in tasks if t.kind == "qasm"):
+            symbol = kernel_symbol(task.path)
+            if symbol in owners:
+                raise QccError(f"{owners[symbol]} and {task.path} both define the kernel symbol run_{symbol}")
+            owners[symbol] = task.path
     return BuildPlan(tuple(tasks), link, build_dir)
 
 

@@ -8,18 +8,14 @@ with qreg a[2]; qreg b[3]; numbers its qubits a[0]=0, a[1]=1, b[0]=2,
 b[1]=3, b[2]=4.  A classical condition is a field of the Inst it guards:
 ``condition=(creg_id, value)`` runs the op iff that creg equals the value.
 
-The module also builds the gate dependency DAG that routing reads:
-three lists indexed by node id, built once and reversed by swapping its two
-edge lists.  Node ids follow program order, so in a DAG that ``build_dag``
-made, id order is topological; in its reversal it is the reverse.  Barriers
-are not DAG nodes: they contribute ordering edges only, so node counts and
-depth reflect actual gates.
+One walk, ``_dependencies``, states what each op must wait for; the gate
+dependency DAG that routing reads and the circuit depth both come from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -144,15 +140,12 @@ class GateDag(NamedTuple):
     """Def-use dependency graph over gate instructions, as three lists indexed
     by node id.
 
-    Nodes are Inst ops (gates, measures, resets, conditioned or not); edges
-    connect each gate to the next gate on every shared qubit.  Barriers add
-    edges from every gate before the barrier on its qubit set to every gate
-    after it, without becoming nodes themselves.
-
-    ``nodes[i].node_id == i``, and ``successors[i]`` and ``predecessors[i]``
-    are ascending and hold no duplicates.  In a DAG that ``build_dag`` made
-    every edge goes to a higher id, so id order is a topological order; in
-    its reversal every edge goes to a lower id.
+    Nodes are Inst ops (gates, measures, resets, conditioned or not), and
+    the edges are ``_dependencies``'.  ``nodes[i].node_id == i``, and
+    ``successors[i]`` and ``predecessors[i]`` are ascending and hold no
+    duplicates.  In a DAG that ``build_dag`` made every edge goes to a
+    higher id, so id order is a topological order; in its reversal every
+    edge goes to a lower id.
     """
 
     nodes: list[DagNode]
@@ -168,27 +161,27 @@ class GateDag(NamedTuple):
         return GateDag(self.nodes, self.predecessors, self.successors)
 
 
-def build_dag(program: QuantumProgram) -> GateDag:
-    """Build the def-use DAG for a program's gate instructions.
+def _dependencies(program: QuantumProgram) -> Iterator[tuple[Inst, tuple[int, ...], set[int]]]:
+    """Yield each Inst in program order with its qubit ids and the ids of the earlier Insts it must follow.
 
-    A conditioned op is serialized against the classical register it reads:
-    it depends on every earlier measurement into that creg, and later
-    measurements into the creg depend on it.  A measurement's result is
-    registered before its own condition, so a conditioned measurement orders
-    after earlier readers of its bit and before later ones, and one that reads
-    the creg it writes gets no edge to itself.  Measurements into distinct
-    bits are otherwise independent.  Node ids follow program order.
+    An Inst's id is its position among the program's Insts.  An Inst follows
+    the last Inst on each of its qubits.  A barrier is not given an id: a
+    later Inst on any qubit it fences follows what an Inst on any of its
+    qubits would have followed there.  A conditioned op is serialized against
+    the classical register it reads: it follows every earlier measurement
+    into that creg, and later measurements into the creg follow it.  A
+    measurement's result is registered before its own condition, so a
+    conditioned measurement orders after earlier readers of its bit and
+    before later ones, and one that reads the creg it writes gets no edge to
+    itself.  Measurements into distinct bits are otherwise independent.
     """
-    nodes: list[DagNode] = []
-    successors: list[list[int]] = []
-    predecessors: list[list[int]] = []
-    # Per qubit: the nodes any later gate on that qubit must follow, which is
-    # its last node or, after a barrier, the barrier's fence.
+    # Per qubit: the Insts any later Inst on that qubit must follow, which is
+    # its last Inst or, after a barrier, the barrier's fence.
     last: dict[int, tuple[int, ...] | set[int]] = {}
     last_bit_writer: dict[tuple[int, int], int] = {}
     creg_writers: dict[int, list[int]] = {}
     creg_barrier: dict[int, int] = {}
-
+    nid = 0
     for op in program.ops:
         qubits = op_qubits(op)
         if isinstance(op, Barrier):
@@ -196,7 +189,6 @@ def build_dag(program: QuantumProgram) -> GateDag:
             for q in qubits:
                 last[q] = fence
             continue
-        nid = len(nodes)
         preds: set[int] = set()
         for q in qubits:
             preds.update(last.get(q, ()))
@@ -218,6 +210,16 @@ def build_dag(program: QuantumProgram) -> GateDag:
                 preds.add(creg_barrier[creg])
             creg_barrier[creg] = nid
             creg_writers[creg] = []
+        yield op, qubits, preds
+        nid += 1
+
+
+def build_dag(program: QuantumProgram) -> GateDag:
+    """Build the def-use DAG of a program's Insts; node ids follow program order."""
+    nodes: list[DagNode] = []
+    successors: list[list[int]] = []
+    predecessors: list[list[int]] = []
+    for nid, (op, qubits, preds) in enumerate(_dependencies(program)):
         nodes.append(DagNode(nid, op.name, op.params, qubits, op.result, op.condition))
         predecessors.append(sorted(preds))
         successors.append([])
@@ -227,45 +229,12 @@ def build_dag(program: QuantumProgram) -> GateDag:
 
 
 def circuit_depth(program: QuantumProgram) -> int:
-    """Length in gates of the longest dependency chain of ``build_dag(program)``; 0 for no gates.
-
-    One pass over the ops, without the DAG: each wire keeps the level (the
-    longest chain ending there) of the nodes a later op on it must follow,
-    and an op's level is one more than the highest level among its wires.
-    The wires are ``build_dag``'s edges: each qubit, each classical bit's
-    last writer, each creg's writers since its last reader, and each
-    creg's last reader.  A barrier adds no level; it fences its qubits at
-    their highest one.
-    """
-    qubit: dict[int, int] = {}
-    bit: dict[tuple[int, int], int] = {}
-    writers: dict[int, int] = {}
-    reader: dict[int, int] = {}
-    depth = 0
-    for op in program.ops:
-        qubits = op_qubits(op)
-        level = max([qubit.get(q, 0) for q in qubits], default=0)
-        if isinstance(op, Inst):
-            result, condition = op.result, op.condition
-            if result is not None:
-                written = (result.creg_id, result.index)
-                level = max(level, bit.get(written, 0), reader.get(result.creg_id, 0))
-            if condition is not None:
-                # writers as they stand before this op's own write: a measurement
-                # into the creg it reads follows earlier writers only
-                level = max(level, writers.get(condition[0], 0), reader.get(condition[0], 0))
-            level += 1
-            if result is not None:
-                bit[written] = level
-                writers[result.creg_id] = max(writers.get(result.creg_id, 0), level)
-            if condition is not None:
-                reader[condition[0]] = level
-                writers[condition[0]] = 0
-            if level > depth:
-                depth = level
-        for q in qubits:
-            qubit[q] = level
-    return depth
+    """Length in gates of the longest dependency chain, the longest path of
+    ``build_dag(program)`` without building it; 0 for no gates."""
+    levels: list[int] = []
+    for _, _, preds in _dependencies(program):
+        levels.append(1 + max([levels[p] for p in preds], default=0))
+    return max(levels, default=0)
 
 
 def gate_counts(program: QuantumProgram) -> dict[str, int]:

@@ -1,7 +1,7 @@
 """OpenQASM 2.0 frontend: lexing, parsing, validation and IR lowering."""
 
-from .ast import QasmAst, to_qasm
+from .ast import QasmAst
 from .lower import lower_ast_to_ir
 from .parser import parse_qasm
 
-__all__ = ["QasmAst", "to_qasm", "parse_qasm", "lower_ast_to_ir"]
+__all__ = ["QasmAst", "parse_qasm", "lower_ast_to_ir"]

@@ -1,10 +1,10 @@
 """Abstract syntax tree for OpenQASM 2.0.
 
 Source spans and the file name are carried for diagnostics but excluded
-from equality, so an AST compares equal to the AST of its own pretty-printed
-text.  Parameter expressions at the top level are already evaluated to
-floats; inside gate bodies they stay symbolic trees because they may
-reference formal parameters.
+from equality, so two parses of the same program compare equal however its
+text is laid out.  Parameter expressions at the top level are already
+evaluated to floats; inside gate bodies they stay symbolic trees because
+they may reference formal parameters.
 """
 
 from __future__ import annotations
@@ -120,24 +120,6 @@ def evaluate(expr: Expr, env: dict[str, float], span: SourceSpan | None = None) 
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def expr_to_qasm(expr: Expr | float) -> str:
-    if isinstance(expr, float):
-        return repr(expr)
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Pi):
-        return "pi"
-    if isinstance(expr, Param):
-        return expr.name
-    if isinstance(expr, Neg):
-        return f"(-{expr_to_qasm(expr.operand)})"
-    if isinstance(expr, BinOp):
-        return f"({expr_to_qasm(expr.lhs)} {expr.op} {expr_to_qasm(expr.rhs)})"
-    if isinstance(expr, Call):
-        return f"{expr.func}({expr_to_qasm(expr.operand)})"
-    raise TypeError(f"not an expression: {expr!r}")
-
-
 # --- statements ---------------------------------------------------------------
 
 
@@ -215,51 +197,3 @@ class QasmAst:
     gate_defs: list[GateDef]
     statements: list[Statement]
     filename: str | None = field(default=None, compare=False)
-
-
-# --- pretty printer -----------------------------------------------------------
-
-
-def _arg_to_qasm(arg: Argument) -> str:
-    if arg.index is None:
-        return arg.reg
-    return f"{arg.reg}[{arg.index}]"
-
-
-def _stmt_to_qasm(stmt: Statement) -> str:
-    if isinstance(stmt, GateCall):
-        params = ""
-        if stmt.params:
-            params = "(" + ", ".join(expr_to_qasm(p) for p in stmt.params) + ")"
-        args = ", ".join(_arg_to_qasm(a) for a in stmt.qargs)
-        return f"{stmt.name}{params} {args};"
-    if isinstance(stmt, Measure):
-        return f"measure {_arg_to_qasm(stmt.qarg)} -> {_arg_to_qasm(stmt.carg)};"
-    if isinstance(stmt, Reset):
-        return f"reset {_arg_to_qasm(stmt.qarg)};"
-    if isinstance(stmt, BarrierStmt):
-        return "barrier " + ", ".join(_arg_to_qasm(a) for a in stmt.qargs) + ";"
-    if isinstance(stmt, IfStatement):
-        return f"if ({stmt.creg} == {stmt.value}) " + _stmt_to_qasm(stmt.body)
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def to_qasm(ast: QasmAst) -> str:
-    """Render an AST back to source that parses to an equal AST."""
-    lines = [f"OPENQASM {ast.version};"]
-    for name in ast.includes:
-        lines.append(f'include "{name}";')
-    for decl in ast.declarations:
-        lines.append(f"{decl.kind} {decl.name}[{decl.size}];")
-    for gdef in ast.gate_defs:
-        params = ""
-        if gdef.params:
-            params = "(" + ", ".join(gdef.params) + ")"
-        header = f"gate {gdef.name}{params} " + ", ".join(gdef.qubits) + " {"
-        lines.append(header)
-        for stmt in gdef.body:
-            lines.append("  " + _stmt_to_qasm(stmt))
-        lines.append("}")
-    for stmt in ast.statements:
-        lines.append(_stmt_to_qasm(stmt))
-    return "\n".join(lines) + "\n"

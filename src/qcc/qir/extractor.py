@@ -32,6 +32,9 @@ _QIS = "__quantum__qis__"
 _RT = "__quantum__rt__"
 _ALLOCATE = "__quantum__rt__qubit_allocate_array"
 _ELEMENT = "__quantum__rt__array_get_element_ptr"
+_RELEASE = "__quantum__rt__qubit_release_array"
+# The other runtime calls of the emitted frame, by their exact operands; a release is matched apart.
+_FRAME = {"__quantum__rt__initialize": (("i8*", "null"),), "__quantum__rt__finalize": ()}
 
 
 class ExtractedGate(NamedTuple):
@@ -162,7 +165,10 @@ def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], Qu
                 raise ExtractionError(f"line {line}: bitcast of untracked value {values[0]}")
             logical = element_of[values[0]]
             qubit_of[r.result] = QubitRef(logical)
-        elif not (r.opcode == "call" and r.name.startswith(_RT) and r.name not in (_ALLOCATE, _ELEMENT)):
+        elif not (
+            r.opcode == "call" and r.result is None and r.type == "void"
+            and (_FRAME.get(r.name) == typed or (r.name == _RELEASE and types == ("%Array*",) and values[0] in arrays))
+        ):
             what = f"call to @{r.name}" if r.opcode == "call" else f"{r.opcode} instruction"
             raise ExtractionError(f"line {line}: {what} is outside the extractable subset of straight-line kernels")
 

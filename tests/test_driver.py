@@ -166,6 +166,30 @@ def test_classify_duplicate_stems(workspace):
         classify_inputs([a, str(b)], build_dir=str(tmp_path))
 
 
+def test_classify_rejects_colliding_kernel_symbols_when_linking(workspace):
+    tmp_path, _, source, _ = workspace
+    a, b, host = source("a-b.qasm", GHZ2), source("a_b.qasm", GHZ2), source("host.cpp", "")
+    with pytest.raises(QccError, match=f"^{a} and {b} both define the kernel symbol run_a_b$"):
+        classify_inputs([a, b, host], output=str(tmp_path / "app"), build_dir=str(tmp_path))
+    # emit-only builds write one module per input and link nothing
+    plan = classify_inputs([a, b], build_dir=str(tmp_path))
+    assert plan.link_step is None and len(plan.tasks) == 2
+
+
+def test_cli_colliding_kernel_symbols_fail_before_any_step(workspace, tmp_path, capsys):
+    _, _, source, config = workspace
+    tc = tmp_path / "tc.json"
+    tc.write_text(json.dumps({"cxx_cmd": config.cxx_cmd, "linker_cmd": config.linker_cmd}))
+    a, b, host = source("a-b.qasm", GHZ2), source("a_b.qasm", GHZ2), source("host.cpp", "")
+    build = tmp_path / "build"
+    argv = ["build", a, b, host, "-o", str(tmp_path / "app"), "--build-dir", str(build), "--toolchain-config", str(tc)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"error: {a} and {b} both define the kernel symbol run_a_b"
+    assert not build.exists() and not (tmp_path / "app").exists()
+
+
 def test_kernel_symbol_sanitizes():
     assert kernel_symbol("/tmp/my-circuit.v2.qasm") == "my_circuit_v2"
     assert kernel_symbol("123.qasm") == "q_123"  # leading digit gets a prefix
@@ -900,6 +924,18 @@ def test_cli_measure_and_reset_outside_their_form_are_a_diagnostic(tmp_path, cap
 MEASURE_M0 = "%5 = call %Result* @__quantum__qis__m(%Qubit* %2)"
 
 
+def _bell_module_with(tmp_path, capsys, after, line):
+    """An emitted, measured Bell module with `line` added after the line `after`; its path and the added line's number."""
+    circ = tmp_path / "bell.qasm"
+    circ.write_text(GHZ2 + "creg c[2];\nmeasure q -> c;\n")
+    assert main(["build", str(circ), "--build-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    qir = tmp_path / "bell.qir.ll"
+    text = qir.read_text()
+    qir.write_text(text.replace(f"  {after}\n", f"  {after}\n  {line}\n", 1))
+    return qir, text[: text.index(after)].count("\n") + 2
+
+
 @pytest.mark.parametrize(
     "after, line, name",
     [
@@ -912,18 +948,33 @@ MEASURE_M0 = "%5 = call %Result* @__quantum__qis__m(%Qubit* %2)"
 )
 @pytest.mark.parametrize("argv", [["extract"], ["simulate"], ["metrics", "--opt-level", "1"]], ids=lambda a: a[0])
 def test_cli_ssa_value_bound_twice_is_a_diagnostic(tmp_path, capsys, after, line, name, argv):
-    circ = tmp_path / "bell.qasm"
-    circ.write_text(GHZ2 + "creg c[2];\nmeasure q -> c;\n")
-    assert main(["build", str(circ), "--build-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
-    qir = tmp_path / "bell.qir.ll"
-    text = qir.read_text()
-    qir.write_text(text.replace(f"  {after}\n", f"  {after}\n  {line}\n", 1))
-    number = text[: text.index(after)].count("\n") + 2
+    qir, number = _bell_module_with(tmp_path, capsys, after, line)
     assert main([argv[0], str(qir), *argv[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == f"{qir}: error: line {number}: SSA value {name} bound twice"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "%99 = call i8* @__quantum__rt__bogus_thing(i64 3)",
+        "call void @__quantum__rt__qubit_release_array(%Array* %99)",  # not an allocated array
+        "call void @__quantum__rt__initialize(i8* %3)",
+        "%99 = call void @__quantum__rt__finalize()",
+    ],
+    ids=["unknown", "release-of-unknown-array", "initialize-with-operand", "finalize-defining-a-value"],
+)
+@pytest.mark.parametrize("argv", [["extract"], ["simulate"], ["metrics", "--opt-level", "1"]], ids=lambda a: a[0])
+def test_cli_runtime_call_outside_the_frame_is_a_diagnostic(tmp_path, capsys, line, argv):
+    qir, number = _bell_module_with(tmp_path, capsys, "%4 = bitcast i8* %3 to %Qubit*", line)
+    callee = line[line.index("@") + 1 : line.index("(")]
+    assert main([argv[0], str(qir), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        f"{qir}: error: line {number}: call to @{callee} is outside the extractable subset of straight-line kernels"
+    )
 
 
 def test_cli_simulate_qasm_and_qir_agree(tmp_path, capsys):

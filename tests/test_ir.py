@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from qcc.benchmarks import benchmark_source, list_benchmarks
-from qcc.ir import GateDag, build_dag, circuit_depth, gate_counts, instruction_kind, Inst
+from qcc.ir import Barrier, GateDag, Inst, build_dag, circuit_depth, gate_counts, instruction_kind, op_qubits
 from qcc.optimizer import optimize
 from qcc.routing import CouplingGraph, route_program
 
@@ -250,6 +250,46 @@ def test_dag_invariants(program):
     assert transpose == dag.predecessors
     assert dag.reversed().reversed() == dag
     assert circuit_depth(program) == _brute_force_depth(dag)
+
+
+def _must_follow(a, b) -> bool:
+    """Whether op b, later in program order, must run after op a, from IR semantics alone.
+
+    A barrier counts as an op on its qubits, so barriers that share a qubit
+    order each other and a chain of them fences across all their qubits.
+    """
+    if set(op_qubits(a)) & set(op_qubits(b)):
+        return True
+    if isinstance(a, Barrier) or isinstance(b, Barrier):
+        return False
+    if a.result is not None and a.result == b.result:  # the same bit written twice
+        return True
+    reads_a, reads_b = (op.condition[0] if op.condition else None for op in (a, b))
+    writes_a, writes_b = (op.result.creg_id if op.result else None for op in (a, b))
+    return reads_a is not None and reads_a in (reads_b, writes_b) or writes_a is not None and writes_a == reads_b
+
+
+@settings(max_examples=400)
+@given(classical_circuits(5))
+def test_dependencies_match_a_pairwise_oracle(program):
+    """build_dag's reachability is the transitive closure of _must_follow over the
+    Insts, and circuit_depth is the longest chain of it counted in Insts."""
+    ops = program.ops
+    follows: list[set[int]] = []  # per op: the earlier ops it transitively follows
+    chain: list[int] = []  # per op: the most Insts on a chain that ends with it
+    for j, op in enumerate(ops):
+        direct = [i for i in range(j) if _must_follow(ops[i], op)]
+        follows.append(set(direct).union(*(follows[i] for i in direct)))
+        chain.append(isinstance(op, Inst) + max((chain[i] for i in direct), default=0))
+    inst_id = {j: k for k, j in enumerate(j for j, op in enumerate(ops) if isinstance(op, Inst))}
+    expected = [{inst_id[i] for i in follows[j] if i in inst_id} for j in inst_id]
+
+    dag = build_dag(program)
+    reach: list[set[int]] = []
+    for preds in dag.predecessors:
+        reach.append(set(preds).union(*(reach[p] for p in preds)))
+    assert reach == expected
+    assert circuit_depth(program) == max(chain, default=0)
 
 
 def test_depth_matches_brute_force_on_corpus(corpus_programs):

@@ -13,8 +13,10 @@ import pytest
 import qcc
 from qcc.cli import main
 from qcc.errors import QasmSemanticError, QasmSyntaxError
-from qcc.qasm import lower_ast_to_ir, parse_qasm, parser, to_qasm
-from qcc.qasm.ast import Argument, GateCall, Measure, RegDecl
+from qcc.qasm import lower_ast_to_ir, parse_qasm, parser
+from qcc.qasm.ast import (
+    Argument, BarrierStmt, BinOp, Call, GateCall, IfStatement, Measure, Neg, Num, Param, Pi, RegDecl, Reset
+)
 from qcc.qasm.parser import MAX_EXPR_DEPTH, MAX_INT_DIGITS, MAX_PROGRAM_OPS, MAX_PROGRAM_QUBITS
 
 GHZ = """OPENQASM 2.0;
@@ -345,6 +347,72 @@ def test_measure_size_mismatch_rejected():
     src = "OPENQASM 2.0;\nqreg q[3];\ncreg c[2];\nmeasure q -> c;\n"
     with pytest.raises(QasmSemanticError, match="size"):
         parse_qasm(src)
+
+
+# The printer is the oracle of the round-trip tests: source that parses to an equal AST.
+
+
+def expr_to_qasm(expr) -> str:
+    if isinstance(expr, float):
+        return repr(expr)
+    if isinstance(expr, Num):
+        return repr(expr.value)
+    if isinstance(expr, Pi):
+        return "pi"
+    if isinstance(expr, Param):
+        return expr.name
+    if isinstance(expr, Neg):
+        return f"(-{expr_to_qasm(expr.operand)})"
+    if isinstance(expr, BinOp):
+        return f"({expr_to_qasm(expr.lhs)} {expr.op} {expr_to_qasm(expr.rhs)})"
+    if isinstance(expr, Call):
+        return f"{expr.func}({expr_to_qasm(expr.operand)})"
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def _arg_to_qasm(arg) -> str:
+    if arg.index is None:
+        return arg.reg
+    return f"{arg.reg}[{arg.index}]"
+
+
+def _stmt_to_qasm(stmt) -> str:
+    if isinstance(stmt, GateCall):
+        params = ""
+        if stmt.params:
+            params = "(" + ", ".join(expr_to_qasm(p) for p in stmt.params) + ")"
+        args = ", ".join(_arg_to_qasm(a) for a in stmt.qargs)
+        return f"{stmt.name}{params} {args};"
+    if isinstance(stmt, Measure):
+        return f"measure {_arg_to_qasm(stmt.qarg)} -> {_arg_to_qasm(stmt.carg)};"
+    if isinstance(stmt, Reset):
+        return f"reset {_arg_to_qasm(stmt.qarg)};"
+    if isinstance(stmt, BarrierStmt):
+        return "barrier " + ", ".join(_arg_to_qasm(a) for a in stmt.qargs) + ";"
+    if isinstance(stmt, IfStatement):
+        return f"if ({stmt.creg} == {stmt.value}) " + _stmt_to_qasm(stmt.body)
+    raise TypeError(f"not a statement: {stmt!r}")
+
+
+def to_qasm(ast) -> str:
+    """Render an AST back to source that parses to an equal AST."""
+    lines = [f"OPENQASM {ast.version};"]
+    for name in ast.includes:
+        lines.append(f'include "{name}";')
+    for decl in ast.declarations:
+        lines.append(f"{decl.kind} {decl.name}[{decl.size}];")
+    for gdef in ast.gate_defs:
+        params = ""
+        if gdef.params:
+            params = "(" + ", ".join(gdef.params) + ")"
+        header = f"gate {gdef.name}{params} " + ", ".join(gdef.qubits) + " {"
+        lines.append(header)
+        for stmt in gdef.body:
+            lines.append("  " + _stmt_to_qasm(stmt))
+        lines.append("}")
+    for stmt in ast.statements:
+        lines.append(_stmt_to_qasm(stmt))
+    return "\n".join(lines) + "\n"
 
 
 def test_roundtrip_ghz():
