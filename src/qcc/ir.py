@@ -161,57 +161,49 @@ class GateDag(NamedTuple):
         return GateDag(self.nodes, self.predecessors, self.successors)
 
 
-def _dependencies(program: QuantumProgram) -> Iterator[tuple[Inst, tuple[int, ...], set[int]]]:
-    """Yield each Inst in program order with its qubit ids and the ids of the earlier Insts it must follow.
+def _dependencies(program: QuantumProgram) -> Iterator[tuple[IrOp, tuple[int, ...], set[int]]]:
+    """Yield each op in program order with its qubit ids and the ids of the earlier ops it must follow.
 
-    An Inst's id is its position among the program's Insts.  An Inst follows
-    the last Inst on each of its qubits.  A barrier is not given an id: a
-    later Inst on any qubit it fences follows what an Inst on any of its
-    qubits would have followed there.  A conditioned op is serialized against
-    the classical register it reads: it follows every earlier measurement
-    into that creg, and later measurements into the creg follow it.  A
-    measurement's result is registered before its own condition, so a
-    conditioned measurement orders after earlier readers of its bit and
-    before later ones, and one that reads the creg it writes gets no edge to
-    itself.  Measurements into distinct bits are otherwise independent.
+    An op's id is its position in ``program.ops``; it follows the last op on
+    each of its qubits, one id per qubit.  A barrier stands for its fence:
+    what follows it follows every Inst the barrier follows, directly or
+    through earlier barriers, and it adds no gate to a chain.  A conditioned
+    op is serialized against the classical register it reads: it follows
+    every earlier measurement into that creg, and later measurements into
+    the creg follow it.  A measurement's result is registered before its own
+    condition, so a conditioned measurement orders after earlier readers of
+    its bit and before later ones, and one that reads the creg it writes
+    gets no edge to itself.  Measurements into distinct bits are otherwise
+    independent.
     """
-    # Per qubit: the Insts any later Inst on that qubit must follow, which is
-    # its last Inst or, after a barrier, the barrier's fence.
-    last: dict[int, tuple[int, ...] | set[int]] = {}
+    last: dict[int, int] = {}
     last_bit_writer: dict[tuple[int, int], int] = {}
     creg_writers: dict[int, list[int]] = {}
     creg_barrier: dict[int, int] = {}
-    nid = 0
-    for op in program.ops:
+    for i, op in enumerate(program.ops):
         qubits = op_qubits(op)
-        if isinstance(op, Barrier):
-            fence = set().union(*(last.get(q, ()) for q in qubits))
-            for q in qubits:
-                last[q] = fence
-            continue
-        preds: set[int] = set()
+        preds = {last[q] for q in qubits if q in last}
         for q in qubits:
-            preds.update(last.get(q, ()))
-            last[q] = (nid,)
-        if op.result is not None:
-            creg = op.result.creg_id
-            bit = (creg, op.result.index)
-            if bit in last_bit_writer:
-                preds.add(last_bit_writer[bit])
-            if creg in creg_barrier:
-                preds.add(creg_barrier[creg])
-            last_bit_writer[bit] = nid
-            creg_writers.setdefault(creg, []).append(nid)
-        if op.condition is not None:
-            creg = op.condition[0]
-            preds.update(creg_writers.get(creg, ()))
-            preds.discard(nid)
-            if creg in creg_barrier:
-                preds.add(creg_barrier[creg])
-            creg_barrier[creg] = nid
-            creg_writers[creg] = []
+            last[q] = i
+        if isinstance(op, Inst):
+            if op.result is not None:
+                creg = op.result.creg_id
+                bit = (creg, op.result.index)
+                if bit in last_bit_writer:
+                    preds.add(last_bit_writer[bit])
+                if creg in creg_barrier:
+                    preds.add(creg_barrier[creg])
+                last_bit_writer[bit] = i
+                creg_writers.setdefault(creg, []).append(i)
+            if op.condition is not None:
+                creg = op.condition[0]
+                preds.update(creg_writers.get(creg, ()))
+                preds.discard(i)
+                if creg in creg_barrier:
+                    preds.add(creg_barrier[creg])
+                creg_barrier[creg] = i
+                creg_writers[creg] = []
         yield op, qubits, preds
-        nid += 1
 
 
 def build_dag(program: QuantumProgram) -> GateDag:
@@ -219,9 +211,19 @@ def build_dag(program: QuantumProgram) -> GateDag:
     nodes: list[DagNode] = []
     successors: list[list[int]] = []
     predecessors: list[list[int]] = []
-    for nid, (op, qubits, preds) in enumerate(_dependencies(program)):
+    # Per op: what an op that follows it must follow, an Inst's node or a barrier's fence.
+    ends: list[tuple[int, ...] | set[int]] = []
+    for op, qubits, preds in _dependencies(program):
+        deps: set[int] = set()
+        for p in preds:
+            deps.update(ends[p])
+        if isinstance(op, Barrier):
+            ends.append(deps)
+            continue
+        nid = len(nodes)
+        ends.append((nid,))
         nodes.append(DagNode(nid, op.name, op.params, qubits, op.result, op.condition))
-        predecessors.append(sorted(preds))
+        predecessors.append(sorted(deps))
         successors.append([])
         for p in predecessors[nid]:
             successors[p].append(nid)
@@ -232,8 +234,9 @@ def circuit_depth(program: QuantumProgram) -> int:
     """Length in gates of the longest dependency chain, the longest path of
     ``build_dag(program)`` without building it; 0 for no gates."""
     levels: list[int] = []
-    for _, _, preds in _dependencies(program):
-        levels.append(1 + max([levels[p] for p in preds], default=0))
+    for op, _, preds in _dependencies(program):
+        level = max([levels[p] for p in preds]) if preds else 0
+        levels.append(level + 1 if isinstance(op, Inst) else level)
     return max(levels, default=0)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from qcc.benchmarks import benchmark_source, list_benchmarks
-from qcc.ir import Barrier, GateDag, Inst, build_dag, circuit_depth, gate_counts, instruction_kind, op_qubits
+from qcc.ir import Barrier, GateDag, Inst, _dependencies, build_dag, circuit_depth, gate_counts, instruction_kind, op_qubits
 from qcc.optimizer import optimize
 from qcc.routing import CouplingGraph, route_program
 
@@ -112,6 +112,21 @@ def test_barrier_on_an_already_fenced_qubit_joins_the_fences():
     # q[1] is fenced by the first barrier, so the second one fences h q[0] as well.
     assert dag.successors == [[3, 4, 5], [3, 4, 5], [4, 5], [], [], []]
     assert circuit_depth(prog) == 2
+
+
+@pytest.mark.parametrize(
+    "width, layer",
+    [(2, "h q[0];\nbarrier q[0],q[1];\n"), (4, "h q[0];\nh q[1];\nh q[2];\nbarrier q;\n")],
+    ids=["pair", "register"],
+)
+def test_barrier_ladder_over_an_idle_qubit_keeps_the_walk_linear(width, layer):
+    # The last qubit never gets a gate, so each fence that covers it covers
+    # every Inst before it; the walk must still name one earlier op per qubit.
+    layers = 300
+    prog = qasm_program(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{width}];\n' + layer * layers)
+    walk = list(_dependencies(prog))
+    assert sum(len(preds) for _, _, preds in walk) <= sum(len(qubits) for _, qubits, _ in walk)
+    assert circuit_depth(prog) == layers
 
 
 def test_conditionals_chain_classically():
