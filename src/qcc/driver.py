@@ -280,10 +280,7 @@ def read_program(path: str) -> QuantumProgram:
     with in_file(path):
         if _is_qasm(path):
             return lower_ast_to_ir(parse_qasm(_read_text(path), filename=path))
-        kernels = read_kernels(path)
-        if len(kernels) != 1:
-            raise QccError(f"expected exactly one quantum kernel, found {len(kernels)}")
-        return extract_program(kernels[0])[1]
+        return extract_program(_read_text(path))[1]
 
 
 def compile_program(program: QuantumProgram, opts: QuantumOptions, filename: str) -> tuple[QuantumProgram, dict]:

@@ -7,7 +7,10 @@ dependency.
 
 Conventions fixed here and relied on by the extractor:
 
-* the runtime frame comes from ``program.registers``, not from the op list:
+* ``RUNTIME`` states the runtime frame, each ``__quantum__rt__`` function's
+  return and operand types: every runtime ``declare`` and ``call`` line is
+  written from it, and the extractor checks each runtime call against it.
+  The calls come from ``program.registers``, not from the op list:
   ``__quantum__rt__initialize`` first, then one
   ``__quantum__rt__qubit_allocate_array`` per register in declaration order,
   and at the end one ``__quantum__rt__qubit_release_array`` per register in
@@ -18,9 +21,8 @@ Conventions fixed here and relied on by the extractor:
 * measurement is ``%Result* @__quantum__qis__m(%Qubit*)`` and the mapping
   from result values to classical register bits is recorded positionally in
   the module's comment header, which the extractor does not read;
-* an op with ``condition=(creg, n)`` compares through an opaque runtime
-  predicate ``i1 @__quantum__rt__creg_equal(i64, i64)`` and branches over
-  the op.
+* an op with ``condition=(creg, n)`` compares through the opaque runtime
+  predicate ``__quantum__rt__creg_equal`` and branches over the op.
   Branching kernels are deliberately outside what the extractor accepts.
 
 This module only writes QIR; ``reader.py`` reads and verifies it.
@@ -41,14 +43,14 @@ from ..ir import (
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
-# Declarations are emitted in this order, so emission is byte-stable.
-_RT_SIGNATURES = {
-    "__quantum__rt__initialize": "declare void @__quantum__rt__initialize(i8*)",
-    "__quantum__rt__finalize": "declare void @__quantum__rt__finalize()",
-    "__quantum__rt__qubit_allocate_array": "declare %Array* @__quantum__rt__qubit_allocate_array(i64)",
-    "__quantum__rt__qubit_release_array": "declare void @__quantum__rt__qubit_release_array(%Array*)",
-    "__quantum__rt__array_get_element_ptr": "declare i8* @__quantum__rt__array_get_element_ptr(%Array*, i64)",
-    "__quantum__rt__creg_equal": "declare i1 @__quantum__rt__creg_equal(i64, i64)",
+# Runtime function -> (return type, operand types), in the order its declarations are emitted.
+RUNTIME = {
+    "__quantum__rt__initialize": ("void", ("i8*",)),
+    "__quantum__rt__finalize": ("void", ()),
+    "__quantum__rt__qubit_allocate_array": ("%Array*", ("i64",)),
+    "__quantum__rt__qubit_release_array": ("void", ("%Array*",)),
+    "__quantum__rt__array_get_element_ptr": ("i8*", ("%Array*", "i64")),
+    "__quantum__rt__creg_equal": ("i1", ("i64", "i64")),
 }
 
 
@@ -81,7 +83,6 @@ class _Emitter:
         self.next_label = 0
         self.qis_used: list[str] = []  # first-use order, signature lines
         self.rt_used: set[str] = set()
-        self.array_ssa: list[str] = []  # %Array* value per register
         self.qubit_ssa: dict[int, str] = {}  # logical id -> %Qubit* value
         self.result_lines: list[str] = []
 
@@ -90,9 +91,14 @@ class _Emitter:
         self.next_ssa += 1
         return name
 
-    def rt(self, name: str) -> str:
+    def rt(self, name: str, *values) -> str | None:
+        """Append a call of runtime function `name` on `values`; the value it defines, or None for a void one."""
         self.rt_used.add(name)
-        return f"@{name}"
+        returns, types = RUNTIME[name]
+        call = f"call {returns} @{name}({', '.join(f'{t} {v}' for t, v in zip(types, values))})"
+        result = None if returns == "void" else self.ssa()
+        self.body.append(f"  {result} = {call}" if result else f"  {call}")
+        return result
 
     def qis(self, name: str, signature: str) -> str:
         line = signature
@@ -111,9 +117,7 @@ class _Emitter:
         for array, reg in zip(self.array_ssa, self.program.registers):
             for index in range(reg.size):
                 if base + index in used:
-                    gep = self.rt("__quantum__rt__array_get_element_ptr")
-                    raw = self.ssa()
-                    self.body.append(f"  {raw} = call i8* {gep}(%Array* {array}, i64 {index})")
+                    raw = self.rt("__quantum__rt__array_get_element_ptr", array, index)
                     cast = self.ssa()
                     self.body.append(f"  {cast} = bitcast i8* {raw} to %Qubit*")
                     self.qubit_ssa[base + index] = cast
@@ -151,10 +155,7 @@ class _Emitter:
         elif op.condition is None:  # emit_extracts rejected every op but Inst and Barrier
             self.emit_inst(op)
         else:
-            pred = self.rt("__quantum__rt__creg_equal")
-            flag = self.ssa()
-            creg_id, value = op.condition
-            self.body.append(f"  {flag} = call i1 {pred}(i64 {creg_id}, i64 {value})")
+            flag = self.rt("__quantum__rt__creg_equal", *op.condition)
             label = self.next_label
             self.next_label += 1
             self.body.append(f"  br i1 {flag}, label %then.{label}, label %endif.{label}")
@@ -164,27 +165,23 @@ class _Emitter:
             self.body.append(f"endif.{label}:")
 
     def run(self) -> QirModule:
-        init = self.rt("__quantum__rt__initialize")
-        self.body.append(f"  call void {init}(i8* null)")
-        for reg in self.program.registers:
-            alloc = self.rt("__quantum__rt__qubit_allocate_array")
-            value = self.ssa()
-            self.body.append(f"  {value} = call %Array* {alloc}(i64 {reg.size})")
-            self.array_ssa.append(value)
+        self.rt("__quantum__rt__initialize", "null")
+        # the %Array* value of each register
+        self.array_ssa = [self.rt("__quantum__rt__qubit_allocate_array", reg.size) for reg in self.program.registers]
         self.emit_extracts()
         for op in self.program.ops:
             self.emit_op(op)
         for array in reversed(self.array_ssa):
-            release = self.rt("__quantum__rt__qubit_release_array")
-            self.body.append(f"  call void {release}(%Array* {array})")
-        fin = self.rt("__quantum__rt__finalize")
-        self.body.append(f"  call void {fin}()")
+            self.rt("__quantum__rt__qubit_release_array", array)
+        self.rt("__quantum__rt__finalize")
 
         header = [f"; ModuleID = '{self.kernel_name}'", f"; quantum kernel: {self.kernel_name}"]
         header += self.result_lines
         header.append("")
         header += ["%Array = type opaque", "%Qubit = type opaque", "%Result = type opaque", ""]
-        declares = [sig for name, sig in _RT_SIGNATURES.items() if name in self.rt_used]
+        declares = [
+            f"declare {ret} @{name}({', '.join(args)})" for name, (ret, args) in RUNTIME.items() if name in self.rt_used
+        ]
         declares += self.qis_used
         lines = header + declares + [""]
         lines.append(f"define void @{self.kernel_name}() #0 {{")

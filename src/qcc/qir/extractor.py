@@ -2,12 +2,12 @@
 
 ``find_quantum_kernels`` reads a module once with ``reader.read_qir`` and
 hands on each kernel as the records of its body.  The extractor takes those
-records, or a module's text, and accepts the straight-line subset that
-``codegen.py`` emits (its docstring lists the conventions), so hand-written
-kernels following the same pattern work too.  Qubits get logical indices
-densely in allocation order.  Any instruction outside the subset is an
-ExtractionError naming its line, since partial extraction would silently
-drop gates.
+records, or a module's text with one kernel, and accepts the straight-line
+subset that ``codegen.py`` emits (its docstring lists the conventions), so
+hand-written kernels following the same pattern work too.  Qubits get
+logical indices densely in allocation order.  Any instruction outside the
+subset is an ExtractionError naming its line, since partial extraction
+would silently drop gates.
 
 A routed kernel repeats most of its gate calls, so ``extract_program``
 decodes each distinct one once per call: a line whose record matches an
@@ -26,15 +26,11 @@ from ..ir import (
 )
 from ..qasm import qelib1
 from ..qasm.parser import MAX_PROGRAM_QUBITS
+from .codegen import RUNTIME
 from .reader import Record, double_value, int_value, read_qir
 
 _QIS = "__quantum__qis__"
 _RT = "__quantum__rt__"
-_ALLOCATE = "__quantum__rt__qubit_allocate_array"
-_ELEMENT = "__quantum__rt__array_get_element_ptr"
-_RELEASE = "__quantum__rt__qubit_release_array"
-# The other runtime calls of the emitted frame, by their exact operands; a release is matched apart.
-_FRAME = {"__quantum__rt__initialize": (("i8*", "null"),), "__quantum__rt__finalize": ()}
 
 
 class ExtractedGate(NamedTuple):
@@ -61,13 +57,16 @@ def find_quantum_kernels(module_text: str) -> list[list[Record]]:
 
 
 def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], QuantumProgram]:
-    """Gate records and the equivalent program of a module's text or a kernel's records.
+    """Gate records and the equivalent program of a module's one kernel, or of a kernel's records.
 
-    Text is read here; records from ``find_quantum_kernels`` are used as they
-    are.  The program's register holds every allocated qubit, every measurement
-    writes the next bit of classical register 0, a standard gate must have
-    its qelib1 arity, and no SSA name is defined twice.
+    Text goes through ``find_quantum_kernels``.  The program's register holds
+    every allocated qubit, every measurement writes the next bit of classical
+    register 0, a standard gate must have its qelib1 arity, no SSA name is
+    defined twice, and each runtime call matches its ``RUNTIME`` signature.
     """
+    kernels = find_quantum_kernels(source) if isinstance(source, str) else [source]
+    if len(kernels) != 1:
+        raise ExtractionError(f"expected exactly one quantum kernel, found {len(kernels)}")
     bound: set[str] = set()  # every SSA name a line has defined, whatever its kind
     qubit_of: dict[str, QubitRef] = {}  # %Qubit* SSA name -> its qubit
     element_of: dict[str, int] = {}  # raw i8* element pointer -> logical index
@@ -80,7 +79,7 @@ def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], Qu
     decoded: dict[tuple, tuple[Inst, str, tuple[int, ...]]] = {}
 
     arity = qelib1.gate_table()
-    for r in read_qir(source) if isinstance(source, str) else source:
+    for r in kernels[0]:
         line = r.line
         if (hit := decoded.get(key := r[1:])) is not None:
             inst, kind, operands = hit
@@ -100,6 +99,8 @@ def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], Qu
         values = [value for _, value in typed]
         if None in values:
             raise ExtractionError(f"line {line}: operand {types[values.index(None)]!r} has no value")
+        matches = RUNTIME.get(r.name) == (r.type, types) and (r.result is None) == (r.type == "void")
+        frame = r.name.removeprefix(_RT) if matches else ""  # a runtime call that matches its signature
         if r.opcode == "call" and r.name.startswith(_QIS):
             name = r.name[len(_QIS):]
             params: list[float] = []
@@ -147,13 +148,13 @@ def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], Qu
                 ops.append(inst)
                 decoded[key] = (inst, kind, operands)
             gates.append(ExtractedGate(kind, name, tuple(params), operands, line))
-        elif r.opcode == "call" and r.name == _ALLOCATE and r.result is not None and types == ("i64",):
+        elif frame == "qubit_allocate_array":
             size = int_value(values[0], line)
             if n_logical + size > MAX_PROGRAM_QUBITS:
                 raise ExtractionError(f"line {line}: kernel allocates more than {MAX_PROGRAM_QUBITS} qubits")
             arrays[r.result] = (n_logical, size)
             n_logical += size
-        elif r.opcode == "call" and r.name == _ELEMENT and r.result is not None and types == ("%Array*", "i64"):
+        elif frame == "array_get_element_ptr":
             array, index = values[0], int_value(values[1], line)
             if array not in arrays:
                 raise ExtractionError(f"line {line}: element pointer from unknown array {array}")
@@ -165,10 +166,8 @@ def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], Qu
                 raise ExtractionError(f"line {line}: bitcast of untracked value {values[0]}")
             logical = element_of[values[0]]
             qubit_of[r.result] = QubitRef(logical)
-        elif not (
-            r.opcode == "call" and r.result is None and r.type == "void"
-            and (_FRAME.get(r.name) == typed or (r.name == _RELEASE and types == ("%Array*",) and values[0] in arrays))
-        ):
+        elif not (frame == "finalize" or frame == "initialize" and values == ["null"]
+                  or frame == "qubit_release_array" and values[0] in arrays):
             what = f"call to @{r.name}" if r.opcode == "call" else f"{r.opcode} instruction"
             raise ExtractionError(f"line {line}: {what} is outside the extractable subset of straight-line kernels")
 

@@ -83,6 +83,21 @@ def test_find_kernels_returns_bodies_in_order():
     assert "__quantum__qis__x" in {r.name for r in kernels[1]}
 
 
+def test_module_text_must_hold_exactly_one_kernel():
+    bell = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\nmeasure q -> c;\n'
+    first = emit_qir(qasm_program(bell), kernel_name="first").text
+    second = emit_qir(qasm_program(bell), kernel_name="second").text
+    # the second kernel's SSA names moved past the first's, so that no name is bound twice
+    text = first + re.sub(r"%(\d+)", lambda m: f"%{int(m[1]) + 10}", second[second.index("define") :])
+    kernels = find_quantum_kernels(text)
+    assert [(len(gates), program.n_qubits) for gates, program in map(extract_program, kernels)] == [(4, 2), (4, 2)]
+    # not one kernel of 8 gates on 4 qubits
+    with pytest.raises(ExtractionError, match="^expected exactly one quantum kernel, found 2$"):
+        extract_program(text)
+    with pytest.raises(ExtractionError, match="^expected exactly one quantum kernel, found 0$"):
+        extract_program(first[: first.index("define")])
+
+
 READ_PATHS = {
     "read_program": lambda one, two: read_program(str(one)).n_qubits == 3,
     "extract": lambda one, two: main(["extract", str(two)]) == 0,
