@@ -266,7 +266,7 @@ def _is_qasm(path: str) -> bool:
 
 
 def read_kernels(path: str) -> list[list[Record]]:
-    """The body records of each quantum kernel of a QIR module, from one read of it.
+    """The records of each quantum kernel of a QIR module, as ``find_quantum_kernels`` gives them.
 
     An OpenQASM source, by its extension, is a diagnostic.
     """

@@ -63,10 +63,6 @@ class NotUnitaryError(QccError):
     """A 2x2 matrix that fails the unitarity check."""
 
 
-class NoValidBasisError(QccError):
-    """No Euler basis produces a sequence expressible in the native set."""
-
-
 class UnsupportedGateError(QccError):
     """A gate that cannot be rewritten into the native set."""
 

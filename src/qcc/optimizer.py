@@ -38,7 +38,6 @@ import numpy as np
 
 from . import gates
 from .errors import (
-    NoValidBasisError,
     NotUnitaryError,
     QasmSemanticError,
     UnsupportedGateError,
@@ -242,9 +241,7 @@ def _shortest_sequence(zyz: tuple, hzyz: tuple, native: NativeGateSet) -> Rotati
             continue
         if best is None or len(merged) < len(best):
             best = merged
-    if best is None:
-        raise NoValidBasisError("no Euler basis is expressible in the native gate set")
-    return best
+    return best  # a native set has rotations about two axes, and each pair of axes is a basis
 
 
 def select_decomposition(matrix: np.ndarray, native: NativeGateSet) -> Rotations | list[Rotations]:

@@ -81,7 +81,7 @@ class _Emitter:
         self.body: list[str] = []
         self.next_ssa = 0
         self.next_label = 0
-        self.qis_used: list[str] = []  # first-use order, signature lines
+        self.qis_used: dict[str, None] = {}  # the declare line of each QIS function, in first-use order
         self.rt_used: set[str] = set()
         self.qubit_ssa: dict[int, str] = {}  # logical id -> %Qubit* value
         self.result_lines: list[str] = []
@@ -101,9 +101,7 @@ class _Emitter:
         return result
 
     def qis(self, name: str, signature: str) -> str:
-        line = signature
-        if line not in self.qis_used:
-            self.qis_used.append(line)
+        self.qis_used[signature] = None
         return f"@__quantum__qis__{name}"
 
     def emit_extracts(self) -> None:
@@ -166,7 +164,6 @@ class _Emitter:
 
     def run(self) -> QirModule:
         self.rt("__quantum__rt__initialize", "null")
-        # the %Array* value of each register
         self.array_ssa = [self.rt("__quantum__rt__qubit_allocate_array", reg.size) for reg in self.program.registers]
         self.emit_extracts()
         for op in self.program.ops:

@@ -21,9 +21,7 @@ next result) and barriers are decoded every time.  ``ExtractedGate`` is a
 from typing import NamedTuple
 
 from ..errors import ExtractionError
-from ..ir import (
-    Barrier, CRegister, Inst, QRegister, QuantumProgram, QubitRef, ResultRef, instruction_kind
-)
+from ..ir import Barrier, CRegister, Inst, QRegister, QuantumProgram, QubitRef, ResultRef, instruction_kind
 from ..qasm import qelib1
 from ..qasm.parser import MAX_PROGRAM_QUBITS
 from .codegen import RUNTIME
@@ -42,18 +40,22 @@ class ExtractedGate(NamedTuple):
 
 
 def find_quantum_kernels(module_text: str) -> list[list[Record]]:
-    """The body records of every function that calls the quantum runtime or a QIS intrinsic, in module order.
+    """The records of every function that calls the quantum runtime or a QIS intrinsic, in module order.
 
-    The records come from one read of the module, so they hold module lines.
+    Each holds the module's define and declare records, then its body's, from one read: they hold module lines.
     A malformed or unterminated define raises here; a bad body line is left to the extractor.
     """
+    symbols: list[Record] = []
     bodies: dict[int, list[Record]] = {}  # define line -> the records of its body
     for record in read_qir(module_text):
         if record.kind == "define" and record.problem is not None:
             raise ExtractionError(f"line {record.line}: {record.problem}")
-        if record.function and record.kind != "close":
+        if record.kind in ("define", "declare"):
+            symbols.append(record)
+        elif record.function and record.kind != "close":
             bodies.setdefault(record.function, []).append(record)
-    return [b for b in bodies.values() if any(r.opcode == "call" and r.name.startswith((_QIS, _RT)) for r in b)]
+    kernels = [b for b in bodies.values() if any(r.opcode == "call" and r.name.startswith((_QIS, _RT)) for r in b)]
+    return [symbols + body for body in kernels]
 
 
 def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], QuantumProgram]:
@@ -63,6 +65,7 @@ def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], Qu
     every allocated qubit, every measurement writes the next bit of classical
     register 0, a standard gate must have its qelib1 arity, no SSA name is
     defined twice, and each runtime call matches its ``RUNTIME`` signature.
+    Only releases of other arrays and ``finalize`` may follow a release.  Last, every callee must be declared.
     """
     kernels = find_quantum_kernels(source) if isinstance(source, str) else [source]
     if len(kernels) != 1:
@@ -71,6 +74,9 @@ def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], Qu
     qubit_of: dict[str, QubitRef] = {}  # %Qubit* SSA name -> its qubit
     element_of: dict[str, int] = {}  # raw i8* element pointer -> logical index
     arrays: dict[str, tuple[int, int]] = {}  # %Array* SSA name -> (first logical index, size)
+    released: set[str] = set()  # %Array* SSA names
+    symbols: set[str] = set()  # the functions the module declares or defines; a kernel may call only these
+    callees: dict[str, int] = {}  # callee -> the line of its first call
     n_logical = 0
     n_measures = 0
     gates: list[ExtractedGate] = []
@@ -89,6 +95,8 @@ def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], Qu
         if r.problem is not None:
             raise ExtractionError(f"line {line}: {r.problem}")
         if r.kind != "inst" or r.opcode == "ret":
+            if r.kind in ("define", "declare"):
+                symbols.add(r.name)
             continue
         if r.result is not None:
             if r.result in bound:
@@ -101,6 +109,10 @@ def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], Qu
             raise ExtractionError(f"line {line}: operand {types[values.index(None)]!r} has no value")
         matches = RUNTIME.get(r.name) == (r.type, types) and (r.result is None) == (r.type == "void")
         frame = r.name.removeprefix(_RT) if matches else ""  # a runtime call that matches its signature
+        if released and frame != "finalize" and (frame != "qubit_release_array" or values[0] in released):
+            raise ExtractionError(f"line {line}: only releases of other qubit arrays and finalize may follow a release")
+        if r.opcode == "call":
+            callees.setdefault(r.name, line)
         if r.opcode == "call" and r.name.startswith(_QIS):
             name = r.name[len(_QIS):]
             params: list[float] = []
@@ -164,12 +176,17 @@ def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], Qu
         elif r.opcode == "bitcast" and r.result is not None and types == ("i8*",) and r.type == "%Qubit*":
             if values[0] not in element_of:
                 raise ExtractionError(f"line {line}: bitcast of untracked value {values[0]}")
-            logical = element_of[values[0]]
-            qubit_of[r.result] = QubitRef(logical)
-        elif not (frame == "finalize" or frame == "initialize" and values == ["null"]
-                  or frame == "qubit_release_array" and values[0] in arrays):
+            qubit_of[r.result] = QubitRef(element_of[values[0]])
+        elif frame == "qubit_release_array" and values[0] in arrays:
+            released.add(values[0])
+            decoded.clear()  # so that a gate after the release reaches the check above
+        elif not (frame == "finalize" or frame == "initialize" and values == ["null"]):
             what = f"call to @{r.name}" if r.opcode == "call" else f"{r.opcode} instruction"
             raise ExtractionError(f"line {line}: {what} is outside the extractable subset of straight-line kernels")
+
+    for callee, first in callees.items():
+        if callee not in symbols:
+            raise ExtractionError(f"line {first}: call to undeclared symbol @{callee}")
 
     program = QuantumProgram(
         registers=[QRegister(name="q", size=n_logical)],

@@ -63,7 +63,7 @@ class CouplingGraph:
             raise CouplingFormatError("n_qubits must be a positive integer")
         pairs: list[tuple[int, int]] = []
         for edge in edges:
-            pair = tuple(edge)
+            pair = tuple(edge) if isinstance(edge, (list, tuple)) else ()
             if len(pair) != 2 or not all(type(x) is int for x in pair):
                 raise CouplingFormatError(f"edge {edge!r} is not a pair of qubit indices")
             u, v = pair

@@ -32,7 +32,7 @@ from qcc.errors import (
     ToolFailure,
     UnknownFileTypeError,
 )
-from qcc.qir import extract_circuit, extract_program
+from qcc.qir import extract_circuit, extract_program, verify_qir_text
 from qcc.routing import MAX_SABRE_ITERATIONS
 
 GHZ2 = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
@@ -924,14 +924,19 @@ def test_cli_measure_and_reset_outside_their_form_are_a_diagnostic(tmp_path, cap
 MEASURE_M0 = "%5 = call %Result* @__quantum__qis__m(%Qubit* %2)"
 
 
-def _bell_module_with(tmp_path, capsys, after, line):
-    """An emitted, measured Bell module with `line` added after the line `after`; its path and the added line's number."""
+def _bell_module(tmp_path, capsys):
+    """An emitted, measured Bell module: its path and its text."""
     circ = tmp_path / "bell.qasm"
     circ.write_text(GHZ2 + "creg c[2];\nmeasure q -> c;\n")
     assert main(["build", str(circ), "--build-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     qir = tmp_path / "bell.qir.ll"
-    text = qir.read_text()
+    return qir, qir.read_text()
+
+
+def _bell_module_with(tmp_path, capsys, after, line):
+    """An emitted, measured Bell module with `line` added after the line `after`; its path and the added line's number."""
+    qir, text = _bell_module(tmp_path, capsys)
     qir.write_text(text.replace(f"  {after}\n", f"  {after}\n  {line}\n", 1))
     return qir, text[: text.index(after)].count("\n") + 2
 
@@ -974,6 +979,57 @@ def test_cli_runtime_call_outside_the_frame_is_a_diagnostic(tmp_path, capsys, li
     assert captured.out == ""
     assert captured.err.strip() == (
         f"{qir}: error: line {number}: call to @{callee} is outside the extractable subset of straight-line kernels"
+    )
+
+
+THREE_COMMANDS = [["extract"], ["simulate"], ["metrics", "--opt-level", "1"]]
+LAST_CAST = "%4 = bitcast i8* %3 to %Qubit*"
+H_CALL = "call void @__quantum__qis__h(%Qubit* %2)"
+RELEASE = "call void @__quantum__rt__qubit_release_array(%Array* %0)"
+
+
+def _cli_error(capsys, qir, argv) -> str:
+    assert main([argv[0], str(qir), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err.strip()
+
+
+@pytest.mark.parametrize("argv", THREE_COMMANDS, ids=lambda a: a[0])
+def test_cli_call_to_an_undeclared_function_is_a_diagnostic(tmp_path, capsys, argv):
+    # a gate the module never declares, called after the last bitcast
+    t_call = "call void @__quantum__qis__t(%Qubit* %2)"
+    qir, number = _bell_module_with(tmp_path, capsys, LAST_CAST, t_call)
+    assert _cli_error(capsys, qir, argv) == f"{qir}: error: line {number}: call to undeclared symbol @__quantum__qis__t"
+    # the emitted h call, once its declaration is gone; the line numbers after the deleted one move up by one
+    text = qir.read_text().replace(f"  {t_call}\n", "")
+    qir.write_text(text.replace("declare void @__quantum__qis__h(%Qubit*)\n", ""))
+    message = f"{qir}: error: line {number - 1}: call to undeclared symbol @__quantum__qis__h"
+    assert _cli_error(capsys, qir, argv) == message
+
+
+def test_cli_undeclared_callee_yields_to_every_other_diagnostic(tmp_path, capsys):
+    qir, number = _bell_module_with(tmp_path, capsys, MEASURE_M0, MEASURE_M0)
+    qir.write_text(qir.read_text().replace("declare void @__quantum__qis__h(%Qubit*)\n", ""))
+    assert _cli_error(capsys, qir, ["extract"]) == f"{qir}: error: line {number - 1}: SSA value %5 bound twice"
+
+
+@pytest.mark.parametrize(
+    "after, line, offset",
+    [
+        (LAST_CAST, RELEASE, 1),  # released before its gates: the h call after it fails
+        (RELEASE, RELEASE, 0),  # released twice
+        (RELEASE, H_CALL, 0),  # a gate line decoded before the release, repeated after it
+        (RELEASE, "%7 = call %Result* @__quantum__qis__m(%Qubit* %2)", 0),
+        (RELEASE, "%7 = call i8* @__quantum__rt__array_get_element_ptr(%Array* %0, i64 0)", 0),
+    ],
+    ids=["before-the-gates", "twice", "repeated-gate", "measurement", "element-pointer"],
+)
+@pytest.mark.parametrize("argv", THREE_COMMANDS, ids=lambda a: a[0])
+def test_cli_only_releases_and_finalize_follow_a_release(tmp_path, capsys, after, line, offset, argv):
+    qir, number = _bell_module_with(tmp_path, capsys, after, line)
+    assert _cli_error(capsys, qir, argv) == (
+        f"{qir}: error: line {number + offset}: only releases of other qubit arrays and finalize may follow a release"
     )
 
 
@@ -1169,3 +1225,106 @@ def test_cli_device_with_too_few_edges_is_a_diagnostic(tmp_path, capsys):
     assert main(["build", str(circ), "--build-dir", str(tmp_path), "--coupling", str(device)]) == 1
     assert time.process_time() - start < 0.5
     assert capsys.readouterr().err.strip() == "error: disconnected coupling graph"
+
+
+# ------------------------------------------------------------- diagnostics no other test reaches
+
+
+def test_cli_cuda_arch_overrides_the_configured_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QCC_TOOLCHAIN", raising=False)
+    kernel, host = tmp_path / "k.cu", tmp_path / "host.cpp"
+    kernel.write_text("")
+    host.write_text("")
+    assert main(["build", str(kernel), str(host), "--cuda-arch", "sm_80", "--dry-run"]) == 0
+    cuda_command = capsys.readouterr().out.splitlines()[0]
+    assert "-arch=sm_80" in shlex.split(cuda_command)
+
+
+def test_cli_toolchain_config_that_is_not_an_object_is_a_diagnostic(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QCC_TOOLCHAIN", raising=False)
+    host, config = tmp_path / "host.cpp", tmp_path / "tc.json"
+    host.write_text("")
+    config.write_text("[1, 2]")
+    assert main(["build", str(host), "--toolchain-config", str(config), "--dry-run"]) == 1
+    assert capsys.readouterr().err.strip() == f"error: toolchain config {config} must be a JSON object"
+
+
+def test_cli_compiler_that_cannot_be_started_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QCC_TOOLCHAIN", raising=False)
+    host, config = tmp_path / "host.cpp", tmp_path / "tc.json"
+    host.write_text("")
+    config.write_text(json.dumps({"cxx_cmd": f"{tmp_path / 'no-such-cc'} -c {{flags}} {{input}} -o {{output}}"}))
+    argv = ["build", str(host), "--toolchain-config", str(config), "--build-dir", str(tmp_path / "b")]
+    assert main(argv + ["-o", str(tmp_path / "app")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"error: cxx {host} failed with exit code 127"
+    assert "no-such-cc" in err[1]
+
+
+@pytest.mark.parametrize(
+    "device, message",
+    [
+        ({"n_qubits": 2, "edges": {"0": 1}}, '"edges" must be a list of pairs'),
+        ({"n_qubits": 2, "edges": [None]}, "edge None is not a pair of qubit indices"),
+        ({"n_qubits": 2, "edges": [[0, 1], 3]}, "edge 3 is not a pair of qubit indices"),
+        # a triangle and an edge: n - 1 edges, so only the search finds the gap
+        ({"n_qubits": 5, "edges": [[0, 1], [1, 2], [2, 0], [3, 4]]}, "disconnected coupling graph"),
+    ],
+    ids=["edges-not-a-list", "null-edge", "number-edge", "disconnected-with-enough-edges"],
+)
+def test_cli_device_file_diagnostics(tmp_path, capsys, device, message):
+    circ, path = tmp_path / "circ.qasm", tmp_path / "device.json"
+    circ.write_text(GHZ2)
+    path.write_text(json.dumps(device))
+    assert main(["build", str(circ), "--build-dir", str(tmp_path), "--coupling", str(path)]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not (tmp_path / "circ.qir.ll").exists()
+
+
+def test_cli_simulate_narrower_than_the_program_is_a_diagnostic(tmp_path, capsys):
+    circ = tmp_path / "circ.qasm"
+    circ.write_text(GHZ2)
+    assert main(["simulate", str(circ), "--qubits", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"{circ}: error: program touches 2 qubits, got n_qubits=1"
+
+
+def test_cli_qis_operand_of_another_type_is_a_diagnostic(tmp_path, capsys):
+    qir, number = _bell_module_with(tmp_path, capsys, LAST_CAST, "call void @__quantum__qis__h(i64 3)")
+    assert _cli_error(capsys, qir, ["extract"]) == f"{qir}: error: line {number}: unsupported operand 'i64 3'"
+
+
+def test_cli_integer_literal_with_a_suffix_is_a_diagnostic(tmp_path, capsys):
+    qir, text = _bell_module(tmp_path, capsys)
+    qir.write_text(text.replace("allocate_array(i64 2)", "allocate_array(i64 2x)"))
+    number = text[: text.index("allocate_array(i64 2)")].count("\n") + 1
+    assert _cli_error(capsys, qir, ["extract"]) == f"{qir}: error: line {number}: bad integer literal '2x'"
+
+
+def test_cli_module_level_globals_and_metadata_are_passed_over(tmp_path, capsys):
+    qir, plain = _bell_module(tmp_path, capsys)
+    assert main(["extract", str(qir)]) == 0
+    expected = capsys.readouterr().out
+    # after every other line, so no gate's line moves
+    qir.write_text(plain + '@flag = global i32 0\n!llvm.ident = !{!0}\n!0 = !{!"qcc"}\n')
+    assert verify_qir_text(qir.read_text()) == []
+    assert main(["extract", str(qir)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.skipif(shutil.which("g++") is None, reason="needs g++")
+def test_cli_build_dir_with_a_non_ascii_name_reaches_the_runner(workspace, tmp_path, capsys, monkeypatch):
+    _, script, source, _ = workspace
+    monkeypatch.delenv("QCC_TOOLCHAIN", raising=False)
+    log = tmp_path / "runner.log"
+    runner = script("runner.sh", ARGV_RUNNER.format(log=log))
+    build_dir = tmp_path / "bé"
+    argv = ["build", source("circ.qasm", GHZ2), "--standalone", "--build-dir", str(build_dir)]
+    assert main(argv + ["-o", str(build_dir / "app")]) == 0
+    # é is two UTF-8 bytes, each written as an octal escape in the C++ literal
+    assert "/b\\303\\251/circ.qir.ll" in (build_dir / "circ_wrapper.cpp").read_text()
+    env = dict(os.environ, QCC_RUNNER=runner)
+    proc = subprocess.run([str(build_dir / "app")], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert log.read_text().splitlines() == ["1", str(build_dir / "circ.qir.ll")]

@@ -113,7 +113,8 @@ def test_every_qir_input_path_reads_its_module_once(tmp_path, monkeypatch, path)
     one.write_text(emit_qir(qasm_program(GHZ)).text)
     second = emit_qir(qasm_program('OPENQASM 2.0;\nqreg q[1];\nU(0,0,0) q[0];\n'), kernel_name="second").text
     two = tmp_path / "two_kernels.ll"
-    two.write_text(emit_qir(qasm_program(GHZ), kernel_name="first").text + second[second.index("define") :])
+    u3 = "declare void @__quantum__qis__u3(double, double, double, %Qubit*)\n"  # after the body: no line moves
+    two.write_text(emit_qir(qasm_program(GHZ), kernel_name="first").text + second[second.index("define") :] + u3)
     reads = []
     real = extractor.read_qir
     monkeypatch.setattr(extractor, "read_qir", lambda text: reads.append(text) or real(text))
@@ -203,10 +204,24 @@ entry:
   call void @__quantum__rt__finalize()
   ret void
 }
+declare void @__quantum__rt__initialize(i8*)
+declare void @__quantum__rt__finalize()
+declare %Array* @__quantum__rt__qubit_allocate_array(i64)
+declare i8* @__quantum__rt__array_get_element_ptr(%Array*, i64)
+declare void @__quantum__qis__cx(%Qubit*, %Qubit*)
 """
     gates, _ = extract_circuit(body)
     # first array holds ids 0..1, second 2..3; element 1 of the second is 3
     assert gates[0].operands == (0, 3)
+
+
+def test_each_array_is_released_once_in_either_order():
+    text = emit_qir(qasm_program('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg a[2];\nqreg b[3];\nx b[1];\n')).text
+    gates, program = extract_program(text)
+    assert [(g.name, g.operands) for g in gates] == [("x", (3,))] and program.n_qubits == 5
+    release_a, release_b = (f"  call void @__quantum__rt__qubit_release_array(%Array* %{i})\n" for i in (0, 1))
+    assert release_b + release_a in text
+    assert extract_program(text.replace(release_b + release_a, release_a + release_b)) == (gates, program)
 
 
 def test_untracked_operand_rejected():
@@ -311,7 +326,12 @@ def test_allocations_are_capped_in_total():
 
 
 def test_allocation_at_the_qubit_cap_is_accepted():
-    gates, _ = extract_circuit(allocating_kernel(MAX_PROGRAM_QUBITS))
+    declares = (
+        "declare %Array* @__quantum__rt__qubit_allocate_array(i64)\n"
+        "declare i8* @__quantum__rt__array_get_element_ptr(%Array*, i64)\n"
+        "declare void @__quantum__qis__h(%Qubit*)\n"
+    )
+    gates, _ = extract_circuit(allocating_kernel(MAX_PROGRAM_QUBITS) + declares)
     assert [(g.name, g.operands) for g in gates] == [("h", (0,))]
 
 
