@@ -45,6 +45,9 @@ SABRE_ITERATIONS = 3
 # Each round is up to two router passes over the whole circuit.
 MAX_SABRE_ITERATIONS = 100
 SABRE_SEED = 0
+# Largest device accepted, about twice today's largest hardware.  The
+# all-pairs distance table grows with its square: 0.9 s at 2,048 qubits.
+MAX_DEVICE_QUBITS = 2048
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,8 @@ class CouplingGraph:
         # A connected graph has at least n - 1 edges; say so before allocating per qubit.
         if len(pairs) < n_qubits - 1:
             raise RoutingError("disconnected coupling graph")
+        if n_qubits > MAX_DEVICE_QUBITS:
+            raise CouplingFormatError(f"device has {n_qubits} qubits, more than the {MAX_DEVICE_QUBITS}-qubit cap")
         neighbor_sets: list[set[int]] = [set() for _ in range(n_qubits)]
         for u, v in pairs:
             neighbor_sets[u].add(v)

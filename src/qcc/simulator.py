@@ -14,11 +14,25 @@ its inverse are cached per operand tuple and width), viewed as a
 (2^k, 2^(n-k)) matrix and multiplied by the gate's matrix with np.dot.
 np.tensordot forms this same product on this same layout, so every
 amplitude has the bits of the tensordot/moveaxis kernel this one replaced.
+
+Up to MAX_GATHER_QUBITS qubits the reshapes and transposes, a handful of
+numpy calls that cost more than the arithmetic on a few dozen amplitudes,
+become two gathers through index arrays cached per operand tuple and width:
+np.arange(2^n) put through the same reshape/transpose/reshape, once each
+way.  The gathered operand holds the transposed view's values in the same
+order, so np.dot gets the same numbers, and its product is moved back the
+way the transposes move it.  Each index costs 8 * 2^n bytes, so wider
+states keep the transposes.
+
+simulate builds each gate's matrix once per gate name and parameter bits
+(0.0 and -0.0 are different keys) and keeps it, read-only, in a memo of at
+most MATRIX_MEMO_SIZE entries that is emptied when full.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
 
 import numpy as np
 
@@ -27,6 +41,12 @@ from .errors import DimensionMismatchError, InvalidPermutationError, OracleError
 from .ir import Barrier, Inst, QuantumProgram
 
 MAX_QUBITS = 20
+# Widest state applied through cached gather indices (two of 8 KB at 10 qubits).
+MAX_GATHER_QUBITS = 10
+MATRIX_MEMO_SIZE = 1024
+
+# (gate name, packed parameter bits) -> read-only matrix; see _gate_matrix.
+_matrices: dict[tuple[str, bytes], np.ndarray] = {}
 
 
 @functools.lru_cache(maxsize=4096)
@@ -40,19 +60,54 @@ def _axis_order(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple
     return (2,) * n, tuple(order), tuple(inverse)
 
 
+@functools.lru_cache(maxsize=4096)
+def _gather_indices(qubits: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_axis_order's moves as index arrays: gathering the state through the
+    first gives the (2^k, 2^(n-k)) operand-major matrix, and gathering that
+    matrix's flat product through the second gives the new state."""
+    shape, order, inverse = _axis_order(qubits, n)
+    positions = np.arange(2**n)
+    gather = positions.reshape(shape).transpose(order).reshape(2 ** len(qubits), -1)
+    scatter = positions.reshape(shape).transpose(inverse).reshape(-1)
+    gather.flags.writeable = scatter.flags.writeable = False
+    return gather, scatter
+
+
 def apply_gate(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """Apply a k-qubit matrix to the named qubits of an n-qubit state.
 
     Matrix rows index operand 0 as the most significant bit, matching the
     tables in gates.py.  k is len(qubits): a matrix that does not hold
-    2^k x 2^k entries raises ValueError.  The result equals the old
-    tensordot/moveaxis form bit for bit (see the module docstring).
+    2^k x 2^k entries raises ValueError, and so does a state that does not
+    hold 2^n amplitudes.  The result equals the old tensordot/moveaxis form
+    bit for bit (see the module docstring).
     """
     dim = 2 ** len(qubits)
-    shape, order, inverse = _axis_order(tuple(qubits), n)
     op = np.asarray(matrix, dtype=complex).reshape(dim, dim)
+    if n <= MAX_GATHER_QUBITS:
+        gather, scatter = _gather_indices(tuple(qubits), n)
+        if len(state) != len(scatter):
+            raise ValueError(f"a {n}-qubit state holds {len(scatter)} amplitudes, got {len(state)}")
+        return np.dot(op, state[gather]).reshape(-1)[scatter]
+    shape, order, inverse = _axis_order(tuple(qubits), n)
     psi = state.reshape(shape).transpose(order).reshape(dim, -1)
     return np.dot(op, psi).reshape(shape).transpose(inverse).reshape(-1)
+
+
+def _gate_matrix(name: str, params: tuple[float, ...]) -> np.ndarray:
+    """gates.unitary(name, params), built once per name and parameter bits.
+    Keying on bits, as optimizer._run_key does, keeps 0.0 and -0.0 apart:
+    their matrices can differ in the sign of a zero.  A gate that has no
+    matrix raises here every time, since nothing is stored for it."""
+    key = (name, struct.pack(f"{len(params)}d", *params))
+    matrix = _matrices.get(key)
+    if matrix is None:
+        matrix = gates.unitary(name, params)
+        matrix.flags.writeable = False
+        if len(_matrices) >= MATRIX_MEMO_SIZE:
+            _matrices.clear()
+        _matrices[key] = matrix
+    return matrix
 
 
 def simulate(program: QuantumProgram, n_qubits: int | None = None) -> np.ndarray:
@@ -79,7 +134,7 @@ def simulate(program: QuantumProgram, n_qubits: int | None = None) -> np.ndarray
             raise OracleError("conditional regions are not simulable in unitary mode")
         if op.result is not None or op.name in ("measure", "reset"):
             raise OracleError(f"'{op.name}' is not simulable in unitary mode")
-        matrix, qubits = gates.unitary(op.name, op.params), tuple(q.logical_id for q in op.qubits)
+        matrix, qubits = _gate_matrix(op.name, op.params), tuple([q.logical_id for q in op.qubits])
         if len(matrix) != 2 ** len(qubits):
             width = len(matrix).bit_length() - 1
             raise OracleError(f"gate '{op.name}' acts on {width} qubit(s) but is given {len(qubits)}")

@@ -8,7 +8,8 @@ conditions, measurements, barriers and extreme angles, then runs
 ``metrics`` at every optimization level, an emit-only ``build`` routed on a
 5-qubit ring or a 2x3 grid under three native sets, and ``simulate``, also
 on the mutant without its measurements, resets and conditions.  The
-second writes random JSON and mutated ring devices for ``build --coupling``.
+second writes random JSON and mutated ring devices for ``build --coupling``,
+among them lines just above the device-size cap, which must be refused.
 The third writes random JSON and mutated toolchain configs for a dry-run
 ``build`` of a C++ and a CUDA input, with process spawning patched to fail,
 since a dry run must start none.  The searches are derandomized and
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 
 from qcc.cli import main
 from qcc.driver import ToolchainConfig
+from qcc.routing import MAX_DEVICE_QUBITS
 
 SECONDS_PER_RUN = 5.0
 
@@ -68,8 +70,9 @@ DEVICES = {
 NATIVE_SETS = [None, "rz,ry,cx", "rx,rz,cz,h"]
 
 
-def _run(argv) -> int:
-    """Run the CLI and check that it ends in time with a result or a diagnostic."""
+def _run(argv) -> tuple[int, str]:
+    """Run the CLI and check that it ends in time with a result or a diagnostic;
+    returns the exit code and stderr."""
     err = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -77,7 +80,7 @@ def _run(argv) -> int:
     assert time.perf_counter() - start < SECONDS_PER_RUN, argv
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
-    return code
+    return code, err.getvalue()
 
 
 def _mutate_qasm(lines, mutation):
@@ -147,6 +150,10 @@ JSON = st.recursive(
 )
 HOSTILE_COUNTS = [0, -1, 1, 2, 5, 6, 2**63, 10**30, 1.5, True, "5", None, [5]]
 HOSTILE_EDGES = [[0, 0], [0, 5], [-1, 0], [0, 1, 2], [0], [], "01", [True, False], [0.0, 1.0], None, {"0": 1}]
+# Lines of 1 to 3 qubits more than the cap: connected, well formed and refused.
+OVERSIZED = [
+    {"n_qubits": n, "edges": [[i, i + 1] for i in range(n - 1)]} for n in range(MAX_DEVICE_QUBITS + 1, MAX_DEVICE_QUBITS + 4)
+]
 
 
 def _mutate_device(device, mutation):
@@ -159,6 +166,9 @@ def _mutate_device(device, mutation):
             del device[sorted(device)[i % len(device)]]
     elif op == "value":
         device[["n_qubits", "edges"][i % 2]] = value
+    elif op == "oversize":
+        device.clear()
+        device.update(json.loads(json.dumps(OVERSIZED[i % len(OVERSIZED)])))
     elif isinstance(edges, list) and edges:
         k = i % len(edges)
         if op == "edge":
@@ -170,14 +180,17 @@ def _mutate_device(device, mutation):
 
 
 DEVICE_MUTATION = st.tuples(
-    st.sampled_from(["count", "drop-key", "value", "edge", "drop-edge", "duplicate-edge"]), st.integers(0, 50), JSON
+    st.sampled_from(["count", "drop-key", "value", "edge", "drop-edge", "duplicate-edge", "oversize"]),
+    st.integers(0, 50),
+    JSON,
 )
 
 
 @settings(max_examples=200)
 @given(JSON, st.lists(DEVICE_MUTATION, max_size=3))
 def test_hostile_coupling_json_through_the_cli_gives_a_result_or_a_diagnostic(tmp_path_factory, random, mutations):
-    """The ring device under the mutations, or the random JSON when there are none."""
+    """The ring device under the mutations, or the random JSON when there are
+    none; a line above the device cap is refused before its distance table."""
     base = tmp_path_factory.getbasetemp()
     device = json.loads(json.dumps(DEVICES["ring5"])) if mutations else random
     for mutation in mutations:
@@ -186,7 +199,10 @@ def test_hostile_coupling_json_through_the_cli_gives_a_result_or_a_diagnostic(tm
     circ.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\nh q[0];\ncx q[0],q[2];\ncx q[2],q[1];\n')
     coupling = base / "device.json"
     coupling.write_text(json.dumps(device))
-    _run(["build", str(circ), "--build-dir", str(base / "device-build"), "--coupling", str(coupling)])
+    code, err = _run(["build", str(circ), "--build-dir", str(base / "device-build"), "--coupling", str(coupling)])
+    if device in OVERSIZED:
+        assert code == 1
+        assert err.strip() == f"error: device has {device['n_qubits']} qubits, more than the {MAX_DEVICE_QUBITS}-qubit cap"
 
 
 TEMPLATE_PARTS = [

@@ -33,7 +33,7 @@ from qcc.errors import (
     UnknownFileTypeError,
 )
 from qcc.qir import extract_circuit, extract_program, verify_qir_text
-from qcc.routing import MAX_SABRE_ITERATIONS
+from qcc.routing import MAX_DEVICE_QUBITS, MAX_SABRE_ITERATIONS
 
 GHZ2 = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
 
@@ -1269,8 +1269,12 @@ def test_cli_compiler_that_cannot_be_started_exits_2(tmp_path, capsys, monkeypat
         ({"n_qubits": 2, "edges": [[0, 1], 3]}, "edge 3 is not a pair of qubit indices"),
         # a triangle and an edge: n - 1 edges, so only the search finds the gap
         ({"n_qubits": 5, "edges": [[0, 1], [1, 2], [2, 0], [3, 4]]}, "disconnected coupling graph"),
+        (
+            {"n_qubits": MAX_DEVICE_QUBITS + 1, "edges": [[i, i + 1] for i in range(MAX_DEVICE_QUBITS)]},
+            f"device has {MAX_DEVICE_QUBITS + 1} qubits, more than the {MAX_DEVICE_QUBITS}-qubit cap",
+        ),
     ],
-    ids=["edges-not-a-list", "null-edge", "number-edge", "disconnected-with-enough-edges"],
+    ids=["edges-not-a-list", "null-edge", "number-edge", "disconnected-with-enough-edges", "above-the-device-cap"],
 )
 def test_cli_device_file_diagnostics(tmp_path, capsys, device, message):
     circ, path = tmp_path / "circ.qasm", tmp_path / "device.json"

@@ -110,6 +110,24 @@ def test_too_few_edges_are_rejected_before_allocating():
         CouplingGraph.from_edges(1_000_000, [[0, 1_000_000]])  # a malformed edge is named first
 
 
+def test_a_device_above_the_cap_is_rejected_before_its_distance_table(monkeypatch):
+    # The table is quadratic: 0.9 s for a 2,048-qubit line, 4.4 s at 4,096.
+    line = [[i, i + 1] for i in range(4095)]
+    start = time.process_time()
+    with pytest.raises(CouplingFormatError, match="^device has 4096 qubits, more than the 2048-qubit cap$"):
+        CouplingGraph.from_edges(4096, line)
+    assert time.process_time() - start < 0.5
+    # malformed and too few edges are named first, as below the cap
+    with pytest.raises(CouplingFormatError, match="out of range"):
+        CouplingGraph.from_edges(4096, line + [[0, 4096]])
+    with pytest.raises(RoutingError, match="disconnected"):
+        CouplingGraph.from_edges(4096, line[1:])
+    monkeypatch.setattr(routing, "MAX_DEVICE_QUBITS", 4)
+    assert CouplingGraph.from_edges(4, line[:3]).distance[0][3] == 3
+    with pytest.raises(CouplingFormatError, match="^device has 5 qubits, more than the 4-qubit cap$"):
+        CouplingGraph.from_edges(5, line[:4])
+
+
 def test_load_coupling_graph(tmp_path):
     path = tmp_path / "device.json"
     path.write_text(json.dumps({"n_qubits": 3, "edges": [[0, 1], [1, 2]]}))

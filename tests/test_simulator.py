@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 
 from qcc.benchmarks import benchmark_source, list_benchmarks
 from qcc.cli import main
-from qcc.errors import DimensionMismatchError, InvalidPermutationError, OracleError
+from qcc.errors import DimensionMismatchError, InvalidPermutationError, OracleError, UnknownGateError
 from qcc.gates import unitary
 from qcc.ir import Inst, QRegister, QuantumProgram, QubitRef
-from qcc.simulator import apply_gate, equiv_up_to_global_phase, permute_qubits, simulate
+from qcc import gates, simulator
+from qcc.simulator import MATRIX_MEMO_SIZE, MAX_GATHER_QUBITS, apply_gate, equiv_up_to_global_phase, permute_qubits, simulate
 
 from conftest import QELIB1_POOL, qasm_program
 
@@ -319,7 +321,8 @@ ANGLES = st.one_of(
 
 @st.composite
 def gate_sequences(draw):
-    n = draw(st.integers(1, 8))
+    # Up to 12 qubits, so both kernels run: the gather one up to MAX_GATHER_QUBITS, the transposes above it.
+    n = draw(st.integers(1, 12))
     pool = [entry for entry in QELIB1_POOL if entry[1] <= n]
     sequence = []
     for _ in range(draw(st.integers(1, 12))):
@@ -352,6 +355,44 @@ def test_apply_gate_keeps_the_bits_of_the_tensordot_kernel(case):
             apply_gate(state, unitary("cx"), (1,), n)
 
 
+# Gates on the lowest, highest and scattered qubits, in and out of order, so
+# the operand-major view is a copy, a C view and an F view of the state.
+WIDE_SEQUENCE = [
+    ("h", (), (0,)),
+    ("u3", (0.3, -0.0, 1e300), (9,)),
+    ("cx", (), (0, 9)),
+    ("cu3", (1.1, -2.2, 0.7), (9, 0)),
+    ("ccx", (), (2, 7, 4)),
+    ("swap", (), (1, 0)),
+    ("ccx", (), (2, 1, 0)),
+    ("crz", (-0.0,), (5, 3)),
+]
+
+
+@pytest.mark.parametrize("form", ["array", "list", "fortran"])
+@pytest.mark.parametrize("n", [10, 11])
+def test_both_kernels_keep_the_bits_of_the_tensordot_kernel(n, form):
+    rng = np.random.default_rng(n)
+    state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    state /= np.linalg.norm(state)
+    simulator._gather_indices.cache_clear()
+    for name, params, qubits in WIDE_SEQUENCE + [("cx", (), (n - 1, 3))]:
+        matrix = unitary(name, params)
+        given_matrix = {"array": matrix, "list": matrix.tolist(), "fortran": np.asfortranarray(matrix)}[form]
+        expected = _apply_gate_tensordot(state, given_matrix, qubits, n)
+        state = apply_gate(state, given_matrix, qubits, n)
+        assert state.tobytes() == expected.tobytes()
+    # 10 qubits gather through cached indices; 11 keep the transposes and cache none
+    assert (simulator._gather_indices.cache_info().currsize > 0) == (n <= MAX_GATHER_QUBITS)
+
+
+def test_apply_gate_rejects_a_state_of_another_width():
+    with pytest.raises(ValueError):
+        apply_gate(np.eye(16, dtype=complex)[0], unitary("x"), (0,), 3)
+    with pytest.raises(ValueError):
+        apply_gate(np.eye(4, dtype=complex)[0], unitary("x"), (0,), 3)
+
+
 @pytest.mark.parametrize("name, qubits", [("x", (3,)), ("x", (5,)), ("x", (-1,)), ("cx", (1, 1))])
 def test_apply_gate_rejects_operands_outside_the_state(name, qubits):
     # the tensordot kernel wrapped qubits 3..5 of a 3-qubit state round to 0..2
@@ -372,3 +413,100 @@ def test_simulate_needs_neither_tensordot_nor_moveaxis(monkeypatch, corpus_progr
     # |011>: control q0 is set, so cx flips target q2, giving |111>
     state = apply_gate(np.eye(8, dtype=complex)[3], unitary("cx"), (0, 2), 3)
     assert np.array_equal(state, np.eye(8, dtype=complex)[7])
+
+
+# ------------------------------------------------------------- matrix memo
+
+
+def _program(n, gate_list):
+    ops = [Inst(name, params, tuple(QubitRef(q) for q in qubits)) for name, params, qubits in gate_list]
+    return QuantumProgram([QRegister(n)], [], ops)
+
+
+def _fresh_state(n, gate_list):
+    """The state from matrices gates.unitary builds anew for every gate."""
+    state = np.eye(2**n, dtype=complex)[0]
+    for name, params, qubits in gate_list:
+        state = apply_gate(state, unitary(name, params), qubits, n)
+    return state
+
+
+@pytest.mark.parametrize("gate", ["rz", "ry"])
+def test_signed_zero_angles_keep_their_own_matrices(monkeypatch, gate):
+    monkeypatch.setattr(simulator, "_matrices", {})
+    plus = [("h", (), (0,)), (gate, (0.0,), (0,)), ("cx", (), (0, 1)), (gate, (0.0,), (1,))]
+    minus = [("h", (), (0,)), (gate, (-0.0,), (0,)), ("cx", (), (0, 1)), (gate, (-0.0,), (1,))]
+    for gate_list in (plus, minus, plus):
+        assert simulate(_program(2, gate_list)).tobytes() == _fresh_state(2, gate_list).tobytes()
+    stored = {key: matrix.tobytes() for key, matrix in simulator._matrices.items() if key[0] == gate}
+    assert stored == {(gate, struct.pack("d", z)): unitary(gate, (z,)).tobytes() for z in (0.0, -0.0)}
+    # the two matrices differ in the sign of a zero; for ry the states do too
+    assert len(set(stored.values())) == 2
+    if gate == "ry":
+        assert simulate(_program(2, plus)).tobytes() != simulate(_program(2, minus)).tobytes()
+
+
+def test_memo_entries_are_read_only(monkeypatch):
+    monkeypatch.setattr(simulator, "_matrices", {})
+    simulate(_program(2, [("u3", (0.1, 0.2, 0.3), (0,)), ("cx", (), (0, 1))]))
+    assert len(simulator._matrices) == 2
+    for matrix in simulator._matrices.values():
+        assert matrix.shape == (len(matrix), len(matrix))
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+
+
+def test_memo_holds_at_most_its_bound(monkeypatch):
+    monkeypatch.setattr(simulator, "_matrices", {})
+    gate_list = [("rz", (0.001 * i,), (i % 3,)) for i in range(MATRIX_MEMO_SIZE + 50)]
+    assert simulate(_program(3, gate_list)).tobytes() == _fresh_state(3, gate_list).tobytes()
+    assert 0 < len(simulator._matrices) <= MATRIX_MEMO_SIZE
+
+
+def test_each_distinct_gate_is_built_once(monkeypatch):
+    monkeypatch.setattr(simulator, "_matrices", {})
+    built = []
+    real = gates.unitary
+
+    def counting(name, params=()):
+        built.append((name, struct.pack(f"{len(params)}d", *params)))
+        return real(name, params)
+
+    monkeypatch.setattr(gates, "unitary", counting)
+    gate_list = [
+        ("h", (), (0,)), ("rz", (0.5,), (1,)), ("rz", (0.5,), (2,)), ("rz", (-0.0,), (0,)), ("rz", (0.0,), (0,)),
+        ("cx", (), (0, 1)), ("cx", (), (2, 1)), ("u3", (0.1, 0.2, 0.3), (2,)), ("h", (), (2,)),
+    ]
+    first = simulate(_program(3, gate_list))
+    assert simulate(_program(3, gate_list)).tobytes() == first.tobytes()
+    assert sorted(built) == sorted(set(built))
+    assert len(built) == 6  # h, rz(0.5), rz(-0.0), rz(0.0), cx, u3
+
+
+@pytest.mark.parametrize(
+    "gate, message",
+    [
+        (("nope", (), (0,)), "no matrix known for gate 'nope'"),
+        (("rz", (), (0,)), "gate 'rz' takes 1 parameter(s), got 0"),
+        (("u3", (0.0, 1.7e308, 1.7e308), (0,)), "gate 'u3' has no finite matrix: phi + lambda overflows"),
+    ],
+)
+def test_a_gate_without_a_matrix_raises_every_time(monkeypatch, gate, message):
+    monkeypatch.setattr(simulator, "_matrices", {})
+    for _ in range(2):
+        with pytest.raises(UnknownGateError) as err:
+            simulate(_program(1, [("h", (), (0,)), gate]))
+        assert str(err.value) == message
+    assert list(simulator._matrices) == [("h", b"")]
+
+
+def test_cli_overflowing_u3_is_a_diagnostic_every_time(tmp_path, capsys):
+    # The parser rejects a gate it does not know, so only a gate whose matrix
+    # overflows reaches the memo through the CLI.
+    circ = tmp_path / "ov.qasm"
+    circ.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nu3(0,1.7e308,1.7e308) q[0];\nrz(0.5) q[0];\n')
+    for _ in range(2):
+        assert main(["simulate", str(circ)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"{circ}: error: gate 'u3' has no finite matrix: phi + lambda overflows"
