@@ -67,10 +67,10 @@ def _gather_indices(qubits: tuple[int, ...], n: int) -> tuple[np.ndarray, np.nda
     matrix's flat product through the second gives the new state."""
     shape, order, inverse = _axis_order(qubits, n)
     positions = np.arange(2**n)
-    gather = positions.reshape(shape).transpose(order).reshape(2 ** len(qubits), -1)
-    scatter = positions.reshape(shape).transpose(inverse).reshape(-1)
-    gather.flags.writeable = scatter.flags.writeable = False
-    return gather, scatter
+    forward = positions.reshape(shape).transpose(order).reshape(2 ** len(qubits), -1)
+    back = positions.reshape(shape).transpose(inverse).reshape(-1)
+    forward.flags.writeable = back.flags.writeable = False
+    return forward, back
 
 
 def apply_gate(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
@@ -85,10 +85,10 @@ def apply_gate(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n
     dim = 2 ** len(qubits)
     op = np.asarray(matrix, dtype=complex).reshape(dim, dim)
     if n <= MAX_GATHER_QUBITS:
-        gather, scatter = _gather_indices(tuple(qubits), n)
-        if len(state) != len(scatter):
-            raise ValueError(f"a {n}-qubit state holds {len(scatter)} amplitudes, got {len(state)}")
-        return np.dot(op, state[gather]).reshape(-1)[scatter]
+        forward, back = _gather_indices(tuple(qubits), n)
+        if len(state) != len(back):
+            raise ValueError(f"a {n}-qubit state holds {len(back)} amplitudes, got {len(state)}")
+        return np.dot(op, state[forward]).reshape(-1)[back]
     shape, order, inverse = _axis_order(tuple(qubits), n)
     psi = state.reshape(shape).transpose(order).reshape(dim, -1)
     return np.dot(op, psi).reshape(shape).transpose(inverse).reshape(-1)

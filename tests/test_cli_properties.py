@@ -152,7 +152,8 @@ HOSTILE_COUNTS = [0, -1, 1, 2, 5, 6, 2**63, 10**30, 1.5, True, "5", None, [5]]
 HOSTILE_EDGES = [[0, 0], [0, 5], [-1, 0], [0, 1, 2], [0], [], "01", [True, False], [0.0, 1.0], None, {"0": 1}]
 # Lines of 1 to 3 qubits more than the cap: connected, well formed and refused.
 OVERSIZED = [
-    {"n_qubits": n, "edges": [[i, i + 1] for i in range(n - 1)]} for n in range(MAX_DEVICE_QUBITS + 1, MAX_DEVICE_QUBITS + 4)
+    {"n_qubits": n, "edges": [[i, i + 1] for i in range(n - 1)]}
+    for n in range(MAX_DEVICE_QUBITS + 1, MAX_DEVICE_QUBITS + 4)
 ]
 
 
@@ -202,7 +203,8 @@ def test_hostile_coupling_json_through_the_cli_gives_a_result_or_a_diagnostic(tm
     code, err = _run(["build", str(circ), "--build-dir", str(base / "device-build"), "--coupling", str(coupling)])
     if device in OVERSIZED:
         assert code == 1
-        assert err.strip() == f"error: device has {device['n_qubits']} qubits, more than the {MAX_DEVICE_QUBITS}-qubit cap"
+        cap = f"more than the {MAX_DEVICE_QUBITS}-qubit cap"
+        assert err.strip() == f"error: device has {device['n_qubits']} qubits, {cap}"
 
 
 TEMPLATE_PARTS = [

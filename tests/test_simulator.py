@@ -16,7 +16,14 @@ from qcc.errors import DimensionMismatchError, InvalidPermutationError, OracleEr
 from qcc.gates import unitary
 from qcc.ir import Inst, QRegister, QuantumProgram, QubitRef
 from qcc import gates, simulator
-from qcc.simulator import MATRIX_MEMO_SIZE, MAX_GATHER_QUBITS, apply_gate, equiv_up_to_global_phase, permute_qubits, simulate
+from qcc.simulator import (
+    MATRIX_MEMO_SIZE,
+    MAX_GATHER_QUBITS,
+    apply_gate,
+    equiv_up_to_global_phase,
+    permute_qubits,
+    simulate,
+)
 
 from conftest import QELIB1_POOL, qasm_program
 
@@ -376,7 +383,7 @@ def test_both_kernels_keep_the_bits_of_the_tensordot_kernel(n, form):
     state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     state /= np.linalg.norm(state)
     simulator._gather_indices.cache_clear()
-    for name, params, qubits in WIDE_SEQUENCE + [("cx", (), (n - 1, 3))]:
+    for name, params, qubits in WIDE_SEQUENCE + [("h", (), (n - 1,)), ("cx", (), (n - 1, 3))]:
         matrix = unitary(name, params)
         given_matrix = {"array": matrix, "list": matrix.tolist(), "fortran": np.asfortranarray(matrix)}[form]
         expected = _apply_gate_tensordot(state, given_matrix, qubits, n)
@@ -500,13 +507,27 @@ def test_a_gate_without_a_matrix_raises_every_time(monkeypatch, gate, message):
     assert list(simulator._matrices) == [("h", b"")]
 
 
-def test_cli_overflowing_u3_is_a_diagnostic_every_time(tmp_path, capsys):
-    # The parser rejects a gate it does not know, so only a gate whose matrix
-    # overflows reaches the memo through the CLI.
-    circ = tmp_path / "ov.qasm"
-    circ.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nu3(0,1.7e308,1.7e308) q[0];\nrz(0.5) q[0];\n')
+BELL = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
+
+
+@pytest.mark.parametrize("case", ["unknown-gate", "overflowing-u3"])
+def test_cli_gate_without_a_matrix_is_a_diagnostic_every_time(tmp_path, capsys, case):
+    if case == "unknown-gate":
+        # The parser rejects a gate it does not know, but the extractor keeps a
+        # declared QIS call it has no arity for, so the QIR path reaches simulate.
+        circ = tmp_path / "bell.qasm"
+        circ.write_text(BELL)
+        assert main(["build", str(circ), "--build-dir", str(tmp_path)]) == 0
+        path = tmp_path / "nope.qir.ll"
+        path.write_text((tmp_path / "bell.qir.ll").read_text().replace("@__quantum__qis__h(", "@__quantum__qis__nope("))
+        message = "no matrix known for gate 'nope'"
+    else:
+        path = tmp_path / "ov.qasm"
+        path.write_text(BELL.replace("h q[0];", "u3(0,1.7e308,1.7e308) q[0];"))
+        message = "gate 'u3' has no finite matrix: phi + lambda overflows"
+    capsys.readouterr()
     for _ in range(2):
-        assert main(["simulate", str(circ)]) == 1
+        assert main(["simulate", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.strip() == f"{circ}: error: gate 'u3' has no finite matrix: phi + lambda overflows"
+        assert captured.err.strip() == f"{path}: error: {message}"
