@@ -8,11 +8,10 @@ external tools are ToolFailure and map to exit code 2.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """Position of a token or statement in a QASM source file."""
 
     line: int

@@ -7,6 +7,7 @@ contiguous across all quantum registers in declaration order, so a program
 with qreg a[2]; qreg b[3]; numbers its qubits a[0]=0, a[1]=1, b[0]=2,
 b[1]=3, b[2]=4.  A classical condition is a field of the Inst it guards:
 ``condition=(creg_id, value)`` runs the op iff that creg equals the value.
+Every record here is a ``NamedTuple``: immutable, equal by value, cheap to build.
 
 One walk, ``_dependencies``, states what each op must wait for; the gate
 dependency DAG that routing reads and the circuit depth both come from it.
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class QubitRef:
+class QubitRef(NamedTuple):
     """A single qubit, named by its global logical id; the register lists
     say which register and index that is."""
 
@@ -38,8 +38,7 @@ class CRegister:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class ResultRef:
+class ResultRef(NamedTuple):
     """Destination bit of a measurement; creg_id indexes the program's cregs."""
 
     creg_id: int
@@ -49,8 +48,7 @@ class ResultRef:
 # --- program operations ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Inst:
+class Inst(NamedTuple):
     """A gate application, measurement (result set) or reset.
 
     With a condition (creg_id, value) it runs only when the creg at position
@@ -64,8 +62,7 @@ class Inst:
     condition: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class FusedUnitary:
+class FusedUnitary(NamedTuple):
     """The optimizer's record of a run of single-qubit gates, never a program op.
 
     Carries the qubit and the original run: a fused run, or a lone gate
@@ -77,18 +74,13 @@ class FusedUnitary:
     source: tuple = ()
 
 
-@dataclass(frozen=True)
-class Barrier:
+class Barrier(NamedTuple):
     qubits: tuple[QubitRef, ...]
 
 
-@dataclass(frozen=True)
-class ConditionalRegion:
-    """The former wrapper form of a conditioned op, never a program op.
-
-    Programs state a condition as ``Inst.condition``; this class stays only
-    because perfbench's checks import it.
-    """
+class ConditionalRegion(NamedTuple):
+    """The former wrapper of a conditioned op, never a program op: programs state
+    a condition as ``Inst.condition``, and this stays for perfbench's checks."""
 
     creg_id: int
     value: int

@@ -19,8 +19,6 @@ program's meaning.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..errors import in_file
 from ..ir import (
     Barrier,
@@ -129,7 +127,7 @@ class _Lowering:
             body_ops: list[IrOp] = []
             self.lower_statement(stmt.body, body_ops)
             # Barriers inside a conditioned macro stay unconditioned fences.
-            sink.extend(replace(op, condition=condition) if isinstance(op, Inst) else op for op in body_ops)
+            sink.extend(op._replace(condition=condition) if isinstance(op, Inst) else op for op in body_ops)
         else:
             raise TypeError(f"not a statement: {stmt!r}")
 

@@ -29,6 +29,7 @@ _CALL_RE = re.compile(rf"{_PREFIX}(call|declare)\s([^@]*)@({_NAME})\s*\((.*)\)(?
 _INST_RE = re.compile(rf"{_PREFIX}([a-z_]\w*)\s*(.*)")
 _CAST_RE = re.compile(r"(.*?)\s+to\s+(.*)")  # `bitcast i8* %e to %Qubit*`
 _UNTYPED_VALUE_RE = re.compile(rf"[%@]{_NAME}|[-+]?\d[\w.+-]*")
+_CONSTANT_EXPR_RE = re.compile(r"\s*(.+?)\s+([a-z]\w*\s*\(.*\))\s*")  # `%Qubit* inttoptr (i64 1 to %Qubit*)`
 _HEX_DOUBLE_RE = re.compile(r"0x[0-9A-Fa-f]{16}")
 _DECIMAL_DOUBLE_RE = re.compile(r"[-+]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|inf|nan)")
 
@@ -133,15 +134,17 @@ def _read_line(line: int, code: str, function: int) -> Record:
 def _operands(text: str) -> tuple[tuple[str, str | None], ...]:
     """Split at commas into (type, value) pairs.
 
-    Commas inside brackets split too: no operand of the extractable subset
-    holds one, and the verifier only looks at the %names such parts hold.
+    A parenthesized constant expression ending a part is its value.  Commas inside brackets split too:
+    no operand of the extractable subset holds one, and the verifier only looks at the %names such parts hold.
     """
     if not text or text.isspace():
         return ()
     operands = []
     for part in text.split(","):
         words = part.split()
-        if len(words) > 1 or (words and _UNTYPED_VALUE_RE.fullmatch(words[0])):  # `add i32 %a, %b` types %b once
+        if "(" in part and (m := _CONSTANT_EXPR_RE.fullmatch(part)):
+            operands.append(m.groups())
+        elif len(words) > 1 or (words and _UNTYPED_VALUE_RE.fullmatch(words[0])):  # `add i32 %a, %b` types %b once
             operands.append((" ".join(words[:-1]), words[-1]))
         else:
             operands.append((" ".join(words), None))

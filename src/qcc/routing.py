@@ -13,7 +13,8 @@ Initial placement (``sabre_layout``) runs the same router forward and
 backward over the circuit a few times (SABRE) and returns the forward pass
 that needed the fewest swaps.  With ``iterations`` rounds that is at most
 ``2 * iterations - 1`` router passes (the last round has no backward pass);
-``route_program`` takes its routing from that pass, adding none.
+``route_program`` takes its routing from that pass, adding none.  A pass
+records a trace of ints, and only the kept pass's gates are ever built.
 
 Conventions: inserted swaps are tagged, barriers order the DAG but do not
 appear in routed output, and a conditioned op is placed like an unconditioned
@@ -22,7 +23,7 @@ one, keeping its condition and coming after every op that writes its creg.
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -178,15 +179,42 @@ class RoutedGate:
     inserted: bool = False
 
 
+class _GatesFromTrace:
+    """``RoutingResult.routed_gates``: the list given, or for None the trace's gates, built on first read."""
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            raise AttributeError("routed_gates")  # so the field has no default
+        if result._gates is None:
+            layout, gates = result.initial_layout.copy(), []
+            for entry in result.trace:
+                if entry < 0:
+                    pair = divmod(~entry, layout.n_physical)
+                    layout.swap_physical(*pair)
+                    gates.append(RoutedGate("swap", (), pair, None, None, True))
+                else:
+                    node = result.nodes[entry]
+                    phys = tuple([layout.log_to_phys[q] for q in node.qubits])
+                    gates.append(RoutedGate(node.name, node.params, phys, node.result, node.condition))
+            result._gates = gates
+        return result._gates
+
+    def __set__(self, result, gates) -> None:
+        result._gates = gates
+
+
 @dataclass
 class RoutingResult:
-    routed_gates: list[RoutedGate]
+    routed_gates: list[RoutedGate] = _GatesFromTrace()
     initial_layout: Layout
     final_layout: Layout
     swap_count: int
     # Count of cx gates that replace inserted swaps when the native set has
     # no swap; 0 when swaps are emitted as-is.
     swap_cx_count: int = 0
+    # The pass in order: a ``nodes`` id per placed gate, ~(u * n + v) per swap of u and v on n qubits.
+    trace: list[int] = field(default_factory=list, repr=False, compare=False)
+    nodes: list = field(default_factory=list, repr=False, compare=False)
 
 
 def sabre_swap(
@@ -223,7 +251,7 @@ def sabre_swap(
     log_to_phys = layout.log_to_phys
     n_physical = graph.n_physical
     dist, adjacency = graph.distance, graph.adjacency
-    routed: list[RoutedGate] = []
+    trace: list[int] = []
     swap_count = 0
     decay = [1.0] * n_physical
     swap_budget = 10 * max(n_nodes, 1) * n_physical
@@ -241,17 +269,12 @@ def sabre_swap(
         while pending:
             sweep, pending = sorted(pending), []
             for node_id in sweep:
-                qubits = qubits_of[node_id]
                 if two_qubit[node_id]:
-                    pa, pb = log_to_phys[qubits[0]], log_to_phys[qubits[1]]
-                    if dist[pa][pb] != 1:
+                    a, b = qubits_of[node_id]
+                    if dist[log_to_phys[a]][log_to_phys[b]] != 1:
                         blocked.append(node_id)
                         continue
-                    phys = (pa, pb)
-                else:
-                    phys = tuple([log_to_phys[q] for q in qubits])
-                node = nodes[node_id]
-                routed.append(RoutedGate(node.name, node.params, phys, node.result, node.condition))
+                trace.append(node_id)
                 for succ in successors[node_id]:
                     indegree[succ] -= 1
                     if indegree[succ] == 0:
@@ -320,7 +343,7 @@ def sabre_swap(
             raise RoutingError("no candidate swaps touch the blocked front layer")
         u, v = best
         layout.swap_physical(u, v)
-        routed.append(RoutedGate("swap", (), (u, v), None, None, True))
+        trace.append(~(u * layout.n_physical + v))
         swap_count += 1
         if swap_count > swap_budget:
             raise RoutingError(f"routing exceeded the safety bound of {swap_budget} swaps")
@@ -330,7 +353,7 @@ def sabre_swap(
             decay = [1.0] * n_physical
         pending, blocked = blocked, []
 
-    return RoutingResult(routed, initial.copy(), layout, swap_count)
+    return RoutingResult(None, initial.copy(), layout, swap_count, trace=trace, nodes=nodes)
 
 
 def _extended_set(successors, two_qubit, front) -> list[int]:

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -684,8 +683,8 @@ def test_conditioned_gate_expands_under_its_condition():
     out = decompose_unsupported(prog, native)
     assert len(out.ops) > 1
     assert all(op.name in native and op.condition == (0, 1) for op in out.ops)
-    plain = decompose_unsupported(prog.with_ops([replace(prog.ops[0], condition=None)]), native)
-    assert [replace(op, condition=None) for op in out.ops] == plain.ops
+    plain = decompose_unsupported(prog.with_ops([prog.ops[0]._replace(condition=None)]), native)
+    assert [op._replace(condition=None) for op in out.ops] == plain.ops
 
 
 def test_optimize_solves_once_per_pass(monkeypatch, corpus_programs):
