@@ -4,15 +4,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 from qcc.qasm import lower_ast_to_ir, parse_qasm
 from qcc.routing import CouplingGraph
 
 # Every property runs the same examples each time and replays none from a
 # database, so tier-1 is deterministic; each test sets only max_examples.
+# No explain phase: with it and shrink both on, hypothesis line-traces every
+# run after a failure, about 20 times slower, and a time-bounded property then
+# reports spurious time-bound failures beside the real one.
 settings.register_profile(
-    "tier1", derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    "tier1",
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink],
 )
 settings.load_profile("tier1")
 

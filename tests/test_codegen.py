@@ -12,7 +12,7 @@ from qcc.benchmarks import benchmark_source, list_benchmarks
 from qcc.errors import CapacityError, EmitError
 from qcc.ir import FusedUnitary, Inst, QRegister, QuantumProgram, QubitRef
 from qcc.optimizer import NativeGateSet, optimize
-from qcc.qir import emit_qir, verify_qir_text
+from qcc.qir import emit_qir, reader, verify_qir_text
 from qcc.qir.codegen import format_double
 from qcc.routing import CouplingGraph, route_program
 
@@ -275,6 +275,24 @@ def test_verifier_flags_unknown_instruction():
     )
     line = broken.splitlines().index("  cal void @__quantum__qis__h(%Qubit* %2)") + 1
     assert verify_qir_text(broken) == [f"line {line}: unknown instruction 'cal'"]
+
+
+def test_reader_takes_a_constant_expression_operand_whole():
+    assert reader._operands("%Qubit* inttoptr (i64 1 to %Qubit*)") == (("%Qubit*", "inttoptr (i64 1 to %Qubit*)"),)
+    assert reader._operands("%Qubit* inttoptr (i64 0 to %Qubit*), double 0.5") == (
+        ("%Qubit*", "inttoptr (i64 0 to %Qubit*)"),
+        ("double", "0.5"),
+    )
+    # A parenthesis that does not close the part keeps the last word as the value.
+    assert reader._operands("void (%Qubit*)* @f") == (("void (%Qubit*)*", "@f"),)
+
+
+def test_verifier_reads_a_constant_expression_operand_as_one_value():
+    text = GHZ_QIR.replace(
+        "call void @__quantum__qis__h(%Qubit* %2)",
+        "call void @__quantum__qis__h(%Qubit* inttoptr (i64 1 to %Qubit*))",
+    )
+    assert verify_qir_text(text) == []
 
 
 def test_verifier_flags_unterminated_body():

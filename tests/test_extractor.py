@@ -234,6 +234,20 @@ def test_untracked_operand_rejected():
         extract_circuit(broken)
 
 
+def test_constant_expression_qubit_is_named_whole(tmp_path, capsys):
+    text = emit_qir(qasm_program(GHZ)).text.replace(
+        "call void @__quantum__qis__h(%Qubit* %2)",
+        "call void @__quantum__qis__h(%Qubit* inttoptr (i64 1 to %Qubit*))",
+    )
+    message = "qubit operand inttoptr (i64 1 to %Qubit*) was never extracted from an array"
+    with pytest.raises(ExtractionError, match=re.escape(message)):
+        extract_program(text)
+    path = tmp_path / "static.qir.ll"
+    path.write_text(text)
+    assert main(["extract", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_out_of_range_index_rejected():
     body = """define void @k() #0 {
 entry:

@@ -7,7 +7,21 @@ import pytest
 from hypothesis import given, settings
 
 from qcc.benchmarks import benchmark_source, list_benchmarks
-from qcc.ir import Barrier, GateDag, Inst, _dependencies, build_dag, circuit_depth, gate_counts, instruction_kind, op_qubits
+from qcc.errors import SourceSpan
+from qcc.ir import (
+    Barrier,
+    FusedUnitary,
+    GateDag,
+    Inst,
+    QubitRef,
+    ResultRef,
+    _dependencies,
+    build_dag,
+    circuit_depth,
+    gate_counts,
+    instruction_kind,
+    op_qubits,
+)
 from qcc.optimizer import optimize
 from qcc.routing import CouplingGraph, route_program
 
@@ -23,6 +37,52 @@ cx q[0],q[1];
 cx q[1],q[2];
 measure q -> c;
 """
+
+
+# ------------------------------------------------------------- records
+
+RECORDS = [
+    QubitRef(3),
+    ResultRef(0, 1),
+    Inst("rz", (0.5,), (QubitRef(0),), None, (0, 1)),
+    Barrier((QubitRef(0), QubitRef(1))),
+    FusedUnitary(QubitRef(0), (Inst("h", (), (QubitRef(0),)), Inst("t", (), (QubitRef(0),)))),
+    SourceSpan(2, 7),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_records_are_immutable_hashable_and_equal_by_value(record):
+    first = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, first, None)
+    twin = type(record)(*record)
+    assert twin == record and twin is not record
+    assert hash(twin) == hash(record) and {record: "kept"}[twin] == "kept"
+    changed = record._replace(**{first: None})
+    assert type(changed) is type(record) and changed != record
+    assert getattr(record, first) is not None  # the original is untouched
+
+
+def test_an_inst_never_equals_a_barrier_over_its_qubits():
+    qubits = (QubitRef(0), QubitRef(1))
+    assert Inst("barrier", (), qubits) != Barrier(qubits)
+    assert Barrier(qubits) not in [Inst("cx", (), qubits), Inst("barrier", (), qubits)]
+
+
+def test_inst_repr_is_pinned():
+    # Diagnostics print ops with {op!r}.
+    op = Inst("measure", (), (QubitRef(2),), ResultRef(0, 1), (1, 3))
+    assert repr(op) == (
+        "Inst(name='measure', params=(), qubits=(QubitRef(logical_id=2),), "
+        "result=ResultRef(creg_id=0, index=1), condition=(1, 3))"
+    )
+    assert repr(Inst("rz", (0.5,), (QubitRef(0),))) == (
+        "Inst(name='rz', params=(0.5,), qubits=(QubitRef(logical_id=0),), result=None, condition=None)"
+    )
+
+
+# ------------------------------------------------------------- DAG
 
 
 def test_ghz_dag_structure():

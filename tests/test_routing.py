@@ -1,5 +1,6 @@
 """Coupling graphs, layouts, SABRE swap insertion, and full-program routing."""
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -200,6 +201,24 @@ def test_distant_cx_needs_exactly_one_swap():
     assert swap.name == "swap" and swap.inserted
     assert cx.name == "cx" and not cx.inserted
     assert linear(3).adjacent(*cx.qubits)
+
+
+def test_routed_gates_are_built_once_from_the_trace():
+    src = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncx q[0],q[2];\nh q[0];\n'
+    res = sabre_swap(build_dag(qasm_program(src)), Layout.identity(3, 3), linear(3))
+    # The swap of physical 0 and 1 on 3 qubits, then node 0 (the cx) and node 1 (the h).
+    assert res.trace == [~(0 * 3 + 1), 0, 1]
+    gates = res.routed_gates
+    assert res.routed_gates is gates
+    assert [(g.name, g.qubits, g.inserted) for g in gates] == [
+        ("swap", (0, 1), True),
+        ("cx", (1, 2), False),
+        ("h", (1,), False),
+    ]
+    assert dataclasses.replace(res).routed_gates is gates
+    given = gates[1:]
+    assert dataclasses.replace(res, routed_gates=given).routed_gates is given
+    assert res.routed_gates is gates
 
 
 def test_reversed_ghz_also_zero_swaps():
@@ -554,6 +573,25 @@ def test_route_program_reuses_the_best_layout_pass(corpus_programs, topologies):
     for seed in (11, 12, 13):
         assert_routes_like_its_layout(qasm_program(golden_source(seed)), grid(4, 4), seed=seed)
     assert_routes_like_its_layout(all_pairs_program(5), linear(5), seed=0, iterations=4)
+
+
+def test_a_routed_compile_builds_only_the_kept_pass_gates(monkeypatch):
+    built, passes = [], []
+    real_gate, real_swap = routing.RoutedGate, routing.sabre_swap
+
+    def counting_gate(*args):
+        built.append(args)
+        return real_gate(*args)
+
+    def counting_swap(*args):
+        passes.append(args)
+        return real_swap(*args)
+
+    monkeypatch.setattr(routing, "RoutedGate", counting_gate)
+    monkeypatch.setattr(routing, "sabre_swap", counting_swap)
+    routed, result = route_program(all_pairs_program(5), linear(5), sabre_iterations=3)
+    assert len(passes) == 5 and result.swap_count > 0
+    assert len(built) == len(result.routed_gates) == len(routed.ops)
 
 
 @pytest.mark.parametrize("iterations", [1, 2, 3, 4])
