@@ -7,7 +7,7 @@ contiguous across all quantum registers in declaration order, so a program
 with qreg a[2]; qreg b[3]; numbers its qubits a[0]=0, a[1]=1, b[0]=2,
 b[1]=3, b[2]=4.  A classical condition is a field of the Inst it guards:
 ``condition=(creg_id, value)`` runs the op iff that creg equals the value.
-Every record here is a ``NamedTuple``: immutable, equal by value, cheap to build.
+Per-op records (Inst, Barrier, QubitRef, ResultRef, DagNode) are NamedTuples, equal by value.
 
 One walk, ``_dependencies``, states what each op must wait for; the gate
 dependency DAG that routing reads and the circuit depth both come from it.
