@@ -97,15 +97,9 @@ class Task:
 
 
 @dataclass(frozen=True)
-class LinkStep:
-    inputs: tuple[str, ...]
-    output: str
-
-
-@dataclass(frozen=True)
 class BuildPlan:
     tasks: tuple[Task, ...]
-    link_step: LinkStep | None
+    output: str | None  # the executable linking every task's object in task order; None when emit-only
     build_dir: str
 
 
@@ -161,17 +155,15 @@ def classify_inputs(
     if len(set(names)) != len(names):
         raise QccError(f"duplicate input stems: {sorted(n for n in names if names.count(n) > 1)}")
 
-    quantum_only = all(t.kind == "qasm" for t in tasks)
-    link = None
-    if not quantum_only or standalone:
-        link = LinkStep(tuple(t.object_path for t in tasks), output)
+    link = standalone or any(t.kind != "qasm" for t in tasks)
+    if link:
         owners: dict[str, str] = {}  # kernel symbol -> the qasm input that defines it
         for task in (t for t in tasks if t.kind == "qasm"):
             symbol = kernel_symbol(task.path)
             if symbol in owners:
                 raise QccError(f"{owners[symbol]} and {task.path} both define the kernel symbol run_{symbol}")
             owners[symbol] = task.path
-    return BuildPlan(tuple(tasks), link, build_dir)
+    return BuildPlan(tuple(tasks), output if link else None, build_dir)
 
 
 @dataclass(frozen=True)
@@ -194,7 +186,7 @@ class QuantumOptions:
 
 @dataclass(frozen=True)
 class QuantumArtifacts:
-    qir_path: str
+    qir_path: str | None
     metrics_path: str | None
     metrics: dict
 
@@ -308,7 +300,7 @@ def compile_program(program: QuantumProgram, opts: QuantumOptions, filename: str
 
 
 def compile_quantum(task: Task, opts: QuantumOptions) -> QuantumArtifacts:
-    """Run the quantum pipeline for one .qasm input and write its artifacts.
+    """Run the quantum pipeline for one .qasm input and write the artifacts opts.emit names; others' paths are None.
 
     Nothing is written until the whole pipeline has succeeded, so a
     diagnostic never leaves a stale .qir.ll behind.
@@ -319,10 +311,10 @@ def compile_quantum(task: Task, opts: QuantumOptions) -> QuantumArtifacts:
     if problems:
         raise QccError("emitted QIR failed self-check: " + "; ".join(problems))
 
-    qir_path = _artifact_path(task, ".qir.ll")
-    metrics_path = None
-    os.makedirs(os.path.dirname(qir_path) or ".", exist_ok=True)
+    qir_path = metrics_path = None
+    os.makedirs(os.path.dirname(task.object_path) or ".", exist_ok=True)
     if opts.emit in ("qir", "all"):
+        qir_path = _artifact_path(task, ".qir.ll")
         with open(qir_path, "w") as handle:
             handle.write(module.text)
     if opts.emit in ("metrics", "all"):
@@ -399,70 +391,58 @@ def execute_plan(
     flags: str = "",
     log=None,
 ) -> BuildReport:
-    """Run every compile task, then the link step.
+    """Walk the plan once: every compile task in order, then the link step.
 
-    Classical tasks call the configured external tools; qasm tasks run the
-    in-process pipeline.  When the plan links, each qasm task also writes
-    all its artifacts plus a host wrapper, which gets a main() when every
-    input is quantum, and compiles that wrapper.  Any tool failure aborts
-    before the link.  With dry_run the exact command lines are printed
-    (via `log`) and no process is spawned and no file written.
+    Each step's command line is rendered once; with dry_run it is printed
+    (via `log`) and nothing is spawned or written, else it is run.  Classical
+    tasks call the configured external tools; qasm tasks run the in-process
+    pipeline.  When the plan links, each qasm task also writes all its
+    artifacts plus a host wrapper, which gets a main() when every input is
+    quantum, and compiles that wrapper.  Any tool failure aborts before the
+    link.
     """
     opts = quantum_opts or QuantumOptions()
     emit = log or (lambda line: None)
     steps: list[StepResult] = []
-
-    link_needed = plan.link_step is not None
-    if link_needed:
+    if plan.output is not None:
         opts = replace(opts, emit="all")
     quantum_only = all(t.kind == "qasm" for t in plan.tasks)
     flag_args = shlex.split(flags)
-
-    def command_for(task: Task) -> list[str] | None:
-        if task.kind == "qasm":
-            if not link_needed:
-                return None  # emit-only: the pipeline runs in-process
-            return _render(config.cxx_cmd, input=_wrapper_path(task), output=task.object_path, flags=flag_args)
-        template = config.template_for(task.kind)
-        return _render(
-            template, input=task.path, output=task.object_path, flags=flag_args, arch=config.cuda_arch
-        )
-
-    def link_command() -> list[str]:
-        return _render(config.linker_cmd, inputs=list(plan.link_step.inputs), output=plan.link_step.output)
-
-    if dry_run:
-        for task in plan.tasks:
-            command = command_for(task)
-            emit(shlex.join(command) if command else f"# {task.path}: in-process quantum pipeline, no external command")
-        if plan.link_step:
-            emit(shlex.join(link_command()))
-        return BuildReport([], None)
-
-    # object paths live under build_dir; external tools will not create it
-    os.makedirs(plan.build_dir or ".", exist_ok=True)
+    if not dry_run:
+        # object paths live under build_dir; external tools will not create it
+        os.makedirs(plan.build_dir or ".", exist_ok=True)
 
     for task in plan.tasks:
-        command = command_for(task)
+        name = f"{task.kind} {task.path}"
+        if task.kind != "qasm":
+            template = config.template_for(task.kind)
+            argv = _render(template, input=task.path, output=task.object_path, flags=flag_args, arch=config.cuda_arch)
+        elif plan.output is not None:
+            argv = _render(config.cxx_cmd, input=_wrapper_path(task), output=task.object_path, flags=flag_args)
+        else:
+            argv = None  # emit-only: the pipeline runs in-process
+        if dry_run:
+            emit(shlex.join(argv) if argv else f"# {task.path}: in-process quantum pipeline, no external command")
+            continue
+        quantum_elapsed = 0.0
         if task.kind == "qasm":
             start = time.monotonic()
             artifacts = compile_quantum(task, opts)
             quantum_elapsed = time.monotonic() - start
-            if command is None:
-                steps.append(StepResult(f"qasm {task.path}", "(in-process)", quantum_elapsed))
-                emit(f"qasm {task.path}: ok (emit-only)")
+            if argv is None:
+                steps.append(StepResult(name, "(in-process)", quantum_elapsed))
+                emit(f"{name}: ok (emit-only)")
                 continue
             _write_wrapper(task, artifacts.qir_path, with_main=quantum_only)
-            result = _run_tool(f"qasm {task.path}", command)
-            result.duration += quantum_elapsed
-            steps.append(result)
-        else:
-            steps.append(_run_tool(f"{task.kind} {task.path}", command))
-        emit(f"{steps[-1].name}: ok")
+        steps.append(_run_tool(name, argv))
+        steps[-1].duration += quantum_elapsed
+        emit(f"{name}: ok")
 
-    artifact = None
-    if plan.link_step:
-        steps.append(_run_tool("link", link_command()))
-        emit(f"link -> {plan.link_step.output}")
-        artifact = plan.link_step.output
-    return BuildReport(steps, artifact)
+    if plan.output is not None:
+        argv = _render(config.linker_cmd, inputs=[t.object_path for t in plan.tasks], output=plan.output)
+        if dry_run:
+            emit(shlex.join(argv))
+        else:
+            steps.append(_run_tool("link", argv))
+            emit(f"link -> {plan.output}")
+    return BuildReport(steps, None if dry_run else plan.output)

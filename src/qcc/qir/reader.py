@@ -132,15 +132,16 @@ def _read_line(line: int, code: str, function: int) -> Record:
 
 
 def _operands(text: str) -> tuple[tuple[str, str | None], ...]:
-    """Split at commas into (type, value) pairs.
+    """Split at the commas outside (), [], {} and <> into (type, value) pairs.
 
-    A parenthesized constant expression ending a part is its value.  Commas inside brackets split too:
-    no operand of the extractable subset holds one, and the verifier only looks at the %names such parts hold.
+    A parenthesized constant expression ending a part is its value, so
+    `%Qubit* getelementptr (%Qubit, %Qubit* null, i64 1)` is one operand.
     """
     if not text or text.isspace():
         return ()
+    nested = "(" in text or "[" in text or "{" in text or "<" in text
     operands = []
-    for part in text.split(","):
+    for part in _split_outside_brackets(text) if nested else text.split(","):
         words = part.split()
         if "(" in part and (m := _CONSTANT_EXPR_RE.fullmatch(part)):
             operands.append(m.groups())
@@ -149,6 +150,20 @@ def _operands(text: str) -> tuple[tuple[str, str | None], ...]:
         else:
             operands.append((" ".join(words), None))
     return tuple(operands)
+
+
+def _split_outside_brackets(text: str) -> list[str]:
+    parts, depth, start = [], 0, 0
+    for i, char in enumerate(text):
+        if char in "([{<":
+            depth += 1
+        elif char in ")]}>":
+            depth -= 1
+        elif char == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
 
 
 def double_value(token: str, line: int) -> float:

@@ -285,6 +285,15 @@ def test_reader_takes_a_constant_expression_operand_whole():
     )
     # A parenthesis that does not close the part keeps the last word as the value.
     assert reader._operands("void (%Qubit*)* @f") == (("void (%Qubit*)*", "@f"),)
+    # Commas inside brackets do not split.
+    assert reader._operands("%Qubit* getelementptr (%Qubit, %Qubit* null, i64 1)") == (
+        ("%Qubit*", "getelementptr (%Qubit, %Qubit* null, i64 1)"),
+    )
+    assert reader._operands("{ i32, i64 } %s, <2 x i32> %v, [2 x i8]* %a") == (
+        ("{ i32, i64 }", "%s"),
+        ("<2 x i32>", "%v"),
+        ("[2 x i8]*", "%a"),
+    )
 
 
 def test_verifier_reads_a_constant_expression_operand_as_one_value():
@@ -293,6 +302,22 @@ def test_verifier_reads_a_constant_expression_operand_as_one_value():
         "call void @__quantum__qis__h(%Qubit* inttoptr (i64 1 to %Qubit*))",
     )
     assert verify_qir_text(text) == []
+
+
+def test_verifier_reads_a_struct_operand_as_one_value():
+    text = """%Qubit = type opaque
+
+declare void @g({ %Qubit*, i64 })
+
+define void @f() {
+entry:
+  %s = insertvalue { %Qubit*, i64 } undef, i64 1, 1
+  call void @g({ %Qubit*, i64 } %s)
+  ret void
+}
+"""
+    assert verify_qir_text(text) == []
+    assert verify_qir_text(text.replace("} %s)", "} %t)")) == ["line 8: use of undefined value %t"]
 
 
 def test_verifier_flags_unterminated_body():

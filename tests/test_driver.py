@@ -1,6 +1,7 @@
 """Build driver: input classification, toolchain config, plan execution, CLI."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import time
 
 import pytest
 
-from qcc import cli, ir
+from qcc import cli, driver, ir
 from qcc.benchmarks import benchmark_source, list_benchmarks
 from qcc.cli import main
 from qcc.driver import (
@@ -82,6 +83,8 @@ done
 echo built > "$out"
 """
 
+ARGV0_CC = ARGV_CC.replace('for arg in "$@"', 'for arg in "$0" "$@"')  # logs the tool path too
+
 ARGV_RUNNER = """#!/bin/sh
 printf '%s\\n' "$#" "$@" > "{log}"
 """
@@ -122,19 +125,17 @@ def test_classify_three_file_plan(workspace):
     ]
     plan = classify_inputs(paths, output=str(tmp_path / "app"), build_dir=str(tmp_path))
     assert [t.kind for t in plan.tasks] == ["cxx", "cuda", "qasm"]
-    assert plan.link_step is not None
-    assert plan.link_step.output.endswith("app")
-    assert len(plan.link_step.inputs) == 3
+    assert plan.output == str(tmp_path / "app")
 
 
 def test_classify_qasm_only_is_emit_only(workspace):
     tmp_path, _, source, _ = workspace
     plan = classify_inputs([source("c.qasm", GHZ2)], build_dir=str(tmp_path))
-    assert plan.link_step is None
+    assert plan.output is None
     plan2 = classify_inputs(
         [source("c2.qasm", GHZ2)], build_dir=str(tmp_path), standalone=True
     )
-    assert plan2.link_step is not None
+    assert plan2.output is not None
 
 
 def test_classify_mpi_flag_promotes_cxx(workspace):
@@ -173,7 +174,7 @@ def test_classify_rejects_colliding_kernel_symbols_when_linking(workspace):
         classify_inputs([a, b, host], output=str(tmp_path / "app"), build_dir=str(tmp_path))
     # emit-only builds write one module per input and link nothing
     plan = classify_inputs([a, b], build_dir=str(tmp_path))
-    assert plan.link_step is None and len(plan.tasks) == 2
+    assert plan.output is None and len(plan.tasks) == 2
 
 
 def test_cli_colliding_kernel_symbols_fail_before_any_step(workspace, tmp_path, capsys):
@@ -279,6 +280,18 @@ def test_compile_quantum_emit_only_writes_no_wrapper(workspace):
     task = Task(path=qasm, kind="qasm", object_path=str(tmp_path / "only.o"))
     compile_quantum(task, QuantumOptions())
     assert not os.path.exists(str(tmp_path / "only_wrapper.cpp"))
+
+
+def test_compile_quantum_names_only_the_artifacts_it_writes(workspace):
+    tmp_path, _, source, _ = workspace
+    task = Task(path=source("part.qasm", GHZ2), kind="qasm", object_path=str(tmp_path / "part.o"))
+    metrics_only = compile_quantum(task, QuantumOptions(emit="metrics"))
+    assert metrics_only.qir_path is None and not (tmp_path / "part.qir.ll").exists()
+    assert metrics_only.metrics_path == str(tmp_path / "part.metrics.json")
+    os.remove(metrics_only.metrics_path)
+    qir_only = compile_quantum(task, QuantumOptions(emit="qir"))
+    assert qir_only.metrics_path is None and not (tmp_path / "part.metrics.json").exists()
+    assert qir_only.qir_path == str(tmp_path / "part.qir.ll")
 
 
 def test_compile_quantum_bad_source_writes_nothing(workspace):
@@ -517,6 +530,36 @@ def test_path_with_space_is_one_argument(workspace, tmp_path):
     assert calls == [["-c", source, "-o", obj], [obj, "-o", app]]
 
 
+@pytest.mark.parametrize("mpi", [False, True])
+def test_dry_run_prints_what_the_build_runs(workspace, tmp_path, mpi):
+    _, script, source, _ = workspace
+    log = tmp_path / "argv.log"
+    recorder = script("argv0cc.sh", ARGV0_CC.format(log=log))
+    config = ToolchainConfig(
+        cxx_cmd=f"{recorder} -c {{flags}} {{input}} -o {{output}}",
+        cuda_cmd=f"{recorder} -c -arch={{arch}} {{flags}} {{input}} -o {{output}}",
+        mpi_cmd=f"{recorder} -c -DMPI {{flags}} {{input}} -o {{output}}",
+        linker_cmd=f"{recorder} {{inputs}} -o {{output}}",
+    )
+    paths = [source("main.cc", ""), source("kern.cu", ""), source("circ.qasm", GHZ2)]
+    build, app = tmp_path / "build", str(tmp_path / "app")
+    plan = classify_inputs(paths, output=app, build_dir=str(build), mpi=mpi)
+
+    lines = []
+    execute_plan(plan, config, QuantumOptions(), dry_run=True, flags="-O2", log=lines.append)
+    execute_plan(plan, config, QuantumOptions(), flags="-O2", log=lambda s: None)
+    calls = [call.splitlines() for call in log.read_text().split("--\n")[:-1]]
+    assert calls == [shlex.split(line) for line in lines]
+    objects = [str(build / name) for name in ("main.o", "kern.o", "circ.o")]
+    main_flags = ["-c", "-DMPI", "-O2"] if mpi else ["-c", "-O2"]
+    assert calls == [
+        [recorder, *main_flags, paths[0], "-o", objects[0]],
+        [recorder, "-c", "-arch=sm_70", "-O2", paths[1], "-o", objects[1]],
+        [recorder, "-c", "-O2", str(build / "circ_wrapper.cpp"), "-o", objects[2]],
+        [recorder, *objects, "-o", app],
+    ]
+
+
 # ------------------------------------------------------------- CLI
 
 
@@ -682,6 +725,36 @@ def test_cli_capacity_diagnostic_for_both_layouts(tmp_path, capsys, layout):
     assert main(args) == 1
     assert capsys.readouterr().err.strip() == f"{circ}: error: 4 logical qubits exceed 3 physical"
     assert not (tmp_path / "four.qir.ll").exists()
+
+
+def test_cli_build_whose_emitted_qir_fails_its_self_check_writes_nothing(tmp_path, capsys, monkeypatch):
+    real = driver.emit_qir
+
+    def drop_h_declaration(program, kernel_name):
+        module = real(program, kernel_name)
+        return dataclasses.replace(module, text=module.text.replace("declare void @__quantum__qis__h(%Qubit*)\n", ""))
+
+    monkeypatch.setattr(driver, "emit_qir", drop_h_declaration)
+    qasm = tmp_path / "bell.qasm"
+    qasm.write_text(GHZ2)
+    build = tmp_path / "build"
+    assert main(["build", str(qasm), "--build-dir", str(build)]) == 1
+    message = "error: emitted QIR failed self-check: line 23: call to undeclared symbol @__quantum__qis__h"
+    assert capsys.readouterr().err.strip() == message
+    assert not (build / "bell.qir.ll").exists() and not (build / "bell.metrics.json").exists()
+
+
+def test_cli_unreadable_line_in_a_kernel_is_a_diagnostic(tmp_path, capsys):
+    qasm = tmp_path / "bell.qasm"
+    qasm.write_text(GHZ2)
+    assert main(["build", str(qasm), "--build-dir", str(tmp_path)]) == 0
+    qir = tmp_path / "bell.qir.ll"
+    text = qir.read_text().replace("entry:\n", "entry:\nX\n")
+    assert verify_qir_text(text) == ["line 18: unreadable line"]
+    qir.write_text(text)
+    capsys.readouterr()
+    assert main(["extract", str(qir)]) == 1
+    assert capsys.readouterr().err.strip() == f"{qir}: error: line 18: unreadable line"
 
 
 def test_cli_emit_only_build(tmp_path, capsys):

@@ -248,6 +248,20 @@ def test_constant_expression_qubit_is_named_whole(tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_constant_expression_with_commas_is_named_whole(tmp_path, capsys):
+    text = emit_qir(qasm_program(GHZ)).text.replace(
+        "call void @__quantum__qis__h(%Qubit* %2)",
+        "call void @__quantum__qis__h(%Qubit* getelementptr (%Qubit, %Qubit* null, i64 1))",
+    )
+    message = "qubit operand getelementptr (%Qubit, %Qubit* null, i64 1) was never extracted from an array"
+    with pytest.raises(ExtractionError, match=re.escape(message)):
+        extract_program(text)
+    path = tmp_path / "gep.qir.ll"
+    path.write_text(text)
+    assert main(["extract", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_out_of_range_index_rejected():
     body = """define void @k() #0 {
 entry:
