@@ -407,7 +407,7 @@ def execute_plan(
     if plan.output is not None:
         opts = replace(opts, emit="all")
     quantum_only = all(t.kind == "qasm" for t in plan.tasks)
-    flag_args = shlex.split(flags)
+    slots = {"flags": shlex.split(flags), "arch": config.cuda_arch}  # every compile command may use both
     if not dry_run:
         # object paths live under build_dir; external tools will not create it
         os.makedirs(plan.build_dir or ".", exist_ok=True)
@@ -415,10 +415,9 @@ def execute_plan(
     for task in plan.tasks:
         name = f"{task.kind} {task.path}"
         if task.kind != "qasm":
-            template = config.template_for(task.kind)
-            argv = _render(template, input=task.path, output=task.object_path, flags=flag_args, arch=config.cuda_arch)
+            argv = _render(config.template_for(task.kind), input=task.path, output=task.object_path, **slots)
         elif plan.output is not None:
-            argv = _render(config.cxx_cmd, input=_wrapper_path(task), output=task.object_path, flags=flag_args)
+            argv = _render(config.cxx_cmd, input=_wrapper_path(task), output=task.object_path, **slots)
         else:
             argv = None  # emit-only: the pipeline runs in-process
         if dry_run:

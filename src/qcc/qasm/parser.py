@@ -20,27 +20,34 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from collections.abc import Callable
-from typing import NamedTuple, TypeVar
+from typing import TypeVar
 
 from ..errors import QasmSemanticError, QasmSyntaxError, SourceSpan, in_file
 from . import ast
 
+# One match per token: the whitespace, newlines and comments before it are
+# folded into the match, and the token is the one group that matched, named
+# after its type but for a symbol, which is its own type.  An unexpected
+# character takes the rest of the source, so the scan ends there.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r]+)
-    | (?P<comment>//[^\n]*)
-    | (?P<nl>\n)
-    | (?P<real>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?|\d+[eE][+-]?\d+)
+    (?:[ \t\r\n]+|//[^\n]*)*
+    (?:
+      (?P<real>(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
     | (?P<int>\d+)
     | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<string>"[^"\n]*")
-    | (?P<sym>->|==|[;,()\[\]{}+\-*/^])
-    | (?P<bad>.)
+    | (->|==|[;,()\[\]{}+\-*/^])  # group 5
+    | (?P<eof>\Z)
+    | (?P<bad>[\s\S]+)
+    )
     """,
     # ASCII-only \d: a Unicode digit such as '٣' is an unexpected character, not a number.
     re.VERBOSE | re.ASCII,
 )
+_NEWLINE_RE = re.compile("\n")
 
 _NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*$")
 
@@ -69,33 +76,26 @@ MAX_PROGRAM_OPS = 1 << 18
 T = TypeVar("T")
 
 
-class Token(NamedTuple):
-    type: str  # 'real' | 'int' | 'id' | 'string' | 'eof' | literal symbol text
-    text: str
-    span: SourceSpan
-
-
-def _tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0  # line_start: the offset just after the last newline
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-        elif kind not in ("ws", "comment"):
-            text = m.group()
-            span = SourceSpan(line, m.start() - line_start + 1)
-            if kind == "bad":
-                raise QasmSyntaxError(f"unexpected character {text!r}", span)
-            tokens.append(Token(text if kind == "sym" else kind, text, span))
-    tokens.append(Token("eof", "", SourceSpan(line, len(source) - line_start + 1)))
-    return tokens
+# A token is (type, text, end): type is 'real', 'int', 'id', 'string', 'eof'
+# or a symbol's own text, and end is the offset just past the text.  Tuples of
+# strings and an int, which the garbage collector stops tracking.
+Token = tuple[str, str, int]
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], filename: str):
-        self.tokens = tokens
+    def __init__(self, source: str, filename: str):
+        # Offsets of the newlines: a token's line and column are found from its
+        # offset only when a node or a diagnostic needs them.
+        self.newlines = [m.start() for m in _NEWLINE_RE.finditer(source)]
+        self.tokens: list[Token] = [
+            (m.lastgroup or m[5], m[m.lastindex], m.end()) for m in _TOKEN_RE.finditer(source)
+        ]
+        if len(self.tokens) > 1:
+            last = self.tokens[-2]
+            if last[0] == "eof":  # the end, after whitespace or a comment, then on its own
+                self.tokens.pop()
+            elif last[0] == "bad":
+                raise QasmSyntaxError(f"unexpected character {last[1][0]!r}", self.span(last))
         self.pos = 0
         self.filename = filename
         self.qregs: dict[str, int] = {}
@@ -111,6 +111,12 @@ class _Parser:
         self.statements: list[ast.Statement] = []
         self.expr_depth = 0
 
+    def span(self, tok: Token) -> SourceSpan:
+        """Line and column, both from 1, of the first character of tok."""
+        start = tok[2] - len(tok[1])
+        line = bisect_left(self.newlines, start)  # the newlines before tok
+        return SourceSpan(line + 1, start - (self.newlines[line - 1] if line else -1))
+
     # --- token plumbing ---
 
     def peek(self) -> Token:
@@ -118,32 +124,37 @@ class _Parser:
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.type != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def syntax_error(self, message: str, tok: Token | None = None) -> QasmSyntaxError:
         tok = tok or self.peek()
-        return QasmSyntaxError(message, tok.span)
+        return QasmSyntaxError(message, self.span(tok))
 
     def expect_int(self, what: str) -> tuple[Token, int]:
         tok = self.expect("int", what)
-        if len(tok.text) > MAX_INT_DIGITS:
+        if len(tok[1]) > MAX_INT_DIGITS:
             message = f"integer literal longer than {MAX_INT_DIGITS} digits does not fit in 64 bits"
-            raise QasmSemanticError(message, tok.span)
-        return tok, int(tok.text)
+            raise QasmSemanticError(message, self.span(tok))
+        return tok, int(tok[1])
+
+    # expect and accept are never asked for 'eof', so a match is never the last token.
 
     def expect(self, type_: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.type != type_:
-            got = tok.text or "end of input"
+        tok = self.tokens[self.pos]
+        if tok[0] != type_:
+            got = tok[1] or "end of input"
             raise self.syntax_error(f"expected {what}, got {got!r}")
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def accept(self, type_: str) -> Token | None:
-        if self.peek().type == type_:
-            return self.advance()
-        return None
+        tok = self.tokens[self.pos]
+        if tok[0] != type_:
+            return None
+        self.pos += 1
+        return tok
 
     def parse_list(self, item: Callable[[], T]) -> list[T]:
         """item {"," item}: the grammar's idlist, explist and anylist."""
@@ -156,7 +167,7 @@ class _Parser:
         """Optional "(" [item {"," item}] ")"; empty without the parentheses."""
         if not self.accept("("):
             return []
-        items = [] if self.peek().type == ")" else self.parse_list(item)
+        items = [] if self.peek()[0] == ")" else self.parse_list(item)
         self.expect(")", "')'")
         return items
 
@@ -164,14 +175,14 @@ class _Parser:
 
     def parse(self) -> ast.QasmAst:
         header = self.expect("id", "'OPENQASM'")
-        if header.text != "OPENQASM":
+        if header[1] != "OPENQASM":
             raise self.syntax_error("program must start with 'OPENQASM'", header)
         version = self.expect("real", "version number")
-        if version.text != "2.0":
-            raise QasmSemanticError(f"unsupported OPENQASM version '{version.text}'", version.span)
+        if version[1] != "2.0":
+            raise QasmSemanticError(f"unsupported OPENQASM version '{version[1]}'", self.span(version))
         self.expect(";", "';'")
 
-        while self.peek().type != "eof":
+        while self.peek()[0] != "eof":
             self.parse_statement()
 
         return ast.QasmAst(
@@ -185,28 +196,22 @@ class _Parser:
 
     def parse_statement(self) -> None:
         tok = self.peek()
-        if tok.type != "id":
-            raise self.syntax_error(f"expected a statement, got {tok.text!r}")
-        if tok.text == "include":
+        if tok[0] != "id":
+            raise self.syntax_error(f"expected a statement, got {tok[1]!r}")
+        if tok[1] == "include":
             self.parse_include()
-        elif tok.text in ("qreg", "creg"):
+        elif tok[1] in ("qreg", "creg"):
             self.parse_reg_decl()
-        elif tok.text == "gate":
+        elif tok[1] == "gate":
             self.parse_gate_def()
-        elif tok.text == "opaque":
-            raise QasmSemanticError("opaque gates are not supported", tok.span)
+        elif tok[1] == "opaque":
+            raise QasmSemanticError("opaque gates are not supported", self.span(tok))
         else:
-            parse = {
-                "barrier": self.parse_barrier,
-                "if": self.parse_if,
-                "measure": self.parse_measure,
-                "reset": self.parse_reset,
-            }.get(tok.text, self.parse_gate_call)
-            stmt = parse()
+            stmt = _STATEMENT_PARSERS.get(tok[1], _Parser.parse_gate_call)(self)
             self.statements.append(stmt)
             self.n_ops += self.expanded_size(stmt)
             if self.n_ops > MAX_PROGRAM_OPS:
-                raise QasmSemanticError(f"program expands to more than {MAX_PROGRAM_OPS} operations", tok.span)
+                raise QasmSemanticError(f"program expands to more than {MAX_PROGRAM_OPS} operations", self.span(tok))
 
     def expanded_size(self, stmt: ast.Statement) -> int:
         """Ops a top-level statement lowers to: its broadcast width times its gate's size."""
@@ -222,62 +227,62 @@ class _Parser:
         tok = self.advance()
         name_tok = self.expect("string", "include filename")
         self.expect(";", "';'")
-        name = name_tok.text.strip('"')
+        name = name_tok[1].strip('"')
         if name != "qelib1.inc":
-            raise QasmSemanticError(f"unknown include '{name}'", name_tok.span)
+            raise QasmSemanticError(f"unknown include '{name}'", self.span(name_tok))
         if name not in self.includes:
             from . import qelib1
 
             for gdef in self.gate_defs:
                 if gdef.name in qelib1.gate_table():
-                    raise QasmSemanticError(f"gate '{gdef.name}' is already defined", tok.span)
+                    raise QasmSemanticError(f"gate '{gdef.name}' is already defined", self.span(tok))
             self.includes.append(name)
             self.gate_arities.update(qelib1.gate_table())
 
     def parse_reg_decl(self) -> None:
         kind_tok = self.advance()
-        kind = kind_tok.text
+        kind = kind_tok[1]
         name_tok = self.expect("id", "register name")
-        name = name_tok.text
+        name = name_tok[1]
         if not _NAME_RE.match(name):
-            raise QasmSemanticError(f"invalid register name '{name}'", name_tok.span)
+            raise QasmSemanticError(f"invalid register name '{name}'", self.span(name_tok))
         if name in self.qregs or name in self.cregs:
-            raise QasmSemanticError(f"register '{name}' is already declared", name_tok.span)
+            raise QasmSemanticError(f"register '{name}' is already declared", self.span(name_tok))
         self.expect("[", "'['")
         size_tok, size = self.expect_int("register size")
         if size < 1:
-            raise QasmSemanticError("register size must be positive", size_tok.span)
+            raise QasmSemanticError("register size must be positive", self.span(size_tok))
         if kind == "qreg":
             self.n_qubits += size
             if self.n_qubits > MAX_PROGRAM_QUBITS:
                 message = f"program declares more than {MAX_PROGRAM_QUBITS} qubits"
-                raise QasmSemanticError(message, kind_tok.span)
+                raise QasmSemanticError(message, self.span(kind_tok))
         self.expect("]", "']'")
         self.expect(";", "';'")
         (self.qregs if kind == "qreg" else self.cregs)[name] = size
-        self.declarations.append(ast.RegDecl(kind, name, size, name_tok.span))
+        self.declarations.append(ast.RegDecl(kind, name, size, self.span(name_tok)))
 
     def parse_gate_def(self) -> None:
         self.advance()
         name_tok = self.expect("id", "gate name")
-        name = name_tok.text
+        name = name_tok[1]
         if not _NAME_RE.match(name):
-            raise QasmSemanticError(f"invalid gate name '{name}'", name_tok.span)
+            raise QasmSemanticError(f"invalid gate name '{name}'", self.span(name_tok))
         if name in self.gate_arities:
-            raise QasmSemanticError(f"gate '{name}' is already defined", name_tok.span)
+            raise QasmSemanticError(f"gate '{name}' is already defined", self.span(name_tok))
 
-        params = self.parse_parens(lambda: self.expect("id", "parameter name").text)
+        params = self.parse_parens(lambda: self.expect("id", "parameter name")[1])
         qubits = self.parse_id_list("qubit argument")
 
         if len(set(params)) != len(params):
-            raise QasmSemanticError("duplicate parameter name", name_tok.span)
+            raise QasmSemanticError("duplicate parameter name", self.span(name_tok))
         if len(set(qubits)) != len(qubits):
-            raise QasmSemanticError("duplicate qubit argument", name_tok.span)
+            raise QasmSemanticError("duplicate qubit argument", self.span(name_tok))
 
         self.expect("{", "'{'")
         body: list[ast.Statement] = []
-        while self.peek().type != "}":
-            if self.peek().type == "eof":
+        while self.peek()[0] != "}":
+            if self.peek()[0] == "eof":
                 raise self.syntax_error("unterminated gate body")
             body.append(self.parse_body_statement(name, frozenset(params), frozenset(qubits)))
         self.expect("}", "'}'")
@@ -287,36 +292,38 @@ class _Parser:
         size = sum(1 if isinstance(s, ast.BarrierStmt) else self.gate_sizes.get(s.name, 1) for s in body)
         self.gate_sizes[name] = min(size, MAX_PROGRAM_OPS + 1)
         self.gate_defs.append(
-            ast.GateDef(name, tuple(params), tuple(qubits), tuple(body), name_tok.span)
+            ast.GateDef(name, tuple(params), tuple(qubits), tuple(body), self.span(name_tok))
         )
 
     def parse_id_list(self, what: str) -> list[str]:
-        return self.parse_list(lambda: self.expect("id", what).text)
+        return self.parse_list(lambda: self.expect("id", what)[1])
 
     def parse_body_statement(self, gate: str, params: frozenset[str], qubits: frozenset[str]) -> ast.Statement:
         """One statement of gate's body; it may call only gates defined before gate."""
         tok = self.peek()
-        if tok.type != "id":
-            raise self.syntax_error(f"expected a gate application, got {tok.text!r}")
-        if tok.text == "barrier":
+        if tok[0] != "id":
+            raise self.syntax_error(f"expected a gate application, got {tok[1]!r}")
+        if tok[1] == "barrier":
             self.advance()
-            args = self.formal_args(self.parse_id_list("qubit argument"), qubits, tok.span)
+            span = self.span(tok)
+            args = self.formal_args(self.parse_id_list("qubit argument"), qubits, span)
             self.expect(";", "';'")
-            return ast.BarrierStmt(args, tok.span)
+            return ast.BarrierStmt(args, span)
 
         name_tok = self.advance()
-        if name_tok.text == gate:
-            raise QasmSemanticError(f"recursive gate definition '{gate}'", name_tok.span)
+        if name_tok[1] == gate:
+            raise QasmSemanticError(f"recursive gate definition '{gate}'", self.span(name_tok))
         arity = self.gate_arity(name_tok)
         call_params = self.parse_parens(lambda: self.parse_expr(params))
         arg_names = self.parse_id_list("qubit argument")
         self.expect(";", "';'")
 
         self.check_arity(name_tok, arity, len(call_params), len(arg_names))
-        args = self.formal_args(arg_names, qubits, name_tok.span)
+        span = self.span(name_tok)
+        args = self.formal_args(arg_names, qubits, span)
         if len(set(arg_names)) != len(arg_names):
-            raise QasmSemanticError("gate arguments must be distinct", name_tok.span)
-        return ast.GateCall(name_tok.text, tuple(call_params), args, name_tok.span)
+            raise QasmSemanticError("gate arguments must be distinct", span)
+        return ast.GateCall(name_tok[1], tuple(call_params), args, span)
 
     def formal_args(self, names: list[str], qubits: frozenset[str], span: SourceSpan) -> tuple[ast.Argument, ...]:
         """The operands of a gate-body statement, each one of the gate's qubit formals."""
@@ -329,10 +336,10 @@ class _Parser:
 
     def parse_argument(self, kind: str) -> ast.Argument:
         name_tok = self.expect("id", f"{kind} name")
-        name = name_tok.text
+        name = name_tok[1]
         table = self.qregs if kind == "qreg" else self.cregs
         if name not in table:
-            raise QasmSemanticError(f"undeclared {kind} '{name}'", name_tok.span)
+            raise QasmSemanticError(f"undeclared {kind} '{name}'", self.span(name_tok))
         index: int | None = None
         if self.accept("["):
             idx_tok, index = self.expect_int("index")
@@ -340,9 +347,9 @@ class _Parser:
             if index >= table[name]:
                 raise QasmSemanticError(
                     f"index {index} out of range for {kind} '{name}' of size {table[name]}",
-                    idx_tok.span,
+                    self.span(idx_tok),
                 )
-        return ast.Argument(name, index, name_tok.span)
+        return ast.Argument(name, index, self.span(name_tok))
 
     def _check_broadcast(self, args: list[ast.Argument], span: SourceSpan) -> None:
         """Whole-register args must share one size and no qubit may repeat."""
@@ -365,29 +372,30 @@ class _Parser:
 
     def gate_arity(self, name_tok: Token) -> tuple[int, int]:
         """(n_params, n_qubits) of a gate known at this point of the program."""
-        if name_tok.text not in self.gate_arities:
-            raise QasmSemanticError(f"undeclared gate '{name_tok.text}'", name_tok.span)
-        return self.gate_arities[name_tok.text]
+        if name_tok[1] not in self.gate_arities:
+            raise QasmSemanticError(f"undeclared gate '{name_tok[1]}'", self.span(name_tok))
+        return self.gate_arities[name_tok[1]]
 
     def check_arity(self, name_tok: Token, arity: tuple[int, int], n_params: int, n_qubits: int) -> None:
         """The arity check of every gate call, at top level and in gate bodies."""
         if n_params != arity[0]:
-            message = f"gate '{name_tok.text}' takes {arity[0]} parameter(s), got {n_params}"
-            raise QasmSemanticError(message, name_tok.span)
+            message = f"gate '{name_tok[1]}' takes {arity[0]} parameter(s), got {n_params}"
+            raise QasmSemanticError(message, self.span(name_tok))
         if n_qubits != arity[1]:
-            message = f"gate '{name_tok.text}' takes {arity[1]} qubit argument(s), got {n_qubits}"
-            raise QasmSemanticError(message, name_tok.span)
+            message = f"gate '{name_tok[1]}' takes {arity[1]} qubit argument(s), got {n_qubits}"
+            raise QasmSemanticError(message, self.span(name_tok))
 
     def parse_gate_call(self) -> ast.GateCall:
         name_tok = self.advance()
         arity = self.gate_arity(name_tok)
+        span = self.span(name_tok)
         # Each parameter is evaluated as it is parsed, so the first bad one is reported.
-        values = self.parse_parens(lambda: ast.evaluate(self.parse_expr(None), {}, name_tok.span))
+        values = self.parse_parens(lambda: ast.evaluate(self.parse_expr(None), {}, span))
         args = self.parse_list(lambda: self.parse_argument("qreg"))
         self.expect(";", "';'")
         self.check_arity(name_tok, arity, len(values), len(args))
-        self._check_broadcast(args, name_tok.span)
-        return ast.GateCall(name_tok.text, tuple(values), tuple(args), name_tok.span)
+        self._check_broadcast(args, span)
+        return ast.GateCall(name_tok[1], tuple(values), tuple(args), span)
 
     def parse_measure(self) -> ast.Measure:
         tok = self.advance()
@@ -397,53 +405,53 @@ class _Parser:
         self.expect(";", "';'")
         if (qarg.index is None) != (carg.index is None):
             raise QasmSemanticError(
-                "measure operands must both be indexed or both whole registers", tok.span
+                "measure operands must both be indexed or both whole registers", self.span(tok)
             )
         if qarg.index is None and self.qregs[qarg.reg] != self.cregs[carg.reg]:
-            raise QasmSemanticError("measured registers have mismatched sizes", tok.span)
-        return ast.Measure(qarg, carg, tok.span)
+            raise QasmSemanticError("measured registers have mismatched sizes", self.span(tok))
+        return ast.Measure(qarg, carg, self.span(tok))
 
     def parse_reset(self) -> ast.Reset:
         tok = self.advance()
         qarg = self.parse_argument("qreg")
         self.expect(";", "';'")
-        return ast.Reset(qarg, tok.span)
+        return ast.Reset(qarg, self.span(tok))
 
     def parse_barrier(self) -> ast.BarrierStmt:
         tok = self.advance()
         args = self.parse_list(lambda: self.parse_argument("qreg"))
         self.expect(";", "';'")
-        return ast.BarrierStmt(tuple(args), tok.span)
+        return ast.BarrierStmt(tuple(args), self.span(tok))
 
     def parse_if(self) -> ast.IfStatement:
         tok = self.advance()
         self.expect("(", "'('")
         creg_tok = self.expect("id", "creg name")
-        if creg_tok.text not in self.cregs:
-            raise QasmSemanticError(f"undeclared creg '{creg_tok.text}'", creg_tok.span)
+        if creg_tok[1] not in self.cregs:
+            raise QasmSemanticError(f"undeclared creg '{creg_tok[1]}'", self.span(creg_tok))
         self.expect("==", "'=='")
         value_tok, value = self.expect_int("comparison value")
         self.expect(")", "')'")
         # The value must fit the register and the i64 that QIR compares it as.
-        width = min(self.cregs[creg_tok.text], 63)
+        width = min(self.cregs[creg_tok[1]], 63)
         if value.bit_length() > width:
             raise QasmSemanticError(
-                f"comparison value {value_tok.text} does not fit in {width} bits of creg '{creg_tok.text}'",
-                value_tok.span,
+                f"comparison value {value_tok[1]} does not fit in {width} bits of creg '{creg_tok[1]}'",
+                self.span(value_tok),
             )
 
         body_tok = self.peek()
-        if body_tok.type != "id":
+        if body_tok[0] != "id":
             raise self.syntax_error("expected a quantum operation after if(...)")
-        if body_tok.text == "measure":
+        if body_tok[1] == "measure":
             body: ast.Statement = self.parse_measure()
-        elif body_tok.text == "reset":
+        elif body_tok[1] == "reset":
             body = self.parse_reset()
-        elif body_tok.text in ("barrier", "if", "gate", "opaque", "qreg", "creg", "include"):
-            raise self.syntax_error(f"'{body_tok.text}' cannot be conditioned", body_tok)
+        elif body_tok[1] in ("barrier", "if", "gate", "opaque", "qreg", "creg", "include"):
+            raise self.syntax_error(f"'{body_tok[1]}' cannot be conditioned", body_tok)
         else:
             body = self.parse_gate_call()
-        return ast.IfStatement(creg_tok.text, value, body, tok.span)
+        return ast.IfStatement(creg_tok[1], value, body, self.span(tok))
 
     # --- expressions ---
 
@@ -462,8 +470,8 @@ class _Parser:
             return self.parse_unary(params)
         node = self.parse_expr(params, level + 1)
         depth = self.expr_depth
-        while self.peek().type in _BINARY_LEVELS[level]:
-            op = self.advance().text
+        while self.peek()[0] in _BINARY_LEVELS[level]:
+            op = self.advance()[1]
             self.enter_expr()  # each operator nests the tree built so far one level deeper
             node = ast.BinOp(op, node, self.parse_expr(params, level + 1))
         self.expr_depth = depth
@@ -484,33 +492,41 @@ class _Parser:
 
     def parse_atom(self, params: frozenset[str] | None) -> ast.Expr:
         tok = self.peek()
-        if tok.type in ("real", "int"):
+        if tok[0] in ("real", "int"):
             self.advance()
-            value = float(tok.text)
+            value = float(tok[1])
             if math.isinf(value):
-                raise QasmSemanticError("number literal does not fit in a double", tok.span)
+                raise QasmSemanticError("number literal does not fit in a double", self.span(tok))
             return ast.Num(value)
-        if tok.type == "(":
+        if tok[0] == "(":
             self.advance()
             node = self.parse_expr(params)
             self.expect(")", "')'")
             return node
-        if tok.type == "id":
+        if tok[0] == "id":
             self.advance()
-            if tok.text == "pi":
+            if tok[1] == "pi":
                 return ast.Pi()
-            if tok.text in ast.FUNCTIONS:
+            if tok[1] in ast.FUNCTIONS:
                 self.expect("(", "'('")
                 node = self.parse_expr(params)
                 self.expect(")", "')'")
-                return ast.Call(tok.text, node)
-            if params is not None and tok.text not in params:
-                raise QasmSemanticError(f"unknown parameter '{tok.text}'", tok.span)
-            return ast.Param(tok.text)
-        raise self.syntax_error(f"expected an expression, got {tok.text or 'end of input'!r}")
+                return ast.Call(tok[1], node)
+            if params is not None and tok[1] not in params:
+                raise QasmSemanticError(f"unknown parameter '{tok[1]}'", self.span(tok))
+            return ast.Param(tok[1])
+        raise self.syntax_error(f"expected an expression, got {tok[1] or 'end of input'!r}")
+
+
+_STATEMENT_PARSERS = {
+    "barrier": _Parser.parse_barrier,
+    "if": _Parser.parse_if,
+    "measure": _Parser.parse_measure,
+    "reset": _Parser.parse_reset,
+}
 
 
 def parse_qasm(source: str, filename: str = "<input>") -> ast.QasmAst:
     """Parse and validate OpenQASM 2.0 source text; diagnostics name filename."""
     with in_file(filename):
-        return _Parser(_tokenize(source), filename).parse()
+        return _Parser(source, filename).parse()

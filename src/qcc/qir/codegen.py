@@ -74,6 +74,13 @@ def format_double(value: float) -> str:
     return f"0x{bits:016X}"
 
 
+def _gate_key(op: Inst) -> tuple:
+    """What fixes a gate's call line: its name, the bit patterns of its
+    parameters, which keep 0.0 and -0.0 apart, and its qubits."""
+    params = op.params
+    return op.name, struct.pack(f"{len(params)}d", *params) if params else b"", op.qubits
+
+
 class _Emitter:
     def __init__(self, program: QuantumProgram, kernel_name: str):
         self.program = program
@@ -85,6 +92,8 @@ class _Emitter:
         self.rt_used: set[str] = set()
         self.qubit_ssa: dict[int, str] = {}  # logical id -> %Qubit* value
         self.result_lines: list[str] = []
+        # The call line of each gate op already written, keyed as _gate_key does.
+        self.gate_lines: dict[tuple, str] = {}
 
     def ssa(self) -> str:
         name = f"%{self.next_ssa}"
@@ -136,14 +145,18 @@ class _Emitter:
             creg = self.program.cregs[op.result.creg_id].name
             self.result_lines.append(f"; result {len(self.result_lines)} ({result}) -> {creg}[{op.result.index}]")
             return
-        if not _SYMBOL_RE.match(name):
-            raise EmitError(f"gate name {name!r} has no QIS mapping")
-        arg_types = ["double"] * len(op.params) + ["%Qubit*"] * len(op.qubits)
-        signature = f"declare void @__quantum__qis__{name}({', '.join(arg_types)})"
-        callee = self.qis(name, signature)
-        args = [f"double {format_double(p)}" for p in op.params]
-        args += [f"%Qubit* {self.qubit(q)}" for q in op.qubits]
-        self.body.append(f"  call void {callee}({', '.join(args)})")
+        key = _gate_key(op)
+        line = self.gate_lines.get(key)
+        if line is None:  # its first use, which also adds its declaration
+            if not _SYMBOL_RE.match(name):
+                raise EmitError(f"gate name {name!r} has no QIS mapping")
+            arg_types = ["double"] * len(op.params) + ["%Qubit*"] * len(op.qubits)
+            signature = f"declare void @__quantum__qis__{name}({', '.join(arg_types)})"
+            callee = self.qis(name, signature)
+            args = [f"double {format_double(p)}" for p in op.params]
+            args += [f"%Qubit* {self.qubit(q)}" for q in op.qubits]
+            line = self.gate_lines[key] = f"  call void {callee}({', '.join(args)})"
+        self.body.append(line)
 
     def emit_op(self, op: IrOp) -> None:
         if isinstance(op, Barrier):

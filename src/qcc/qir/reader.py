@@ -30,6 +30,8 @@ _INST_RE = re.compile(rf"{_PREFIX}([a-z_]\w*)\s*(.*)")
 _CAST_RE = re.compile(r"(.*?)\s+to\s+(.*)")  # `bitcast i8* %e to %Qubit*`
 _UNTYPED_VALUE_RE = re.compile(rf"[%@]{_NAME}|[-+]?\d[\w.+-]*")
 _CONSTANT_EXPR_RE = re.compile(r"\s*(.+?)\s+([a-z]\w*\s*\(.*\))\s*")  # `%Qubit* inttoptr (i64 1 to %Qubit*)`
+# Vector, array, struct and packed struct types: `<2 x i32>`, `[4 x i8]`, `{ i32, i64 }`, `<{ i8 }>`.
+_AGGREGATE_TYPE_RE = re.compile(r"<\s*\d+\s+x\s.*>|\[\s*\d+\s+x\s.*\]|<?\{.*\}>?")
 _HEX_DOUBLE_RE = re.compile(r"0x[0-9A-Fa-f]{16}")
 _DECIMAL_DOUBLE_RE = re.compile(r"[-+]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|inf|nan)")
 
@@ -136,6 +138,10 @@ def _operands(text: str) -> tuple[tuple[str, str | None], ...]:
 
     A parenthesized constant expression ending a part is its value, so
     `%Qubit* getelementptr (%Qubit, %Qubit* null, i64 1)` is one operand.
+    So is an aggregate constant: `<2 x i32> <i32 %a, i32 %b>` is the type
+    `<2 x i32>` and the value `<i32 %a, i32 %b>`.  A part that is one
+    bracketed group is a bare type, such as `{ i32, i64 }`, or else a value
+    with no type, as the second operand of `add <2 x i32> %a, <i32 1, i32 %c>`.
     """
     if not text or text.isspace():
         return ()
@@ -145,6 +151,11 @@ def _operands(text: str) -> tuple[tuple[str, str | None], ...]:
         words = part.split()
         if "(" in part and (m := _CONSTANT_EXPR_RE.fullmatch(part)):
             operands.append(m.groups())
+        elif nested and part.rstrip().endswith((">", "]", "}")):
+            start = _last_group_start(part)
+            type_, value = part[:start].strip(), part[start:].strip()
+            bare_type = not type_ and _AGGREGATE_TYPE_RE.fullmatch(value)
+            operands.append((value, None) if bare_type else (type_, value))
         elif len(words) > 1 or (words and _UNTYPED_VALUE_RE.fullmatch(words[0])):  # `add i32 %a, %b` types %b once
             operands.append((" ".join(words[:-1]), words[-1]))
         else:
@@ -164,6 +175,19 @@ def _split_outside_brackets(text: str) -> list[str]:
             start = i + 1
     parts.append(text[start:])
     return parts
+
+
+def _last_group_start(part: str) -> int:
+    """Where the bracketed group that ends part opens."""
+    depth = 0
+    for i in range(len(part.rstrip()) - 1, -1, -1):
+        if part[i] in ")]}>":
+            depth += 1
+        elif part[i] in "([{<":
+            depth -= 1
+            if depth == 0:
+                return i
+    return 0
 
 
 def double_value(token: str, line: int) -> float:
@@ -201,19 +225,32 @@ def verify_qir_text(module) -> list[str]:
     symbols = {r.name for r in records if r.kind in ("define", "declare")}
     defined = {(r.function, f"%{r.name}") for r in records if r.kind == "label"}
     diagnostics: list[str] = []
+    # Records, without their line, of instructions that define nothing and
+    # gave no diagnostic.  Definitions only accumulate and the symbols are
+    # fixed, so a repeat of one in the same function would give none either.
+    passed: set[tuple] = set()
     for r in records:
         if r.problem is not None:
             diagnostics.append(f"line {r.line}: {r.problem}")
         elif r.kind == "define":
             defined.update((r.line, value) for _, value in r.operands() if value is not None)
         elif r.kind == "inst":
+            key = r[1:] if r.result is None else None
+            if key in passed:
+                continue
+            found = len(diagnostics)
             if r.result is not None and (r.function, r.result) in defined:
                 diagnostics.append(f"line {r.line}: duplicate SSA definition {r.result}")
-            for _, value in r.operands():
-                if value is not None and value.startswith("%") and (r.function, value) not in defined:
+            values = [value for _, value in r.operands() if value is not None]
+            for value in values:  # an aggregate constant's elements are appended, and checked after
+                if value[0] in "<[{":
+                    values += [element for _, element in _operands(value[1:-1]) if element is not None]
+                elif value[0] == "%" and (r.function, value) not in defined:
                     diagnostics.append(f"line {r.line}: use of undefined value {value}")
             if r.result is not None:
                 defined.add((r.function, r.result))
             if r.opcode == "call" and r.name not in symbols:
                 diagnostics.append(f"line {r.line}: call to undeclared symbol @{r.name}")
+            if key is not None and len(diagnostics) == found:
+                passed.add(key)
     return diagnostics

@@ -46,6 +46,9 @@ SABRE_ITERATIONS = 3
 # Each round is up to two router passes over the whole circuit.
 MAX_SABRE_ITERATIONS = 100
 SABRE_SEED = 0
+# The release valve opens after this many swaps per physical qubit in a row
+# that place no gate; normal routing stays far below it.
+RELEASE_VALVE_FACTOR = 10
 # Largest device accepted, about twice today's largest hardware.  The
 # all-pairs distance table grows with its square: 0.9 s at 2,048 qubits.
 MAX_DEVICE_QUBITS = 2048
@@ -106,18 +109,34 @@ def _bfs_distances(adjacency, source: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
+# The graphs of the last few device files read, keyed on their text, oldest first.
+_GRAPHS: dict[str, CouplingGraph] = {}
+_GRAPHS_KEPT = 4
+
+
 def load_coupling_graph(path) -> CouplingGraph:
-    """Load a device description: JSON {"n_qubits": N, "edges": [[u, v], ...]}."""
+    """Load a device description: JSON {"n_qubits": N, "edges": [[u, v], ...]}.
+
+    The file is read on every call, but a text read before gives the graph
+    built then, so the tasks of one build parse a device and build its
+    distance table once.  A file that fails is never remembered.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            text = handle.read()
+        if (graph := _GRAPHS.get(text)) is not None:
+            return graph
+        data = json.loads(text)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise CouplingFormatError(f"cannot read coupling graph {path}: {exc}") from exc
     if not isinstance(data, dict) or "n_qubits" not in data or "edges" not in data:
         raise CouplingFormatError('coupling graph needs "n_qubits" and "edges" keys')
     if not isinstance(data["edges"], list):
         raise CouplingFormatError('"edges" must be a list of pairs')
-    return CouplingGraph.from_edges(data["n_qubits"], data["edges"])
+    graph = _GRAPHS[text] = CouplingGraph.from_edges(data["n_qubits"], data["edges"])
+    if len(_GRAPHS) > _GRAPHS_KEPT:
+        del _GRAPHS[next(iter(_GRAPHS))]
+    return graph
 
 
 def _check_capacity(n_logical: int, n_physical: int) -> None:
@@ -212,6 +231,8 @@ class RoutingResult:
     # Count of cx gates that replace inserted swaps when the native set has
     # no swap; 0 when swaps are emitted as-is.
     swap_cx_count: int = 0
+    # Times the release valve walked a stalled front gate into place.
+    valve_firings: int = 0
     # The pass in order: a ``nodes`` id per placed gate, ~(u * n + v) per swap of u and v on n qubits.
     trace: list[int] = field(default_factory=list, repr=False, compare=False)
     nodes: list = field(default_factory=list, repr=False, compare=False)
@@ -228,6 +249,11 @@ def sabre_swap(
     over an extended lookahead set, scaled by a per-qubit decay that
     discourages immediately reusing the same physical qubits.  Ties break on
     the lexicographically smallest edge, so routing is deterministic.
+
+    A release valve bounds the work: after RELEASE_VALVE_FACTOR * n_physical
+    swaps in a row that place no gate, the blocked gate with the least
+    distance (ties to the lowest node id) is swapped along a shortest path
+    until it can run, and decay is reset.  Every valve firing places a gate.
 
     Scoring is incremental.  At each blocked step the front and extended
     distance sums are taken once, as integers.  A candidate swap changes only
@@ -254,7 +280,13 @@ def sabre_swap(
     trace: list[int] = []
     swap_count = 0
     decay = [1.0] * n_physical
-    swap_budget = 10 * max(n_nodes, 1) * n_physical
+    stall_limit = RELEASE_VALVE_FACTOR * n_physical
+    stalled = 0  # swaps since a gate was last placed
+    valve_firings = 0
+
+    def gate_distance(node_id: int) -> int:
+        a, b = qubits_of[node_id]
+        return dist[log_to_phys[a]][log_to_phys[b]]
 
     # Ready nodes not yet examined under the current layout; ready nodes that
     # were examined and are blocked.  Ready nodes never share a qubit.
@@ -275,6 +307,7 @@ def sabre_swap(
                         blocked.append(node_id)
                         continue
                 trace.append(node_id)
+                stalled = 0
                 for succ in successors[node_id]:
                     indegree[succ] -= 1
                     if indegree[succ] == 0:
@@ -282,9 +315,26 @@ def sabre_swap(
         if not blocked:
             break
 
+        blocked.sort()
+        if stalled >= stall_limit:
+            # The release valve: move the closest blocked gate's first qubit
+            # along a shortest path, lowest neighbour first, until it can run.
+            a, b = qubits_of[min(blocked, key=gate_distance)]  # blocked is sorted: ties go to the lowest id
+            pb = log_to_phys[b]
+            while dist[log_to_phys[a]][pb] != 1:
+                pa = log_to_phys[a]
+                step = next(q for q in adjacency[pa] if dist[q][pb] < dist[pa][pb])
+                u, v = (pa, step) if pa < step else (step, pa)
+                layout.swap_physical(u, v)
+                trace.append(~(u * layout.n_physical + v))
+                swap_count += 1
+            decay = [1.0] * n_physical
+            valve_firings += 1
+            pending, blocked = blocked, []
+            continue
+
         # Per physical qubit: the position of its front-gate partner, and the
         # positions of its extended-gate partners.
-        blocked.sort()
         front_other: list[int | None] = [None] * n_physical
         front_qubits: list[int] = []
         front_sum = 0
@@ -345,15 +395,16 @@ def sabre_swap(
         layout.swap_physical(u, v)
         trace.append(~(u * layout.n_physical + v))
         swap_count += 1
-        if swap_count > swap_budget:
-            raise RoutingError(f"routing exceeded the safety bound of {swap_budget} swaps")
+        stalled += 1
         decay[u] *= DECAY_FACTOR
         decay[v] *= DECAY_FACTOR
         if swap_count % DECAY_RESET_INTERVAL == 0:
             decay = [1.0] * n_physical
         pending, blocked = blocked, []
 
-    return RoutingResult(None, initial.copy(), layout, swap_count, trace=trace, nodes=nodes)
+    return RoutingResult(
+        None, initial.copy(), layout, swap_count, valve_firings=valve_firings, trace=trace, nodes=nodes
+    )
 
 
 def _extended_set(successors, two_qubit, front) -> list[int]:

@@ -320,6 +320,110 @@ entry:
     assert verify_qir_text(text.replace("} %s)", "} %t)")) == ["line 8: use of undefined value %t"]
 
 
+def test_reader_takes_an_aggregate_constant_whole():
+    assert reader._operands("<2 x i32> <i32 %a, i32 %b>") == (("<2 x i32>", "<i32 %a, i32 %b>"),)
+    assert reader._operands("[2 x i8] [i8 1, i8 2], i64 %n") == (("[2 x i8]", "[i8 1, i8 2]"), ("i64", "%n"))
+    assert reader._operands("{ i32, i64 } { i32 1, i64 %m }") == (("{ i32, i64 }", "{ i32 1, i64 %m }"),)
+    # One bracketed group is a bare type, or else a value that takes the first operand's type.
+    assert reader._operands("<2 x i32>, { i8*, i64 }, [4 x i8]") == (
+        ("<2 x i32>", None),
+        ("{ i8*, i64 }", None),
+        ("[4 x i8]", None),
+    )
+    assert reader._operands("<2 x i32> %a, <i32 1, i32 %c>") == (("<2 x i32>", "%a"), ("", "<i32 1, i32 %c>"))
+
+
+VECTOR_ADD = """define <2 x i32> @f(i32 %a, i32 %b) {
+  %v = add <2 x i32> <i32 %a, i32 %b>, <i32 1, i32 1>
+  ret <2 x i32> %v
+}
+"""
+
+
+def test_verifier_checks_the_names_inside_an_aggregate_constant():
+    assert verify_qir_text(VECTOR_ADD) == []
+    assert verify_qir_text(VECTOR_ADD.replace("i32 %b>", "i32 %c>")) == ["line 2: use of undefined value %c"]
+    assert verify_qir_text(VECTOR_ADD.replace("<i32 1, i32 1>", "<i32 1, i32 %c>")) == [
+        "line 2: use of undefined value %c"
+    ]
+
+
+def test_verifier_checks_a_repeated_line_again_until_it_passes():
+    # Line 5 uses %x before line 6 defines it; its repeats after that pass.  A
+    # repeated line with a result is a second definition, and a repeated call
+    # to an undeclared symbol is reported each time.
+    text = """declare void @g(i64)
+
+define void @f() {
+entry:
+  call void @g(i64 %x)
+  %x = add i64 1, 2
+  call void @g(i64 %x)
+  call void @g(i64 %x)
+  %x = add i64 1, 2
+  call void @h(i64 %x)
+  call void @h(i64 %x)
+  ret void
+}
+"""
+    assert verify_qir_text(text) == [
+        "line 5: use of undefined value %x",
+        "line 9: duplicate SSA definition %x",
+        "line 10: call to undeclared symbol @h",
+        "line 11: call to undeclared symbol @h",
+    ]
+
+
+REPEATS = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[2];
+creg c[1];
+rz(0.0) q[0];
+rz(-0.0) q[0];
+rz(0.0) q[0];
+measure q[0] -> c[0];
+measure q[0] -> c[0];
+if (c==1) x q[1];
+if (c==1) x q[1];
+x q[1];
+"""
+
+
+def test_repeated_ops_emit_each_line_in_full():
+    # A signed zero is its own line; a repeated measurement defines a new
+    # result and a repeated conditioned op opens its own branch.
+    text = emit_qir(qasm_program(REPEATS)).text
+    body = text[text.index("  %4 = bitcast") :].splitlines()[1:-4]
+    assert body == [
+        "  call void @__quantum__qis__rz(double 0.000000e+00, %Qubit* %2)",
+        "  call void @__quantum__qis__rz(double -0.000000e+00, %Qubit* %2)",
+        "  call void @__quantum__qis__rz(double 0.000000e+00, %Qubit* %2)",
+        "  %5 = call %Result* @__quantum__qis__m(%Qubit* %2)",
+        "  %6 = call %Result* @__quantum__qis__m(%Qubit* %2)",
+        "  %7 = call i1 @__quantum__rt__creg_equal(i64 0, i64 1)",
+        "  br i1 %7, label %then.0, label %endif.0",
+        "then.0:",
+        "  call void @__quantum__qis__x(%Qubit* %4)",
+        "  br label %endif.0",
+        "endif.0:",
+        "  %8 = call i1 @__quantum__rt__creg_equal(i64 0, i64 1)",
+        "  br i1 %8, label %then.1, label %endif.1",
+        "then.1:",
+        "  call void @__quantum__qis__x(%Qubit* %4)",
+        "  br label %endif.1",
+        "endif.1:",
+        "  call void @__quantum__qis__x(%Qubit* %4)",
+        "  call void @__quantum__rt__qubit_release_array(%Array* %0)",
+        "  call void @__quantum__rt__finalize()",
+    ]
+    declares = [line for line in text.splitlines() if line.startswith("declare void @__quantum__qis__")]
+    assert declares == [
+        "declare void @__quantum__qis__rz(double, %Qubit*)",
+        "declare void @__quantum__qis__x(%Qubit*)",
+    ]
+    assert verify_qir_text(text) == []
+
+
 def test_verifier_flags_unterminated_body():
     text = GHZ_QIR.replace("\n}\n", "\n")
     define = text.splitlines().index("define void @main() #0 {") + 1

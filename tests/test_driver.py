@@ -1313,6 +1313,20 @@ def test_cli_cuda_arch_overrides_the_configured_one(tmp_path, capsys, monkeypatc
     assert "-arch=sm_80" in shlex.split(cuda_command)
 
 
+def test_cli_arch_slot_is_filled_in_the_qasm_wrapper_compile_too(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QCC_TOOLCHAIN", raising=False)
+    host, circ, config = tmp_path / "m.cc", tmp_path / "c.qasm", tmp_path / "tc.json"
+    host.write_text("")
+    circ.write_text(GHZ2)
+    config.write_text(json.dumps({"cxx_cmd": "g++ -c -march={arch} {flags} {input} -o {output}"}))
+    argv = ["build", str(host), str(circ), "--toolchain-config", str(config), "--build-dir", str(tmp_path), "--dry-run"]
+    assert main(argv) == 0
+    host_compile, wrapper_compile, _link = capsys.readouterr().out.splitlines()
+    assert shlex.split(host_compile)[:3] == ["g++", "-c", "-march=sm_70"]
+    assert shlex.split(wrapper_compile)[:3] == ["g++", "-c", "-march=sm_70"]
+    assert shlex.split(wrapper_compile)[3] == str(tmp_path / "c_wrapper.cpp")
+
+
 def test_cli_toolchain_config_that_is_not_an_object_is_a_diagnostic(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("QCC_TOOLCHAIN", raising=False)
     host, config = tmp_path / "host.cpp", tmp_path / "tc.json"

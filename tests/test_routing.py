@@ -3,11 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import os
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from qcc.benchmarks import benchmark_source, list_benchmarks
 from qcc.errors import CapacityError, CouplingFormatError, RoutingError
 from qcc.ir import Barrier, Inst, build_dag, gate_counts
 from qcc import routing
@@ -143,6 +146,27 @@ def test_load_coupling_graph(tmp_path):
     boolean.write_text(json.dumps({"n_qubits": True, "edges": []}))
     with pytest.raises(CouplingFormatError, match="n_qubits must be a positive integer"):
         load_coupling_graph(boolean)
+
+
+def test_load_coupling_graph_reads_each_device_once_and_never_keeps_a_failure(tmp_path):
+    path = tmp_path / "device.json"
+    path.write_text(json.dumps({"n_qubits": 3, "edges": [[0, 1], [1, 2]]}))
+    first = load_coupling_graph(path)
+    assert load_coupling_graph(path) is first
+    path.write_text(json.dumps({"n_qubits": 3, "edges": [[0, 1], [1, 2], [2, 0]]}))
+    assert load_coupling_graph(path).distance[0][2] == 1
+    for text, message in [
+        ('{"n_qubits": 3, "edges": [[0, 1]]}', "^disconnected coupling graph$"),
+        ('{"n_qubits": 3}', '^coupling graph needs "n_qubits" and "edges" keys$'),
+        ('{"n_qubits": 3,', "^cannot read coupling graph .*: Expecting property name"),
+    ]:
+        path.write_text(text)
+        for _ in range(2):
+            with pytest.raises((CouplingFormatError, RoutingError), match=message):
+                load_coupling_graph(path)
+    path.unlink()
+    with pytest.raises(CouplingFormatError, match="^cannot read coupling graph .*No such file"):
+        load_coupling_graph(path)
 
 
 # ------------------------------------------------------------- layouts
@@ -616,3 +640,65 @@ def test_route_program_makes_no_pass_beyond_the_layout_search(monkeypatch, itera
     route_program(program, linear(5), layout=Layout.identity(5, 5))
     assert len(calls) == 1
     assert len(searches) == 1
+
+
+# ------------------------------------------------------------- release valve
+
+
+def count_valve_firings(monkeypatch) -> list[int]:
+    """Patch sabre_swap to record the valve firings of every pass, kept or not."""
+    firings = []
+    real_swap = routing.sabre_swap
+
+    def recording(*args):
+        result = real_swap(*args)
+        firings.append(result.valve_firings)
+        return result
+
+    monkeypatch.setattr(routing, "sabre_swap", recording)
+    return firings
+
+
+def grid_graph(rows, cols):
+    edges = [[r * cols + c, r * cols + c + 1] for r in range(rows) for c in range(cols - 1)]
+    edges += [[r * cols + c, (r + 1) * cols + c] for r in range(rows - 1) for c in range(cols)]
+    return CouplingGraph.from_edges(rows * cols, edges)
+
+
+def test_release_valve_never_fires_on_the_bundled_benchmarks(monkeypatch):
+    firings = count_valve_firings(monkeypatch)
+    for name in list_benchmarks():
+        program = optimize(qasm_program(benchmark_source(name)), 1)
+        for graph in (linear(10), grid_graph(3, 4)):
+            route_program(program, graph, seed=7)
+    assert len(firings) >= 9 * 2 and sum(firings) == 0
+
+
+@pytest.mark.parametrize("workload", ["small_corpus", "grid_route"])
+def test_release_valve_never_fires_on_the_bench_workloads(monkeypatch, workload):
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+    from workloads import ROUTING_SEED, SABRE_ITERATIONS, WORKLOADS
+
+    spec = WORKLOADS[workload]
+    graph = CouplingGraph.from_edges(spec.device[0], spec.device[1])
+    firings = count_valve_firings(monkeypatch)
+    for index in range(3):
+        program = optimize(qasm_program(spec.circuit(1, index).source), spec.opt_level)
+        route_program(program, graph, seed=ROUTING_SEED, sabre_iterations=SABRE_ITERATIONS)
+    assert firings and sum(firings) == 0
+
+
+def test_release_valve_walks_the_closest_gate_into_place(monkeypatch):
+    # With no swaps allowed before it opens, every blocked step is the valve:
+    # the closest blocked gate, q[0] and q[3] here, moves its first qubit along
+    # the line until it can run, and each step is an ordinary inserted swap.
+    monkeypatch.setattr(routing, "RELEASE_VALVE_FACTOR", 0)
+    src = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[6];\ncx q[0],q[3];\ncx q[5],q[1];\n'
+    prog = qasm_program(src)
+    routed, result = route_program(prog, linear(6), layout=Layout.identity(6, 6))
+    assert result.valve_firings == 2
+    placed = [(g.name, g.qubits) for g in result.routed_gates]
+    assert placed[:3] == [("swap", (0, 1)), ("swap", (1, 2)), ("cx", (2, 3))]
+    assert result.swap_count == sum(g.inserted for g in result.routed_gates)
+    expected = permute_qubits(simulate(prog), routing_permutation(result, 6))
+    assert equiv_up_to_global_phase(expected, simulate(routed))

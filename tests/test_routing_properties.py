@@ -6,15 +6,21 @@ the initial layout reaches the reported final layout, and the routed gates,
 mapped back to logical qubits through that replay, execute the input DAG.
 On circuits that measure into two cregs and condition gates and measurements
 on them, every read (condition) and write (result) of a creg keeps its source
-order wherever the two do not commute.
+order wherever the two do not commute.  With the release valve forced open
+early, routing still passes the routing-validity checks: no two-qubit gate
+off an edge, and the statevector of the input up to the final layout.
 """
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcc import routing
 from qcc.ir import Inst, build_dag
-from qcc.optimizer import NativeGateSet
+from qcc.optimizer import NativeGateSet, decompose_unsupported
 from qcc.routing import CouplingGraph, route_program, sabre_layout
+from qcc.simulator import equiv_up_to_global_phase, permute_qubits, simulate
 
 from conftest import qasm_program
 
@@ -193,3 +199,26 @@ def test_routing_keeps_the_order_of_creg_reads_and_writes(data):
                 if key_a == key_b or both_read or distinct_writes:
                     continue
                 assert position[key_a] < position[key_b], (creg, key_a, key_b)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_forced_release_valve_routes_validly(data):
+    graph = data.draw(connected_graphs())
+    program = decompose_unsupported(data.draw(circuits(graph.n_physical)))
+    # 0 opens the valve at every blocked step; 0.5 after a swap or three.
+    factor = data.draw(st.sampled_from([0, 0.5]))
+    with mock.patch.object(routing, "RELEASE_VALVE_FACTOR", factor):
+        routed, result = route_program(
+            program, graph, seed=data.draw(st.integers(0, 2**32 - 1)), sabre_iterations=data.draw(st.integers(1, 3))
+        )
+    for op in routed.ops:
+        if isinstance(op, Inst) and len(op.qubits) == 2:
+            assert graph.adjacent(op.qubits[0].logical_id, op.qubits[1].logical_id)
+    perm = list(result.final_layout.log_to_phys)
+    perm += sorted(set(range(graph.n_physical)) - set(perm))
+    expected = permute_qubits(simulate(program, n_qubits=graph.n_physical), perm)
+    assert equiv_up_to_global_phase(expected, simulate(routed, n_qubits=graph.n_physical))
+    assert result.swap_count == sum(g.inserted for g in result.routed_gates)
+    if factor == 0:  # every swap is the valve's
+        assert (result.valve_firings > 0) == (result.swap_count > 0)
