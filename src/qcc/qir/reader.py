@@ -71,6 +71,8 @@ def read_qir(text: str) -> list[Record]:
     records: list[Record] = []
     function = 0  # line of the define whose body is open
     seen: dict[str, Record] = {}  # a body repeats most of its lines: read each text once
+    defines: list[int] = []  # the positions of the define records
+    closed: set[int] = set()  # the lines of the defines whose bodies are closed
     for number, raw in enumerate(text.splitlines(), 1):
         code = raw.split(";", 1)[0].strip() if ";" in raw else raw.strip()
         if not code:
@@ -82,14 +84,16 @@ def read_qir(text: str) -> list[Record]:
             record = seen[code] = _read_line(number, code, function)
         if record.kind == "define":
             function = number
+            defines.append(len(records))
         elif record.kind == "close":
             if not function:
                 record = record._replace(problem="unbalanced braces")
+            closed.add(function)
             function = 0
         records.append(record)
-    closed = {r.function for r in records if r.kind == "close"}
-    for i, r in enumerate(records):
-        if r.kind == "define" and r.line not in closed and r.problem is None:
+    for i in defines:
+        r = records[i]
+        if r.line not in closed and r.problem is None:
             records[i] = r._replace(problem="unterminated function body")
     return records
 
