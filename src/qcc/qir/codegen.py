@@ -38,7 +38,6 @@ from ..ir import (
     Inst,
     IrOp,
     QuantumProgram,
-    op_qubits,
 )
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
@@ -74,13 +73,6 @@ def format_double(value: float) -> str:
     return f"0x{bits:016X}"
 
 
-def _gate_key(op: Inst) -> tuple:
-    """What fixes a gate's call line: its name, the bit patterns of its
-    parameters, which keep 0.0 and -0.0 apart, and its qubits."""
-    params = op.params
-    return op.name, struct.pack(f"{len(params)}d", *params) if params else b"", op.qubits
-
-
 class _Emitter:
     def __init__(self, program: QuantumProgram, kernel_name: str):
         self.program = program
@@ -92,7 +84,7 @@ class _Emitter:
         self.rt_used: set[str] = set()
         self.qubit_ssa: dict[int, str] = {}  # logical id -> %Qubit* value
         self.result_lines: list[str] = []
-        # The call line of each gate op already written, keyed as _gate_key does.
+        # The call line of each gate op already written, keyed as gate_line does.
         self.gate_lines: dict[tuple, str] = {}
 
     def ssa(self) -> str:
@@ -115,11 +107,11 @@ class _Emitter:
 
     def emit_extracts(self) -> None:
         """Extract each used qubit once, register by register in logical order."""
-        used: set[int] = set()
-        for op in self.program.ops:
+        ops = self.program.ops
+        for op in ops:
             if not isinstance(op, (Inst, Barrier)):
                 raise EmitError(f"cannot emit op {type(op).__name__}")
-            used.update(op_qubits(op))
+        used = {q.logical_id for op in ops for q in op.qubits}
         base = 0
         for array, reg in zip(self.array_ssa, self.program.registers):
             for index in range(reg.size):
@@ -145,18 +137,26 @@ class _Emitter:
             creg = self.program.cregs[op.result.creg_id].name
             self.result_lines.append(f"; result {len(self.result_lines)} ({result}) -> {creg}[{op.result.index}]")
             return
-        key = _gate_key(op)
+        self.body.append(self.gate_line(op))
+
+    def gate_line(self, op: Inst) -> str:
+        """The call line of a gate op, formatted once per module: it is fixed
+        by the name, the bit patterns of the parameters, which keep 0.0 and
+        -0.0 apart, and the qubits."""
+        params = op.params
+        key = op.name, struct.pack(f"{len(params)}d", *params) if params else b"", op.qubits
         line = self.gate_lines.get(key)
         if line is None:  # its first use, which also adds its declaration
+            name = op.name
             if not _SYMBOL_RE.match(name):
                 raise EmitError(f"gate name {name!r} has no QIS mapping")
-            arg_types = ["double"] * len(op.params) + ["%Qubit*"] * len(op.qubits)
+            arg_types = ["double"] * len(params) + ["%Qubit*"] * len(op.qubits)
             signature = f"declare void @__quantum__qis__{name}({', '.join(arg_types)})"
             callee = self.qis(name, signature)
-            args = [f"double {format_double(p)}" for p in op.params]
+            args = [f"double {format_double(p)}" for p in params]
             args += [f"%Qubit* {self.qubit(q)}" for q in op.qubits]
             line = self.gate_lines[key] = f"  call void {callee}({', '.join(args)})"
-        self.body.append(line)
+        return line
 
     def emit_op(self, op: IrOp) -> None:
         if isinstance(op, Barrier):
@@ -179,8 +179,12 @@ class _Emitter:
         self.rt("__quantum__rt__initialize", "null")
         self.array_ssa = [self.rt("__quantum__rt__qubit_allocate_array", reg.size) for reg in self.program.registers]
         self.emit_extracts()
+        body, gate_line = self.body, self.gate_line
         for op in self.program.ops:
-            self.emit_op(op)
+            if op.__class__ is Inst and op.condition is None and op.name != "measure":
+                body.append(gate_line(op))  # most ops: emit_op would come to the same line
+            else:
+                self.emit_op(op)
         for array in reversed(self.array_ssa):
             self.rt("__quantum__rt__qubit_release_array", array)
         self.rt("__quantum__rt__finalize")

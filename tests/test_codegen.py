@@ -10,7 +10,7 @@ import pytest
 
 from qcc.benchmarks import benchmark_source, list_benchmarks
 from qcc.errors import CapacityError, EmitError
-from qcc.ir import FusedUnitary, Inst, QRegister, QuantumProgram, QubitRef
+from qcc.ir import CRegister, FusedUnitary, Inst, QRegister, QuantumProgram, QubitRef
 from qcc.optimizer import NativeGateSet, optimize
 from qcc.qir import emit_qir, reader, verify_qir_text
 from qcc.qir.codegen import format_double
@@ -196,6 +196,17 @@ def test_fused_unitary_cannot_be_emitted():
         ops=[FusedUnitary(QubitRef(0), ())],
     )
     with pytest.raises(EmitError, match="cannot emit op FusedUnitary"):
+        emit_qir(prog)
+
+
+@pytest.mark.parametrize("condition", [None, (0, 1)])
+def test_gate_name_without_a_qis_symbol_cannot_be_emitted(condition):
+    prog = QuantumProgram(
+        registers=[QRegister(size=1, name="q")],
+        cregs=[CRegister(size=1, name="c")],
+        ops=[Inst("x", (), (QubitRef(0),)), Inst("bad-name", (0.5,), (QubitRef(0),), condition=condition)],
+    )
+    with pytest.raises(EmitError, match="^gate name 'bad-name' has no QIS mapping$"):
         emit_qir(prog)
 
 
