@@ -84,7 +84,7 @@ class _Emitter:
         self.rt_used: set[str] = set()
         self.qubit_ssa: dict[int, str] = {}  # logical id -> %Qubit* value
         self.result_lines: list[str] = []
-        # The call line of each gate op already written, keyed as gate_line does.
+        # The call line of each gate op already written, keyed as emit_inst does.
         self.gate_lines: dict[tuple, str] = {}
 
     def ssa(self) -> str:
@@ -129,7 +129,7 @@ class _Emitter:
         return value
 
     def emit_inst(self, op: Inst) -> None:
-        name = op.name
+        name, params = op.name, op.params
         if name == "measure":
             callee = self.qis("m", "declare %Result* @__quantum__qis__m(%Qubit*)")
             result = self.ssa()
@@ -137,17 +137,11 @@ class _Emitter:
             creg = self.program.cregs[op.result.creg_id].name
             self.result_lines.append(f"; result {len(self.result_lines)} ({result}) -> {creg}[{op.result.index}]")
             return
-        self.body.append(self.gate_line(op))
-
-    def gate_line(self, op: Inst) -> str:
-        """The call line of a gate op, formatted once per module: it is fixed
-        by the name, the bit patterns of the parameters, which keep 0.0 and
-        -0.0 apart, and the qubits."""
-        params = op.params
-        key = op.name, struct.pack(f"{len(params)}d", *params) if params else b"", op.qubits
+        # A gate's call line is fixed by its name, the bit patterns of its
+        # parameters, which keep 0.0 and -0.0 apart, and its qubits.
+        key = name, struct.pack(f"{len(params)}d", *params) if params else b"", op.qubits
         line = self.gate_lines.get(key)
         if line is None:  # its first use, which also adds its declaration
-            name = op.name
             if not _SYMBOL_RE.match(name):
                 raise EmitError(f"gate name {name!r} has no QIS mapping")
             arg_types = ["double"] * len(params) + ["%Qubit*"] * len(op.qubits)
@@ -156,7 +150,7 @@ class _Emitter:
             args = [f"double {format_double(p)}" for p in params]
             args += [f"%Qubit* {self.qubit(q)}" for q in op.qubits]
             line = self.gate_lines[key] = f"  call void {callee}({', '.join(args)})"
-        return line
+        self.body.append(line)
 
     def emit_op(self, op: IrOp) -> None:
         if isinstance(op, Barrier):
@@ -179,12 +173,8 @@ class _Emitter:
         self.rt("__quantum__rt__initialize", "null")
         self.array_ssa = [self.rt("__quantum__rt__qubit_allocate_array", reg.size) for reg in self.program.registers]
         self.emit_extracts()
-        body, gate_line = self.body, self.gate_line
         for op in self.program.ops:
-            if op.__class__ is Inst and op.condition is None and op.name != "measure":
-                body.append(gate_line(op))  # most ops: emit_op would come to the same line
-            else:
-                self.emit_op(op)
+            self.emit_op(op)
         for array in reversed(self.array_ssa):
             self.rt("__quantum__rt__qubit_release_array", array)
         self.rt("__quantum__rt__finalize")
