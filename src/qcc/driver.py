@@ -180,6 +180,8 @@ class QuantumOptions:
         # numpy's permutation generator rejects a negative seed with a bare ValueError.
         if self.seed < 0:
             raise QccError(f"seed must be a non-negative integer, not {self.seed}")
+        if self.sabre_iterations < 1:
+            raise QccError(f"sabre iterations must be at least 1, not {self.sabre_iterations}")
         if self.sabre_iterations > MAX_SABRE_ITERATIONS:
             raise QccError(f"sabre iterations must be at most {MAX_SABRE_ITERATIONS}, not {self.sabre_iterations}")
 
@@ -257,8 +259,8 @@ def _is_qasm(path: str) -> bool:
     return _EXTENSION_KINDS.get(os.path.splitext(path)[1].lower()) == "qasm"
 
 
-def read_kernels(path: str) -> list[list[Record]]:
-    """The records of each quantum kernel of a QIR module, as ``find_quantum_kernels`` gives them.
+def read_kernels(path: str) -> list[list[tuple[int, Record]]]:
+    """The (line, record) pairs of each quantum kernel of a QIR module, as ``find_quantum_kernels`` gives them.
 
     An OpenQASM source, by its extension, is a diagnostic.
     """

@@ -15,6 +15,7 @@ dependency DAG that routing reads and the circuit depth both come from it.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -94,6 +95,14 @@ def op_qubits(op: IrOp) -> tuple[int, ...]:
     """Logical ids of the qubits an op touches, in operand order."""
     # tuple([...]) rather than a generator: this runs once per op in several passes.
     return tuple([q.logical_id for q in op.qubits])
+
+
+def param_bits(params) -> bytes:
+    """The IEEE-754 bits of gate parameters: the key under which two
+    parameter lists are the same.  Keying on bits keeps 0.0 and -0.0 apart:
+    equal as floats, they can give matrices whose zeros differ in sign, and
+    a signed zero can move a phase from pi to -pi."""
+    return struct.pack(f"{len(params)}d", *params) if params else b""
 
 
 @dataclass

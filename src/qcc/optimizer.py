@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +47,7 @@ from .ir import (
     IrOp,
     QuantumProgram,
     op_qubits,
+    param_bits,
 )
 from .qasm import qelib1
 from .qasm.lower import instantiate, primitive
@@ -74,14 +74,17 @@ class NativeGateSet:
     """The gate vocabulary a target executes directly.
 
     Must contain rotations about at least two distinct axes (so one Euler
-    basis is expressible) and at least one entangling two-qubit gate.
-    Measure and reset are always native.
+    basis is expressible) and at least one entangling two-qubit gate, and
+    no name outside qelib1.  Measure and reset are always native.
     """
 
     names: frozenset[str]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "names", self.names | {"measure", "reset"})
+        unknown = sorted(self.names - qelib1.gate_table().keys() - {"measure", "reset"})
+        if unknown:
+            raise UnsupportedGateError(f"unknown native gate {unknown[0]!r}")
         axes = {g for g in ("rx", "ry", "rz") if g in self.names}
         if len(axes) < 2:
             raise UnsupportedGateError("native set needs rotations about two distinct axes")
@@ -355,12 +358,9 @@ def decompose_unsupported(program: QuantumProgram, native: NativeGateSet | None 
 
 
 def _run_key(run: tuple[Inst, ...]) -> tuple[tuple[str, ...], bytes]:
-    """The gate names of a run and the bit patterns of its parameters, which
-    together fix its fused matrix.  Keying on bits keeps 0.0 and -0.0 apart:
-    equal as floats, they can give matrices whose zeros differ in sign, and
-    a signed zero can move a phase from pi to -pi."""
-    params = [p for op in run for p in op.params]
-    return tuple(op.name for op in run), struct.pack(f"{len(params)}d", *params)
+    """The gate names of a run and the ``param_bits`` of its parameters,
+    which together fix its fused matrix."""
+    return tuple(op.name for op in run), param_bits([p for op in run for p in op.params])
 
 
 def _run_matrix(run: tuple[Inst, ...]) -> np.ndarray:

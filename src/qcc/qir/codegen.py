@@ -33,12 +33,7 @@ import struct
 from dataclasses import dataclass
 
 from ..errors import EmitError
-from ..ir import (
-    Barrier,
-    Inst,
-    IrOp,
-    QuantumProgram,
-)
+from ..ir import Barrier, Inst, IrOp, QuantumProgram, param_bits
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
@@ -137,9 +132,7 @@ class _Emitter:
             creg = self.program.cregs[op.result.creg_id].name
             self.result_lines.append(f"; result {len(self.result_lines)} ({result}) -> {creg}[{op.result.index}]")
             return
-        # A gate's call line is fixed by its name, the bit patterns of its
-        # parameters, which keep 0.0 and -0.0 apart, and its qubits.
-        key = name, struct.pack(f"{len(params)}d", *params) if params else b"", op.qubits
+        key = name, param_bits(params), op.qubits  # all that fixes a gate's call line
         line = self.gate_lines.get(key)
         if line is None:  # its first use, which also adds its declaration
             if not _SYMBOL_RE.match(name):

@@ -1,21 +1,21 @@
 """Circuit reconstruction from textual QIR.
 
 ``find_quantum_kernels`` reads a module once with ``reader.read_qir`` and
-hands on each kernel as the records of its body.  The extractor takes those
-records, or a module's text with one kernel, and accepts the straight-line
-subset that ``codegen.py`` emits (its docstring lists the conventions), so
-hand-written kernels following the same pattern work too.  Qubits get
-logical indices densely in allocation order.  Any instruction outside the
-subset is an ExtractionError naming its line, since partial extraction
-would silently drop gates.
+hands on each kernel as the (line, record) pairs of its body.  The
+extractor takes those pairs, or a module's text with one kernel, and
+accepts the straight-line subset that ``codegen.py`` emits (its docstring
+lists the conventions), so hand-written kernels following the same pattern
+work too.  Qubits get logical indices densely in allocation order.  Any
+instruction outside the subset is an ExtractionError naming its line, since
+partial extraction would silently drop gates.
 
-A routed kernel repeats most of its gate calls, so ``extract_program``
-decodes each distinct one once per call: a line whose record matches an
-earlier one in all but its line number, return type included, reuses that
-decode's frozen ``Inst``, kind and operand ids.  Only clean decodes are kept,
-so a bad line fails at its first occurrence; measurements (each writes the
-next result) and barriers are decoded every time.  ``ExtractedGate`` is a
-``NamedTuple``, cheap to build per gate.
+A routed kernel repeats most of its gate calls, and repeats share a record,
+so ``extract_program`` decodes each distinct call once: a line whose record
+equals one decoded before reuses that decode's frozen ``Inst``, kind and
+operand ids.  Only clean decodes are kept, so a bad line fails at its first
+occurrence; measurements (each writes the next result) and barriers are
+decoded every time.  ``ExtractedGate`` is a ``NamedTuple``, cheap to build
+per gate.
 """
 
 from typing import NamedTuple
@@ -39,27 +39,27 @@ class ExtractedGate(NamedTuple):
     line: int  # module line of the instruction
 
 
-def find_quantum_kernels(module_text: str) -> list[list[Record]]:
-    """The records of every function that calls the quantum runtime or a QIS intrinsic, in module order.
+def find_quantum_kernels(module_text: str) -> list[list[tuple[int, Record]]]:
+    """The (line, record) pairs of every function that calls the quantum runtime or a QIS intrinsic, in module order.
 
-    Each holds the module's define and declare records, then its body's, from one read: they hold module lines.
+    Each holds the module's define and declare pairs, then its body's, from one read: they hold module lines.
     A malformed or unterminated define raises here; a bad body line is left to the extractor.
     """
-    symbols: list[Record] = []
-    bodies: dict[int, list[Record]] = {}  # define line -> the records of its body
-    for record in read_qir(module_text):
+    symbols: list[tuple[int, Record]] = []
+    bodies: dict[int, list[tuple[int, Record]]] = {}  # define line -> the pairs of its body
+    for line, record in read_qir(module_text):
         if record.kind == "define" and record.problem is not None:
-            raise ExtractionError(f"line {record.line}: {record.problem}")
+            raise ExtractionError(f"line {line}: {record.problem}")
         if record.kind in ("define", "declare"):
-            symbols.append(record)
+            symbols.append((line, record))
         elif record.function and record.kind != "close":
-            bodies.setdefault(record.function, []).append(record)
-    kernels = [b for b in bodies.values() if any(r.opcode == "call" and r.name.startswith((_QIS, _RT)) for r in b)]
+            bodies.setdefault(record.function, []).append((line, record))
+    kernels = [b for b in bodies.values() if any(r.opcode == "call" and r.name.startswith((_QIS, _RT)) for _, r in b)]
     return [symbols + body for body in kernels]
 
 
-def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], QuantumProgram]:
-    """Gate records and the equivalent program of a module's one kernel, or of a kernel's records.
+def extract_program(source: str | list[tuple[int, Record]]) -> tuple[list[ExtractedGate], QuantumProgram]:
+    """Gate records and the equivalent program of a module's one kernel, or of a kernel's pairs.
 
     Text goes through ``find_quantum_kernels``.  The program's register holds
     every allocated qubit, every measurement writes the next bit of classical
@@ -81,13 +81,12 @@ def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], Qu
     n_measures = 0
     gates: list[ExtractedGate] = []
     ops: list = []
-    # a gate call's record without its line -> (Inst, kind, operand ids); no SSA name is bound twice, so a decode holds
-    decoded: dict[tuple, tuple[Inst, str, tuple[int, ...]]] = {}
+    # a gate call's record -> (Inst, kind, operand ids); no SSA name is bound twice, so a decode holds
+    decoded: dict[Record, tuple[Inst, str, tuple[int, ...]]] = {}
 
     arity = qelib1.gate_table()
-    for r in kernels[0]:
-        line = r.line
-        if (hit := decoded.get(key := r[1:])) is not None:
+    for line, r in kernels[0]:
+        if (hit := decoded.get(r)) is not None:
             inst, kind, operands = hit
             ops.append(inst)
             gates.append(ExtractedGate(kind, inst.name, inst.params, operands, line))
@@ -158,7 +157,7 @@ def extract_program(source: str | list[Record]) -> tuple[list[ExtractedGate], Qu
                 kind = instruction_kind(name, len(operands))
                 inst = Inst(name, tuple(params), tuple(qubits))
                 ops.append(inst)
-                decoded[key] = (inst, kind, operands)
+                decoded[r] = (inst, kind, operands)
             gates.append(ExtractedGate(kind, name, tuple(params), operands, line))
         elif frame == "qubit_allocate_array":
             size = int_value(values[0], line)

@@ -1,10 +1,12 @@
 """The one reader of textual QIR, and the verifier built on it.
 
-``read_qir`` turns module text into one ``Record`` per line that holds code,
-numbered by its line in the module.  The verifier, the kernel finder and the
-extractor read nothing else, so they agree on what every line says.  A line
-the reader cannot make sense of still gives a record, with ``problem`` set;
-each consumer decides whether that is a diagnostic or an error.
+``read_qir`` turns module text into a ``(line, Record)`` pair per line that
+holds code, numbered from 1.  Records hold no line, so equal lines of one
+function share one record, and a memo keyed on it works once per distinct
+line.  The verifier, the kernel finder and the extractor read nothing else,
+so they agree on what every line says.  A line the reader cannot make sense
+of still gives a record, with ``problem`` set; each consumer decides whether
+that is a diagnostic or an error.
 
 A function body is opened by a ``define`` line ending in ``{`` and closed by
 a line holding only ``}``.  ``double_value`` and ``int_value`` give the
@@ -49,9 +51,8 @@ _MODULE_WORDS = frozenset({"source_filename", "target", "attributes", "module", 
 
 
 class Record(NamedTuple):
-    """One line of QIR code; comments and blank lines give no record."""
+    """What a line of QIR code says; comments and blank lines give no record."""
 
-    line: int  # line number in the module, from 1
     kind: str  # define | declare | label | close | inst | module
     function: int = 0  # line of the enclosing define; 0 outside every body
     result: str | None = None  # the %name an instruction defines
@@ -66,75 +67,71 @@ class Record(NamedTuple):
         return _operands(self.args)
 
 
-def read_qir(text: str) -> list[Record]:
-    """Read module text into records, one per line of code, in line order."""
-    records: list[Record] = []
+def read_qir(text: str) -> list[tuple[int, Record]]:
+    """Read module text into (line, record) pairs, one per line of code, in line order."""
+    pairs: list[tuple[int, Record]] = []
     function = 0  # line of the define whose body is open
-    seen: dict[str, Record] = {}  # a body repeats most of its lines: read each text once
-    defines: list[int] = []  # the positions of the define records
+    seen: dict[str, Record] = {}  # code -> its record; a body repeats most of its lines
+    defines: list[int] = []  # the positions of the define pairs
     closed: set[int] = set()  # the lines of the defines whose bodies are closed
     for number, raw in enumerate(text.splitlines(), 1):
         code = raw.split(";", 1)[0].strip() if ";" in raw else raw.strip()
         if not code:
             continue
         record = seen.get(code)
-        if record is not None and record.function == function:
-            record = Record(number, *record[1:])
-        else:
-            record = seen[code] = _read_line(number, code, function)
+        if record is None or record.function != function:
+            record = seen[code] = _read_line(code, function)
         if record.kind == "define":
             function = number
-            defines.append(len(records))
+            defines.append(len(pairs))
         elif record.kind == "close":
-            if not function:
-                record = record._replace(problem="unbalanced braces")
             closed.add(function)
             function = 0
-        records.append(record)
+        pairs.append((number, record))
     for i in defines:
-        r = records[i]
-        if r.line not in closed and r.problem is None:
-            records[i] = r._replace(problem="unterminated function body")
-    return records
+        line, r = pairs[i]
+        if line not in closed and r.problem is None:
+            pairs[i] = line, r._replace(problem="unterminated function body")
+    return pairs
 
 
-def _read_line(line: int, code: str, function: int) -> Record:
+def _read_line(code: str, function: int) -> Record:
     if code == "}":
-        return Record(line, "close", function)
+        return Record("close", function, problem=None if function else "unbalanced braces")
     if code.startswith(("define ", "define\t")):
         m = _DEFINE_RE.fullmatch(code)
         if m is None:
-            return Record(line, "define", function, problem="malformed function definition")
-        return Record(line, "define", function, name=m[1], args=m[2])
+            return Record("define", function, problem="malformed function definition")
+        return Record("define", function, name=m[1], args=m[2])
     if code.count("(") != code.count(")"):
-        return Record(line, "inst", function, problem="unbalanced parentheses")
+        return Record("inst", function, problem="unbalanced parentheses")
     if code.count("{") != code.count("}"):
-        return Record(line, "inst", function, problem="unbalanced braces")
+        return Record("inst", function, problem="unbalanced braces")
     m = _CALL_RE.fullmatch(code)
     if m is not None:
         result, opcode, type_, name, args = m.groups()
         type_ = type_.strip()
         if type_.endswith(")"):  # `call void (...) @f`: the return type, then the callee's signature
             type_ = type_[: type_.index("(")].rstrip()
-        return Record(line, "inst" if opcode == "call" else "declare", function, result, opcode, type_, name, args)
+        return Record("inst" if opcode == "call" else "declare", function, result, opcode, type_, name, args)
     if code[-1] == ":" and (m := _LABEL_RE.fullmatch(code)) is not None:
-        return Record(line, "label", function, name=m[1])
+        return Record("label", function, name=m[1])
     m = _INST_RE.fullmatch(code)
     if m is None:
         if code[0] in "@!$":
-            return Record(line, "module", function)
-        return Record(line, "inst", function, problem="unreadable line")
+            return Record("module", function)
+        return Record("inst", function, problem="unreadable line")
     result, opcode, rest = m.groups()
     if opcode in ("call", "declare"):
-        return Record(line, "inst", function, result, opcode, problem=f"malformed {opcode}")
+        return Record("inst", function, result, opcode, problem=f"malformed {opcode}")
     if opcode in _MODULE_WORDS:
-        return Record(line, "module", function, result)
+        return Record("module", function, result)
     if opcode not in _OPCODES:
-        return Record(line, "inst", function, result, opcode, problem=f"unknown instruction {opcode!r}")
+        return Record("inst", function, result, opcode, problem=f"unknown instruction {opcode!r}")
     m = _CAST_RE.fullmatch(rest)
     if m is not None:
-        return Record(line, "inst", function, result, opcode, m[2], args=m[1])
-    return Record(line, "inst", function, result, opcode, args=rest)
+        return Record("inst", function, result, opcode, m[2], args=m[1])
+    return Record("inst", function, result, opcode, args=rest)
 
 
 def _operands(text: str) -> tuple[tuple[str, str | None], ...]:
@@ -225,36 +222,33 @@ def verify_qir_text(module) -> list[str]:
     names are defined once and before use (a function's parameters and its
     labels count as defined), and every callee is declared or defined.
     """
-    records = read_qir(module if isinstance(module, str) else module.text)
-    symbols = {r.name for r in records if r.kind in ("define", "declare")}
-    defined = {(r.function, f"%{r.name}") for r in records if r.kind == "label"}
+    pairs = read_qir(module if isinstance(module, str) else module.text)
+    symbols = {r.name for _, r in pairs if r.kind in ("define", "declare")}
+    defined = {(r.function, f"%{r.name}") for _, r in pairs if r.kind == "label"}
     diagnostics: list[str] = []
-    # Records, without their line, of instructions that define nothing and
-    # gave no diagnostic.  Definitions only accumulate and the symbols are
-    # fixed, so a repeat of one in the same function would give none either.
-    passed: set[tuple] = set()
-    for r in records:
+    # Records of instructions that define nothing and gave no diagnostic.
+    # Definitions only accumulate and the symbols are fixed, so a repeat of
+    # one, which is the same record only in the same function, gives none.
+    passed: set[Record] = set()
+    for line, r in pairs:
         if r.problem is not None:
-            diagnostics.append(f"line {r.line}: {r.problem}")
+            diagnostics.append(f"line {line}: {r.problem}")
         elif r.kind == "define":
-            defined.update((r.line, value) for _, value in r.operands() if value is not None)
-        elif r.kind == "inst":
-            key = r[1:] if r.result is None else None
-            if key in passed:
-                continue
+            defined.update((line, value) for _, value in r.operands() if value is not None)
+        elif r.kind == "inst" and r not in passed:
             found = len(diagnostics)
             if r.result is not None and (r.function, r.result) in defined:
-                diagnostics.append(f"line {r.line}: duplicate SSA definition {r.result}")
+                diagnostics.append(f"line {line}: duplicate SSA definition {r.result}")
             values = [value for _, value in r.operands() if value is not None]
             for value in values:  # an aggregate constant's elements are appended, and checked after
                 if value[0] in "<[{":
                     values += [element for _, element in _operands(value[1:-1]) if element is not None]
                 elif value[0] == "%" and (r.function, value) not in defined:
-                    diagnostics.append(f"line {r.line}: use of undefined value {value}")
+                    diagnostics.append(f"line {line}: use of undefined value {value}")
             if r.result is not None:
                 defined.add((r.function, r.result))
             if r.opcode == "call" and r.name not in symbols:
-                diagnostics.append(f"line {r.line}: call to undeclared symbol @{r.name}")
-            if key is not None and len(diagnostics) == found:
-                passed.add(key)
+                diagnostics.append(f"line {line}: call to undeclared symbol @{r.name}")
+            if r.result is None and len(diagnostics) == found:
+                passed.add(r)
     return diagnostics

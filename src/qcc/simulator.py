@@ -32,20 +32,19 @@ most MATRIX_MEMO_SIZE entries that is emptied when full.
 from __future__ import annotations
 
 import functools
-import struct
 
 import numpy as np
 
 from . import gates
 from .errors import DimensionMismatchError, InvalidPermutationError, OracleError
-from .ir import Barrier, Inst, QuantumProgram
+from .ir import Barrier, Inst, QuantumProgram, param_bits
 
 MAX_QUBITS = 20
 # Widest state applied through cached gather indices (two of 8 KB at 10 qubits).
 MAX_GATHER_QUBITS = 10
 MATRIX_MEMO_SIZE = 1024
 
-# (gate name, packed parameter bits) -> read-only matrix; see _gate_matrix.
+# (gate name, param_bits of its parameters) -> read-only matrix; see _gate_matrix.
 _matrices: dict[tuple[str, bytes], np.ndarray] = {}
 
 
@@ -95,11 +94,10 @@ def apply_gate(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n
 
 
 def _gate_matrix(name: str, params: tuple[float, ...]) -> np.ndarray:
-    """gates.unitary(name, params), built once per name and parameter bits.
-    Keying on bits, as optimizer._run_key does, keeps 0.0 and -0.0 apart:
-    their matrices can differ in the sign of a zero.  A gate that has no
-    matrix raises here every time, since nothing is stored for it."""
-    key = (name, struct.pack(f"{len(params)}d", *params))
+    """gates.unitary(name, params), built once per name and ``param_bits``.
+    A gate that has no matrix raises here every time, since nothing is
+    stored for it."""
+    key = (name, param_bits(params))
     matrix = _matrices.get(key)
     if matrix is None:
         matrix = gates.unitary(name, params)

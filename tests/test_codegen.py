@@ -385,6 +385,38 @@ entry:
     ]
 
 
+TWO_FUNCTIONS = """declare void @g(i64)
+
+define void @f(i64 %x) {
+entry:
+  call void @g(i64 %x)
+  call void @g(i64 %x)
+  ret void
+}
+
+define void @k() {
+entry:
+  call void @g(i64 %x)
+  ret void
+}
+"""
+
+
+def test_equal_lines_share_a_record_only_within_a_function():
+    pairs = reader.read_qir(TWO_FUNCTIONS)
+    calls = {line: record for line, record in pairs if record.opcode == "call"}
+    assert sorted(calls) == [5, 6, 12]
+    assert calls[5] is calls[6]
+    assert calls[12] is not calls[5] and calls[12] != calls[5]
+    assert (calls[5].function, calls[12].function) == (3, 10)
+    assert "line" not in reader.Record._fields
+
+
+def test_a_line_that_passed_in_one_function_is_checked_again_in_another():
+    # @f's parameter defines %x, so its calls pass; @k never defines %x.
+    assert verify_qir_text(TWO_FUNCTIONS) == ["line 12: use of undefined value %x"]
+
+
 REPEATS = """OPENQASM 2.0;
 include "qelib1.inc";
 qreg q[2];

@@ -690,6 +690,19 @@ def test_cli_huge_sabre_iterations_is_a_diagnostic(tmp_path, capsys):
     assert main(argv + ["--sabre-iterations", str(MAX_SABRE_ITERATIONS)]) == 0
 
 
+@pytest.mark.parametrize("iterations", ["0", "-5"])
+def test_cli_sabre_iterations_below_one_is_a_diagnostic(tmp_path, capsys, iterations):
+    circ = tmp_path / "circ.qasm"
+    circ.write_text(GHZ2)
+    device = tmp_path / "line.json"
+    device.write_text(json.dumps({"n_qubits": 2, "edges": [[0, 1]]}))
+    argv = ["build", str(circ), "--build-dir", str(tmp_path), "--coupling", str(device)]
+    assert main(argv + ["--sabre-iterations", iterations]) == 1
+    assert capsys.readouterr().err.strip() == f"error: sabre iterations must be at least 1, not {iterations}"
+    assert not (tmp_path / "circ.qir.ll").exists()
+    assert main(argv + ["--sabre-iterations", "1"]) == 0
+
+
 @pytest.mark.parametrize("subcommand", ["metrics", "build"])
 def test_cli_native_set_without_cx_is_a_diagnostic(tmp_path, capsys, subcommand):
     circ = tmp_path / "circ.qasm"
@@ -700,6 +713,25 @@ def test_cli_native_set_without_cx_is_a_diagnostic(tmp_path, capsys, subcommand)
     assert main(args) == 1
     assert capsys.readouterr().err.strip() == f"{circ}: error: gate 'cx' cannot be lowered to the native set"
     assert not (tmp_path / "circ.qir.ll").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["metrics", "build"])
+def test_cli_misspelt_native_gate_is_a_diagnostic(tmp_path, capsys, subcommand):
+    # Read as a name, swp would leave swap out of the set: the routed swap would become three cx.
+    circ = tmp_path / "far.qasm"
+    circ.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncx q[0],q[2];\n')
+    device = tmp_path / "line3.json"
+    device.write_text(json.dumps({"n_qubits": 3, "edges": [[0, 1], [1, 2]]}))
+    args = [subcommand, str(circ), "--opt-level", "1"]
+    if subcommand == "build":
+        args += ["--build-dir", str(tmp_path), "--coupling", str(device), "--layout", "identity"]
+    assert main(args + ["--native-gates", "rz,ry,cx,swp"]) == 1
+    assert capsys.readouterr().err.strip() == "error: unknown native gate 'swp'"
+    assert not (tmp_path / "far.qir.ll").exists()
+    assert main(args + ["--native-gates", "rz,ry,cx,swap"]) == 0
+    if subcommand == "build":
+        metrics = json.loads((tmp_path / "far.metrics.json").read_text())
+        assert (metrics["swap_gates"], metrics["inserted_swap_cx"]) == (1, 0)
 
 
 def test_cli_routed_swaps_must_be_native(tmp_path, capsys):

@@ -79,8 +79,8 @@ def test_find_kernels_returns_bodies_in_order():
     combined = a + "\n" + second_define
     kernels = find_quantum_kernels(combined)
     assert len(kernels) == 2
-    assert "__quantum__qis__h" in {r.name for r in kernels[0]}
-    assert "__quantum__qis__x" in {r.name for r in kernels[1]}
+    assert "__quantum__qis__h" in {r.name for _, r in kernels[0]}
+    assert "__quantum__qis__x" in {r.name for _, r in kernels[1]}
 
 
 def test_module_text_must_hold_exactly_one_kernel():
@@ -140,7 +140,7 @@ def test_each_distinct_gate_line_is_decoded_once(monkeypatch):
     monkeypatch.setattr(reader, "_operands", lambda args: parsed.append(args) or real(args))
     gates, tripled = extract_program("\n".join(lines) + "\n")
     # preamble, gates, barrier and measurement alike: one operand split per distinct line
-    assert sorted(parsed) == sorted(r.args for r in reader.read_qir(text) if r.kind == "inst" and r.opcode != "ret")
+    assert sorted(parsed) == sorted(r.args for _, r in reader.read_qir(text) if r.kind == "inst" and r.opcode != "ret")
     assert all(f"@__quantum__qis__{g.name}(" in lines[g.line - 1] for g in gates)
     assert len({g.line for g in gates}) == len(gates)
     copies = [3 if g.kind != "measure" else 1 for g in once]

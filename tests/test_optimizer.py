@@ -368,6 +368,13 @@ def test_native_set_needs_entangler():
         NativeGateSet(frozenset(["rz", "ry", "rx"]))
 
 
+def test_native_set_names_only_qelib1_gates():
+    with pytest.raises(UnsupportedGateError, match="^unknown native gate 'swp'$"):
+        NativeGateSet.from_names(["rz", "ry", "cx", "swp"])
+    named = ["rz", "ry", "cx", "measure", "reset"]
+    assert NativeGateSet.from_names(named).names == set(named)
+
+
 def test_from_names_adds_measurement_ops():
     native = NativeGateSet.from_names(["rz", "rx", "cz"])
     assert "measure" in native and "reset" in native

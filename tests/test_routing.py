@@ -688,6 +688,22 @@ def test_release_valve_never_fires_on_the_bench_workloads(monkeypatch, workload)
     assert firings and sum(firings) == 0
 
 
+def test_release_valve_breaks_a_livelock_cut_from_a_1000_qubit_route():
+    # tests/sabre_livelock.json says where the cut comes from.  Its swaps
+    # cycle: after 10 * n_physical swaps that place nothing the valve fires,
+    # and it still fires with the limit raised to 100 * n_physical.
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "sabre_livelock.json")) as handle:
+        cut = json.load(handle)
+    graph = grid_graph(cut["rows"], cut["cols"])
+    lines = [f"{name} q[{a}],q[{b}];\n" for _, name, (a, b), _ in cut["gates"]]
+    program = qasm_program(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{len(cut["layout"])}];\n' + "".join(lines))
+    routed, result = route_program(program, graph, layout=Layout(cut["layout"], graph.n_physical))
+    assert result.valve_firings >= 1
+    assert sorted(entry for entry in result.trace if entry >= 0) == list(range(len(lines)))
+    assert len(routed.ops) == len(lines) + result.swap_count
+    assert all(graph.adjacent(*(q.logical_id for q in op.qubits)) for op in routed.ops)
+
+
 def test_release_valve_walks_the_closest_gate_into_place(monkeypatch):
     # With no swaps allowed before it opens, every blocked step is the valve:
     # the closest blocked gate, q[0] and q[3] here, moves its first qubit along
