@@ -8,14 +8,14 @@ shortest native rotation sequence.  Global phase is discarded at resynthesis;
 every conditioned gate is classically controlled, so the phase is never
 observable downstream.
 
-The funnel works on batches.  ``select_decomposition`` takes a (k, 2, 2)
-stack as well as one matrix, and does its numpy work once per stack: one
-unitarity check, one determinant over U and H.U.H stacked together, one
-broadcast removal of the phase.  Each sequence is bit-identical to the one
-its matrix gives alone; only the per-matrix angle math stays scalar, as
-``np.arctan2`` does not always round like ``math.atan2``.  One ZYZ solve of U
-serves both zyz and zxz (zxz only shifts the outer angles), one ZYZ solve of
-H.U.H serves xyx, and ``euler_decompose`` uses the same solver.
+The funnel works on batches, and in closed form.  ``select_decomposition``
+takes a list of closed-form 2x2 matrices (``gates.Mat2``), as resynthesis
+passes it, as well as one numpy matrix or a (k, 2, 2) stack, and checks
+unitarity once per batch.  Each matrix is then solved alone in scalar
+arithmetic: det = ad - bc, the removal of its phase, H.U.H and the ZYZ
+angles, so no bit of the output depends on the BLAS or LAPACK build.  One ZYZ
+solve of U serves both zyz and zxz (zxz only shifts the outer angles), one
+ZYZ solve of H.U.H serves xyx, and ``euler_decompose`` uses the same solver.
 
 Every single-qubit rewrite uses one record and one splice: fusion makes a
 ``FusedUnitary`` of each run, ``decompose_unsupported`` one of each
@@ -59,11 +59,9 @@ MAX_PASSES = 10
 # overflow, so a native one is rejected here rather than emitted unchecked.
 _PHASE_SUM_GATES = frozenset({"u2", "u3", "cu3"})
 
-# Euler basis name -> (outer axis a, inner axis b) with U = e^{ia} Ra Rb Ra.
-_BASES = {"zyz": ("z", "y"), "zxz": ("z", "x"), "xyx": ("x", "y")}
-_BASIS_ORDER = ("zyz", "zxz", "xyx")
-_AXIS_GATE = {"x": "rx", "y": "ry", "z": "rz"}
-_H = gates.unitary("h")
+# Euler basis name -> (outer gate, inner gate) with U = e^{ia} Ra Rb Ra, in
+# the order that ties are broken.
+_BASES = {"zyz": ("rz", "ry"), "zxz": ("rz", "rx"), "xyx": ("rx", "ry")}
 
 # (gate name, angle) pairs in application order.
 Rotations = list[tuple[str, float]]
@@ -114,53 +112,53 @@ class EulerDecomposition:
     global_phase: float
 
 
-def _require_unitary(matrix: np.ndarray, stack_ok: bool = False) -> np.ndarray:
-    """The input as a complex (k, 2, 2) stack.
+def _closed_forms(matrix, stack_ok: bool = False) -> list[gates.Mat2]:
+    """The input as a list of closed-form 2x2 matrices.
 
-    A 2x2 matrix is a stack of one; a (k, 2, 2) stack is accepted only when
-    stack_ok.  Every matrix must be unitary.
+    A list is taken as it is.  A 2x2 matrix is a list of one; a (k, 2, 2)
+    stack is accepted only when stack_ok.  Every matrix must be unitary.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape == (2, 2):
-        stack = matrix[None]
-    elif stack_ok and matrix.ndim == 3 and matrix.shape[1:] == (2, 2):
-        stack = matrix
-    else:
-        expected = "a 2x2 matrix or a (k, 2, 2) stack" if stack_ok else "a 2x2 matrix"
-        raise NotUnitaryError(f"expected {expected}, got shape {matrix.shape}")
-    if not gates.is_unitary(stack, UNITARY_TOL):
+    if not isinstance(matrix, list):
+        matrix = np.asarray(matrix, dtype=complex)
+        if matrix.shape == (2, 2):
+            matrix = matrix[None]
+        elif not (stack_ok and matrix.ndim == 3 and matrix.shape[1:] == (2, 2)):
+            expected = "a 2x2 matrix or a (k, 2, 2) stack" if stack_ok else "a 2x2 matrix"
+            raise NotUnitaryError(f"expected {expected}, got shape {matrix.shape}")
+        matrix = matrix.tolist()
+    if not gates.is_unitary(matrix, UNITARY_TOL):
         raise NotUnitaryError("matrix is not unitary within 1e-10")
-    return stack
+    return matrix
 
 
-def _zyz_angles(stack: np.ndarray) -> list[tuple[float, float, float, float]]:
+def _zyz_angles(alpha: float, v00: complex, v10: complex, v11: complex) -> tuple[float, float, float, float]:
     """(alpha, beta, gamma, delta) with U = e^{ia} Rz(beta) Ry(gamma) Rz(delta),
-    for each U of a (k, 2, 2) unitary stack.
-
-    The determinants and the removal of the phase run once over the stack,
-    with the same bits as one matrix at a time.  The angle math stays scalar
-    per matrix: np.arctan2 does not always round like math.atan2.
-    """
-    alphas = [cmath.phase(det) / 2 for det in np.linalg.det(stack).tolist()]
-    phases = np.array([cmath.exp(-1j * alpha) for alpha in alphas], dtype=complex)
-    special = (phases[:, None, None] * stack).reshape(-1, 4).tolist()  # special unitaries now
-    out = []
-    for alpha, (v00, _, v10, v11) in zip(alphas, special):
-        gamma = 2 * math.atan2(abs(v10), abs(v00))
-        if abs(v10) < 1e-14:
-            # gamma ~ 0: only beta+delta is determined; put it all in beta.
-            out.append((alpha, 2 * cmath.phase(v11), gamma, 0.0))
-        elif abs(v00) < 1e-14:
-            # gamma ~ pi: only beta-delta is determined.
-            out.append((alpha, 2 * cmath.phase(v10), gamma, 0.0))
-        else:
-            plus = 2 * cmath.phase(v11)  # beta + delta
-            minus = 2 * cmath.phase(v10)  # beta - delta
-            out.append((alpha, (plus + minus) / 2, gamma, (plus - minus) / 2))
-    return out
+    from the entries of the special unitary e^{-ia} U."""
+    gamma = 2 * math.atan2(abs(v10), abs(v00))
+    if abs(v10) < 1e-14:
+        # gamma ~ 0: only beta+delta is determined; put it all in beta.
+        return alpha, 2 * cmath.phase(v11), gamma, 0.0
+    if abs(v00) < 1e-14:
+        # gamma ~ pi: only beta-delta is determined.
+        return alpha, 2 * cmath.phase(v10), gamma, 0.0
+    plus = 2 * cmath.phase(v11)  # beta + delta
+    minus = 2 * cmath.phase(v10)  # beta - delta
+    return alpha, (plus + minus) / 2, gamma, (plus - minus) / 2
 
 
-def euler_decompose(matrix: np.ndarray, basis: str = "zyz") -> EulerDecomposition:
+def _zyz_pair(m: gates.Mat2) -> tuple[tuple, tuple]:
+    """The ZYZ angles of U and of H.U.H, whose determinants are equal."""
+    (a, b), (c, d) = m
+    alpha = cmath.phase(a * d - b * c) / 2
+    phase = cmath.exp(-1j * alpha)
+    half = 0.5 * phase  # H.U.H = ((a+b+c+d, a-b+c-d), (a+b-c-d, a-b-c+d)) / 2
+    return (
+        _zyz_angles(alpha, phase * a, phase * c, phase * d),
+        _zyz_angles(alpha, half * (a + b + c + d), half * (a + b - c - d), half * (a - b - c + d)),
+    )
+
+
+def euler_decompose(matrix, basis: str = "zyz") -> EulerDecomposition:
     """Decompose a 2x2 unitary into Euler angles in the given basis.
 
     The inner angle gamma is chosen in [0, pi] for the ZYZ-style solution the
@@ -168,9 +166,9 @@ def euler_decompose(matrix: np.ndarray, basis: str = "zyz") -> EulerDecompositio
     """
     if basis not in _BASES:
         raise ValueError(f"unknown Euler basis '{basis}'")
-    u = _require_unitary(matrix)
-    (zyz,) = _zyz_angles(_H @ u @ _H if basis == "xyx" else u)
-    return EulerDecomposition(basis, *_normalize(*_basis_angles(basis, zyz)))
+    (m,) = _closed_forms(matrix)
+    zyz, hzyz = _zyz_pair(m)
+    return EulerDecomposition(basis, *_normalize(*_basis_angles(basis, hzyz if basis == "xyx" else zyz)))
 
 
 def _basis_angles(basis: str, zyz: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
@@ -216,53 +214,47 @@ def _normalize(beta: float, gamma: float, delta: float, alpha: float) -> tuple[f
     return wrapped[0], wrapped[1], wrapped[2], _wrap(alpha)
 
 
-def _shortest_sequence(zyz: tuple, hzyz: tuple, native: NativeGateSet) -> Rotations:
-    """The shortest native sequence over the three bases, from the ZYZ angles
-    of U and of H.U.H.  The global phase is never wrapped: nothing reads it."""
+def _shortest_sequence(zyz: tuple, hzyz: tuple, names: frozenset[str]) -> Rotations:
+    """The shortest sequence of gates in names over the three bases, from the
+    ZYZ angles of U and of H.U.H.  The global phase is never wrapped: nothing
+    reads it."""
     best: Rotations | None = None
-    for basis in _BASIS_ORDER:
+    for basis, (outer, inner) in _BASES.items():
         beta, gamma, delta, _ = _basis_angles(basis, hzyz if basis == "xyx" else zyz)
-        outer, inner = _BASES[basis]
         # Application order: delta first (rightmost factor acts first).
-        seq = [
-            (_AXIS_GATE[outer], _wrap(delta)),
-            (_AXIS_GATE[inner], _wrap(gamma)),
-            (_AXIS_GATE[outer], _wrap(beta)),
-        ]
-        # Every angle below is wrapped already, so it is its own wrap.
-        merged: Rotations = []
-        for name, angle in seq:
-            if abs(angle) <= ANGLE_EPS:
-                continue
-            if merged and merged[-1][0] == name:
-                combined = _wrap(merged.pop()[1] + angle)
-                if abs(combined) > ANGLE_EPS:
-                    merged.append((name, combined))
-                continue
-            merged.append((name, angle))
-        if any(name not in native for name, _ in merged):
-            continue
-        if best is None or len(merged) < len(best):
-            best = merged
+        beta, gamma, delta = _wrap(beta), _wrap(gamma), _wrap(delta)
+        if abs(gamma) > ANGLE_EPS:
+            seq = [(outer, delta)] if abs(delta) > ANGLE_EPS else []
+            seq.append((inner, gamma))
+            if abs(beta) > ANGLE_EPS:
+                seq.append((outer, beta))
+        elif abs(delta) > ANGLE_EPS and abs(beta) > ANGLE_EPS:
+            # The outer rotations meet and merge; both angles are wrapped.
+            combined = _wrap(delta + beta)
+            seq = [(outer, combined)] if abs(combined) > ANGLE_EPS else []
+        else:
+            seq = [(outer, angle) for angle in (delta, beta) if abs(angle) > ANGLE_EPS]
+        if (best is None or len(seq) < len(best)) and names.issuperset([name for name, _ in seq]):
+            best = seq
+            if not best:
+                break
     return best  # a native set has rotations about two axes, and each pair of axes is a basis
 
 
-def select_decomposition(matrix: np.ndarray, native: NativeGateSet) -> Rotations | list[Rotations]:
+def select_decomposition(matrix, native: NativeGateSet) -> Rotations | list[Rotations]:
     """Shortest native rotation sequence implementing the unitary up to phase.
 
     Returns (gate name, angle) pairs in application order.  All three Euler
     bases are tried; zero rotations are dropped and same-axis neighbours
     created by the drop are merged.  Ties go to zyz, then zxz, then xyx.
 
-    Given a (k, 2, 2) stack it returns the k sequences, each exactly the one
-    its matrix gives alone; unitarity, the determinants and the phase removal
-    of U and H.U.H then run once for the whole stack.
+    Given a (k, 2, 2) stack, or a list of k closed-form 2x2 matrices, it
+    returns the k sequences, each the one its matrix gives alone; unitarity
+    is then checked once for the whole batch.
     """
-    stack = _require_unitary(matrix, stack_ok=True)
-    k = len(stack)
-    solved = _zyz_angles(np.concatenate((stack, _H @ stack @ _H)))
-    sequences = [_shortest_sequence(zyz, hzyz, native) for zyz, hzyz in zip(solved[:k], solved[k:])]
-    return sequences if np.ndim(matrix) == 3 else sequences[0]
+    forms = _closed_forms(matrix, stack_ok=True)
+    sequences = [_shortest_sequence(*_zyz_pair(m), native.names) for m in forms]
+    return sequences if isinstance(matrix, list) or np.ndim(matrix) == 3 else sequences[0]
 
 
 # --- fusion -------------------------------------------------------------------
@@ -363,12 +355,14 @@ def _run_key(run: tuple[Inst, ...]) -> tuple[tuple[str, ...], bytes]:
     return tuple(op.name for op in run), param_bits([p for op in run for p in op.params])
 
 
-def _run_matrix(run: tuple[Inst, ...]) -> np.ndarray:
-    """The 2x2 product of a run of one-qubit gates, later gates on the left."""
-    product = gates.unitary(run[0].name, run[0].params)
+def _run_matrix(run: tuple[Inst, ...]) -> gates.Mat2:
+    """The closed-form 2x2 product of a run of one-qubit gates, later gates
+    on the left."""
+    (a, b), (c, d) = gates.unitary2(run[0].name, run[0].params)
     for op in run[1:]:
-        product = gates.unitary(op.name, op.params) @ product
-    return product
+        (e, f), (g, h) = gates.unitary2(op.name, op.params)
+        a, b, c, d = e * a + f * c, e * b + f * d, g * a + h * c, g * b + h * d
+    return (a, b), (c, d)
 
 
 def _solve(runs: list[tuple[Inst, ...]], native: NativeGateSet, memo: dict[tuple, Rotations]) -> list[Rotations]:
@@ -378,7 +372,7 @@ def _solve(runs: list[tuple[Inst, ...]], native: NativeGateSet, memo: dict[tuple
     keys = [_run_key(run) for run in runs]
     unsolved = {key: run for key, run in zip(keys, runs) if key not in memo}
     if unsolved:
-        matrices = np.array([_run_matrix(run) for run in unsolved.values()])
+        matrices = [_run_matrix(run) for run in unsolved.values()]
         memo.update(zip(unsolved, select_decomposition(matrices, native)))
     return [memo[key] for key in keys]
 

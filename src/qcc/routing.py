@@ -251,9 +251,10 @@ def sabre_swap(
     the lexicographically smallest edge, so routing is deterministic.
 
     A release valve bounds the work: after RELEASE_VALVE_FACTOR * n_physical
-    swaps in a row that place no gate, the blocked gate with the least
-    distance (ties to the lowest node id) is swapped along a shortest path
-    until it can run, and decay is reset.  Every valve firing places a gate.
+    swaps in a row that place no gate, those swaps are taken back, and the
+    blocked gate with the least distance (ties to the lowest node id) is
+    swapped along a shortest path until it can run, and decay is reset.
+    Every valve firing places a gate, and leaves no swap of its stall behind.
 
     Scoring is incremental.  At each blocked step the front and extended
     distance sums are taken once, as integers.  A candidate swap changes only
@@ -317,8 +318,13 @@ def sabre_swap(
 
         blocked.sort()
         if stalled >= stall_limit:
-            # The release valve: move the closest blocked gate's first qubit
-            # along a shortest path, lowest neighbour first, until it can run.
+            # The release valve: take back the stall's swaps (each is its own
+            # inverse), then move the closest blocked gate's first qubit along
+            # a shortest path, lowest neighbour first, until it can run.
+            for _ in range(stalled):
+                layout.swap_physical(*divmod(~trace.pop(), layout.n_physical))
+            swap_count -= stalled
+            stalled = 0
             a, b = qubits_of[min(blocked, key=gate_distance)]  # blocked is sorted: ties go to the lowest id
             pb = log_to_phys[b]
             while dist[log_to_phys[a]][pb] != 1:

@@ -481,22 +481,22 @@ def test_verifier_flags_unterminated_body():
 # registers and the reversed order of their releases.  A CapacityError is a
 # pinned outcome too.
 EMITTED_QIR_GOLDEN = {
-    ("adder4", 0, False): "9e732eea9c724e60428a3c7e4dada6abb014452de78d3b407af74c90dde8b7cb",
-    ("adder4", 0, True): "acef29607255c58789ba2d4160137d7f104e409bca2f748515fd0328f3160eb7",
-    ("adder4", 1, False): "9e732eea9c724e60428a3c7e4dada6abb014452de78d3b407af74c90dde8b7cb",
-    ("adder4", 1, True): "acef29607255c58789ba2d4160137d7f104e409bca2f748515fd0328f3160eb7",
-    ("adder4", 2, False): "9e732eea9c724e60428a3c7e4dada6abb014452de78d3b407af74c90dde8b7cb",
-    ("adder4", 2, True): "acef29607255c58789ba2d4160137d7f104e409bca2f748515fd0328f3160eb7",
-    ("adder4", 3, False): "9e732eea9c724e60428a3c7e4dada6abb014452de78d3b407af74c90dde8b7cb",
-    ("adder4", 3, True): "acef29607255c58789ba2d4160137d7f104e409bca2f748515fd0328f3160eb7",
-    ("bv5", 0, False): "d7ebe7079e6da80ee9ee40fc5dcd81d5d9c351dd8b5d135bb415ba8014c0f94b",
-    ("bv5", 0, True): "5197b7ffa467a3af9746ed0f879e8622fed15bee657dac662da2b3e98dc1ad5d",
-    ("bv5", 1, False): "2c3032607b5e989eb59a7fd6c6f15675c493b5a432a43ff24eadddf6ac42eb6c",
-    ("bv5", 1, True): "7f27fc4e3fc38399b27326bed39cfc0b058b909d5ec6ba307e9f43d13b2584a8",
-    ("bv5", 2, False): "2c3032607b5e989eb59a7fd6c6f15675c493b5a432a43ff24eadddf6ac42eb6c",
-    ("bv5", 2, True): "7f27fc4e3fc38399b27326bed39cfc0b058b909d5ec6ba307e9f43d13b2584a8",
-    ("bv5", 3, False): "2c3032607b5e989eb59a7fd6c6f15675c493b5a432a43ff24eadddf6ac42eb6c",
-    ("bv5", 3, True): "7f27fc4e3fc38399b27326bed39cfc0b058b909d5ec6ba307e9f43d13b2584a8",
+    ("adder4", 0, False): "30de2974ffe8ac64c20e5c00e1d638ad81cdbfbdbac66e65c74f389d789af64e",
+    ("adder4", 0, True): "c6485b5a824f65d96f90d2122f144ba2a21d282a0a7be41bce5eac8f747ff7f7",
+    ("adder4", 1, False): "30de2974ffe8ac64c20e5c00e1d638ad81cdbfbdbac66e65c74f389d789af64e",
+    ("adder4", 1, True): "c6485b5a824f65d96f90d2122f144ba2a21d282a0a7be41bce5eac8f747ff7f7",
+    ("adder4", 2, False): "30de2974ffe8ac64c20e5c00e1d638ad81cdbfbdbac66e65c74f389d789af64e",
+    ("adder4", 2, True): "c6485b5a824f65d96f90d2122f144ba2a21d282a0a7be41bce5eac8f747ff7f7",
+    ("adder4", 3, False): "30de2974ffe8ac64c20e5c00e1d638ad81cdbfbdbac66e65c74f389d789af64e",
+    ("adder4", 3, True): "c6485b5a824f65d96f90d2122f144ba2a21d282a0a7be41bce5eac8f747ff7f7",
+    ("bv5", 0, False): "05ba4bb085b61e2d490d2d25cea7a6608b382fe11fd666383b75ef55c376b995",
+    ("bv5", 0, True): "f7545ef09294b802bf341ea9b9e84007a4207da9bf86b5033e04ecbbee8354ad",
+    ("bv5", 1, False): "4c501997830f8854b180921ad747233a837ec112883fe6fa25d8dc51cb49e53a",
+    ("bv5", 1, True): "6dcba7d896c023b51d4cce15398aa6378dc577bceed41c67576532b7bb1861ef",
+    ("bv5", 2, False): "4c501997830f8854b180921ad747233a837ec112883fe6fa25d8dc51cb49e53a",
+    ("bv5", 2, True): "6dcba7d896c023b51d4cce15398aa6378dc577bceed41c67576532b7bb1861ef",
+    ("bv5", 3, False): "4c501997830f8854b180921ad747233a837ec112883fe6fa25d8dc51cb49e53a",
+    ("bv5", 3, True): "6dcba7d896c023b51d4cce15398aa6378dc577bceed41c67576532b7bb1861ef",
     ("ghz3", 0, False): "472a000e5b42513e216b3bb463a05c1ac4c5103bed7061021c4d1dad9d362e8e",
     ("ghz3", 0, True): "b4cb428c69750bed4a72f1cde58b51c204be3aff80884d74e85da1f44f20294d",
     ("ghz3", 1, False): "472a000e5b42513e216b3bb463a05c1ac4c5103bed7061021c4d1dad9d362e8e",
@@ -515,44 +515,44 @@ EMITTED_QIR_GOLDEN = {
     ("ghz5", 3, True): "51bc45a756b64c3b1a1b95ee57425b3ab3298788640e27aaed695a048ee0364d",
     ("hs_chain", 0, False): "4dc181ec30256dad1a48767887302d67af4671500c05a6c13a126adbcfd47751",
     ("hs_chain", 0, True): "8e308da7d19920a2c7ad809d119e1939af802edf463cb4465e0f62da5c765604",
-    ("hs_chain", 1, False): "6e2e22b815e74b328071b35696bc823c248ef022311566e399249cd4bfd613bb",
-    ("hs_chain", 1, True): "ac720932f707c097b1bc481bc97a012b12909720157ff21a18184e0669fbac81",
-    ("hs_chain", 2, False): "6e2e22b815e74b328071b35696bc823c248ef022311566e399249cd4bfd613bb",
-    ("hs_chain", 2, True): "ac720932f707c097b1bc481bc97a012b12909720157ff21a18184e0669fbac81",
-    ("hs_chain", 3, False): "6e2e22b815e74b328071b35696bc823c248ef022311566e399249cd4bfd613bb",
-    ("hs_chain", 3, True): "ac720932f707c097b1bc481bc97a012b12909720157ff21a18184e0669fbac81",
-    ("qft4", 0, False): "b53a6d8703017e6f1916486db09ec6ae26f4a5dd97c6f7877de8dd20d4826cbf",
-    ("qft4", 0, True): "206daae7dd88612540167d607713c0d43c2482bd48e25356e8a7034dd5f14426",
-    ("qft4", 1, False): "b53a6d8703017e6f1916486db09ec6ae26f4a5dd97c6f7877de8dd20d4826cbf",
-    ("qft4", 1, True): "206daae7dd88612540167d607713c0d43c2482bd48e25356e8a7034dd5f14426",
-    ("qft4", 2, False): "b53a6d8703017e6f1916486db09ec6ae26f4a5dd97c6f7877de8dd20d4826cbf",
-    ("qft4", 2, True): "206daae7dd88612540167d607713c0d43c2482bd48e25356e8a7034dd5f14426",
-    ("qft4", 3, False): "b53a6d8703017e6f1916486db09ec6ae26f4a5dd97c6f7877de8dd20d4826cbf",
-    ("qft4", 3, True): "206daae7dd88612540167d607713c0d43c2482bd48e25356e8a7034dd5f14426",
-    ("random_a", 0, False): "f9a7c900a1fc9feefdc375a1e5308113eb6bb939988c244575f7930073e84fc6",
-    ("random_a", 0, True): "c3773af73afe3c29a20e298e74334d7eaf8a215cc16de55877c2669853b6767b",
-    ("random_a", 1, False): "6d4b11731cc70424b601ee88438793c521bf29b60dff08dfd540a909ab0d9729",
-    ("random_a", 1, True): "48c5d343ee8d061b411432cd3556ab081b23013ef56bc878e9dc5ce3a388f9c2",
-    ("random_a", 2, False): "6d4b11731cc70424b601ee88438793c521bf29b60dff08dfd540a909ab0d9729",
-    ("random_a", 2, True): "48c5d343ee8d061b411432cd3556ab081b23013ef56bc878e9dc5ce3a388f9c2",
-    ("random_a", 3, False): "6d4b11731cc70424b601ee88438793c521bf29b60dff08dfd540a909ab0d9729",
-    ("random_a", 3, True): "48c5d343ee8d061b411432cd3556ab081b23013ef56bc878e9dc5ce3a388f9c2",
-    ("random_b", 0, False): "0e558b37301b98645626db6fb02d8327ae59e15994a257939177c179f2827538",
-    ("random_b", 0, True): "1201ae77e26d145706dc49d70563e969fdb88ee869234d6fbfbbd732a9fe7a15",
-    ("random_b", 1, False): "59a4576152ce5fef1b463e678788c3f9c79967c7597f7c6d92246c73805b93dc",
-    ("random_b", 1, True): "21975849228473cc12928798c7f8735c2f52605d8dae8a5157fcfc64b8ea8c8b",
-    ("random_b", 2, False): "59a4576152ce5fef1b463e678788c3f9c79967c7597f7c6d92246c73805b93dc",
-    ("random_b", 2, True): "21975849228473cc12928798c7f8735c2f52605d8dae8a5157fcfc64b8ea8c8b",
-    ("random_b", 3, False): "59a4576152ce5fef1b463e678788c3f9c79967c7597f7c6d92246c73805b93dc",
-    ("random_b", 3, True): "21975849228473cc12928798c7f8735c2f52605d8dae8a5157fcfc64b8ea8c8b",
-    ("toffoli_pair", 0, False): "ac5befaf81114b51e814b9bb7d832bec2d676c14047965a17d31beb29200f9ce",
-    ("toffoli_pair", 0, True): "4488f2db8d3b95f5bca902e3dee9719f1e7cead9dbd5602a0d2b9a0a3b5838b9",
-    ("toffoli_pair", 1, False): "fc9d4283dc27404c414398739ed99f4166b57675288f06f7ed97c0653d6159ce",
-    ("toffoli_pair", 1, True): "5ab7bf069427981f4e9c8ca02a6139177f07a60128b5a84321a21dc487de6394",
-    ("toffoli_pair", 2, False): "fc9d4283dc27404c414398739ed99f4166b57675288f06f7ed97c0653d6159ce",
-    ("toffoli_pair", 2, True): "5ab7bf069427981f4e9c8ca02a6139177f07a60128b5a84321a21dc487de6394",
-    ("toffoli_pair", 3, False): "fc9d4283dc27404c414398739ed99f4166b57675288f06f7ed97c0653d6159ce",
-    ("toffoli_pair", 3, True): "5ab7bf069427981f4e9c8ca02a6139177f07a60128b5a84321a21dc487de6394",
+    ("hs_chain", 1, False): "1c39d49196c1d1784bc9551f74bcd7214969ee36f9fd475aa7867243bd4f17fe",
+    ("hs_chain", 1, True): "01c1e62d42363027d1ecf868d5d97fe81f684a27b567f0c5eb1c89c1d5018d7e",
+    ("hs_chain", 2, False): "1c39d49196c1d1784bc9551f74bcd7214969ee36f9fd475aa7867243bd4f17fe",
+    ("hs_chain", 2, True): "01c1e62d42363027d1ecf868d5d97fe81f684a27b567f0c5eb1c89c1d5018d7e",
+    ("hs_chain", 3, False): "1c39d49196c1d1784bc9551f74bcd7214969ee36f9fd475aa7867243bd4f17fe",
+    ("hs_chain", 3, True): "01c1e62d42363027d1ecf868d5d97fe81f684a27b567f0c5eb1c89c1d5018d7e",
+    ("qft4", 0, False): "35744f06ef02cb83ca6ee8c76d5875a58309d3ff00b5b5c3ed11861479f4208f",
+    ("qft4", 0, True): "2f7faa299348e83a157c4ff7116ad31c6bdc4417563589af7235d35470733b10",
+    ("qft4", 1, False): "35744f06ef02cb83ca6ee8c76d5875a58309d3ff00b5b5c3ed11861479f4208f",
+    ("qft4", 1, True): "2f7faa299348e83a157c4ff7116ad31c6bdc4417563589af7235d35470733b10",
+    ("qft4", 2, False): "35744f06ef02cb83ca6ee8c76d5875a58309d3ff00b5b5c3ed11861479f4208f",
+    ("qft4", 2, True): "2f7faa299348e83a157c4ff7116ad31c6bdc4417563589af7235d35470733b10",
+    ("qft4", 3, False): "35744f06ef02cb83ca6ee8c76d5875a58309d3ff00b5b5c3ed11861479f4208f",
+    ("qft4", 3, True): "2f7faa299348e83a157c4ff7116ad31c6bdc4417563589af7235d35470733b10",
+    ("random_a", 0, False): "21d58a828dc45879e70c5e72816af6ecb9f484f1f7711b8dcdc8846d61866620",
+    ("random_a", 0, True): "1a0fd169312ed9aedb80dd8611338967201edd58357ffbd0fc4e3d7bf91ef3de",
+    ("random_a", 1, False): "d30399537cf5eb1736895e2d247eaac6bf7dd96bb4ab9cf24fbad6d47fea4eba",
+    ("random_a", 1, True): "5988941dc4d0e819db2ba340e7a79fd0d7e7d70640d528d01c3ee66de9927685",
+    ("random_a", 2, False): "d30399537cf5eb1736895e2d247eaac6bf7dd96bb4ab9cf24fbad6d47fea4eba",
+    ("random_a", 2, True): "5988941dc4d0e819db2ba340e7a79fd0d7e7d70640d528d01c3ee66de9927685",
+    ("random_a", 3, False): "d30399537cf5eb1736895e2d247eaac6bf7dd96bb4ab9cf24fbad6d47fea4eba",
+    ("random_a", 3, True): "5988941dc4d0e819db2ba340e7a79fd0d7e7d70640d528d01c3ee66de9927685",
+    ("random_b", 0, False): "2b39312b1d37b62d9202a5b3802715cac60b3d2578ce213929ef813af8ca1179",
+    ("random_b", 0, True): "5f87eaab5479c49cd9aaee2d80953bc913e319eef3636b36c8206807d8db5143",
+    ("random_b", 1, False): "f143a96b7476a0f944a7a94ebab9cfe4adc90d53e2545cd5a7962db88096b6e8",
+    ("random_b", 1, True): "2dfc7fef2a5dc66dd26868d68373b9cfc0e9cb2583e5d9ac34580b859b1b2534",
+    ("random_b", 2, False): "f143a96b7476a0f944a7a94ebab9cfe4adc90d53e2545cd5a7962db88096b6e8",
+    ("random_b", 2, True): "2dfc7fef2a5dc66dd26868d68373b9cfc0e9cb2583e5d9ac34580b859b1b2534",
+    ("random_b", 3, False): "f143a96b7476a0f944a7a94ebab9cfe4adc90d53e2545cd5a7962db88096b6e8",
+    ("random_b", 3, True): "2dfc7fef2a5dc66dd26868d68373b9cfc0e9cb2583e5d9ac34580b859b1b2534",
+    ("toffoli_pair", 0, False): "8aa991347cacf374ee59a2b80f6e99d62e2467ee041b813c655869317c320e35",
+    ("toffoli_pair", 0, True): "853c4bd428a0a4e574a1365c41b35c472f004adb2749c0f3547c397c623ec4d8",
+    ("toffoli_pair", 1, False): "f1607264ccf39314922cc160b2ec2295df15cc1bfab49dfb1333733fc1b784d6",
+    ("toffoli_pair", 1, True): "b8eb34a150c7b12aa170145cd0dc9d7da04dab4e97bd98ec55315b83491b9786",
+    ("toffoli_pair", 2, False): "f1607264ccf39314922cc160b2ec2295df15cc1bfab49dfb1333733fc1b784d6",
+    ("toffoli_pair", 2, True): "b8eb34a150c7b12aa170145cd0dc9d7da04dab4e97bd98ec55315b83491b9786",
+    ("toffoli_pair", 3, False): "f1607264ccf39314922cc160b2ec2295df15cc1bfab49dfb1333733fc1b784d6",
+    ("toffoli_pair", 3, True): "b8eb34a150c7b12aa170145cd0dc9d7da04dab4e97bd98ec55315b83491b9786",
 }
 
 
@@ -576,21 +576,21 @@ SWAPS_EXPANDED_QIR_GOLDEN = {
     ("ghz5", 2): "f5fa7f3d91e3fa51e4154696fcbbf1ad0553cf129c912750d4ccd7bbb1370938",
     ("ghz5", 3): "f5fa7f3d91e3fa51e4154696fcbbf1ad0553cf129c912750d4ccd7bbb1370938",
     ("hs_chain", 0): "04b22a8b5e912d9685e789fbda02674bafd6ded73e93acf3f91e43d937e46270",
-    ("hs_chain", 1): "a513e35a3ac139bf06c685983b1a674ae0b528bdeaf88ac7b2c79a5c8a9d985c",
-    ("hs_chain", 2): "a513e35a3ac139bf06c685983b1a674ae0b528bdeaf88ac7b2c79a5c8a9d985c",
-    ("hs_chain", 3): "a513e35a3ac139bf06c685983b1a674ae0b528bdeaf88ac7b2c79a5c8a9d985c",
-    ("qft4", 0): "5513265df4a416787067a3c555c4098256a10f1d6581133657e739f930103330",
-    ("qft4", 1): "5513265df4a416787067a3c555c4098256a10f1d6581133657e739f930103330",
-    ("qft4", 2): "5513265df4a416787067a3c555c4098256a10f1d6581133657e739f930103330",
-    ("qft4", 3): "5513265df4a416787067a3c555c4098256a10f1d6581133657e739f930103330",
-    ("random_a", 0): "1afeaefebe15e48ef68aa0f174fa105f56c901798a6304e3cc968e8b3d4a087b",
-    ("random_a", 1): "c27cb6aef28d22b3563281266c8a6d1abf3cb6ba4412cbee35a586634423686f",
-    ("random_a", 2): "c27cb6aef28d22b3563281266c8a6d1abf3cb6ba4412cbee35a586634423686f",
-    ("random_a", 3): "c27cb6aef28d22b3563281266c8a6d1abf3cb6ba4412cbee35a586634423686f",
-    ("random_b", 0): "b80e14e6b871d1032c1c5c66e0bca45493c75e012cb526dc3403df4603c29834",
-    ("random_b", 1): "28e9fc0888e60e04f08f6f85429e57e9ef2705adf609623c422cc909b6812544",
-    ("random_b", 2): "28e9fc0888e60e04f08f6f85429e57e9ef2705adf609623c422cc909b6812544",
-    ("random_b", 3): "28e9fc0888e60e04f08f6f85429e57e9ef2705adf609623c422cc909b6812544",
+    ("hs_chain", 1): "408f8bb2d9647b3858d241c3d419130c803d3782edcef0555b17ef10b61bd94f",
+    ("hs_chain", 2): "408f8bb2d9647b3858d241c3d419130c803d3782edcef0555b17ef10b61bd94f",
+    ("hs_chain", 3): "408f8bb2d9647b3858d241c3d419130c803d3782edcef0555b17ef10b61bd94f",
+    ("qft4", 0): "48187a1411fe08577880cea1234b3153bf3262d4e8b339201f02427f591712ff",
+    ("qft4", 1): "48187a1411fe08577880cea1234b3153bf3262d4e8b339201f02427f591712ff",
+    ("qft4", 2): "48187a1411fe08577880cea1234b3153bf3262d4e8b339201f02427f591712ff",
+    ("qft4", 3): "48187a1411fe08577880cea1234b3153bf3262d4e8b339201f02427f591712ff",
+    ("random_a", 0): "73d627ebe47923aee349a303389d95d665baf8ef79a6298cfd0c7c4486fa9ed5",
+    ("random_a", 1): "aab9936a2fa2b34fc53dc797e1b775209c028b73f610b07b2dded0535049808c",
+    ("random_a", 2): "aab9936a2fa2b34fc53dc797e1b775209c028b73f610b07b2dded0535049808c",
+    ("random_a", 3): "aab9936a2fa2b34fc53dc797e1b775209c028b73f610b07b2dded0535049808c",
+    ("random_b", 0): "0134c04cbf2decf838115a0d62c38f2d9b97d7615dcb577feb436ec618b0b49b",
+    ("random_b", 1): "e82aa5fa3df06f939412fdd1d6998c2f7f7f34393f8887dea2c12356908022c1",
+    ("random_b", 2): "e82aa5fa3df06f939412fdd1d6998c2f7f7f34393f8887dea2c12356908022c1",
+    ("random_b", 3): "e82aa5fa3df06f939412fdd1d6998c2f7f7f34393f8887dea2c12356908022c1",
     ("toffoli_pair", 0): "6137510a15f86fd87b41e8592d9fd55df4033705ccedfd627fe35b7cca8bca41",
     ("toffoli_pair", 1): "8868e8ebdcdb727cfada80c75a32640eff4b5ea7395eeaf52215dad9c30cbf02",
     ("toffoli_pair", 2): "8868e8ebdcdb727cfada80c75a32640eff4b5ea7395eeaf52215dad9c30cbf02",

@@ -819,15 +819,15 @@ def test_cli_extract(tmp_path, capsys):
 
 
 EXTRACT_JSON_GOLDEN = {
-    "adder4": "020ec205fc0f5298b73a7a73a6eca0cab3e5a40ff8b86394c83550746d3c1161",
-    "bv5": "568105b73eafe0761eb8666d324448b68e0fc575a00860a3be8ea04f91a4f9e8",
+    "adder4": "40398a24acafa2fa001903106c0bdb8b2939bd5331a8193861c062aed3dba43e",
+    "bv5": "a38a24ab862bd644c2f8f37719c81be52119da135517b0459a9431858846917b",
     "ghz3": "8910cd2b0e0ff48c77de359ff297a2ae966afb8c6030de93f2c251697b7b6c45",
     "ghz5": "4c711a269b5e8d1f319fb5510f3b92996880e0e328e4d5bf0d48917d225fd26d",
-    "hs_chain": "ba0cd1b5c0b3e84dec05bcbc8101e521e3ef8acb5e93905b0e3f0a41315bc1eb",
-    "qft4": "7c8ba9ba9a9c675da478d6d7040e70a851fbb170ba970d446bcf869999215600",
-    "random_a": "4eb2be834e2f4d1e442508f6d76ccb31f5aa111a318f9947eb8d960c205757a7",
-    "random_b": "1920821b072f992acf9f4198d78f6c1e5a9ed8b99517e5e4e6a0b88c6b7c8813",
-    "toffoli_pair": "06dd787c5abdfab0361fafd88f4cd853882183887f0cb8783032b230f4fe8340",
+    "hs_chain": "fd9abb48d11d602fdaa56a4ead901e21a27c125a744e14afdc6e43e7a9fdf2da",
+    "qft4": "d4a80beb3547f587d92f6aacdd21135cd40de40fb519a2ab8d6b480d94c7220e",
+    "random_a": "23afc14ce1e6a0b24f7decde39a690a7311ffa3b9337807b75dece126cd2ceb0",
+    "random_b": "222b14400467ba2b5893db366f813c931e6a48852f5859fcb57c8230c750c333",
+    "toffoli_pair": "655e60ac413bfb8c48cd64e72156c92d54e7dd61fdb9f8ef93fceafe7204953e",
 }
 
 
@@ -848,14 +848,14 @@ LINE10 = {"n_qubits": 10, "edges": [[i, i + 1] for i in range(9)]}
 # QIR and metrics unrouted, then routed on LINE10 with each layout (exit code
 # and stderr instead, for a program wider than the line), then `qcc metrics`.
 CLI_ARTIFACTS_GOLDEN = {
-    "adder4/0": "4b7f3da644f15977d6e5c03c7f68b073627d9c46068e15af1dd1a376d04f20ca",
-    "adder4/1": "a866b958362a49ccf946b6e8cb746679bb107a847cfbccb10e89e1be17f8a922",
-    "adder4/2": "a866b958362a49ccf946b6e8cb746679bb107a847cfbccb10e89e1be17f8a922",
-    "adder4/3": "a866b958362a49ccf946b6e8cb746679bb107a847cfbccb10e89e1be17f8a922",
-    "bv5/0": "fb3cf2e5ffaba787f16ef12ad0844927a33c8fa3711acc286a349f17a0a79a8a",
-    "bv5/1": "d39b9d1c4ca43f82da4d708318a4bbc1d14b9a96c2fbe100813dd97429db36f3",
-    "bv5/2": "d39b9d1c4ca43f82da4d708318a4bbc1d14b9a96c2fbe100813dd97429db36f3",
-    "bv5/3": "d39b9d1c4ca43f82da4d708318a4bbc1d14b9a96c2fbe100813dd97429db36f3",
+    "adder4/0": "d795b9f5449674c68d7a42b31876c47ee8b6709a585f25a0e16100bd7782c9fb",
+    "adder4/1": "a40c12e091ba01d8d922efa6de98d4d615edac985bed4f95b2622ea621380c5e",
+    "adder4/2": "a40c12e091ba01d8d922efa6de98d4d615edac985bed4f95b2622ea621380c5e",
+    "adder4/3": "a40c12e091ba01d8d922efa6de98d4d615edac985bed4f95b2622ea621380c5e",
+    "bv5/0": "fff4687c8fd893e6280dfa8b685d3577ebee735b825f348dba3476f6a02c73e1",
+    "bv5/1": "4784aa7490260aaa4b60f2134daff537bfd924f6f863f48f7d7007e277b19a8a",
+    "bv5/2": "4784aa7490260aaa4b60f2134daff537bfd924f6f863f48f7d7007e277b19a8a",
+    "bv5/3": "4784aa7490260aaa4b60f2134daff537bfd924f6f863f48f7d7007e277b19a8a",
     "ghz3/0": "50e499b0cd3aa00dd6b9d0ab55aa58b62b6bf99d0d590ae71bc1fc8de228a036",
     "ghz3/1": "50e499b0cd3aa00dd6b9d0ab55aa58b62b6bf99d0d590ae71bc1fc8de228a036",
     "ghz3/2": "50e499b0cd3aa00dd6b9d0ab55aa58b62b6bf99d0d590ae71bc1fc8de228a036",
@@ -865,25 +865,25 @@ CLI_ARTIFACTS_GOLDEN = {
     "ghz5/2": "b163d1b8bfd807a688f85ca0076e0b7d20605bcd4405fee59b5997836d2a4637",
     "ghz5/3": "b163d1b8bfd807a688f85ca0076e0b7d20605bcd4405fee59b5997836d2a4637",
     "hs_chain/0": "e70a6da498283714364efc451327a4154a79a81701d910ce6b6472db200c9e07",
-    "hs_chain/1": "f9aa851f23e474a47f06d7cdb2392822ab6f38ab1f9f4fae5eed6cfedd8d2660",
-    "hs_chain/2": "f9aa851f23e474a47f06d7cdb2392822ab6f38ab1f9f4fae5eed6cfedd8d2660",
-    "hs_chain/3": "f9aa851f23e474a47f06d7cdb2392822ab6f38ab1f9f4fae5eed6cfedd8d2660",
-    "qft4/0": "d8652efeed17053d04402c62ec1caa8c95f7f71dc530ef3dfff398a278a32668",
-    "qft4/1": "be919ff068d74602e10c837de73c1e470dbaf53943416e4004610b45e783e584",
-    "qft4/2": "be919ff068d74602e10c837de73c1e470dbaf53943416e4004610b45e783e584",
-    "qft4/3": "be919ff068d74602e10c837de73c1e470dbaf53943416e4004610b45e783e584",
-    "random_a/0": "7abcabe7f962fadeb5a69ff74abd67ebb4ae6a4a42ceb168d3be101a4120ae73",
-    "random_a/1": "a02a7179498902546673fcf355d27b0dfa0a7d3206caf60eaf542d54f27dbce6",
-    "random_a/2": "a02a7179498902546673fcf355d27b0dfa0a7d3206caf60eaf542d54f27dbce6",
-    "random_a/3": "a02a7179498902546673fcf355d27b0dfa0a7d3206caf60eaf542d54f27dbce6",
-    "random_b/0": "08fa9f8443f61adee9b317eda16cb818e84b417f5a466cd6dedbe04114e5b650",
-    "random_b/1": "f56977921d636cdec80ba1dcc242c2d784b19d64e7c94696b2ef3b753cd80625",
-    "random_b/2": "f56977921d636cdec80ba1dcc242c2d784b19d64e7c94696b2ef3b753cd80625",
-    "random_b/3": "f56977921d636cdec80ba1dcc242c2d784b19d64e7c94696b2ef3b753cd80625",
-    "toffoli_pair/0": "f51308b301940cbb8cf6e67e5ce2fa517b2896ebd918bef45a119262745f5a87",
-    "toffoli_pair/1": "19752d758d0187d62c5ffb912e876ac04c20e4266693ddc8d154fbbe4414ff66",
-    "toffoli_pair/2": "19752d758d0187d62c5ffb912e876ac04c20e4266693ddc8d154fbbe4414ff66",
-    "toffoli_pair/3": "19752d758d0187d62c5ffb912e876ac04c20e4266693ddc8d154fbbe4414ff66",
+    "hs_chain/1": "11a530ea5f8437e202b8e9758911e78daace1c97940aaf4f6657810633a48e3e",
+    "hs_chain/2": "11a530ea5f8437e202b8e9758911e78daace1c97940aaf4f6657810633a48e3e",
+    "hs_chain/3": "11a530ea5f8437e202b8e9758911e78daace1c97940aaf4f6657810633a48e3e",
+    "qft4/0": "82bc2475d632d76e449b3f8869fb218798acd8dc42e74f3552a4152933a69380",
+    "qft4/1": "b403d95fd6c179d49ece2d9f7a4921c4ace4580b6bf30afec38a6f73dcd46e5b",
+    "qft4/2": "b403d95fd6c179d49ece2d9f7a4921c4ace4580b6bf30afec38a6f73dcd46e5b",
+    "qft4/3": "b403d95fd6c179d49ece2d9f7a4921c4ace4580b6bf30afec38a6f73dcd46e5b",
+    "random_a/0": "a77447a63c707a22b0d4d5a2aa0aea29e3be57142ba58f0089373d42acae77d4",
+    "random_a/1": "78685a7221dbeb9591a6fd544d7342e2c3ac37399db6c94c6dc30de867e5a7e9",
+    "random_a/2": "78685a7221dbeb9591a6fd544d7342e2c3ac37399db6c94c6dc30de867e5a7e9",
+    "random_a/3": "78685a7221dbeb9591a6fd544d7342e2c3ac37399db6c94c6dc30de867e5a7e9",
+    "random_b/0": "16d2ab48984ab6b85c37a8f224ff0907635b3dfbb18cea00e1b5a62722fc6f25",
+    "random_b/1": "01977cf75c17a4e441ed858c232374f6d37bb962da2122172a958884d32fe4e9",
+    "random_b/2": "01977cf75c17a4e441ed858c232374f6d37bb962da2122172a958884d32fe4e9",
+    "random_b/3": "01977cf75c17a4e441ed858c232374f6d37bb962da2122172a958884d32fe4e9",
+    "toffoli_pair/0": "8c2267502418870b7e641761390447726058a6a381e5511c8f92e48474c3c3af",
+    "toffoli_pair/1": "78c3b32bf94a1d9887624016e79261c2a697f4fff5eab28f1b92f8a1670faa11",
+    "toffoli_pair/2": "78c3b32bf94a1d9887624016e79261c2a697f4fff5eab28f1b92f8a1670faa11",
+    "toffoli_pair/3": "78c3b32bf94a1d9887624016e79261c2a697f4fff5eab28f1b92f8a1670faa11",
 }
 
 

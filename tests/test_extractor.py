@@ -426,10 +426,10 @@ def _with_measures_and_barriers(source, n_qubits):
 # grid (True), with the default and with the rz,ry,cx native set; and 100
 # corpus circuits with barriers and measurements added.
 EXTRACTION_GOLDEN = {
-    ("default", False): "7782750a5e6ec8c1ec39d402336829653e15893b89f857ed9edf93d31ed7d77a",
-    ("default", True): "b8eb85e8817045081165427c230f2dfc539951f1e940031774dfc1b71aac9ca6",
-    ("rz,ry,cx", False): "03b0c81425f2bef2852088987c148634ba2425133dde7d9c0a13d81f8c7ed4a9",
-    ("rz,ry,cx", True): "37cb4c72f4442d46cdb81a157a6d3fb7cea7a3461247c7e359b6fc0c28498332",
+    ("default", False): "4c90d2167061ecb2b01b7d2774b6230b625e28a4180509fae3cb0b16135343c3",
+    ("default", True): "807cae3e603b556cf029c028e80402206574eee4e6b0d33e0a03ef086bb57296",
+    ("rz,ry,cx", False): "1eb72c305e2e0fe70fcbf40c7c3ef7e4054b04400239844cf1c5d370df124047",
+    ("rz,ry,cx", True): "4f695ef95baaf03e60fec88f8ab00605a1fac401ef77eaa667e3dc3705f08a04",
     "corpus": "7ebd11ed155f61a7b1f5ee3669fe0111da96920908a59ed72509853c35825f12",
 }
 

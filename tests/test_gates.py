@@ -180,7 +180,12 @@ def test_phase_overflow_names_the_gate(name, params):
 
 def test_largest_finite_phase_keeps_its_bits():
     theta, phi, lam = 0.3, 8.9e307, 8.9e307
-    expected = cmath.exp(1j * (phi + lam) / 2) * (rz(phi) @ ry(theta) @ rz(lam))
+    # e^{i(phi+lam)/2} Rz(phi) Ry(theta) Rz(lam), multiplied out in scalars.
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    p0, p1 = cmath.exp(-1j * phi / 2), cmath.exp(1j * phi / 2)
+    l0, l1 = cmath.exp(-1j * lam / 2), cmath.exp(1j * lam / 2)
+    g = cmath.exp(1j * (phi + lam) / 2)
+    expected = np.array([[g * (p0 * c * l0), g * (p0 * -s * l1)], [g * (p1 * s * l0), g * (p1 * c * l1)]])
     assert np.array_equal(unitary("u3", (theta, phi, lam)), expected)
     assert np.isfinite(expected).all()
 

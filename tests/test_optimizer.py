@@ -355,6 +355,74 @@ def test_select_on_a_stack_returns_one_sequence_per_matrix():
         euler_decompose(h[None])
 
 
+# ---------------------------------------------------------------- closed form
+
+_EDGE_ANGLES = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 1e-11, -1e-11]
+# Finite phases far from the circle; any two of them still sum to a finite u3 phase.
+_HUGE_ANGLES = [1e300, -1e300, 8.9e307, -8.9e307]
+_ONE_QUBIT_POOL = [(name, n_params) for name, arity, n_params in QELIB1_POOL if arity == 1]
+_SOLVE_SETS = [NativeGateSet.from_names([*axes, "cx"]) for axes in (("rz", "ry"), ("rz", "rx"), ("rx", "ry"))]
+
+
+@st.composite
+def one_qubit_runs(draw):
+    """Runs of qelib1 one-qubit gates, their angles drawn from the edges, huge
+    finite phases and the circle."""
+    angles = st.one_of(st.sampled_from(_EDGE_ANGLES + _HUGE_ANGLES), st.floats(-2 * math.pi, 2 * math.pi))
+    gates_drawn = draw(st.lists(st.sampled_from(_ONE_QUBIT_POOL), min_size=1, max_size=8))
+    return tuple(Inst(name, tuple(draw(angles) for _ in range(n)), (QubitRef(0),)) for name, n in gates_drawn)
+
+
+@settings(max_examples=300)
+@given(one_qubit_runs())
+def test_closed_form_runs_match_numpy_and_solve_back(run):
+    expected = np.eye(2, dtype=complex)
+    for op in run:
+        matrix = gates.unitary(op.name, op.params)
+        assert np.array_equal(matrix, np.array(gates.unitary2(op.name, op.params)))
+        expected = matrix @ expected
+    product = optimizer._run_matrix(run)
+    assert np.max(np.abs(np.array(product) - expected)) <= 1e-12
+    for native in _SOLVE_SETS + [NativeGateSet.default()]:
+        (seq,) = select_decomposition([product], native)
+        assert equiv_m(sequence_matrix(seq), expected)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.inf, math.nan)])
+def test_a_non_finite_entry_is_not_unitary(bad):
+    h = unitary("h", ())
+    for row, col in ((0, 0), (1, 0), (1, 1)):
+        m = h.copy()
+        m[row, col] = bad
+        with pytest.raises(NotUnitaryError):
+            select_decomposition(m, NativeGateSet.default())
+        with pytest.raises(NotUnitaryError):
+            select_decomposition([gates.unitary2("h"), m.tolist()], NativeGateSet.default())
+        with pytest.raises(NotUnitaryError):
+            euler_decompose(m)
+
+
+def test_the_solve_path_needs_no_blas_or_lapack(monkeypatch, corpus_programs):
+    # The funnel multiplies and solves closed forms in scalar arithmetic, so
+    # its bits cannot depend on the BLAS or LAPACK build numpy picks.
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.det on the solve path")
+
+    def plain_run_matrix(run):
+        product = real_run_matrix(run)
+        assert all(type(entry) is complex for row in product for entry in row)
+        products.append(product)
+        return product
+
+    real_run_matrix, products = optimizer._run_matrix, []
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    monkeypatch.setattr(optimizer, "_run_matrix", plain_run_matrix)
+    for level in range(4):
+        for prog, _ in corpus_programs:
+            optimize(prog, level)
+    assert products
+
+
 # ---------------------------------------------------------------- native set
 
 
@@ -405,7 +473,7 @@ def test_fuse_rz_angles_add():
 
 
 def test_fusion_builds_no_matrix(monkeypatch):
-    calls = counting(monkeypatch, gates, "unitary")
+    calls = counting(monkeypatch, gates, "unitary") + counting(monkeypatch, gates, "unitary2")
     prog = qasm_program(
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
         "h q[0];\nt q[0];\nu3(0.1,0.2,0.3) q[1];\ncx q[0],q[1];\nrz(0.4) q[1];\nsdg q[1];\n"
@@ -421,7 +489,7 @@ def test_equal_runs_are_multiplied_out_once(monkeypatch):
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[6];\n'
         + "".join(f"rx(0.1) q[{i}];\nry(0.2) q[{i}];\nrz(0.3) q[{i}];\n" for i in range(6))
     )
-    matrices = counting(monkeypatch, gates, "unitary")
+    matrices = counting(monkeypatch, gates, "unitary2")
     solves = counting(monkeypatch, optimizer, "select_decomposition")
     out = optimize(prog, level=1)
     assert len(matrices) == 3
@@ -807,18 +875,18 @@ PINNED_NATIVE_SETS = {
 # resynthesized every fixed gate afresh; the shared solve and the fixed-gate
 # memo must not move a single bit.
 OPTIMIZER_GOLDEN = {
-    ("default", 0): "ba8ee9198b7cff620afa0fe42c7ea5dcfa3b1c47155099bd71b15e7ca25aefeb",
-    ("default", 1): "109856ca51f3606c06e6f223801a18413118bba99d3ee0f3bb171c2444e78772",
-    ("default", 2): "a7c38b8e196b54d64fb8cfe7c9023fae1a171644801dad5c85971fd4020391d4",
-    ("default", 3): "a7c38b8e196b54d64fb8cfe7c9023fae1a171644801dad5c85971fd4020391d4",
-    ("rz,rx,cx", 0): "950ced9ea986416b5e36aa88305f87ddd53cf6b3f75a0a0ded32097a29593158",
-    ("rz,rx,cx", 1): "1b7cf1efa6196c312f2c0ae88294241288bc21242a2c51500f95da2c649dc69e",
-    ("rz,rx,cx", 2): "0ba0c07a4f98b3d3479a356b15593b2a26d5c61ae940ded24b575a34d67c022b",
-    ("rz,rx,cx", 3): "0ba0c07a4f98b3d3479a356b15593b2a26d5c61ae940ded24b575a34d67c022b",
-    ("rx,ry,cx", 0): "3c0d59742f6eb8847a535c42f2a52521aa7baf7264baf1f51d6806bda109cddd",
-    ("rx,ry,cx", 1): "65d0f99588e093b01ed0112260ea1b37e7dc7def8cbd3b9c8bfefd9a5b7087a1",
-    ("rx,ry,cx", 2): "dfd19e7b6afbde3777eb9cb8e1b53682aac0ce87131efd3ff909edd27ff085be",
-    ("rx,ry,cx", 3): "dfd19e7b6afbde3777eb9cb8e1b53682aac0ce87131efd3ff909edd27ff085be",
+    ("default", 0): "01f08fb27eda32d98e796e564b5a7eea481c7db8d2d761eba73fa09ba81aa4f9",
+    ("default", 1): "19419b7848c0610095e4b0dfea843ae45c7cf696d577658b9a247cf49c7dec56",
+    ("default", 2): "ec2dc6a35c976629ede7013289d5c452a869ef5c2417f863c07f6cbc90f28aef",
+    ("default", 3): "ec2dc6a35c976629ede7013289d5c452a869ef5c2417f863c07f6cbc90f28aef",
+    ("rz,rx,cx", 0): "8278f36eaf3f8d693db0ab5286efbc8a481f7f32cebaffa0d2cb6136f52a4323",
+    ("rz,rx,cx", 1): "15789d0739d91882cf850863917e25ef259353a2a61f2db7ff42169b9ca91a00",
+    ("rz,rx,cx", 2): "b67bd29c1c69b26f45899a1263348953ea613fcc1a177115cf089b45a5dc61ae",
+    ("rz,rx,cx", 3): "b67bd29c1c69b26f45899a1263348953ea613fcc1a177115cf089b45a5dc61ae",
+    ("rx,ry,cx", 0): "ed03098c0271db02dc74fd8393e3ab39a8281505f0b361004cf989be8ece5848",
+    ("rx,ry,cx", 1): "c8649c8a30387f84b0d8842eadd45b42ee1642a9fbacf3fafa54b99eef6669e6",
+    ("rx,ry,cx", 2): "9bdd92e70f309e9a3b8dd2aef4e8ee9b31ca6d41dd373691101be40a8a3c19eb",
+    ("rx,ry,cx", 3): "9bdd92e70f309e9a3b8dd2aef4e8ee9b31ca6d41dd373691101be40a8a3c19eb",
 }
 
 

