@@ -29,9 +29,7 @@ import numpy as np
 
 from .errors import UnknownGateError
 
-# A one-qubit matrix in closed form: its rows ((a, b), (c, d)) of Python
-# complex numbers.  The optimizer multiplies and solves these directly;
-# unitary() and the public builders turn them into numpy arrays.
+# A one-qubit matrix in closed form: its rows ((a, b), (c, d)) of Python complex numbers.
 Mat2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 _R = 1 / math.sqrt(2)

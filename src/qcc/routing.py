@@ -324,7 +324,6 @@ def sabre_swap(
             for _ in range(stalled):
                 layout.swap_physical(*divmod(~trace.pop(), layout.n_physical))
             swap_count -= stalled
-            stalled = 0
             a, b = qubits_of[min(blocked, key=gate_distance)]  # blocked is sorted: ties go to the lowest id
             pb = log_to_phys[b]
             while dist[log_to_phys[a]][pb] != 1:

@@ -871,9 +871,9 @@ PINNED_NATIVE_SETS = {
 }
 
 # (native set, level) -> sha256 of the emitted QIR of the first 50 corpus
-# circuits.  Recorded from the funnel that solved ZYZ once per basis and
-# resynthesized every fixed gate afresh; the shared solve and the fixed-gate
-# memo must not move a single bit.
+# circuits, recorded from the closed-form funnel.  Moving the funnel off numpy
+# stacks moved angles in their last bits and kept every gate name, qubit and
+# count; a change that keeps the arithmetic must not move a single bit.
 OPTIMIZER_GOLDEN = {
     ("default", 0): "01f08fb27eda32d98e796e564b5a7eea481c7db8d2d761eba73fa09ba81aa4f9",
     ("default", 1): "19419b7848c0610095e4b0dfea843ae45c7cf696d577658b9a247cf49c7dec56",

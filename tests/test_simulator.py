@@ -271,8 +271,9 @@ def _state_digest(states):
     return h.hexdigest()
 
 
-# sha256 over simulate(...).tobytes(), recorded from the tensordot/moveaxis
-# kernel; any rewrite of the kernel must keep every bit of every amplitude.
+# sha256 over simulate(...).tobytes().  The kernel's rewrites kept every bit
+# of every amplitude; the gate matrices, now numpy arrays of the closed forms
+# in gates.py, moved some amplitudes in their last bits and were re-pinned.
 SIMULATE_GOLDEN = {
     "benchmarks": "50ffb6c8ccb4a82bae9fd3b20abd14f3e952edb7f5e2b1bfe82c6b20363276b0",
     "benchmarks-wide": "3dd7b76394c8fcdad4ec99ee575027a2c9effd9804c21587c0eefefd629a77d0",
